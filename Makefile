@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race race-lbm race-layout chaos chaos-kill chaos-abort bench bench-json bench-paper bench-smoke bench-layout bench-refine serve-smoke fuzz
+.PHONY: check build vet test race race-lbm race-layout chaos chaos-kill chaos-abort bench bench-json bench-paper bench-smoke bench-layout bench-refine bench-module serve-smoke fuzz
 
 # The CI gate: compile everything, vet, run the full suite, the race
 # detector in short mode (the -short guard trims the long chaos and
@@ -107,6 +107,15 @@ bench-layout:
 	$(GO) run ./cmd/lbmbench -quick -precision f64 -layout both -out bench_layout.json
 	$(GO) run ./cmd/lbmbench -check bench_layout.json
 
+# bench/ is a module of its own, so the root `go test ./...` never
+# compiles it: an API slip in a package it imports (internal/checkpoint,
+# serve, parlbm, lbm) would otherwise surface only in the benchmark
+# driver. Vet and test the module, then run the whole suite in smoke size
+# with tracing (under 15 s together).
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test ./...
+	bash bench/run.sh -smoke -trace
+
 # End-to-end smoke of the job server: boot slipd, push a loadgen burst
 # through it, leave long jobs in flight, SIGTERM, and assert the
 # graceful-drain contract — exit 0, every in-flight job persisted as
@@ -119,3 +128,4 @@ serve-smoke:
 fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/config/
 	$(GO) test -fuzz FuzzPolicyRound -fuzztime 30s ./internal/balance/
+	$(GO) test -fuzz FuzzReadContainer -fuzztime 20s ./internal/checkpoint/

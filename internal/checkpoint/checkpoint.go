@@ -5,46 +5,29 @@
 // in rank.go — lets a parallel run that loses a rank restart from the
 // last committed phase on the survivors.
 //
-// Container format: every file this package writes is
+// Every file this package writes is one container (container.go;
+// DESIGN.md §3 gives the layout byte by byte):
 //
-//	magic "MSCK" | version uint16 (big endian) | gob payload | crc32 (IEEE, big endian)
+//	"MSCK" | version uint16 = 4 | hlen uint32 | header | crc32 | planes | crc32
 //
-// The trailing CRC32 covers the payload, so Load rejects truncated or
-// bit-flipped files with a typed ErrCorrupt instead of surfacing a raw
-// gob decode error, and a format from a newer writer fails with
-// ErrVersion rather than garbage.
-//
-// Version 2 adds a reduced-precision payload: a snapshot whose
-// parameters select the float32 core persists float32 planes (half the
-// disk), widened exactly on load. Version-1 files — always double
-// precision — keep loading: gob matches struct fields by name, so the
-// old raw-State payload decodes into the version-2 envelope unchanged.
-// Rank files of coordinated checkpoints stay double precision
-// regardless: the distributed solver computes in float64 even when it
-// compresses its wire traffic, and a resumed run must stay bit-stable.
-//
-// Version 3 adds refined snapshots: a two-level near-wall refined run
-// (lbm.RefinedSolver) persists its refinement descriptor, the
-// renormalization anchor, and all three block states in one container.
-// The version bump exists for old readers: a version-2 loader would
-// gob-skip the unknown refined payload and resurrect an empty uniform
-// state, so refined files carry version 3 and fail old loaders with
-// ErrVersion instead. Uniform snapshots are unchanged on disk, and
-// version-1/2 files keep loading. Loading a refined file through the
-// uniform Load — or a uniform file through LoadRefined, or a refined
-// file whose descriptor differs from the resume's — fails with a typed
-// ErrRefineMismatch.
+// The header is a small gob: the file's kind (uniform or refined
+// snapshot, rank file, COMMIT manifest), its scalars, and the shape of
+// every plane group. The planes follow as fixed-width little-endian
+// words: 8 bytes, or 4 for a snapshot of the float32 core, widened
+// exactly on load. Rank files stay 8 bytes regardless: the distributed
+// solver computes in float64 even when it compresses its wire traffic,
+// and a resumed run must stay bit-stable. Saves and loads stream the
+// planes through one chunk buffer between the caller's slices and the
+// file. Corrupted or truncated input fails with ErrCorrupt, any other
+// format version with ErrVersion, and a refined file read by the uniform
+// Load — or a uniform file by LoadRefined, or a refined file whose
+// descriptor differs from the resume's — with ErrRefineMismatch.
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,10 +36,11 @@ import (
 )
 
 // ErrCorrupt marks a checkpoint file that failed structural validation:
-// bad magic, truncation, or a CRC32 mismatch over the payload.
+// bad magic, truncation, a CRC32 mismatch, or lengths that disagree
+// with the file.
 var ErrCorrupt = errors.New("checkpoint: corrupt or truncated")
 
-// ErrVersion marks a checkpoint written by an unknown format version.
+// ErrVersion marks a checkpoint written by another format version.
 var ErrVersion = errors.New("checkpoint: unsupported version")
 
 // ErrPrecision marks a snapshot whose recorded precision differs from
@@ -69,151 +53,6 @@ var ErrPrecision = errors.New("checkpoint: precision mismatch")
 // from the one the resume requires.
 var ErrRefineMismatch = errors.New("checkpoint: refinement mismatch")
 
-var magic = [4]byte{'M', 'S', 'C', 'K'}
-
-// Version is the current container format version; readContainer
-// accepts every version from 1 through Version.
-const Version = 3
-
-// writeContainer frames a gob-encoded value with the magic/version
-// header and CRC32 trailer.
-func writeContainer(w io.Writer, v any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	var hdr [6]byte
-	copy(hdr[:4], magic[:])
-	binary.BigEndian.PutUint16(hdr[4:], Version)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("checkpoint: write header: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("checkpoint: write payload: %w", err)
-	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := w.Write(crc[:]); err != nil {
-		return fmt.Errorf("checkpoint: write checksum: %w", err)
-	}
-	return nil
-}
-
-// readContainer validates the frame and gob-decodes the payload into v.
-func readContainer(r io.Reader, v any) error {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("checkpoint: read: %w", err)
-	}
-	if len(raw) < 10 { // header + empty payload + crc
-		return fmt.Errorf("checkpoint: %d-byte file: %w", len(raw), ErrCorrupt)
-	}
-	if !bytes.Equal(raw[:4], magic[:]) {
-		return fmt.Errorf("checkpoint: bad magic %q: %w", raw[:4], ErrCorrupt)
-	}
-	if v := binary.BigEndian.Uint16(raw[4:6]); v < 1 || v > Version {
-		return fmt.Errorf("checkpoint: version %d, newest supported %d: %w", v, Version, ErrVersion)
-	}
-	payload := raw[6 : len(raw)-4]
-	want := binary.BigEndian.Uint32(raw[len(raw)-4:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return fmt.Errorf("checkpoint: crc 0x%08x, want 0x%08x: %w", got, want, ErrCorrupt)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("checkpoint: decode: %w (%v)", ErrCorrupt, err)
-	}
-	return nil
-}
-
-// fileState is the on-disk snapshot payload. gob matches struct fields
-// by name, so a version-1 payload — a raw lbm.State gob: Params, Step,
-// F — decodes into the envelope with F32 empty, and legacy
-// double-precision checkpoints keep loading after the version bump.
-type fileState struct {
-	Params *lbm.Params
-	Step   int
-	// F holds double-precision planes; F32 the reduced-precision
-	// encoding written when the snapshot's parameters select the
-	// float32 core (whose populations carry no double-width
-	// information, so the payload halves on disk). Exactly one of the
-	// two is populated. F32[c][x] is the plane's float32 values as
-	// little-endian raw bytes: gob has no native float32 and would
-	// widen a []float32 back to (trimmed) float64, keeping most of the
-	// size; fixed 4-byte words actually halve the payload.
-	F   [][][]float64
-	F32 [][][]byte
-	// Refined, when non-nil, marks a refined snapshot (version 3):
-	// Params and Step mirror the global run, F/F32 stay empty, and the
-	// block states live inside the payload.
-	Refined *refinedExtra
-}
-
-// refinedExtra is the refined part of a version-3 snapshot payload.
-type refinedExtra struct {
-	Spec         lbm.RefineSpec
-	M0, RawDrift []float64
-	// Levels holds the bottom slab, top slab, and coarse block in
-	// RefinedState order, each narrowed per its own precision rules.
-	Levels [3]*fileState
-}
-
-// encodeState converts a snapshot to its on-disk envelope, narrowing
-// float32-core states to the compact payload. The narrowing is exact
-// for states captured from the float32 solver (State widens exactly);
-// a double-precision state mislabeled F32 would round, which is why
-// NewSolver rejects mismatched parameter sets up front.
-func encodeState(st *lbm.State) *fileState {
-	fs := &fileState{Params: st.Params, Step: st.Step}
-	if st.Params == nil || st.Params.Precision != lbm.F32 {
-		fs.F = st.F
-		return fs
-	}
-	fs.F32 = make([][][]byte, len(st.F))
-	for c := range st.F {
-		fs.F32[c] = make([][]byte, len(st.F[c]))
-		for x := range st.F[c] {
-			plane := make([]byte, 4*len(st.F[c][x]))
-			for i, v := range st.F[c][x] {
-				binary.LittleEndian.PutUint32(plane[4*i:], math.Float32bits(float32(v)))
-			}
-			fs.F32[c][x] = plane
-		}
-	}
-	return fs
-}
-
-// state widens the envelope back to the in-memory snapshot form
-// (float32 -> float64 widening is exact, so an F32 save/load round-trip
-// is bit-stable).
-func (fs *fileState) state() (*lbm.State, error) {
-	if fs.Refined != nil {
-		return nil, fmt.Errorf("checkpoint: snapshot is refined, load with LoadRefined: %w", ErrRefineMismatch)
-	}
-	st := &lbm.State{Params: fs.Params, Step: fs.Step, F: fs.F}
-	if len(fs.F32) == 0 {
-		return st, nil
-	}
-	if len(fs.F) != 0 {
-		return nil, fmt.Errorf("checkpoint: both f32 and f64 payloads present: %w", ErrCorrupt)
-	}
-	st.F = make([][][]float64, len(fs.F32))
-	for c := range fs.F32 {
-		st.F[c] = make([][]float64, len(fs.F32[c]))
-		for x := range fs.F32[c] {
-			raw := fs.F32[c][x]
-			if len(raw)%4 != 0 {
-				return nil, fmt.Errorf("checkpoint: f32 plane of %d bytes: %w", len(raw), ErrCorrupt)
-			}
-			plane := make([]float64, len(raw)/4)
-			for i := range plane {
-				plane[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])))
-			}
-			st.F[c][x] = plane
-		}
-	}
-	return st, nil
-}
-
 // statePrecision returns the precision a snapshot records.
 func statePrecision(st *lbm.State) lbm.Precision {
 	if st.Params == nil {
@@ -222,26 +61,47 @@ func statePrecision(st *lbm.State) lbm.Precision {
 	return st.Params.Precision
 }
 
-// Save writes a snapshot container to w, using the compact float32
-// payload when the snapshot's parameters select the float32 core.
+// statePlanes returns a snapshot's plane groups, one per component,
+// narrowed to 4-byte words when its parameters select the float32 core.
+// The narrowing is exact for states captured from the float32 solver
+// (State widens exactly); a double-precision state mislabeled F32 would
+// round, which is why NewSolver rejects mismatched parameter sets.
+func statePlanes(st *lbm.State) []planes {
+	width := 8
+	if statePrecision(st) == lbm.F32 {
+		width = 4
+	}
+	out := make([]planes, len(st.F))
+	for c := range st.F {
+		out[c] = planes{st.F[c], width}
+	}
+	return out
+}
+
+// Save writes a snapshot container to w.
 func Save(w io.Writer, st *lbm.State) error {
 	if st == nil {
 		return fmt.Errorf("checkpoint: nil state")
 	}
-	return writeContainer(w, encodeState(st))
+	return writeContainer(w, &meta{Kind: kindState, NComp: len(st.F), State: stateMeta{st.Params, st.Step}}, statePlanes(st))
 }
 
-// Load reads and validates a snapshot from r. Corrupted or truncated
-// input fails with an error wrapping ErrCorrupt; a format from a newer
-// writer fails with ErrVersion. Reduced-precision payloads come back
-// widened to the double-precision State form, precision recorded in
-// State.Params; resume through lbm.SolverFromState to honor it.
+// Load reads and validates a snapshot from r, a file or an in-memory
+// reader. Reduced-precision planes come back widened to the
+// double-precision State form, precision recorded in State.Params;
+// resume through lbm.SolverFromState to honor it.
 func Load(r io.Reader) (*lbm.State, error) {
-	var fs fileState
-	if err := readContainer(r, &fs); err != nil {
+	c, err := readContainer(r)
+	if err != nil {
 		return nil, err
 	}
-	return fs.state()
+	if c.Kind == kindRefined {
+		return nil, fmt.Errorf("checkpoint: snapshot is refined, load with LoadRefined: %w", ErrRefineMismatch)
+	}
+	if err := c.expect(kindState, 1); err != nil {
+		return nil, err
+	}
+	return &lbm.State{Params: c.State.Params, Step: c.State.Step, F: c.bulk}, nil
 }
 
 // LoadFor is Load restricted to snapshots recorded at precision want:
@@ -280,11 +140,11 @@ func removeStaleTemps(dir, base string) {
 	}
 }
 
-// saveFileAtomic writes any container value to path via a temp file in
-// the same directory plus rename, so an interrupted save never corrupts
-// the previous checkpoint; stale temp files from earlier crashes are
-// cleaned up first.
-func saveFileAtomic(path string, v any) error {
+// saveFileAtomic runs write against a temp file in path's directory and
+// renames it to path, so an interrupted save never corrupts the previous
+// checkpoint; stale temp files from earlier crashes are cleaned up
+// first.
+func saveFileAtomic(path string, write func(io.Writer) error) error {
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	removeStaleTemps(dir, base)
 	tmp, err := os.CreateTemp(dir, tempPrefix(base)+"*")
@@ -292,7 +152,7 @@ func saveFileAtomic(path string, v any) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := writeContainer(tmp, v); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -305,92 +165,45 @@ func saveFileAtomic(path string, v any) error {
 	return nil
 }
 
+// loadFile runs load against the file at path.
+func loadFile[T any](path string, load func(io.Reader) (*T, error)) (*T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	defer f.Close()
+	return load(f)
+}
+
 // SaveFile atomically writes a snapshot to path (temp file in the same
 // directory, then rename) and removes stale temp files a crashed
 // earlier save may have left behind.
 func SaveFile(path string, st *lbm.State) error {
-	if st == nil {
-		return fmt.Errorf("checkpoint: nil state")
-	}
-	return saveFileAtomic(path, encodeState(st))
+	return saveFileAtomic(path, func(w io.Writer) error { return Save(w, st) })
 }
 
 // LoadFile reads a snapshot from path.
-func LoadFile(path string) (*lbm.State, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
-}
+func LoadFile(path string) (*lbm.State, error) { return loadFile(path, Load) }
 
-// LoadFileFor is LoadFor against a file.
-func LoadFileFor(path string, want lbm.Precision) (*lbm.State, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	return LoadFor(f, want)
-}
-
-// encodeRefined converts a refined snapshot to its on-disk envelope.
-// Each block narrows by its own parameters' precision, so a float32
-// refined run persists float32 planes for all three blocks.
-func encodeRefined(st *lbm.RefinedState) (*fileState, error) {
-	if st == nil || st.Params == nil {
-		return nil, fmt.Errorf("checkpoint: nil refined state")
-	}
-	fs := &fileState{Params: st.Params, Step: st.Step, Refined: &refinedExtra{
-		Spec:     st.Spec,
-		M0:       st.M0,
-		RawDrift: st.RawDrift,
-	}}
-	for i, ls := range st.Levels {
-		if ls == nil {
-			return nil, fmt.Errorf("checkpoint: refined state missing level %d", i)
-		}
-		fs.Refined.Levels[i] = encodeState(ls)
-	}
-	return fs, nil
-}
-
-// refined widens the envelope back to the in-memory refined snapshot;
-// a uniform envelope fails with ErrRefineMismatch.
-func (fs *fileState) refined() (*lbm.RefinedState, error) {
-	if fs.Refined == nil {
-		return nil, fmt.Errorf("checkpoint: snapshot is uniform, load with Load: %w", ErrRefineMismatch)
-	}
-	st := &lbm.RefinedState{
-		Params:   fs.Params,
-		Spec:     fs.Refined.Spec,
-		Step:     fs.Step,
-		M0:       fs.Refined.M0,
-		RawDrift: fs.Refined.RawDrift,
-	}
-	for i, lfs := range fs.Refined.Levels {
-		if lfs == nil {
-			return nil, fmt.Errorf("checkpoint: refined payload missing level %d: %w", i, ErrCorrupt)
-		}
-		ls, err := lfs.state()
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: refined level %d: %w", i, err)
-		}
-		st.Levels[i] = ls
-	}
-	return st, nil
-}
-
-// SaveRefined writes a refined-run snapshot container to w. Refined
-// files always carry the current (version 3) format; version-2 loaders
-// reject them with ErrVersion instead of misreading the payload.
+// SaveRefined writes a refined-run snapshot container to w: the three
+// blocks' plane groups back to back, each narrowed by its own
+// parameters' precision, so a float32 refined run persists float32
+// planes for all three blocks.
 func SaveRefined(w io.Writer, st *lbm.RefinedState) error {
-	fs, err := encodeRefined(st)
-	if err != nil {
-		return err
+	if st == nil || st.Params == nil {
+		return fmt.Errorf("checkpoint: nil refined state")
 	}
-	return writeContainer(w, fs)
+	m := &meta{Kind: kindRefined, NComp: st.Params.NComp(), State: stateMeta{st.Params, st.Step},
+		Spec: st.Spec, M0: st.M0, RawDrift: st.RawDrift}
+	var bulk []planes
+	for i, ls := range st.Levels {
+		if ls == nil || len(ls.F) != m.NComp {
+			return fmt.Errorf("checkpoint: refined state level %d missing or not of %d components", i, m.NComp)
+		}
+		m.Levels[i] = stateMeta{ls.Params, ls.Step}
+		bulk = append(bulk, statePlanes(ls)...)
+	}
+	return writeContainer(w, m, bulk)
 }
 
 // LoadRefined reads and validates a refined snapshot from r. A uniform
@@ -398,19 +211,37 @@ func SaveRefined(w io.Writer, st *lbm.RefinedState) error {
 // lbm.RefinedFromState, which re-derives the block geometry from the
 // recorded parameters and descriptor.
 func LoadRefined(r io.Reader) (*lbm.RefinedState, error) {
-	var fs fileState
-	if err := readContainer(r, &fs); err != nil {
+	c, err := readContainer(r)
+	if err != nil {
 		return nil, err
 	}
-	return fs.refined()
+	if c.Kind == kindState {
+		return nil, fmt.Errorf("checkpoint: snapshot is uniform, load with Load: %w", ErrRefineMismatch)
+	}
+	if err := c.expect(kindRefined, len(c.Levels)); err != nil {
+		return nil, err
+	}
+	st := &lbm.RefinedState{Params: c.State.Params, Spec: c.Spec, Step: c.State.Step, M0: c.M0, RawDrift: c.RawDrift}
+	for i, lm := range c.Levels {
+		st.Levels[i] = &lbm.State{Params: lm.Params, Step: lm.Step, F: c.bulk[i*c.NComp : (i+1)*c.NComp]}
+	}
+	return st, nil
 }
 
-// LoadRefinedFor is LoadRefined restricted to snapshots recorded with
-// the refinement descriptor want: a resume that pins its refinement
+// SaveRefinedFile atomically writes a refined snapshot to path.
+func SaveRefinedFile(path string, st *lbm.RefinedState) error {
+	return saveFileAtomic(path, func(w io.Writer) error { return SaveRefined(w, st) })
+}
+
+// LoadRefinedFile reads a refined snapshot from path.
+func LoadRefinedFile(path string) (*lbm.RefinedState, error) { return loadFile(path, LoadRefined) }
+
+// LoadRefinedFileFor is LoadRefinedFile restricted to snapshots recorded
+// with the refinement descriptor want: a resume that pins its refinement
 // fails with ErrRefineMismatch instead of silently continuing on a
 // different grid hierarchy.
-func LoadRefinedFor(r io.Reader, want lbm.RefineSpec) (*lbm.RefinedState, error) {
-	st, err := LoadRefined(r)
+func LoadRefinedFileFor(path string, want lbm.RefineSpec) (*lbm.RefinedState, error) {
+	st, err := LoadRefinedFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -418,33 +249,4 @@ func LoadRefinedFor(r io.Reader, want lbm.RefineSpec) (*lbm.RefinedState, error)
 		return nil, fmt.Errorf("checkpoint: snapshot refinement %+v, loader requires %+v: %w", st.Spec, want, ErrRefineMismatch)
 	}
 	return st, nil
-}
-
-// SaveRefinedFile atomically writes a refined snapshot to path.
-func SaveRefinedFile(path string, st *lbm.RefinedState) error {
-	fs, err := encodeRefined(st)
-	if err != nil {
-		return err
-	}
-	return saveFileAtomic(path, fs)
-}
-
-// LoadRefinedFile reads a refined snapshot from path.
-func LoadRefinedFile(path string) (*lbm.RefinedState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	return LoadRefined(f)
-}
-
-// LoadRefinedFileFor is LoadRefinedFor against a file.
-func LoadRefinedFileFor(path string, want lbm.RefineSpec) (*lbm.RefinedState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	return LoadRefinedFor(f, want)
 }

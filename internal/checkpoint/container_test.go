@@ -2,9 +2,16 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"microslip/internal/lbm"
@@ -36,22 +43,36 @@ func TestContainerHeader(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsCorruptionWithTypedError cuts the file at every section
+// boundary (and inside each section), flips a byte in each section, and
+// inflates each declared length: all fail with ErrCorrupt, and only a
+// foreign version word fails with ErrVersion.
 func TestLoadRejectsCorruptionWithTypedError(t *testing.T) {
 	raw := saveBytes(t)
+	hlen := int(binary.BigEndian.Uint32(raw[6:]))
+	bulk := prefixLen + hlen + 4 // offset of the first plane
+	end := len(raw) - 4          // offset of the trailer crc
 
-	cases := []struct {
+	type tc struct {
 		name   string
 		mutate func([]byte) []byte
 		want   error
-	}{
-		{"empty", func(b []byte) []byte { return nil }, ErrCorrupt},
-		{"short", func(b []byte) []byte { return b[:5] }, ErrCorrupt},
+	}
+	cases := []tc{
 		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrCorrupt},
-		{"truncated payload", func(b []byte) []byte { return b[:len(b)/2] }, ErrCorrupt},
-		{"truncated crc", func(b []byte) []byte { return b[:len(b)-2] }, ErrCorrupt},
-		{"flipped payload bit", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }, ErrCorrupt},
-		{"flipped crc", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, ErrCorrupt},
+		{"trailing byte", func(b []byte) []byte { return append(b, 0) }, ErrCorrupt},
+		{"inflated header length", func(b []byte) []byte { b[6] = 0x7f; return b }, ErrCorrupt},
 		{"future version", func(b []byte) []byte { b[5] = Version + 1; return b }, ErrVersion},
+		{"version 3", func(b []byte) []byte { b[5] = 3; return b }, ErrVersion},
+		{"version 3, header only", func(b []byte) []byte { b[5] = 3; return b[:10] }, ErrVersion},
+	}
+	for _, cut := range []int{0, 4, 5, 6, 8, prefixLen, prefixLen + hlen/2, prefixLen + hlen, bulk - 2, bulk,
+		bulk + 8, (bulk + end) / 2, end, end + 2} {
+		cases = append(cases, tc{fmt.Sprintf("truncated at %d", cut), func(b []byte) []byte { return b[:cut] }, ErrCorrupt})
+	}
+	for name, at := range map[string]int{"header length": 9, "header": prefixLen + hlen/2, "header crc": bulk - 1,
+		"first plane": bulk, "bulk": (bulk + end) / 2, "last plane": end - 1, "trailer": end, "trailer end": end + 3} {
+		cases = append(cases, tc{"flipped byte in " + name, func(b []byte) []byte { b[at] ^= 0x40; return b }, ErrCorrupt})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,6 +88,72 @@ func TestLoadRejectsCorruptionWithTypedError(t *testing.T) {
 			}
 			if errors.Is(err, other) {
 				t.Fatalf("Load error %v matches both typed errors", err)
+			}
+		})
+	}
+}
+
+// reframe rebuilds a container around an edited header, with both CRCs
+// valid: what a hostile or buggy writer could produce, and the only way
+// past the header CRC to the length checks behind it.
+func reframe(t testing.TB, raw []byte, edit func(*meta)) []byte {
+	t.Helper()
+	hlen := int(binary.BigEndian.Uint32(raw[6:]))
+	var m meta
+	if err := gob.NewDecoder(bytes.NewReader(raw[prefixLen : prefixLen+hlen])).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	edit(&m)
+	var out bytes.Buffer
+	out.Write(raw[:prefixLen])
+	if err := gob.NewEncoder(&out).Encode(&m); err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(out.Bytes()[6:], uint32(out.Len()-prefixLen))
+	crc := crc32.NewIEEE()
+	crc.Write(out.Bytes())
+	out.Write(binary.BigEndian.AppendUint32(nil, crc.Sum32()))
+	planes := raw[prefixLen+hlen+4 : len(raw)-4]
+	crc.Write(planes)
+	out.Write(planes)
+	out.Write(binary.BigEndian.AppendUint32(nil, crc.Sum32()))
+	return out.Bytes()
+}
+
+// TestLoadChecksDeclaredLengthsBeforeAllocating: a header whose CRC is
+// good but whose shape table disagrees with the file must fail typed —
+// and before any plane storage is allocated for it.
+func TestLoadChecksDeclaredLengthsBeforeAllocating(t *testing.T) {
+	raw := saveBytes(t)
+	if _, err := Load(bytes.NewReader(reframe(t, raw, func(*meta) {}))); err != nil {
+		t.Fatalf("reframed container with an unedited header: %v", err)
+	}
+	for name, edit := range map[string]func(*meta){
+		"2^40 planes":      func(m *meta) { m.Groups[0].Planes = 1 << 40 },
+		"2^40 values":      func(m *meta) { m.Groups[0].Len = 1 << 40 },
+		"product overflow": func(m *meta) { m.Groups[0].Planes, m.Groups[0].Len = 1<<62, 1<<62 },
+		"one plane more":   func(m *meta) { m.Groups[0].Planes++ },
+		"one plane less":   func(m *meta) { m.Groups[0].Planes-- },
+		"no planes":        func(m *meta) { m.Groups[0].Planes = 0 },
+		"negative length":  func(m *meta) { m.Groups[0].Len = -1 },
+		"width 2":          func(m *meta) { m.Groups[0].Width = 2 },
+		"extra group":      func(m *meta) { m.Groups = append(m.Groups, group{1 << 30, 1 << 30, 8}) },
+		"no groups":        func(m *meta) { m.Groups = nil },
+		"components":       func(m *meta) { m.NComp = 7 },
+		"rank file":        func(m *meta) { m.Kind = kindRank },
+		"unknown kind":     func(m *meta) { m.Kind = 99 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := reframe(t, raw, edit)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(bytes.NewReader(bad))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Load = %v, want ErrCorrupt", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("Load allocated %d bytes rejecting a %d-byte file", got, len(bad))
 			}
 		})
 	}
@@ -202,4 +289,133 @@ func TestResumeDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// bitPlanes returns count planes of n values covering the bit patterns
+// a text or varint encoding would mangle: negative zero, denormals,
+// infinities, a NaN payload, and full-mantissa fractions. With f32 set,
+// every value is exactly representable in float32.
+func bitPlanes(count, n int, f32 bool, seed uint64) [][]float64 {
+	special := []float64{math.Copysign(0, -1), 5e-324, math.Inf(-1), math.Float64frombits(0x7ff8000000abc000), 1.0 / 3}
+	out := make([][]float64, count)
+	for x := range out {
+		out[x] = make([]float64, n)
+		for i := range out[x] {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			v := math.Float64frombits(seed>>2 | 0x3000000000000000) // finite, every mantissa bit in play
+			if i < len(special) {
+				v = special[i]
+			}
+			if f32 {
+				v = float64(float32(v))
+			}
+			out[x][i] = v
+		}
+	}
+	return out
+}
+
+func requireBitEqual(t *testing.T, what string, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d planes, want %d", what, len(got), len(want))
+	}
+	for x := range want {
+		if len(got[x]) != len(want[x]) {
+			t.Fatalf("%s plane %d: %d values, want %d", what, x, len(got[x]), len(want[x]))
+		}
+		for i := range want[x] {
+			if math.Float64bits(got[x][i]) != math.Float64bits(want[x][i]) {
+				t.Fatalf("%s plane %d value %d: bits %016x, want %016x", what, x, i, math.Float64bits(got[x][i]), math.Float64bits(want[x][i]))
+			}
+		}
+	}
+}
+
+// TestRoundTripBitIdentical: every kind of file gives back exactly the
+// bits it was handed — uniform f64, uniform f32 (through 4-byte words),
+// refined with blocks of different shapes, and a 2-rank set with unequal
+// plane counts assembled by LoadRun. The planes are larger than one
+// chunk buffer, so the chunk seams are inside them.
+func TestRoundTripBitIdentical(t *testing.T) {
+	const n = chunkBytes/8 + 37
+	state := func(prec lbm.Precision, planes, vals int, seed uint64) *lbm.State {
+		p := lbm.WaterAir(planes, 4, 4)
+		p.Precision = prec
+		return &lbm.State{Params: p, Step: 11, F: [][][]float64{
+			bitPlanes(planes, vals, prec == lbm.F32, seed), bitPlanes(planes, vals, prec == lbm.F32, seed+1)}}
+	}
+	requireStateEqual := func(t *testing.T, what string, got, want *lbm.State) {
+		t.Helper()
+		if got.Step != want.Step || !reflect.DeepEqual(got.Params, want.Params) || len(got.F) != len(want.F) {
+			t.Fatalf("%s: step %d params %+v comps %d, want %d %+v %d", what, got.Step, got.Params, len(got.F), want.Step, want.Params, len(want.F))
+		}
+		for c := range want.F {
+			requireBitEqual(t, fmt.Sprintf("%s comp %d", what, c), got.F[c], want.F[c])
+		}
+	}
+	for _, prec := range []lbm.Precision{lbm.F64, lbm.F32} {
+		t.Run("uniform "+prec.String(), func(t *testing.T) {
+			want := state(prec, 3, n, 1)
+			path := filepath.Join(t.TempDir(), "state.ckpt")
+			if err := SaveFile(path, want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireStateEqual(t, "state", got, want)
+		})
+		t.Run("refined "+prec.String(), func(t *testing.T) {
+			g := state(prec, 3, 7, 2)
+			want := &lbm.RefinedState{Params: g.Params, Spec: lbm.RefineSpec{Levels: 2, WallLayers: 4}, Step: 11,
+				M0: []float64{1.0 / 7, 3}, RawDrift: []float64{-1e-17, 0},
+				Levels: [3]*lbm.State{state(prec, 6, 9, 3), state(prec, 6, 9, 4), state(prec, 3, n, 5)}}
+			path := filepath.Join(t.TempDir(), "refined.ckpt")
+			if err := SaveRefinedFile(path, want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := LoadRefinedFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Step != want.Step || got.Spec != want.Spec || !reflect.DeepEqual(got.Params, want.Params) {
+				t.Fatalf("refined scalars = %d %+v %+v", got.Step, got.Spec, got.Params)
+			}
+			requireBitEqual(t, "anchors", [][]float64{got.M0, got.RawDrift}, [][]float64{want.M0, want.RawDrift})
+			for i := range want.Levels {
+				requireStateEqual(t, fmt.Sprintf("level %d", i), got.Levels[i], want.Levels[i])
+			}
+		})
+	}
+	t.Run("rank set", func(t *testing.T) {
+		dir := t.TempDir()
+		m := &Manifest{Phase: 4, NX: 5, NComp: 2, PlaneSize: n, Ranks: []RankRange{{0, 0, 2}, {1, 2, 3}}}
+		var dist, dens [2][][]float64
+		for c := range dist {
+			dist[c], dens[c] = bitPlanes(5, n, false, uint64(10+c)), bitPlanes(5, 3, false, uint64(20+c))
+		}
+		for _, rr := range m.Ranks {
+			rs := &RankState{Phase: 4, Rank: rr.Rank, Start: rr.Start}
+			for c := range dist {
+				rs.Planes = append(rs.Planes, dist[c][rr.Start:rr.Start+rr.Count])
+				rs.Density = append(rs.Density, dens[c][rr.Start:rr.Start+rr.Count])
+			}
+			if err := SaveRank(dir, rs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := Commit(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := LatestRun(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range dist {
+			requireBitEqual(t, fmt.Sprintf("planes comp %d", c), snap.planes[c], dist[c])
+			requireBitEqual(t, fmt.Sprintf("density comp %d", c), snap.density[c], dens[c])
+		}
+	})
 }

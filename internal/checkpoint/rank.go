@@ -3,8 +3,10 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -23,11 +25,11 @@ import (
 //
 // with two-phase commit semantics: the COMMIT manifest is written —
 // atomically, by one coordinator rank — only after every rank's file is
-// durably in place, and restore only ever reads a phase directory whose
-// COMMIT validates. A crash or rank death mid-save leaves an
-// uncommitted directory that restore ignores and Prune later removes,
-// so a set of per-rank files is only ever restored as one consistent
-// phase.
+// atomically in place (rename), not fsynced, and restore only ever reads
+// a phase directory whose COMMIT validates. A crash or rank death
+// mid-save leaves an uncommitted directory that restore ignores and
+// Prune later removes, so a set of per-rank files is only ever restored
+// as one consistent phase.
 
 // CommitName is the commit-marker file name inside a phase directory.
 const CommitName = "COMMIT"
@@ -47,7 +49,8 @@ type RankState struct {
 	Planes [][][]float64
 	// Density[c][i] is component c's number-density plane at Start+i
 	// (length NY*NZ); recomputed every phase but persisted so a snapshot
-	// is a complete picture of the rank at the boundary.
+	// is a complete picture of the rank at the boundary. Nil when the
+	// writer persisted none.
 	Density [][][]float64
 }
 
@@ -117,31 +120,55 @@ func PhaseDir(dir string, phase int) string {
 func rankFile(rank int) string { return fmt.Sprintf("rank-%04d.ckpt", rank) }
 
 // SaveRank atomically writes one rank's snapshot into the phase
-// directory under dir, creating it as needed. It is safe for all ranks
-// of a group to call concurrently.
+// directory under dir, creating it as needed: every plane streams from
+// the caller's slice (the live slab, for an AoS run) to the file. It is
+// safe for all ranks of a group to call concurrently.
 func SaveRank(dir string, rs *RankState) error {
 	if rs == nil || len(rs.Planes) == 0 {
 		return fmt.Errorf("checkpoint: empty rank state")
+	}
+	if len(rs.Density) != 0 && len(rs.Density) != len(rs.Planes) {
+		return fmt.Errorf("checkpoint: rank state has densities for %d of %d components", len(rs.Density), len(rs.Planes))
 	}
 	pd := PhaseDir(dir, rs.Phase)
 	if err := os.MkdirAll(pd, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	return saveFileAtomic(filepath.Join(pd, rankFile(rs.Rank)), rs)
+	m := &meta{Kind: kindRank, NComp: len(rs.Planes), Phase: rs.Phase, Rank: rs.Rank, Start: rs.Start}
+	var bulk []planes
+	for _, comp := range slices.Concat(rs.Planes, rs.Density) {
+		bulk = append(bulk, planes{comp, 8})
+	}
+	return saveFileAtomic(filepath.Join(pd, rankFile(rs.Rank)), func(w io.Writer) error { return writeContainer(w, m, bulk) })
 }
 
 // LoadRank reads one rank's snapshot from the phase directory.
 func LoadRank(dir string, phase, rank int) (*RankState, error) {
-	f, err := os.Open(filepath.Join(PhaseDir(dir, phase), rankFile(rank)))
+	c, err := loadFile(filepath.Join(PhaseDir(dir, phase), rankFile(rank)), readContainer)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	var rs RankState
-	if err := readContainer(f, &rs); err != nil {
 		return nil, err
 	}
-	return &rs, nil
+	if err := c.expect(kindRank, 1, 2); err != nil {
+		return nil, err
+	}
+	return &RankState{Phase: c.Phase, Rank: c.Rank, Start: c.Start,
+		Planes: c.bulk[:c.NComp:c.NComp], Density: c.bulk[c.NComp:]}, nil
+}
+
+// readManifest reads the COMMIT marker of one phase directory; only a
+// manifest that validates comes back.
+func readManifest(phaseDir string) (*Manifest, error) {
+	c, err := loadFile(filepath.Join(phaseDir, CommitName), readContainer)
+	if err != nil {
+		return nil, err
+	}
+	if c.Kind != kindCommit || c.Manifest == nil || len(c.bulk) != 0 {
+		return nil, fmt.Errorf("checkpoint: %s holds no commit marker: %w", phaseDir, ErrCorrupt)
+	}
+	if err := c.Manifest.Validate(); err != nil {
+		return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
+	}
+	return c.Manifest, nil
 }
 
 // Commit atomically writes the commit marker for the manifest's phase.
@@ -154,21 +181,20 @@ func Commit(dir string, m *Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	return saveFileAtomic(filepath.Join(PhaseDir(dir, m.Phase), CommitName), m)
+	return saveFileAtomic(filepath.Join(PhaseDir(dir, m.Phase), CommitName), func(w io.Writer) error {
+		return writeContainer(w, &meta{Kind: kindCommit, Manifest: m}, nil)
+	})
 }
 
 // ErrNoCheckpoint is returned by LatestCommitted when the directory
 // holds no committed phase.
 var ErrNoCheckpoint = errors.New("checkpoint: no committed checkpoint")
 
-// LatestCommitted scans dir for the newest phase directory whose COMMIT
-// marker validates, skipping uncommitted or corrupt sets.
-func LatestCommitted(dir string) (*Manifest, error) {
+// phaseDirs lists the phase directories under dir, newest phase first;
+// a missing dir holds none.
+func phaseDirs(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ErrNoCheckpoint
-		}
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	var names []string
@@ -178,18 +204,21 @@ func LatestCommitted(dir string) (*Manifest, error) {
 		}
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	return names, nil
+}
+
+// LatestCommitted scans dir for the newest phase directory whose COMMIT
+// marker validates, skipping uncommitted sets (a crash mid-save, or a
+// set in progress) and corrupt markers.
+func LatestCommitted(dir string) (*Manifest, error) {
+	names, err := phaseDirs(dir)
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range names {
-		f, err := os.Open(filepath.Join(dir, name, CommitName))
-		if err != nil {
-			continue // uncommitted set: a crash mid-save, or in progress
+		if m, err := readManifest(filepath.Join(dir, name)); err == nil {
+			return m, nil
 		}
-		var m Manifest
-		err = readContainer(f, &m)
-		f.Close()
-		if err != nil || m.Validate() != nil {
-			continue // corrupt marker: never restore this set
-		}
-		return &m, nil
 	}
 	return nil, ErrNoCheckpoint
 }
@@ -208,7 +237,7 @@ type RunSnapshot struct {
 	Refine *lbm.RefineSpec
 
 	planes  [][][]float64 // [comp][gx][]
-	density [][][]float64 // [comp][gx][]; entries may be nil on old files
+	density [][][]float64 // [comp][gx][]; entries nil when the writer persisted none
 }
 
 // Plane returns component c's distribution plane at global x.
@@ -243,27 +272,18 @@ func LoadRun(dir string, m *Manifest) (*RunSnapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: phase %d rank %d: %w", m.Phase, rr.Rank, err)
 		}
-		if rs.Phase != m.Phase || rs.Start != rr.Start || rs.Count() != rr.Count || len(rs.Planes) != m.NComp {
+		if rs.Phase != m.Phase || rs.Start != rr.Start || len(rs.Planes) != m.NComp {
 			return nil, fmt.Errorf("checkpoint: phase %d rank %d file disagrees with manifest: %w", m.Phase, rr.Rank, ErrCorrupt)
 		}
 		for c := 0; c < m.NComp; c++ {
-			if len(rs.Planes[c]) != rr.Count {
-				return nil, fmt.Errorf("checkpoint: phase %d rank %d component %d has %d planes, want %d: %w",
-					m.Phase, rr.Rank, c, len(rs.Planes[c]), rr.Count, ErrCorrupt)
+			// A group's planes all have its first one's length.
+			if len(rs.Planes[c]) != rr.Count || len(rs.Planes[c][0]) != m.PlaneSize {
+				return nil, fmt.Errorf("checkpoint: phase %d rank %d component %d holds %d planes of %d values, want %d of %d: %w",
+					m.Phase, rr.Rank, c, len(rs.Planes[c]), len(rs.Planes[c][0]), rr.Count, m.PlaneSize, ErrCorrupt)
 			}
-			for i, pl := range rs.Planes[c] {
-				if len(pl) != m.PlaneSize {
-					return nil, fmt.Errorf("checkpoint: phase %d rank %d plane %d has %d values, want %d: %w",
-						m.Phase, rr.Rank, rr.Start+i, len(pl), m.PlaneSize, ErrCorrupt)
-				}
-				snap.planes[c][rr.Start+i] = pl
-			}
-			if len(rs.Density) == m.NComp {
-				for i, pl := range rs.Density[c] {
-					if i < rr.Count {
-						snap.density[c][rr.Start+i] = pl
-					}
-				}
+			copy(snap.planes[c][rr.Start:], rs.Planes[c])
+			if len(rs.Density) == m.NComp && len(rs.Density[c]) == rr.Count {
+				copy(snap.density[c][rr.Start:], rs.Density[c])
 			}
 		}
 	}
@@ -309,37 +329,25 @@ func PruneAged(dir string, keep int, minAge time.Duration) error {
 	if keep < 1 {
 		keep = 1
 	}
-	entries, err := os.ReadDir(dir)
+	names, err := phaseDirs(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("checkpoint: %w", err)
+		return err
 	}
-	type phaseEnt struct {
-		name      string
-		committed bool
-	}
-	var phases []phaseEnt
-	for _, e := range entries {
-		if !e.IsDir() || len(e.Name()) <= 6 || e.Name()[:6] != "phase-" {
-			continue
-		}
-		phases = append(phases, phaseEnt{name: e.Name(), committed: commitValid(filepath.Join(dir, e.Name()))})
-	}
-	sort.Slice(phases, func(i, j int) bool { return phases[i].name > phases[j].name })
 	newestCommitted := ""
 	committedSeen := 0
-	for _, ph := range phases {
-		pd := filepath.Join(dir, ph.name)
-		if !ph.committed {
-			if newestCommitted != "" && ph.name < newestCommitted && quiescentFor(pd, minAge) {
+	for _, name := range names {
+		pd := filepath.Join(dir, name)
+		// Committed by the criterion LatestCommitted restores by, not by
+		// bare existence: a corrupt marker must not make the directory
+		// look committed to the pruner while restore ignores it.
+		if _, err := readManifest(pd); err != nil {
+			if newestCommitted != "" && name < newestCommitted && quiescentFor(pd, minAge) {
 				os.RemoveAll(pd)
 			}
 			continue
 		}
 		if newestCommitted == "" {
-			newestCommitted = ph.name
+			newestCommitted = name
 		}
 		committedSeen++
 		if committedSeen > keep {
@@ -347,24 +355,6 @@ func PruneAged(dir string, keep int, minAge time.Duration) error {
 		}
 	}
 	return nil
-}
-
-// commitValid reports whether the phase directory's COMMIT marker reads
-// back as a valid manifest — the same criterion LatestCommitted
-// restores by. Classifying by bare existence would let a corrupt marker
-// make the directory look committed to the pruner while restore
-// ignores it.
-func commitValid(phaseDir string) bool {
-	f, err := os.Open(filepath.Join(phaseDir, CommitName))
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var m Manifest
-	if err := readContainer(f, &m); err != nil {
-		return false
-	}
-	return m.Validate() == nil
 }
 
 // quiescentFor reports whether nothing under path (the directory itself

@@ -121,24 +121,6 @@ func TestRefinedUniformCrossLoads(t *testing.T) {
 	}
 }
 
-// TestRefinedVersion checks that refined containers carry the current
-// format version: a version-2 reader must reject them with ErrVersion
-// rather than gob-skip the refined payload into an empty uniform state.
-func TestRefinedVersion(t *testing.T) {
-	r := refineTestSolver(t, lbm.F64)
-	var buf bytes.Buffer
-	if err := SaveRefined(&buf, r.State()); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if raw[4] != 0 || raw[5] != Version {
-		t.Fatalf("version bytes = %d %d, want 0 %d", raw[4], raw[5], Version)
-	}
-	if Version < 3 {
-		t.Fatalf("Version = %d, refined payloads require >= 3", Version)
-	}
-}
-
 // TestManifestRefineRoundTrip checks that a manifest's refinement
 // descriptor survives the commit container and surfaces on the
 // assembled snapshot.

@@ -11,9 +11,11 @@ import (
 // checkpointPhase runs one coordinated checkpoint round after
 // `completed` phases. Two-phase commit: (1) every rank atomically
 // persists its slab — distribution planes, densities, and remap
-// ownership — as a per-rank container file; (2) the ranks synchronize
-// with an AllGather of their ownership ranges, which doubles as the
-// "all files durably in place" barrier, and rank 0 alone writes the
+// ownership — as a per-rank container file, streamed from the slab's
+// own planes on the AoS path, so the round allocates nothing
+// proportional to the slab; (2) the ranks synchronize with an AllGather
+// of their ownership ranges, which doubles as the "all files atomically
+// in place (rename), not fsynced" barrier, and rank 0 alone writes the
 // COMMIT manifest assembled from the gathered ranges. A rank dying
 // anywhere in the round leaves the phase directory uncommitted, so
 // restore can only ever observe a consistent set.

@@ -11,7 +11,12 @@ import (
 )
 
 func benchWorker(b testing.TB, c comm.Comm, opts Options) *worker {
-	p := lbm.WaterAir(8, 40, 12)
+	return testWorker(lbm.WaterAir(8, 40, 12), c, opts, 4*c.Rank(), 4)
+}
+
+// testWorker assembles rank c's worker owning planes [start,
+// start+count) of an equilibrium lattice, as runRank would.
+func testWorker(p *lbm.Params, c comm.Comm, opts Options, start, count int) *worker {
 	w := &worker{
 		p: p, k: lbm.NewKernel(p), c: c, opts: opts,
 		rank: c.Rank(), size: c.Size(),
@@ -24,7 +29,6 @@ func benchWorker(b testing.TB, c comm.Comm, opts Options) *worker {
 	w.f = make([]*field.Slab, nc)
 	w.n = make([]*field.Slab, nc)
 	w.fPost = make([]*field.Slab, nc)
-	start, count := 4*c.Rank(), 4
 	for comp := 0; comp < nc; comp++ {
 		w.f[comp] = field.NewSlab(p.NY, p.NZ, 19, start, count)
 		w.fPost[comp] = field.NewSlab(p.NY, p.NZ, 19, start, count)

@@ -69,7 +69,7 @@ func TestRefinedDrainCheckpointsAndResumes(t *testing.T) {
 	long.Refine.WallLayers = 8
 	long.Steps = 400000
 	st := postJob(t, ts, long, http.StatusAccepted)
-	waitRunning(t, s, st.ID)
+	waitProgress(t, s, st.ID)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {

@@ -105,25 +105,29 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	}
 }
 
-// waitRunning polls until the job has left the queue.
-func waitRunning(t *testing.T, s *Server, id string) {
+// waitProgress blocks until the job has streamed a frame with Step > 0.
+// StateRunning alone does not mean progress: a job is marked running
+// before its schedule stage builds the solver, so a cancel or drain
+// right after the transition can land at step 0.
+func waitProgress(t *testing.T, s *Server, id string) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
+	frames, done, off, err := s.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer off()
+	timeout := time.After(30 * time.Second)
 	for {
-		st, err := s.Get(id)
-		if err != nil {
-			t.Fatal(err)
+		select {
+		case f := <-frames:
+			if f.Step > 0 {
+				return
+			}
+		case <-done:
+			t.Fatalf("job %s ended before streaming a step", id)
+		case <-timeout:
+			t.Fatalf("job %s never streamed a step", id)
 		}
-		if st.State == StateRunning {
-			return
-		}
-		if st.State.Terminal() {
-			t.Fatalf("job %s reached %s before running", id, st.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never started", id)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -278,7 +282,7 @@ func TestCancelRunningJob(t *testing.T) {
 	s, ts := newTestServer(t, Config{Pool: 1, StreamEvery: 20})
 
 	st := postJob(t, ts, longSpec(), http.StatusAccepted)
-	waitRunning(t, s, st.ID)
+	waitProgress(t, s, st.ID)
 	resp, err := ts.Client().Post(ts.URL+"/jobs/"+st.ID+"/cancel", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +330,7 @@ func TestDrainInterruptsAndCheckpointsInFlight(t *testing.T) {
 	s, ts := newTestServer(t, Config{Pool: 1, StreamEvery: 20, Storage: store})
 
 	st := postJob(t, ts, longSpec(), http.StatusAccepted)
-	waitRunning(t, s, st.ID)
+	waitProgress(t, s, st.ID)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {

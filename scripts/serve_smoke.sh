@@ -46,9 +46,17 @@ echo "== burst: $BURST_JOBS small jobs x $BURST_CONCURRENCY clients"
 "$bin/loadgen" -addr "$ADDR" -jobs "$BURST_JOBS" -concurrency "$BURST_CONCURRENCY" -steps 40
 
 echo "== leave long jobs in flight, then SIGTERM"
+before="$(ls "$data/jobs")"
 "$bin/loadgen" -addr "$ADDR" -jobs 4 -concurrency 4 -submit-only \
     -nx 8 -ny 32 -nz 8 -steps 400000
-sleep 1
+# "running" is not progress: a job is marked running before its solver is
+# built, and a drain landing there checkpoints step 0. Wait until every
+# long job has streamed a frame past step 0, so whichever one the resume
+# below picks must report start_step >= 1.
+for id in $(comm -13 <(printf '%s\n' "$before") <(ls "$data/jobs")); do
+    { timeout 60 curl -sfN "http://$ADDR/jobs/$id/stream" || true; } | grep -q -m1 '"step":[1-9]' ||
+        { echo "FAIL: long job $id never streamed a step"; cat "$work/slipd.log"; exit 1; }
+done
 kill -TERM "$SLIPD_PID"
 drain_rc=0
 wait "$SLIPD_PID" || drain_rc=$?
