@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet test race race-lbm race-layout chaos chaos-kill chaos-abort bench bench-json bench-paper bench-smoke bench-layout bench-refine bench-module serve-smoke fuzz
+.PHONY: check build vet test race race-lbm race-layout chaos chaos-kill chaos-abort bench bench-module serve-smoke fuzz
 
 # The CI gate: compile everything, vet, run the full suite, the race
 # detector in short mode (the -short guard trims the long chaos and
 # physics soaks so the race pass stays around a minute), then the
-# benchmark smoke sweep with schema validation.
-check: build vet test race bench-smoke
+# benchmark module's vet, tests and smoke-size traced run.
+check: build vet test race bench-module
 
 build:
 	$(GO) build ./...
@@ -56,57 +56,6 @@ chaos-abort:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# The perf-trajectory sweep: pinned-size step benchmarks over the
-# intra-node (reference and fused) and distributed solvers — the latter
-# across the slim/wide halo wire formats with measured comm_bytes, at
-# both scalar precisions — written to BENCH_<date>.json (schema
-# microslip-bench/v3, validated after the write). Commit the report to
-# record a perf point in history.
-bench-json:
-	$(GO) run ./cmd/lbmbench -precision f64,f32
-	$(GO) run ./cmd/lbmbench -check $$(ls -t BENCH_*.json | head -1)
-
-# The paper-size sweep behind the committed BENCH trajectory: the
-# 32x48x16 continuity grid plus 200x100x20 and 400x200x20 at workers
-# 1..8, both precisions, with the scaling-efficiency gate enforced by
-# the -check pass.
-bench-paper:
-	$(GO) run ./cmd/lbmbench -paper -precision f64,f32
-	$(GO) run ./cmd/lbmbench -check $$(ls -t BENCH_*.json | head -1)
-
-# A few-second version of the sweep for CI: ranks=2 across slim, wide,
-# and coalesced halo configurations, emitted as bench_smoke.json; the
-# schema check also validates the comm_bytes accounting (presence,
-# sent/recv balance, nonzero halo traffic — and, when both precisions
-# are present, that the f32 wire ships ~half the halo bytes). CI runs
-# this as a matrix over BENCH_PRECISION; the default sweeps both
-# precisions in one report so the compression cross-check applies.
-BENCH_PRECISION ?= f64,f32
-BENCH_LAYOUT ?= both
-BENCH_REFINE ?= both
-bench-smoke:
-	$(GO) run ./cmd/lbmbench -quick -precision $(BENCH_PRECISION) -layout $(BENCH_LAYOUT) -refine $(BENCH_REFINE) -out bench_smoke.json
-	$(GO) run ./cmd/lbmbench -check bench_smoke.json
-
-# The refined-vs-uniform comparison at paper size: the 200x100x20 slip
-# grid on the fused intra-node solver, uniform and two-level refined
-# (12 fine rows per wall slab), one precision. The -check pass gates
-# the refined entry's effective MLUPS against its uniform twin — the
-# committed number behind the README's refinement speedup claim.
-bench-refine:
-	$(GO) run ./cmd/lbmbench -grid 200x100x20 -steps 40 -warmup 8 -workers 1 -ranks 1 \
-		-fused on -overlap off -halo slim -coalesce off -layout aos -refine both \
-		-precision f64 -out bench_refine.json
-	$(GO) run ./cmd/lbmbench -check bench_refine.json
-
-# The AoS-vs-SoA layout comparison on the smoke grid: both layouts,
-# both stepping paths, one precision — the quick answer to "did a
-# kernel change shift the layout tradeoff?" before paying for
-# bench-paper.
-bench-layout:
-	$(GO) run ./cmd/lbmbench -quick -precision f64 -layout both -out bench_layout.json
-	$(GO) run ./cmd/lbmbench -check bench_layout.json
-
 # bench/ is a module of its own, so the root `go test ./...` never
 # compiles it: an API slip in a package it imports (internal/checkpoint,
 # serve, parlbm, lbm) would otherwise surface only in the benchmark
@@ -116,7 +65,7 @@ bench-module:
 	cd bench && $(GO) vet . && $(GO) test ./...
 	bash bench/run.sh -smoke -trace
 
-# End-to-end smoke of the job server: boot slipd, push a loadgen burst
+# End-to-end smoke of the job server: boot slipd, push a curl burst
 # through it, leave long jobs in flight, SIGTERM, and assert the
 # graceful-drain contract — exit 0, every in-flight job persisted as
 # interrupted+resumable with its checkpoint on disk, and a restarted
@@ -129,3 +78,4 @@ fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/config/
 	$(GO) test -fuzz FuzzPolicyRound -fuzztime 30s ./internal/balance/
 	$(GO) test -fuzz FuzzReadContainer -fuzztime 20s ./internal/checkpoint/
+	$(GO) test -fuzz FuzzJobSpec -fuzztime 20s ./internal/serve/

@@ -225,11 +225,11 @@ func (r *bandRun) stop() {
 // minBandPlanes is the smallest band worth a dedicated worker. Below
 // it the per-step synchronization (and, on the fused path, the
 // redundant boundary ring recomputation) outweighs the parallel gain
-// and over-sharded small grids run slower than one sweep — the
-// intra/32x48x16 workers=4 regression in BENCH_2026-08-06.json. Grids
-// under 2*minBandPlanes therefore take the sequential fast path no
-// matter how many workers are requested; SetBands and SetFusedChunks
-// bypass the floor for correctness tests.
+// and over-sharded small grids run slower than one sweep (measured on
+// a 32x48x16 grid at workers=4). Grids under 2*minBandPlanes therefore
+// take the sequential fast path no matter how many workers are
+// requested; SetBands and SetFusedChunks bypass the floor for
+// correctness tests.
 const minBandPlanes = 16
 
 // usableBands caps a requested worker count by the scheduler's usable

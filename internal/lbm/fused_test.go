@@ -3,10 +3,7 @@ package lbm
 import (
 	"math"
 	"testing"
-	"time"
 )
-
-func nowNanos() int64 { return time.Now().UnixNano() }
 
 func planesBitEqual(t *testing.T, label string, a, b *Sim) {
 	t.Helper()
@@ -166,10 +163,9 @@ func TestStepParallelZeroAllocs(t *testing.T) {
 }
 
 // The chunking heuristic: requested workers are capped by usable CPUs
-// and by a minimum chunk size, so small grids never over-shard (the
-// BENCH_2026-08-06 regression where 8-plane chunks made fused
-// workers=4 slower than workers=1), while an explicit SetFusedChunks
-// bypasses the cap for correctness tests.
+// and by a minimum chunk size, so small grids never over-shard (8-plane
+// chunks once made fused workers=4 slower than workers=1), while an
+// explicit SetFusedChunks bypasses the cap for correctness tests.
 func TestFusedChunkHeuristic(t *testing.T) {
 	p := WaterAir(32, 8, 6)
 	p.Fused = true
@@ -209,40 +205,5 @@ func TestFusedChunkHeuristic(t *testing.T) {
 	s2.SetFusedChunks(0)
 	if got := s2.fusedChunkCount(); got != 1 {
 		t.Errorf("override cleared: got %d chunks, want 1", got)
-	}
-}
-
-// The scaling guard for the BENCH regression: asking the fused path for
-// many workers must not make a small grid materially slower than one
-// worker, because the heuristic refuses to over-shard. Timing-based, so
-// the bound is generous and the test skips under -short.
-func TestFusedWorkerScalingGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
-	}
-	step := func(workers int) float64 {
-		p := WaterAir(32, 24, 12)
-		p.Fused = true
-		s, err := NewSim(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetWorkers(workers)
-		s.RunParallelSteps(3) // warm pool and scratches
-		const steps = 12
-		best := math.Inf(1)
-		for trial := 0; trial < 3; trial++ {
-			start := nowNanos()
-			s.RunParallelSteps(steps)
-			if d := float64(nowNanos()-start) / steps; d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	one := step(1)
-	four := step(4)
-	if four > one*1.5 {
-		t.Errorf("fused workers=4 %.0f ns/step vs workers=1 %.0f ns/step (>1.5x slower): chunk heuristic regressed", four, one)
 	}
 }

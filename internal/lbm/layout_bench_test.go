@@ -7,8 +7,8 @@ import (
 // benchFusedLayout measures the fused stepping path on the paper's
 // 200x100x20 preset in one layout, reporting MLUPS alongside ns/op.
 // Running the AoS and SoA benchmarks back to back is the quickest
-// kernel-level answer to "did a change shift the layout tradeoff?"
-// without paying for the cmd/lbmbench sweep.
+// kernel-level answer to "did a change shift the layout tradeoff?",
+// and with -cpuprofile / -memprofile the way to profile the kernel.
 func benchFusedLayout[T interface{ float32 | float64 }](b *testing.B, layout Layout) {
 	p := WaterAir(200, 100, 20)
 	p.Fused = true

@@ -36,7 +36,7 @@ const (
 	F32
 )
 
-// String returns the lbmbench-schema spelling ("f64"/"f32").
+// String returns the spelling job specs and reports use ("f64"/"f32").
 func (p Precision) String() string {
 	switch p {
 	case F64:
@@ -48,7 +48,8 @@ func (p Precision) String() string {
 	}
 }
 
-// ParsePrecision converts the lbmbench spelling back to a Precision.
+// ParsePrecision converts that spelling back to a Precision; the empty
+// string is F64.
 func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "f64", "float64", "":
@@ -75,18 +76,6 @@ const (
 	// letting the kernels stream unit-stride through each lane.
 	SoA = field.SoA
 )
-
-// ParseLayout converts the lbmbench spelling ("aos"/"soa") to a Layout.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "aos", "":
-		return AoS, nil
-	case "soa":
-		return SoA, nil
-	default:
-		return AoS, fmt.Errorf("lbm: unknown layout %q (want aos or soa)", s)
-	}
-}
 
 // Component describes one fluid component of the S-C model.
 type Component struct {

@@ -152,7 +152,7 @@ func (rs RefineSpec) levelParams(p *Params) (bot, top, coarse *Params, err error
 // refined step performs (two sub-steps on each fine slab plus one
 // coarse step) and the updates a uniform-fine solver needs for the
 // same physical time span (two full-lattice steps). Their ratio is the
-// raw work saving; lbmbench turns it into effective MLUPS.
+// raw work saving (slipd reports it as update_ratio).
 func (rs RefineSpec) SiteUpdatesPerStep(p *Params) (refined, fineEquivalent float64, err error) {
 	ml, err := rs.multiLevel(p)
 	if err != nil {

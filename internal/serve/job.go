@@ -189,8 +189,10 @@ func (sp *JobSpec) Validate(l Limits) error {
 	if sp.NX < 1 || sp.NY < 3 || sp.NZ < 3 {
 		return specErr("lattice %dx%dx%d too small (need nx>=1, ny>=3, nz>=3)", sp.NX, sp.NY, sp.NZ)
 	}
-	if cells := sp.NX * sp.NY * sp.NZ; cells > l.MaxCells {
-		return specErr("lattice %dx%dx%d has %d cells, above the limit %d", sp.NX, sp.NY, sp.NZ, cells, l.MaxCells)
+	// Divide, never multiply: the product of three client-chosen ints can
+	// wrap to a small number (NY, NZ >= 3 here, so no zero divisor).
+	if sp.NX > l.MaxCells/sp.NY/sp.NZ {
+		return specErr("lattice %dx%dx%d above the limit of %d cells", sp.NX, sp.NY, sp.NZ, l.MaxCells)
 	}
 	if sp.Refine != nil {
 		if sp.Kind == KindDistributed {

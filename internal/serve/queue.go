@@ -225,6 +225,10 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		enqueuedAt: now,
 	}
 
+	// Snapshot before the enqueue: once a worker can see the job it may
+	// already be running by the time this call returns.
+	queued := j.status
+
 	s.mu.Lock()
 	if s.draining.Load() {
 		s.mu.Unlock()
@@ -246,7 +250,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 
 	s.metrics.Submitted.Add(1)
 	s.metrics.CountState("", StateQueued)
-	return j.Status(), nil
+	return queued, nil
 }
 
 // checkResumable verifies the named job exists and left a committed

@@ -25,8 +25,10 @@ func TestRefinedJobRunsToDone(t *testing.T) {
 	if fin.Result == nil || fin.Result.Steps != 20 {
 		t.Fatalf("result = %+v, want 20 composite steps", fin.Result)
 	}
-	if fin.Result.UpdateRatio <= 0 {
-		t.Errorf("update_ratio = %v, want > 0 for a refined job", fin.Result.UpdateRatio)
+	sp := refinedSpec()
+	refined, fineEq, err := sp.Refine.SiteUpdatesPerStep(lbm.WaterAir(sp.NX, sp.NY, sp.NZ))
+	if err != nil || fin.Result.UpdateRatio != fineEq/refined {
+		t.Errorf("update_ratio = %v, descriptor says %v (err %v)", fin.Result.UpdateRatio, fineEq/refined, err)
 	}
 	if fin.Spec.Refine == nil || *fin.Spec.Refine != (lbm.RefineSpec{Levels: 2, WallLayers: 4}) {
 		t.Errorf("status spec lost the refine descriptor: %+v", fin.Spec.Refine)

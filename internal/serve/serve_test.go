@@ -132,7 +132,7 @@ func waitProgress(t *testing.T, s *Server, id string) {
 }
 
 func TestLifecycleSubmitToDone(t *testing.T) {
-	_, ts := newTestServer(t, Config{Pool: 2, StreamEvery: 10})
+	s, ts := newTestServer(t, Config{Pool: 2, StreamEvery: 10})
 
 	st := postJob(t, ts, smallSpec(), http.StatusAccepted)
 	if st.ID == "" || st.State != StateQueued {
@@ -165,6 +165,12 @@ func TestLifecycleSubmitToDone(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || len(list) != 1 || list[0].ID != st.ID {
 		t.Fatalf("list = %+v, %v", list, err)
+	}
+	// The worker records the compute and persist samples just after it
+	// publishes the terminal state, so a client that saw "done" can be
+	// ahead of them: wait for the last sample before reading /metrics.
+	for deadline := time.Now().Add(30 * time.Second); s.Metrics().Snapshot().Stages["compute"].Count == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	resp, err = ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -201,6 +207,7 @@ func TestValidationRejects(t *testing.T) {
 		"ranks beyond nx": {Kind: KindDistributed, NX: 4, NY: 8, NZ: 4, Steps: 10, Ranks: 8},
 		"negative wall":   {Kind: KindWallForce, NX: 4, NY: 8, NZ: 4, Steps: 10, WallLimitMS: -1},
 		"over cell cap":   {Kind: KindWallForce, NX: 1 << 12, NY: 1 << 12, NZ: 1 << 12, Steps: 10},
+		"cells overflow":  {Kind: KindWallForce, NX: 1 << 32, NY: 1 << 32, NZ: 3, Steps: 1},
 		"unknown resume":  {Steps: 10, Resume: "j-0000-000099"},
 	}
 	for name, spec := range bad {

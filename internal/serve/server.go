@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -64,11 +65,9 @@ func writeErr(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, fmt.Errorf("%w: %s", ErrBadSpec, err))
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	st, err := s.Submit(spec)
@@ -77,6 +76,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, st)
+}
+
+// decodeSpec reads a submitted JobSpec; unknown fields and malformed
+// JSON are client errors.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("%w: %s", ErrBadSpec, err)
+	}
+	return spec, nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -2,10 +2,10 @@
 # serve_smoke.sh — end-to-end smoke test of the slipd job server.
 #
 # Boots slipd on an ephemeral port, pushes a burst of small jobs through
-# it with loadgen, leaves long jobs in flight, SIGTERMs the server, and
+# it with curl, leaves long jobs in flight, SIGTERMs the server, and
 # asserts the graceful-drain contract:
 #
-#   1. the loadgen burst completes with every job done,
+#   1. the burst completes with every job done,
 #   2. slipd exits 0 after the signal (the drain finished),
 #   3. every in-flight job is persisted as "interrupted" and resumable,
 #      with its checkpoint artifact (state.ckpt) on disk,
@@ -28,7 +28,6 @@ trap 'kill "$SLIPD_PID" 2>/dev/null || true; rm -rf "$work"' EXIT
 
 echo "== build"
 go build -o "$bin/slipd" ./cmd/slipd
-go build -o "$bin/loadgen" ./cmd/loadgen
 
 echo "== boot slipd"
 "$bin/slipd" -addr 127.0.0.1:0 -addr-file "$work/addr" -data "$data" -pool 4 \
@@ -42,18 +41,38 @@ done
 ADDR="$(cat "$work/addr")"
 echo "   listening on $ADDR"
 
+# submit POSTs one wallforce job of the given lattice and step count and
+# prints its id.
+submit() {
+    curl -sf -X POST "http://$ADDR/jobs" \
+        -d "{\"kind\":\"wallforce\",\"nx\":$1,\"ny\":$2,\"nz\":$3,\"steps\":$4}" |
+        sed -n 's/.*"id": "\([^"]*\)".*/\1/p'
+}
+# burst_one runs one small job to its terminal state and prints that state.
+burst_one() {
+    curl -sf "http://$ADDR/jobs/$(submit 4 16 4 40)/wait?timeout_ms=120000" |
+        sed -n 's/.*"state": "\([^"]*\)".*/\1/p'
+}
+export ADDR
+export -f submit burst_one
+
 echo "== burst: $BURST_JOBS small jobs x $BURST_CONCURRENCY clients"
-"$bin/loadgen" -addr "$ADDR" -jobs "$BURST_JOBS" -concurrency "$BURST_CONCURRENCY" -steps 40
+burst_done="$(seq "$BURST_JOBS" | xargs -P "$BURST_CONCURRENCY" -I{} bash -c burst_one | grep -c '^done$' || true)"
+echo "   done=$burst_done/$BURST_JOBS"
+if [ "$burst_done" -ne "$BURST_JOBS" ]; then
+    echo "FAIL: burst left jobs not done"
+    cat "$work/slipd.log"
+    exit 1
+fi
 
 echo "== leave long jobs in flight, then SIGTERM"
-before="$(ls "$data/jobs")"
-"$bin/loadgen" -addr "$ADDR" -jobs 4 -concurrency 4 -submit-only \
-    -nx 8 -ny 32 -nz 8 -steps 400000
+long_ids="$(seq 4 | xargs -P 4 -I{} bash -c 'submit 8 32 8 400000' || true)"
+[ "$(printf '%s\n' "$long_ids" | grep -c .)" -eq 4 ] || { echo "FAIL: long-job submit refused"; cat "$work/slipd.log"; exit 1; }
 # "running" is not progress: a job is marked running before its solver is
 # built, and a drain landing there checkpoints step 0. Wait until every
 # long job has streamed a frame past step 0, so whichever one the resume
 # below picks must report start_step >= 1.
-for id in $(comm -13 <(printf '%s\n' "$before") <(ls "$data/jobs")); do
+for id in $long_ids; do
     { timeout 60 curl -sfN "http://$ADDR/jobs/$id/stream" || true; } | grep -q -m1 '"step":[1-9]' ||
         { echo "FAIL: long job $id never streamed a step"; cat "$work/slipd.log"; exit 1; }
 done

@@ -13,7 +13,7 @@ import (
 var mains = []string{
 	"./cmd/benchtables",
 	"./cmd/clustersim",
-	"./cmd/lbmbench",
+	"./cmd/slipd",
 	"./cmd/slipsim",
 	"./examples/groovedwall",
 	"./examples/liveremap",
