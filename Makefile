@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check build vet test race race-lbm race-layout chaos chaos-kill chaos-abort bench bench-module serve-smoke fuzz
+.PHONY: check build vet test race race-lbm race-layout chaos-abort bench bench-module serve-smoke fuzz
 
 # The CI gate: compile everything, vet, run the full suite, the race
-# detector in short mode (the -short guard trims the long chaos and
-# physics soaks so the race pass stays around a minute), then the
-# benchmark module's vet, tests and smoke-size traced run.
+# detector in short mode (the -short guard trims the long abort-chaos
+# sweep and physics soaks so the race pass stays around a minute),
+# then the benchmark module's vet, tests and smoke-size traced run.
 check: build vet test race bench-module
 
 build:
@@ -33,17 +33,6 @@ race-lbm: race-layout
 # kernels' multi-band and distributed scheduling re-proved directly.
 race-layout:
 	$(GO) test -race -count=1 -run 'TestBitIdentityMatrix|TestLayout|TestPackBytesLayoutIndependent|TestStepParallelZeroAllocs|TestTranspose' ./internal/lbm/ ./internal/parlbm/ ./internal/field/
-
-# The full chaos suite under the race detector (several minutes): every
-# seeded fault schedule against the distributed pipeline.
-chaos:
-	$(GO) test -race -run 'Chaos|Masks|Fault' ./internal/experiments/ ./internal/parlbm/ ./internal/comm/
-
-# The permanent-death recovery sweep under the race detector: seeded
-# rank kills after committed checkpoints, shrink-to-survivors recovery,
-# bit-identical final fields.
-chaos-kill:
-	$(GO) test -race -run 'KillChaos|Recoverable' -v ./internal/experiments/ ./internal/parlbm/
 
 # The abort-safety sweep under the race detector: seeded cancels, wall
 # limits, worker panics, and worker stalls against both the intra-node

@@ -284,17 +284,6 @@ func BenchmarkCommTCPExchange(b *testing.B) {
 	})
 }
 
-// BenchmarkCommReliableExchange measures the halo exchange through the
-// resilience wrapper with no faults. Compare allocs/op against
-// BenchmarkCommChanExchange: the framing layer reuses its send buffer,
-// so the fault-free hot path must not add allocations.
-func BenchmarkCommReliableExchange(b *testing.B) {
-	benchCommExchange(b, func() ([]comm.Comm, func(), error) {
-		f := comm.NewFabric(2)
-		return comm.WithResilienceAll(f.Endpoints(), comm.DefaultResilience()), f.Close, nil
-	})
-}
-
 func benchCommExchange(b *testing.B, mk func() ([]comm.Comm, func(), error)) {
 	eps, shutdown, err := mk()
 	if err != nil {

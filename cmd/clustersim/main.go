@@ -114,14 +114,6 @@ func main() {
 	fmt.Printf("sequential time  %10.1f s\n", res.SequentialTime)
 	fmt.Printf("speedup          %10.2f\n", res.Speedup())
 	fmt.Printf("planes moved     %10d in %d remapping rounds\n", res.PlanesMoved, res.RemapRounds)
-	if res.ExchangeRetries > 0 {
-		fmt.Printf("exchange retries %10d (wire loss rate %g)\n",
-			res.ExchangeRetries, cfg.ExchangeFailureRate)
-	}
-	if res.Deaths > 0 {
-		fmt.Printf("node deaths      %10d survived (%d phases replayed, %.1f s recovery)\n",
-			res.Deaths, res.ReplayedPhases, res.RecoveryTime)
-	}
 	fmt.Printf("final planes     %v\n", res.FinalPartition.Counts())
 	if *profileF {
 		fmt.Println()

@@ -34,20 +34,6 @@ type Policy interface {
 	Round(planes []int, predicted []float64) []decomp.Transfer
 }
 
-// SurvivorPartition is the shrink-to-survivors re-decomposition rule:
-// when a parallel group loses ranks permanently and restarts from a
-// committed checkpoint, the survivors take an even split of the full
-// lattice. Even-by-fiat is deliberate — the restore already rewrites
-// every survivor's slab from the checkpoint, so no incremental move is
-// cheaper, and the regular remapping policy re-optimizes the partition
-// from there within a few intervals.
-func SurvivorPartition(nx, survivors int) (decomp.Partition, error) {
-	if survivors < 1 || nx < survivors {
-		return decomp.Partition{}, fmt.Errorf("balance: %d planes cannot cover %d survivors", nx, survivors)
-	}
-	return decomp.Even(nx, survivors), nil
-}
-
 // NoRemap is the static-decomposition baseline.
 type NoRemap struct{}
 

@@ -2,8 +2,8 @@
 // full-resolution slip simulation needs hundreds of thousands of phases
 // over days; checkpointing lets runs stop, move, and resume without
 // losing progress, and — together with the coordinated per-rank format
-// in rank.go — lets a parallel run that loses a rank restart from the
-// last committed phase on the survivors.
+// in rank.go — lets a parallel run that stopped or crashed restart from
+// the last committed phase, on any group size.
 //
 // Every file this package writes is one container (container.go;
 // DESIGN.md §3 gives the layout byte by byte):

@@ -27,18 +27,6 @@ var ErrClosed = errors.New("comm: communicator closed")
 // before a matching message arrives.
 var ErrTimeout = errors.New("comm: operation timed out")
 
-// ErrTransient marks failures that a retry may mask: an injected fault,
-// a link-level detected loss, or a peer that is down but expected back.
-// Wrap it (fmt.Errorf("...: %w", ErrTransient)) to make an error
-// retryable by the resilience layer.
-var ErrTransient = errors.New("comm: transient failure")
-
-// IsTransient reports whether err is retryable: ErrTransient or
-// ErrTimeout anywhere in its chain.
-func IsTransient(err error) bool {
-	return errors.Is(err, ErrTransient) || errors.Is(err, ErrTimeout)
-}
-
 // Comm is one rank's endpoint of a communicator group.
 type Comm interface {
 	// Rank returns this endpoint's rank in [0, Size).
@@ -64,33 +52,12 @@ type Comm interface {
 }
 
 // DeadlineRecver is the optional transport capability backing per-op
-// receive deadlines. Both built-in transports implement it; wrappers
-// (fault injectors, resilience layers) should forward it when their
-// inner Comm supports it. A timeout <= 0 blocks like Recv.
+// receive deadlines. Both built-in transports and the supervision
+// wrapper implement it. A timeout <= 0 blocks like Recv.
 type DeadlineRecver interface {
 	// RecvDeadline is Recv bounded by a timeout; it returns an error
 	// wrapping ErrTimeout when the deadline expires first.
 	RecvDeadline(from, tag int, timeout time.Duration) ([]float64, error)
-}
-
-// Drainer is the optional capability of wrappers that buffer outbound
-// frames (a fault injector holding reordered messages, say). Drain
-// releases everything still held so peers blocked on a receive can make
-// progress; group runners should call it from the owning rank's
-// goroutine once that rank's last operation has completed — a held
-// terminal frame has no later operation to flush it.
-type Drainer interface {
-	Drain()
-}
-
-// RecvDeadline receives from c with a per-op deadline when the
-// transport supports it, falling back to a plain blocking Recv (and
-// ignoring the timeout) when it does not.
-func RecvDeadline(c Comm, from, tag int, timeout time.Duration) ([]float64, error) {
-	if dr, ok := c.(DeadlineRecver); ok {
-		return dr.RecvDeadline(from, tag, timeout)
-	}
-	return c.Recv(from, tag)
 }
 
 // Reserved internal tags (user tags must be >= 0).

@@ -10,9 +10,9 @@ import (
 // operations poll an external abort check, so a rank whose peer died —
 // or whose run was told to abort hard — unwinds with the supervisor's
 // cause instead of hanging in a receive forever. Group runners
-// (parlbm.runGroup and friends) stack it outermost:
+// (parlbm.runGroup) wrap each transport endpoint with it:
 //
-//	supervised := comm.WithSupervision(reliable, sup.HardErr, sup.Poll())
+//	supervised := comm.WithSupervision(fabric.Endpoint(r), sup.HardErr, sup.Poll())
 //
 // The check is consulted before every operation and between receive
 // polls; a non-nil check error fails the operation immediately, wrapped
@@ -21,19 +21,21 @@ import (
 // while a group negotiates its stop boundary, so halo traffic keeps
 // flowing until every rank has reached it.
 //
-// Polling needs per-op deadlines: when the wrapped transport (or
-// wrapper chain) implements DeadlineRecver — both built-in transports,
-// the heartbeat wrapper, the resilience layer, and fault-injection
-// endpoints all do — receives wake every poll interval to re-check.
-// Without the capability the wrapper degrades to one check before a
-// blocking receive, and abort liveness falls back to the group runner's
-// transport teardown.
+// Polling needs per-op deadlines: when the wrapped transport implements
+// DeadlineRecver — both built-in transports do — receives wake every
+// poll interval to re-check. Without the capability the wrapper
+// degrades to one check before a blocking receive, and abort liveness
+// falls back to the group runner's transport teardown.
 //
 // Barrier and AllGather are re-expressed over the wrapper's own
 // supervised point-to-point operations (using the reserved tags just
 // below MaxUserTag), so collectives — the commit barrier of a
 // coordinated checkpoint, say — unwind on abort exactly like halo
 // receives do.
+
+// MaxUserTag bounds the tags a supervised endpoint carries: application
+// tags must stay below supTagBase.
+const MaxUserTag = 1 << 30
 
 // Supervised-collective tags: the supervision layer reserves
 // [MaxUserTag-8, MaxUserTag) for its internal collectives; user tags
@@ -57,7 +59,6 @@ type SupervisedComm struct {
 
 var _ Comm = (*SupervisedComm)(nil)
 var _ DeadlineRecver = (*SupervisedComm)(nil)
-var _ Drainer = (*SupervisedComm)(nil)
 
 // WithSupervision wraps inner so every blocking operation polls check
 // (nil check disables polling; poll <= 0 means 25ms). All endpoints of
@@ -245,23 +246,6 @@ func (c *SupervisedComm) AllGather(local []float64) ([][]float64, error) {
 		out[q] = data
 	}
 	return out, nil
-}
-
-// Stats forwards the wrapped endpoint's resilience counters (zero when
-// the chain carries none), so stacking supervision outermost does not
-// hide them from result reporting.
-func (c *SupervisedComm) Stats() Stats {
-	if sc, ok := c.inner.(interface{ Stats() Stats }); ok {
-		return sc.Stats()
-	}
-	return Stats{}
-}
-
-// Drain forwards to a buffering wrapped endpoint.
-func (c *SupervisedComm) Drain() {
-	if d, ok := c.inner.(Drainer); ok {
-		d.Drain()
-	}
 }
 
 func (c *SupervisedComm) Close() error { return c.inner.Close() }

@@ -2,13 +2,15 @@ package comm
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // plainComm hides every optional capability of a wrapped endpoint, so
-// tests can exercise the DeadlineRecver-less fallback paths.
+// tests can exercise the supervision layer's DeadlineRecver-less
+// fallback.
 type plainComm struct {
 	inner Comm
 }
@@ -28,9 +30,9 @@ func (p *plainComm) Barrier() error                             { return p.inner
 func (p *plainComm) AllGather(l []float64) ([][]float64, error) { return p.inner.AllGather(l) }
 func (p *plainComm) Close() error                               { return p.inner.Close() }
 
-// The free RecvDeadline must fall back to a plain blocking receive when
-// the transport lacks DeadlineRecver, delivering data rather than
-// erroring on the missing capability.
+// A supervised deadline receive must fall back to a plain blocking
+// receive when the wrapped endpoint lacks DeadlineRecver, delivering
+// data rather than erroring on the missing capability.
 func TestRecvDeadlineFallbackWithoutCapability(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
@@ -41,7 +43,7 @@ func TestRecvDeadlineFallbackWithoutCapability(t *testing.T) {
 	}
 	want := []float64{4, 5, 6}
 	go eps[0].Send(1, 3, want)
-	got, err := RecvDeadline(bare, 0, 3, time.Nanosecond)
+	got, err := WithSupervision(bare, nil, 0).RecvDeadline(0, 3, time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +52,15 @@ func TestRecvDeadlineFallbackWithoutCapability(t *testing.T) {
 	}
 }
 
+// The Fabric is a reliable transport with a native deadline receive: a
+// bounded receive on a silent peer expires with ErrTimeout, and the
+// mailbox stays usable — a later message is received normally by a
+// reissued bounded receive.
 func TestReliableRecvDeadlineExpiry(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
 	eps := f.Endpoints()
-	res := Resilience{MaxRetries: 2, OpTimeout: 5 * time.Millisecond, Sleep: func(time.Duration) {}}
-	rc := WithResilience(eps[1], res)
+	rc := eps[1].(DeadlineRecver)
 
 	start := time.Now()
 	_, err := rc.RecvDeadline(0, 1, 30*time.Millisecond)
@@ -66,20 +71,8 @@ func TestReliableRecvDeadlineExpiry(t *testing.T) {
 		t.Fatalf("deadline did not bound the wait: %v", elapsed)
 	}
 
-	// The deadline-bounded wait is governed by the overall budget, not
-	// the per-attempt retry count: with OpTimeout 5ms and MaxRetries 2,
-	// a 30ms budget needs ~6 attempts and must still report a timeout,
-	// not a retries-exhausted failure.
-	stats := rc.Stats()
-	if stats.Timeouts < 3 {
-		t.Fatalf("expected several per-attempt timeouts inside the budget, got %d", stats.Timeouts)
-	}
-
-	// The framing state survives an expired call: a later message is
-	// received normally by a reissued bounded receive.
-	reliableSender := WithResilience(eps[0], res)
 	want := []float64{7, 8}
-	go reliableSender.Send(1, 1, want)
+	go eps[0].Send(1, 1, want)
 	got, err := rc.RecvDeadline(0, 1, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -89,18 +82,17 @@ func TestReliableRecvDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// On the Fabric's deadline receive a zero timeout means a plain
+// blocking receive, not an instant expiry.
 func TestReliableRecvDeadlineZeroTimeoutBlocks(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
 	eps := f.Endpoints()
-	res := Resilience{MaxRetries: 100, OpTimeout: 5 * time.Millisecond, Sleep: func(time.Duration) {}}
-	rc := WithResilience(eps[1], res)
-	sender := WithResilience(eps[0], res)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		sender.Send(1, 2, []float64{1})
+		eps[0].Send(1, 2, []float64{1})
 	}()
-	got, err := rc.RecvDeadline(0, 2, 0) // zero = plain reliable recv
+	got, err := eps[1].(DeadlineRecver).RecvDeadline(0, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,35 +101,40 @@ func TestReliableRecvDeadlineZeroTimeoutBlocks(t *testing.T) {
 	}
 }
 
-// A prober must emit no beats after its stop function returns — the
-// detector reads post-run silence as death, so a leaked beat would mask
-// a dead rank.
-func TestProberSilentAfterStop(t *testing.T) {
-	h, err := NewHealth(2, HeartbeatOptions{Interval: time.Millisecond, DeadAfter: 10 * time.Millisecond})
-	if err != nil {
+// The supervised deadline fallback also covers an endpoint whose deadline
+// capability is hidden by embedding only the Comm interface.
+func TestRecvDeadlineFallsBackWithoutCapability(t *testing.T) {
+	f := NewFabric(2)
+	defer f.Close()
+	type opaque struct{ Comm }
+	ep := opaque{f.Endpoint(1)}
+	if _, ok := Comm(ep).(DeadlineRecver); ok {
+		t.Fatal("opaque must not implement DeadlineRecver")
+	}
+	if err := f.Endpoint(0).Send(1, 0, []float64{7}); err != nil {
 		t.Fatal(err)
 	}
-	stop := h.StartProber(1)
-	time.Sleep(5 * time.Millisecond)
-	if !h.Alive(1) {
-		t.Fatal("prober not beating while running")
+	got, err := WithSupervision(ep, func() error { return nil }, 0).RecvDeadline(0, 0, time.Millisecond)
+	if err != nil || len(got) != 1 || got[0] != 7 {
+		t.Fatalf("fallback recv: %v %v", got, err)
 	}
-	stop()
-	stop() // idempotent
-	// Allow an in-flight tick to land, then require monotonic silence.
-	time.Sleep(2 * time.Millisecond)
-	silence := h.SinceBeat(1)
-	deadline := time.Now().Add(50 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-		now := h.SinceBeat(1)
-		if now < silence {
-			t.Fatalf("beat after stop: silence went %v -> %v", silence, now)
-		}
-		silence = now
+}
+
+// The mailbox deadline primitive under the Fabric's RecvDeadline:
+// expiry, delivery, and close all surface with the right error.
+func TestMailboxTakeDeadline(t *testing.T) {
+	m := newMailbox()
+	if _, err := m.takeDeadline(0, time.Now().Add(2*time.Millisecond)); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("want ErrTimeout, got %v", err)
 	}
-	if h.Alive(1) {
-		t.Fatal("rank still alive long after prober stop")
+	m.put(0, []float64{1})
+	got, err := m.takeDeadline(0, time.Now().Add(time.Second))
+	if err != nil || got[0] != 1 {
+		t.Fatalf("take: %v %v", got, err)
+	}
+	m.close()
+	if _, err := m.takeDeadline(0, time.Now().Add(time.Second)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }
 
@@ -238,23 +235,17 @@ func TestSupervisedCollectives(t *testing.T) {
 	}
 }
 
-// Supervision must not hide the resilience counters from result
-// reporting, and must reject tags in its reserved range.
+// Supervision passes user traffic through unchanged and rejects tags in
+// its reserved range.
 func TestSupervisedStatsAndTagGuard(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
 	eps := f.Endpoints()
-	res := Resilience{MaxRetries: 1, OpTimeout: 50 * time.Millisecond, Sleep: func(time.Duration) {}}
-	r0 := WithResilience(eps[0], res)
-	r1 := WithResilience(eps[1], res)
-	s0 := WithSupervision(r0, nil, 0)
-	s1 := WithSupervision(r1, nil, 0)
+	s0 := WithSupervision(eps[0], nil, 0)
+	s1 := WithSupervision(eps[1], nil, 0)
 	go s0.Send(1, 6, []float64{1, 2})
-	if _, err := s1.Recv(0, 6); err != nil {
-		t.Fatal(err)
-	}
-	if got := s1.Stats().Recvs; got != 1 {
-		t.Fatalf("Stats().Recvs through supervision = %d, want 1", got)
+	if got, err := s1.Recv(0, 6); err != nil || len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("supervised recv = %v, %v", got, err)
 	}
 	if err := s0.Send(1, supTagBase, nil); err == nil {
 		t.Fatal("reserved tag accepted by supervised Send")
@@ -278,5 +269,78 @@ func TestSupervisedRecvDeadlineTimesOut(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline unbounded: %v", elapsed)
+	}
+}
+
+// Every supervised entry point, not only Send and Recv, rejects negative
+// tags and tags in the reserved collective range.
+func TestReliableRejectsReservedTags(t *testing.T) {
+	f := NewFabric(2)
+	defer f.Close()
+	sc := WithSupervision(f.Endpoint(0), func() error { return nil }, time.Millisecond)
+	for _, tag := range []int{-1, supTagBase, MaxUserTag} {
+		if _, err := sc.SendRecv(1, nil, 1, tag); err == nil {
+			t.Errorf("SendRecv accepted tag %d", tag)
+		}
+		if _, err := sc.RecvDeadline(1, tag, time.Millisecond); err == nil {
+			t.Errorf("RecvDeadline accepted tag %d", tag)
+		}
+	}
+}
+
+// TCP carries the reliable-delivery guarantee on its own: a supervised
+// SendRecv across a TCP group round-trips with no retry layer.
+func TestReliableOverTCP(t *testing.T) {
+	raw, shutdown, err := NewTCPGroup(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	eps := WithSupervisionAll(raw, func() error { return nil }, time.Millisecond)
+	done := make(chan error, 1)
+	go func() {
+		got, err := eps[1].SendRecv(0, []float64{2}, 0, 9)
+		if err == nil && (len(got) != 1 || got[0] != 1) {
+			err = fmt.Errorf("rank 1 got %v", got)
+		}
+		done <- err
+	}()
+	got, err := eps[0].SendRecv(1, []float64{1}, 1, 9)
+	if err != nil || len(got) != 1 || got[0] != 2 {
+		t.Fatalf("rank 0 sendrecv %v %v", got, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// With no check installed, supervision forwards straight to the
+// transport: a fault-free round trip allocates no more than the raw
+// endpoints do.
+func TestReliableFaultFreeAllocsMatchRaw(t *testing.T) {
+	payload := make([]float64, 4096)
+	rawFab := NewFabric(2)
+	defer rawFab.Close()
+	raws := rawFab.Endpoints()
+	supFab := NewFabric(2)
+	defer supFab.Close()
+	sups := WithSupervisionAll(supFab.Endpoints(), nil, 0)
+
+	roundtrip := func(eps []Comm) func() {
+		return func() {
+			if err := eps[0].Send(1, 3, payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eps[1].Recv(0, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	roundtrip(raws)() // warm both queues
+	roundtrip(sups)()
+	raw := testing.AllocsPerRun(100, roundtrip(raws))
+	sup := testing.AllocsPerRun(100, roundtrip(sups))
+	if sup > raw {
+		t.Errorf("supervised fault-free roundtrip allocates %.1f/run, raw transport %.1f/run", sup, raw)
 	}
 }

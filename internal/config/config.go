@@ -9,10 +9,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"time"
 
 	"microslip/internal/balance"
-	"microslip/internal/comm"
 	"microslip/internal/vcluster"
 )
 
@@ -35,111 +33,24 @@ type Workload struct {
 	HorizonSeconds float64 `json:"horizon_seconds,omitempty"`
 }
 
-// Resilience exposes the comm retry/deadline knobs declaratively.
-// Durations are integral microseconds/milliseconds so configurations
-// stay plain JSON numbers; zero knobs inherit comm.DefaultResilience.
-type Resilience struct {
-	// Enabled turns the resilience layer on for distributed runs.
-	Enabled bool `json:"enabled"`
-	// MaxRetries caps retry attempts per operation.
-	MaxRetries int `json:"max_retries,omitempty"`
-	// BaseBackoffUS is the first retry backoff, in microseconds; it
-	// doubles per attempt up to MaxBackoffUS.
-	BaseBackoffUS int `json:"base_backoff_us,omitempty"`
-	// MaxBackoffUS caps the backoff, in microseconds.
-	MaxBackoffUS int `json:"max_backoff_us,omitempty"`
-	// OpTimeoutMS is the per-receive deadline, in milliseconds.
-	OpTimeoutMS int `json:"op_timeout_ms,omitempty"`
-}
-
-// Build maps the declarative knobs onto a validated comm.Resilience.
-func (r Resilience) Build() (comm.Resilience, error) {
-	res := comm.DefaultResilience()
-	if r.MaxRetries != 0 {
-		res.MaxRetries = r.MaxRetries
-	}
-	if r.BaseBackoffUS != 0 {
-		res.BaseBackoff = time.Duration(r.BaseBackoffUS) * time.Microsecond
-	}
-	if r.MaxBackoffUS != 0 {
-		res.MaxBackoff = time.Duration(r.MaxBackoffUS) * time.Microsecond
-	}
-	if r.OpTimeoutMS != 0 {
-		res.OpTimeout = time.Duration(r.OpTimeoutMS) * time.Millisecond
-	}
-	if err := res.Validate(); err != nil {
-		return comm.Resilience{}, fmt.Errorf("config: %w", err)
-	}
-	return res, nil
-}
-
-// Recovery exposes the failure-model knobs declaratively: the
-// heartbeat failure detector, coordinated checkpointing, and the
-// rank-death budget. Durations are integral milliseconds so
-// configurations stay plain JSON numbers; zero knobs inherit
-// comm.DefaultHeartbeat.
+// Recovery holds the checkpoint knob of a simulated run.
 type Recovery struct {
-	// HeartbeatIntervalMS is the idle prober's beat period, in
-	// milliseconds.
-	HeartbeatIntervalMS int `json:"heartbeat_interval_ms,omitempty"`
-	// HeartbeatDeadAfterMS is the silence threshold after which a peer
-	// is declared permanently dead, in milliseconds. Must stay at least
-	// twice the interval.
-	HeartbeatDeadAfterMS int `json:"heartbeat_dead_after_ms,omitempty"`
 	// CheckpointInterval takes a coordinated checkpoint every this many
-	// phases; zero disables checkpointing, so a node death restarts the
-	// run from phase zero.
+	// phases; zero disables checkpointing.
 	CheckpointInterval int `json:"checkpoint_interval,omitempty"`
-	// MaxRankFailures bounds how many node deaths a run may survive;
-	// zero means unlimited (any death count leaving at least one
-	// survivor).
-	MaxRankFailures int `json:"max_rank_failures,omitempty"`
-}
-
-// BuildHeartbeat maps the declarative knobs onto validated
-// comm.HeartbeatOptions.
-func (r Recovery) BuildHeartbeat() (comm.HeartbeatOptions, error) {
-	hb := comm.DefaultHeartbeat()
-	if r.HeartbeatIntervalMS != 0 {
-		hb.Interval = time.Duration(r.HeartbeatIntervalMS) * time.Millisecond
-	}
-	if r.HeartbeatDeadAfterMS != 0 {
-		hb.DeadAfter = time.Duration(r.HeartbeatDeadAfterMS) * time.Millisecond
-	}
-	if err := hb.Validate(); err != nil {
-		return comm.HeartbeatOptions{}, fmt.Errorf("config: %w", err)
-	}
-	return hb, nil
-}
-
-// NodeDeath schedules a permanent node death in a simulated run.
-type NodeDeath struct {
-	// Node is the dying node's index.
-	Node int `json:"node"`
-	// Phase is the 0-based phase at whose start the node dies.
-	Phase int `json:"phase"`
 }
 
 // Experiment is one clustersim run.
 type Experiment struct {
-	Nodes       int        `json:"nodes"`
-	Phases      int        `json:"phases"`
-	Policy      string     `json:"policy"`
-	Workload    Workload   `json:"workload"`
-	TotalPlanes int        `json:"total_planes,omitempty"` // default 400
-	PlanePoints int        `json:"plane_points,omitempty"` // default 4000
-	Seed        int64      `json:"seed,omitempty"`
-	Resilience  Resilience `json:"resilience,omitempty"`
-	// ExchangeFailureRate injects simulated halo-exchange wire loss
-	// into vcluster runs; each lost exchange is retried and charged to
-	// the phase. Must be in [0, 1).
-	ExchangeFailureRate float64 `json:"exchange_failure_rate,omitempty"`
-	// Recovery configures the failure detector, checkpointing, and the
-	// death budget.
+	Nodes       int      `json:"nodes"`
+	Phases      int      `json:"phases"`
+	Policy      string   `json:"policy"`
+	Workload    Workload `json:"workload"`
+	TotalPlanes int      `json:"total_planes,omitempty"` // default 400
+	PlanePoints int      `json:"plane_points,omitempty"` // default 4000
+	Seed        int64    `json:"seed,omitempty"`
+	// Recovery configures coordinated checkpointing.
 	Recovery Recovery `json:"recovery,omitempty"`
-	// NodeDeaths schedules permanent node deaths the run must survive
-	// by shrinking onto the survivors.
-	NodeDeaths []NodeDeath `json:"node_deaths,omitempty"`
 }
 
 // Default fills unset fields with the paper's values.
@@ -177,9 +88,9 @@ const MaxNodes = 4096
 const MaxHorizonSeconds = 1e6
 
 // Validate checks the configuration after defaulting. An experiment
-// that validates is guaranteed to build: BuildPolicy, BuildTraces,
-// BuildConfig and BuildResilience cannot fail or panic afterwards
-// (FuzzRead enforces exactly this).
+// that validates is guaranteed to build: BuildPolicy, BuildTraces and
+// BuildConfig cannot fail or panic afterwards (FuzzRead enforces
+// exactly this).
 func (e *Experiment) Validate() error {
 	if e.Nodes < 1 || e.Phases < 1 {
 		return fmt.Errorf("config: nodes %d / phases %d must be positive", e.Nodes, e.Phases)
@@ -195,9 +106,6 @@ func (e *Experiment) Validate() error {
 	}
 	if _, err := balance.ByName(e.Policy, e.PlanePoints); err != nil {
 		return err
-	}
-	if math.IsNaN(e.ExchangeFailureRate) || e.ExchangeFailureRate < 0 || e.ExchangeFailureRate >= 1 {
-		return fmt.Errorf("config: exchange_failure_rate %v outside [0, 1)", e.ExchangeFailureRate)
 	}
 	w := e.Workload
 	switch w.Type {
@@ -228,53 +136,10 @@ func (e *Experiment) Validate() error {
 	default:
 		return fmt.Errorf("config: unknown workload type %q", w.Type)
 	}
-	if _, err := e.Resilience.Build(); err != nil {
-		return err
-	}
-	if _, err := e.Recovery.BuildHeartbeat(); err != nil {
-		return err
-	}
 	if e.Recovery.CheckpointInterval < 0 {
 		return fmt.Errorf("config: checkpoint_interval %d negative", e.Recovery.CheckpointInterval)
 	}
-	if e.Recovery.MaxRankFailures < 0 {
-		return fmt.Errorf("config: max_rank_failures %d negative", e.Recovery.MaxRankFailures)
-	}
-	if len(e.NodeDeaths) >= e.Nodes {
-		return fmt.Errorf("config: %d node deaths leave no survivors among %d nodes", len(e.NodeDeaths), e.Nodes)
-	}
-	if e.Recovery.MaxRankFailures > 0 && len(e.NodeDeaths) > e.Recovery.MaxRankFailures {
-		return fmt.Errorf("config: %d node deaths exceed max_rank_failures %d", len(e.NodeDeaths), e.Recovery.MaxRankFailures)
-	}
-	dying := make(map[int]bool, len(e.NodeDeaths))
-	for _, d := range e.NodeDeaths {
-		if d.Node < 0 || d.Node >= e.Nodes {
-			return fmt.Errorf("config: death of node %d out of range [0,%d)", d.Node, e.Nodes)
-		}
-		if d.Phase < 0 || d.Phase >= e.Phases {
-			return fmt.Errorf("config: death at phase %d out of range [0,%d)", d.Phase, e.Phases)
-		}
-		if dying[d.Node] {
-			return fmt.Errorf("config: node %d dies twice", d.Node)
-		}
-		dying[d.Node] = true
-	}
 	return nil
-}
-
-// BuildHeartbeat returns the run's failure-detector settings.
-func (e *Experiment) BuildHeartbeat() (comm.HeartbeatOptions, error) {
-	return e.Recovery.BuildHeartbeat()
-}
-
-// BuildResilience returns the run's comm resilience settings and
-// whether the layer is enabled at all.
-func (e *Experiment) BuildResilience() (comm.Resilience, bool, error) {
-	res, err := e.Resilience.Build()
-	if err != nil {
-		return comm.Resilience{}, false, err
-	}
-	return res, e.Resilience.Enabled, nil
 }
 
 // BuildPolicy constructs the remapping policy.
@@ -328,11 +193,7 @@ func (e *Experiment) BuildConfig() (vcluster.Config, error) {
 	cfg.TotalPlanes = e.TotalPlanes
 	cfg.PlanePoints = e.PlanePoints
 	cfg.Seed = e.Seed
-	cfg.ExchangeFailureRate = e.ExchangeFailureRate
 	cfg.CheckpointInterval = e.Recovery.CheckpointInterval
-	for _, d := range e.NodeDeaths {
-		cfg.NodeDeaths = append(cfg.NodeDeaths, vcluster.NodeDeath{Node: d.Node, Phase: d.Phase})
-	}
 	return cfg, nil
 }
 

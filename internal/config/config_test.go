@@ -5,48 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"microslip/internal/comm"
 )
-
-func TestResilienceKnobs(t *testing.T) {
-	e, err := Read(strings.NewReader(`{"resilience": {
-		"enabled": true, "max_retries": 3,
-		"base_backoff_us": 250, "max_backoff_us": 5000, "op_timeout_ms": 40}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, enabled, err := e.BuildResilience()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !enabled {
-		t.Error("resilience should be enabled")
-	}
-	if res.MaxRetries != 3 || res.BaseBackoff != 250*time.Microsecond ||
-		res.MaxBackoff != 5*time.Millisecond || res.OpTimeout != 40*time.Millisecond {
-		t.Errorf("built %+v", res)
-	}
-
-	// Unset knobs inherit the comm defaults; disabled by default.
-	e, err = Read(strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, enabled, err = e.BuildResilience()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enabled {
-		t.Error("resilience should default to disabled")
-	}
-	def := comm.DefaultResilience()
-	if res.MaxRetries != def.MaxRetries || res.BaseBackoff != def.BaseBackoff ||
-		res.MaxBackoff != def.MaxBackoff || res.OpTimeout != def.OpTimeout {
-		t.Errorf("default knobs %+v, want %+v", res, def)
-	}
-}
 
 func TestDefaults(t *testing.T) {
 	e, err := Read(strings.NewReader(`{}`))
@@ -105,20 +64,7 @@ func TestRejections(t *testing.T) {
 		`{"nodes":99999}`,
 		`{"total_planes":5,"nodes":20}`,
 		`{"plane_points":-1}`,
-		`{"resilience":{"max_retries":-1}}`,
-		`{"resilience":{"base_backoff_us":500,"max_backoff_us":10}}`,
-		`{"exchange_failure_rate":1.5}`,
-		`{"exchange_failure_rate":-0.2}`,
-		`{"exchange_failure_rate":1}`,
-		`{"recovery":{"heartbeat_interval_ms":-5}}`,
-		`{"recovery":{"heartbeat_interval_ms":100,"heartbeat_dead_after_ms":150}}`,
 		`{"recovery":{"checkpoint_interval":-1}}`,
-		`{"recovery":{"max_rank_failures":-1}}`,
-		`{"nodes":3,"node_deaths":[{"node":3,"phase":1}]}`,
-		`{"nodes":3,"phases":10,"node_deaths":[{"node":1,"phase":10}]}`,
-		`{"nodes":3,"node_deaths":[{"node":1,"phase":1},{"node":1,"phase":2}]}`,
-		`{"nodes":2,"node_deaths":[{"node":0,"phase":1},{"node":1,"phase":2}]}`,
-		`{"recovery":{"max_rank_failures":1},"node_deaths":[{"node":1,"phase":1},{"node":2,"phase":2}]}`,
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
@@ -127,20 +73,35 @@ func TestRejections(t *testing.T) {
 	}
 }
 
+// The schema has no fault-model knobs: a config that sets one must fail
+// loudly with an unknown-field error rather than be silently ignored.
+func TestRemovedFaultKnobsRejected(t *testing.T) {
+	cases := []struct{ knob, json string }{
+		{"resilience", `{"resilience": {"enabled": true, "max_retries": 5}}`},
+		{"exchange_failure_rate", `{"exchange_failure_rate": 0.1}`},
+		{"node_deaths", `{"node_deaths": [{"node": 2, "phase": 30}]}`},
+		{"heartbeat_interval_ms", `{"recovery": {"heartbeat_interval_ms": 20}}`},
+		{"heartbeat_dead_after_ms", `{"recovery": {"heartbeat_dead_after_ms": 400}}`},
+		{"max_rank_failures", `{"recovery": {"max_rank_failures": 2}}`},
+	}
+	for _, c := range cases {
+		_, err := Read(strings.NewReader(c.json))
+		if err == nil {
+			t.Errorf("%s: accepted", c.knob)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "unknown field") || !strings.Contains(msg, c.knob) {
+			t.Errorf("%s: error %q is not an unknown-field rejection of the knob", c.knob, msg)
+		}
+	}
+}
+
+// The recovery block carries only the checkpoint period, which reaches
+// vcluster.Config and defaults to no checkpointing.
 func TestRecoveryKnobs(t *testing.T) {
-	e, err := Read(strings.NewReader(`{
-		"recovery": {"heartbeat_interval_ms": 20, "heartbeat_dead_after_ms": 500,
-			"checkpoint_interval": 50, "max_rank_failures": 2},
-		"node_deaths": [{"node": 9, "phase": 120}, {"node": 3, "phase": 400}]}`))
+	e, err := Read(strings.NewReader(`{"recovery": {"checkpoint_interval": 50}}`))
 	if err != nil {
 		t.Fatal(err)
-	}
-	hb, err := e.BuildHeartbeat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hb.Interval != 20*time.Millisecond || hb.DeadAfter != 500*time.Millisecond {
-		t.Errorf("built heartbeat %+v", hb)
 	}
 	cfg, err := e.BuildConfig()
 	if err != nil {
@@ -149,21 +110,30 @@ func TestRecoveryKnobs(t *testing.T) {
 	if cfg.CheckpointInterval != 50 {
 		t.Errorf("CheckpointInterval = %d, want 50", cfg.CheckpointInterval)
 	}
-	if len(cfg.NodeDeaths) != 2 || cfg.NodeDeaths[0].Node != 9 || cfg.NodeDeaths[1].Phase != 400 {
-		t.Errorf("NodeDeaths = %+v", cfg.NodeDeaths)
-	}
 
-	// Unset knobs inherit the comm heartbeat defaults.
-	e, err = Read(strings.NewReader(`{}`))
+	e, err = Read(strings.NewReader(`{"recovery": {}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err = e.BuildHeartbeat()
-	if err != nil {
+	if cfg, err = e.BuildConfig(); err != nil {
 		t.Fatal(err)
 	}
-	if def := comm.DefaultHeartbeat(); hb != def {
-		t.Errorf("default heartbeat %+v, want %+v", hb, def)
+	if cfg.CheckpointInterval != 0 {
+		t.Errorf("default CheckpointInterval = %d, want 0", cfg.CheckpointInterval)
+	}
+}
+
+// A resilience block is refused even when empty and even alongside an
+// otherwise valid config: no part of it is silently dropped.
+func TestResilienceKnobs(t *testing.T) {
+	for _, c := range []string{
+		`{"resilience": {}}`,
+		`{"phases": 40, "policy": "global", "resilience": {"enabled": false}}`,
+	} {
+		_, err := Read(strings.NewReader(c))
+		if err == nil || !strings.Contains(err.Error(), "resilience") {
+			t.Errorf("%s: err = %v, want an unknown-field rejection of resilience", c, err)
+		}
 	}
 }
 

@@ -21,16 +21,17 @@ func FuzzRead(f *testing.F) {
 		`{"policy": "conservative", "workload": {"type": "duty-cycle", "node": 3, "duty": 0.5}}`,
 		`{"workload": {"type": "spikes", "spike_seconds": 2.5, "horizon_seconds": 1000}}`,
 		`{"nodes": 8, "workload": {"type": "fixed-slow", "slow_nodes": [1, 5]}}`,
-		`{"resilience": {"enabled": true, "max_retries": 5, "base_backoff_us": 200, "op_timeout_ms": 100}}`,
-		`{"recovery": {"heartbeat_interval_ms": 20, "heartbeat_dead_after_ms": 400, "checkpoint_interval": 50}}`,
-		`{"nodes": 6, "recovery": {"checkpoint_interval": 10, "max_rank_failures": 2}, "node_deaths": [{"node": 2, "phase": 30}]}`,
-		`{"node_deaths": [{"node": -1, "phase": 3}]}`,
-		`{"recovery": {"heartbeat_interval_ms": 100, "heartbeat_dead_after_ms": 100}}`,
+		`{"policy": "conservative", "phases": 30, "recovery": {"checkpoint_interval": 10}}`,
+		`{"recovery": {"checkpoint_interval": -1}}`,
+		// Knobs the schema no longer has: rejected as unknown fields.
+		`{"resilience": {"enabled": true, "max_retries": 5}}`,
+		`{"exchange_failure_rate": 0.1}`,
+		`{"node_deaths": [{"node": 2, "phase": 30}]}`,
+		`{"recovery": {"heartbeat_interval_ms": 20, "max_rank_failures": 2}}`,
 		`{"nodes": -3}`,
 		`{"policy": "nonsense"}`,
 		`{"workload": {"type": "duty-cycle", "node": -1}}`,
 		`{"workload": {"type": "fixed-slow", "slow_count": -2}}`,
-		`{"resilience": {"max_retries": -1}}`,
 		`not json at all`,
 	}
 	for _, s := range seeds {
@@ -52,12 +53,6 @@ func FuzzRead(f *testing.F) {
 		}
 		if _, err := e.BuildConfig(); err != nil {
 			t.Fatalf("accepted experiment fails BuildConfig: %v", err)
-		}
-		if _, _, err := e.BuildResilience(); err != nil {
-			t.Fatalf("accepted experiment fails BuildResilience: %v", err)
-		}
-		if _, err := e.BuildHeartbeat(); err != nil {
-			t.Fatalf("accepted experiment fails BuildHeartbeat: %v", err)
 		}
 		out, err := json.Marshal(e)
 		if err != nil {

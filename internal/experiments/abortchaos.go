@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"microslip/internal/checkpoint"
-	"microslip/internal/faultinject"
 	"microslip/internal/field"
 	"microslip/internal/lbm"
 	"microslip/internal/parlbm"
@@ -18,12 +17,12 @@ import (
 	"microslip/internal/testutil/leakcheck"
 )
 
-// Abort-chaos harness: the supervision stack under seeded aborts. Where
-// RunKillChaos proves dead ranks are recoverable, RunAbortChaos proves
-// *stopping* is safe — a cancel, wall-clock expiry, worker panic, or
-// worker stall ends the run with a typed cause, unwinds every goroutine
-// (the leak gate is part of the assertion), leaves a committed
-// checkpoint when the stop was orderly, and resumes bit-identically.
+// Abort-chaos harness: the supervision stack under seeded aborts.
+// RunAbortChaos proves *stopping* is safe — a cancel, wall-clock
+// expiry, worker panic, or worker stall ends the run with a typed
+// cause, unwinds every goroutine (the leak gate is part of the
+// assertion), leaves a committed checkpoint when the stop was orderly,
+// and resumes bit-identically.
 // Part A drives the intra-node band scheduler (both stepping paths,
 // both precisions); part B drives the distributed phase loop across a
 // seeded schedule mix of pure cancels, worker panics, and stall+cancel.
@@ -166,7 +165,7 @@ func RunAbortChaos(setup AbortChaosSetup) (*AbortChaosResult, error) {
 	// (ring skew), so a cancel inside the final group-size phases would
 	// just let the run complete.
 	lastUseful := setup.Phases - setup.Ranks - 1
-	scheds := faultinject.AbortSchedules(setup.Seed, setup.Schedules, setup.Ranks,
+	scheds := abortSchedules(setup.Seed, setup.Schedules, setup.Ranks,
 		lastUseful, setup.CheckpointInterval+1)
 	for i, s := range scheds {
 		run, err := abortChaosDistributed(setup, i, s)
@@ -276,7 +275,7 @@ func statesEqual(a, b *lbm.State) bool {
 // abortChaosDistributed runs one seeded distributed schedule: worker
 // faults via the injector hook, cancel via context, then assert typed
 // unwind, committed checkpoint, and bit-identical resume.
-func abortChaosDistributed(setup AbortChaosSetup, idx int, sched faultinject.AbortSchedule) (*AbortChaosRun, error) {
+func abortChaosDistributed(setup AbortChaosSetup, idx int, sched abortSchedule) (*AbortChaosRun, error) {
 	base := leakcheck.Snapshot()
 	run := &AbortChaosRun{Name: fmt.Sprintf("dist/%s", schedLabel(sched))}
 
@@ -294,13 +293,13 @@ func abortChaosDistributed(setup AbortChaosSetup, idx int, sched faultinject.Abo
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	inj := faultinject.NewWorkerInjector(sched.Rules)
+	inj := newWorkerInjector(sched.rules)
 	var fired atomic.Bool
 	opts := parlbm.Options{
 		Phases: setup.Phases,
 		Ctx:    ctx,
-		PhaseHook: inj.Hook(func(rank, phase int) {
-			if phase == sched.CancelAtPhase && fired.CompareAndSwap(false, true) {
+		PhaseHook: inj.hook(func(rank, phase int) {
+			if phase == sched.cancelAtPhase && fired.CompareAndSwap(false, true) {
 				cancel()
 			}
 		}),
@@ -340,10 +339,10 @@ func abortChaosDistributed(setup AbortChaosSetup, idx int, sched faultinject.Abo
 		if !errors.As(runErr, &pe) {
 			return nil, fmt.Errorf("hard abort without PanicError: %w", runErr)
 		}
-		if inj.Counters().Panics == 0 {
+		if inj.counters().panics == 0 {
 			return nil, fmt.Errorf("panic surfaced but the injector never fired")
 		}
-		run.StopAt = sched.Rules[0].Step
+		run.StopAt = sched.rules[0].step
 	}
 
 	// Either way a committed checkpoint must exist (periodic for the
@@ -372,15 +371,15 @@ func abortChaosDistributed(setup AbortChaosSetup, idx int, sched faultinject.Abo
 	return run, nil
 }
 
-func schedLabel(s faultinject.AbortSchedule) string {
-	if len(s.Rules) == 0 {
-		return fmt.Sprintf("cancel@%d", s.CancelAtPhase)
+func schedLabel(s abortSchedule) string {
+	if len(s.rules) == 0 {
+		return fmt.Sprintf("cancel@%d", s.cancelAtPhase)
 	}
-	r := s.Rules[0]
-	if s.CancelAtPhase >= 0 {
-		return fmt.Sprintf("%s+cancel@%d", r.Kind, r.Step)
+	r := s.rules[0]
+	if s.cancelAtPhase >= 0 {
+		return fmt.Sprintf("%s+cancel@%d", r.kind, r.step)
 	}
-	return fmt.Sprintf("%s@%d", r.Kind, r.Step)
+	return fmt.Sprintf("%s@%d", r.kind, r.step)
 }
 
 // sequentialFields runs the sequential reference and returns its planes

@@ -51,3 +51,20 @@ func TestAbortChaosAltSeed(t *testing.T) {
 		t.Fatalf("abort chaos (seed 42) not clean:\n%s", res)
 	}
 }
+
+// The sweep refuses setups below the schedule floor or whose checkpoint
+// period leaves no room for an event after the first commit.
+func TestChaosRejectsBadSetup(t *testing.T) {
+	s := DefaultAbortChaos()
+	s.Schedules = 4
+	if _, err := RunAbortChaos(s); err == nil {
+		t.Error("expected error for 4 schedules")
+	}
+	for _, interval := range []int{0, s.Phases - 1} {
+		s = DefaultAbortChaos()
+		s.CheckpointInterval = interval
+		if _, err := RunAbortChaos(s); err == nil {
+			t.Errorf("expected error for checkpoint interval %d over %d phases", interval, s.Phases)
+		}
+	}
+}

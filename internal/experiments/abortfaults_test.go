@@ -1,4 +1,4 @@
-package faultinject
+package experiments
 
 import (
 	"testing"
@@ -6,9 +6,9 @@ import (
 )
 
 func TestWorkerInjectorPanicAt(t *testing.T) {
-	inj := NewWorkerInjector([]WorkerRule{{Kind: PanicAt, Id: 1, Step: 3}})
+	inj := newWorkerInjector([]workerRule{{kind: panicAt, id: 1, step: 3}})
 	var calls []int
-	hook := inj.Hook(func(id, step int) { calls = append(calls, id*100+step) })
+	hook := inj.hook(func(id, step int) { calls = append(calls, id*100+step) })
 
 	hook(0, 3) // wrong id
 	hook(1, 2) // wrong step
@@ -21,7 +21,7 @@ func TestWorkerInjectorPanicAt(t *testing.T) {
 		hook(1, 3)
 	}()
 	hook(1, 3) // count exhausted: no second panic
-	if got := inj.Counters(); got.Panics != 1 {
+	if got := inj.counters(); got.panics != 1 {
 		t.Fatalf("counters = %+v, want 1 panic", got)
 	}
 	// next ran on every call, including the panicking one.
@@ -31,10 +31,10 @@ func TestWorkerInjectorPanicAt(t *testing.T) {
 }
 
 func TestWorkerInjectorStallAndAny(t *testing.T) {
-	inj := NewWorkerInjector([]WorkerRule{
-		{Kind: StallFor, Id: Any, Step: 1, Stall: 20 * time.Millisecond, Count: 2},
+	inj := newWorkerInjector([]workerRule{
+		{kind: stallFor, id: anyID, step: 1, stall: 20 * time.Millisecond, count: 2},
 	})
-	hook := inj.Hook(nil)
+	hook := inj.hook(nil)
 	start := time.Now()
 	hook(0, 1)
 	hook(5, 1)
@@ -42,33 +42,33 @@ func TestWorkerInjectorStallAndAny(t *testing.T) {
 	if el := time.Since(start); el < 40*time.Millisecond {
 		t.Fatalf("two stalls took %v, want >= 40ms", el)
 	}
-	if got := inj.Counters(); got.Stalls != 2 {
+	if got := inj.counters(); got.stalls != 2 {
 		t.Fatalf("counters = %+v, want 2 stalls", got)
 	}
 }
 
 func TestAbortSchedulesCoverShapes(t *testing.T) {
-	scheds := AbortSchedules(7, 5, 4, 20, 6)
+	scheds := abortSchedules(7, 5, 4, 20, 6)
 	if len(scheds) != 5 {
 		t.Fatalf("got %d schedules, want 5", len(scheds))
 	}
 	var cancels, panics, stalls int
 	for i, s := range scheds {
-		for _, r := range s.Rules {
-			if r.Step < 6 || r.Step >= 20 {
-				t.Fatalf("schedule %d rule fires at %d, outside [6, 20)", i, r.Step)
+		for _, r := range s.rules {
+			if r.step < 6 || r.step >= 20 {
+				t.Fatalf("schedule %d rule fires at %d, outside [6, 20)", i, r.step)
 			}
-			switch r.Kind {
-			case PanicAt:
+			switch r.kind {
+			case panicAt:
 				panics++
-			case StallFor:
+			case stallFor:
 				stalls++
 			}
 		}
-		if s.CancelAtPhase >= 0 {
+		if s.cancelAtPhase >= 0 {
 			cancels++
-			if s.CancelAtPhase < 6 || s.CancelAtPhase >= 20 {
-				t.Fatalf("schedule %d cancels at %d, outside [6, 20)", i, s.CancelAtPhase)
+			if s.cancelAtPhase < 6 || s.cancelAtPhase >= 20 {
+				t.Fatalf("schedule %d cancels at %d, outside [6, 20)", i, s.cancelAtPhase)
 			}
 		}
 	}
@@ -76,9 +76,9 @@ func TestAbortSchedulesCoverShapes(t *testing.T) {
 		t.Fatalf("shape coverage: cancels=%d panics=%d stalls=%d, want all > 0", cancels, panics, stalls)
 	}
 	// Seeded: the same seed reproduces the same plan.
-	again := AbortSchedules(7, 5, 4, 20, 6)
+	again := abortSchedules(7, 5, 4, 20, 6)
 	for i := range scheds {
-		if scheds[i].CancelAtPhase != again[i].CancelAtPhase || len(scheds[i].Rules) != len(again[i].Rules) {
+		if scheds[i].cancelAtPhase != again[i].cancelAtPhase || len(scheds[i].rules) != len(again[i].rules) {
 			t.Fatalf("schedule %d not reproducible", i)
 		}
 	}

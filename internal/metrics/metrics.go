@@ -85,40 +85,3 @@ func OverheadPercent(t, dedicated float64) (float64, error) {
 	}
 	return 100 * r, nil
 }
-
-// RetryRate is the number of resilience-layer retries per completed
-// communication operation; 0 on a healthy run, and the first quantity
-// to watch when a non-dedicated cluster degrades.
-func RetryRate(retries, ops int64) (float64, error) {
-	if ops <= 0 {
-		if retries > 0 {
-			return 0, badInput("RetryRate", "%d retries with no completed ops", retries)
-		}
-		return 0, nil
-	}
-	return float64(retries) / float64(ops), nil
-}
-
-// TimeoutRate is expired receive deadlines per completed operation.
-func TimeoutRate(timeouts, ops int64) (float64, error) {
-	if ops <= 0 {
-		if timeouts > 0 {
-			return 0, badInput("TimeoutRate", "%d timeouts with no completed ops", timeouts)
-		}
-		return 0, nil
-	}
-	return float64(timeouts) / float64(ops), nil
-}
-
-// MaskingEfficiency is the fraction of injected (or observed) fault
-// events the resilience layer absorbed without surfacing an error: 1.0
-// means the run was fault-transparent.
-func MaskingEfficiency(masked, faults int64) (float64, error) {
-	if faults <= 0 {
-		return 1, nil
-	}
-	if masked < 0 || masked > faults {
-		return 0, badInput("MaskingEfficiency", "masked %d out of %d faults", masked, faults)
-	}
-	return float64(masked) / float64(faults), nil
-}

@@ -54,14 +54,11 @@ func TestSlowdownRatio(t *testing.T) {
 // never a panic: the callers are fed measured data.
 func TestDegenerateInputs(t *testing.T) {
 	for name, fn := range map[string]func() (float64, error){
-		"speedup":     func() (float64, error) { return Speedup(1, 0) },
-		"efficiency":  func() (float64, error) { return Efficiency(1, 0) },
-		"normeff":     func() (float64, error) { return NormalizedEfficiency(1, 2, 3, 1) },
-		"slowdown":    func() (float64, error) { return SlowdownRatio(1, 0) },
-		"overhead":    func() (float64, error) { return OverheadPercent(1, 0) },
-		"retryrate":   func() (float64, error) { return RetryRate(3, 0) },
-		"timeoutrate": func() (float64, error) { return TimeoutRate(3, 0) },
-		"masking":     func() (float64, error) { return MaskingEfficiency(5, 3) },
+		"speedup":    func() (float64, error) { return Speedup(1, 0) },
+		"efficiency": func() (float64, error) { return Efficiency(1, 0) },
+		"normeff":    func() (float64, error) { return NormalizedEfficiency(1, 2, 3, 1) },
+		"slowdown":   func() (float64, error) { return SlowdownRatio(1, 0) },
+		"overhead":   func() (float64, error) { return OverheadPercent(1, 0) },
 	} {
 		_, err := fn()
 		if err == nil {
@@ -77,20 +74,6 @@ func TestDegenerateInputs(t *testing.T) {
 		} else if ie.Metric == "" || ie.Reason == "" {
 			t.Errorf("%s: InputError incomplete: %+v", name, ie)
 		}
-	}
-}
-
-// Zero-op counters with zero events are well-defined, not degenerate.
-func TestZeroOpsOK(t *testing.T) {
-	must := mustFn(t)
-	if got := must(RetryRate(0, 0)); got != 0 {
-		t.Errorf("RetryRate(0,0) = %v, want 0", got)
-	}
-	if got := must(TimeoutRate(0, 0)); got != 0 {
-		t.Errorf("TimeoutRate(0,0) = %v, want 0", got)
-	}
-	if got := must(MaskingEfficiency(0, 0)); got != 1 {
-		t.Errorf("MaskingEfficiency(0,0) = %v, want 1", got)
 	}
 }
 

@@ -54,3 +54,76 @@ func TestCheckpointRoundAllocBound(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointedRunStaysBitIdentical: coordinated checkpointing on a
+// healthy run must not perturb the physics, and must leave a committed
+// set a later run can resume from.
+func TestCheckpointedRunStaysBitIdentical(t *testing.T) {
+	p := lbm.WaterAir(8, 6, 4)
+	const phases, ranks = 9, 3
+	want := sequentialReference(t, p, phases)
+	dir := t.TempDir()
+
+	got, results, err := RunParallel(p, ranks, Options{
+		Phases:     phases,
+		Checkpoint: &CheckpointSpec{Dir: dir, Interval: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertFieldsEqual(t, want, got, "checkpointed run")
+	for _, r := range results {
+		if r.Checkpoints != 2 { // after phases 3 and 6; phase 9 is the end
+			t.Errorf("rank %d completed %d checkpoints, want 2", r.Rank, r.Checkpoints)
+		}
+	}
+	m, err := checkpoint.LatestCommitted(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Phase != 6 || m.NX != p.NX {
+		t.Fatalf("latest committed phase %d nx %d, want 6/%d", m.Phase, m.NX, p.NX)
+	}
+	if m.Params == nil || m.Params.NX != p.NX {
+		t.Fatalf("manifest params missing or wrong: %+v", m.Params)
+	}
+}
+
+// TestResumeFromSnapshotBitIdentical: a run restarted from a committed
+// coordinated checkpoint — including on a DIFFERENT group size — must
+// finish bit-identical to the straight-through run.
+func TestResumeFromSnapshotBitIdentical(t *testing.T) {
+	p := lbm.WaterAir(8, 6, 4)
+	const phases = 9
+	want := sequentialReference(t, p, phases)
+	dir := t.TempDir()
+
+	if _, _, err := RunParallel(p, 3, Options{
+		Phases:     phases,
+		Checkpoint: &CheckpointSpec{Dir: dir, Interval: 3},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.LatestRun(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Phase != 6 {
+		t.Fatalf("snapshot phase %d, want 6", snap.Phase)
+	}
+	for _, ranks := range []int{2, 3, 4} {
+		got, results, err := RunParallel(p, ranks, Options{
+			Phases:     phases,
+			Checkpoint: &CheckpointSpec{Dir: t.TempDir(), Interval: 100, Snapshot: snap},
+		})
+		if err != nil {
+			t.Fatalf("resume on %d ranks: %v", ranks, err)
+		}
+		assertFieldsEqual(t, want, got, "resumed run")
+		for _, r := range results {
+			if r.StartPhase != 6 {
+				t.Errorf("%d ranks: rank %d started at phase %d, want 6", ranks, r.Rank, r.StartPhase)
+			}
+		}
+	}
+}

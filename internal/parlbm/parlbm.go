@@ -111,14 +111,14 @@ type Options struct {
 	// it exactly as it would to genuine contention.
 	Throttle func(rank, planes, phase int)
 	// PhaseHook, when non-nil, runs at the start of every phase in the
-	// rank's own goroutine. The chaos harness uses it to advance a
-	// fault injector's per-rank phase clock.
+	// rank's own goroutine. The abort-chaos harness uses it to inject
+	// worker faults and to cancel at exact phases.
 	PhaseHook func(rank, phase int)
 	// PostPhase, when non-nil, runs after every phase with the rank's
 	// current plane count and per-component local mass; a non-nil
-	// return aborts the run. It is the invariant-checking hook of the
-	// chaos harness (global mass conservation, lattice-plane
-	// conservation) and costs nothing when unset.
+	// return aborts the run. It is an invariant-checking hook (global
+	// mass conservation, lattice-plane conservation) and costs nothing
+	// when unset.
 	PostPhase func(rank, phase, planes int, mass []float64) error
 	// Checkpoint, when non-nil, enables coordinated distributed
 	// checkpointing (and, with a Snapshot, resuming).
@@ -139,8 +139,8 @@ type Options struct {
 	WideHalo bool
 	// Coalesce merges the two per-neighbor halo messages of each phase
 	// into one frame posted at phase start, halving message count and
-	// per-message resilience/heartbeat overhead. The frame carries the
-	// sender's pre-collision edge plane and second-from-edge density;
+	// per-message overhead. The frame carries the sender's
+	// pre-collision edge plane and second-from-edge density;
 	// the receiver recomputes the ghost density and redundantly
 	// collides the ghost plane locally, trading two plane collides per
 	// phase for half the messages. Single-plane slabs cannot ship a
@@ -175,8 +175,8 @@ type CheckpointSpec struct {
 	// Snapshot, when non-nil, resumes the run from a committed
 	// coordinated checkpoint instead of the equilibrium initial state:
 	// every rank takes its even share of the snapshot's planes — the
-	// group size may differ from the writer's (shrink-to-survivors) —
-	// and the phase loop starts at Snapshot.Phase.
+	// group size may differ from the writer's — and the phase loop
+	// starts at Snapshot.Phase.
 	Snapshot *checkpoint.RunSnapshot
 }
 
@@ -197,9 +197,8 @@ type Result struct {
 	// Checkpoints counts coordinated checkpoint rounds this rank
 	// completed; StartPhase is the phase the run (re)started from.
 	Checkpoints, StartPhase int
-	// Comm holds the rank's resilience-layer counters when the run used
-	// a comm.WithResilience endpoint (zero otherwise) and, always, the
-	// per-class wire byte counters in Comm.Bytes.
+	// Comm holds the rank's per-class wire byte counters (Comm.Bytes, a
+	// copy of Breakdown.Bytes); Comm.Retries is always zero.
 	Comm profile.CommStats
 	// Interrupted is non-nil when the run stopped orderly before
 	// completing all phases (cancellation, wall limit); the fields are
@@ -224,8 +223,7 @@ type Interruption struct {
 // RankError attributes a rank goroutine's failure to its rank; group
 // runners wrap every failure in one before joining, so multi-rank
 // errors stay attributable (errors.As recovers the rank, Unwrap keeps
-// the chain — including runctl.PanicError and comm.DeadRankError
-// evidence — intact).
+// the chain — including runctl.PanicError evidence — intact).
 type RankError struct {
 	// Rank is the failing rank within its group.
 	Rank int
@@ -657,19 +655,12 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor) (
 	return w.res, nil
 }
 
-// fillStats copies the rank's final slab range and comm counters into
-// its result (shared by the completion and orderly-interrupt paths).
+// fillStats copies the rank's final slab range and wire byte counters
+// into its result (shared by the completion and orderly-interrupt
+// paths).
 func (w *worker) fillStats() {
 	w.res.FinalStart = w.f[0].Start
 	w.res.FinalCount = w.f[0].Count()
-	if sc, ok := w.c.(interface{ Stats() comm.Stats }); ok {
-		s := sc.Stats()
-		w.res.Comm.Retries = s.Retries
-		w.res.Comm.Timeouts = s.Timeouts
-		w.res.Comm.Duplicates = s.Duplicates
-		w.res.Comm.Reordered = s.Reordered
-		w.res.Comm.Corrupt = s.Corrupt
-	}
 	w.res.Comm.Bytes = w.res.Breakdown.Bytes
 }
 
@@ -1045,7 +1036,7 @@ func (w *worker) phaseOverlap(phase int) error {
 
 // finishPhase runs the shared phase epilogue: throttling, time
 // accounting, the phase-time observation feeding the remap predictor,
-// and the chaos harness's invariant hook.
+// and the PostPhase invariant hook.
 func (w *worker) finishPhase(phase int, compDur, commDur, ovDur float64) error {
 	planes := w.f[0].Count()
 	if w.opts.Throttle != nil {

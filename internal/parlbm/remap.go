@@ -454,15 +454,6 @@ func RunParallel(p *lbm.Params, ranks int, opts Options) ([]*field.Dist3D, []*Re
 	return runGroup(p, fabric.Endpoints(), opts, fabric.Close)
 }
 
-// RunParallelReliable is RunParallel with every endpoint wrapped in the
-// comm resilience layer (retry, backoff, per-op deadlines, sequence
-// framing); each rank's Result.Comm reports the layer's counters.
-func RunParallelReliable(p *lbm.Params, ranks int, opts Options, res comm.Resilience) ([]*field.Dist3D, []*Result, error) {
-	fabric := comm.NewFabric(ranks)
-	defer fabric.Close()
-	return runGroup(p, comm.WithResilienceAll(fabric.Endpoints(), res), opts, fabric.Close)
-}
-
 // RunParallelTCP is RunParallel over TCP loopback.
 func RunParallelTCP(p *lbm.Params, ranks int, opts Options) ([]*field.Dist3D, []*Result, error) {
 	eps, shutdown, err := comm.NewTCPGroup(ranks)
@@ -473,25 +464,16 @@ func RunParallelTCP(p *lbm.Params, ranks int, opts Options) ([]*field.Dist3D, []
 	return runGroup(p, eps, opts, shutdown)
 }
 
-// RunOnEndpoints runs a full parallel simulation over caller-provided
-// endpoints — one goroutine per rank — and returns the gathered fields
-// (from rank 0) and every rank's result. It is the entry point for
-// harnesses that stack wrappers (fault injection, resilience) between
-// the solver and the transport.
-//
-// Abort liveness is the caller's concern: when one rank fails mid-run,
-// peers blocked in a receive are only guaranteed to unblock if the
-// endpoints carry per-op deadlines (comm.WithResilience does).
-func RunOnEndpoints(p *lbm.Params, eps []comm.Comm, opts Options) ([]*field.Dist3D, []*Result, error) {
-	return runGroup(p, eps, opts, nil)
-}
-
-// runGroup drives one goroutine per rank. abort, when non-nil, is the
-// group-level transport teardown (close every mailbox / connection); it
-// runs once, on the first rank failure, so peers blocked on the failed
-// rank's traffic fail fast instead of hanging. It must be safe to call
-// concurrently with endpoint use and again afterwards (both transports'
-// teardowns are).
+// runGroup drives one goroutine per rank. Abort liveness comes from
+// WithSupervisionAll: every endpoint polls the shared supervisor's
+// hard-abort check, so when one rank fails (a panic trips the
+// supervisor) its peers unwind out of any blocked receive or
+// collective. abort is the group-level transport teardown (close every
+// mailbox / connection); it runs once, on the first non-interrupt rank
+// failure, so peers blocked on the failed rank's traffic fail fast with
+// ErrClosed instead of waiting for its messages. It must be safe to
+// call concurrently with endpoint use and again afterwards (both
+// transports' teardowns are).
 func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func()) ([]*field.Dist3D, []*Result, error) {
 	ranks := len(eps)
 	// One supervisor for the whole group: the orderly stop-phase
@@ -518,13 +500,6 @@ func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func()) ([]*fi
 					sup.Trip(pe)
 					errs[r] = pe
 				}
-				// A wrapper may still hold outbound frames (a fault
-				// injector's reordered messages); release them from the
-				// owning goroutine so peers blocked on this rank's
-				// terminal sends can finish.
-				if d, ok := eps[r].(comm.Drainer); ok {
-					d.Drain()
-				}
 			}()
 			results[r], errs[r] = RunRankSupervised(p, seps[r], opts, sup)
 		}(r)
@@ -547,7 +522,7 @@ func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func()) ([]*fi
 		failures = append(failures, &RankError{Rank: r, Err: errs[r]})
 		if !runctl.IsInterrupt(errs[r]) {
 			interruptsOnly = false
-			if !aborted && abort != nil {
+			if !aborted {
 				aborted = true
 				abort()
 			}

@@ -3,12 +3,14 @@ package parlbm
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"microslip/internal/balance"
 	"microslip/internal/checkpoint"
+	"microslip/internal/comm"
 	"microslip/internal/lbm"
 	"microslip/internal/runctl"
 )
@@ -249,5 +251,94 @@ func TestRankErrorAttribution(t *testing.T) {
 	joined := errors.Join(&RankError{Rank: 0, Err: inner}, re)
 	if !errors.As(joined, &got) {
 		t.Fatal("errors.As failed on joined RankErrors")
+	}
+}
+
+// PostPhase errors must abort the run with a rank/phase-attributed
+// error.
+func TestPostPhaseErrorAborts(t *testing.T) {
+	p := lbm.WaterAir(6, 4, 4)
+	wantErr := errors.New("mass budget blown")
+	_, _, err := RunParallel(p, 2, Options{
+		Phases: 3,
+		PostPhase: func(rank, phase, planes int, mass []float64) error {
+			if rank == 1 && phase == 1 {
+				return wantErr
+			}
+			return nil
+		},
+	})
+	if err == nil {
+		t.Fatal("expected run to abort")
+	}
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("error chain %v does not wrap the invariant error", err)
+	}
+	for _, frag := range []string{"rank 1", "phase 1", "invariant check"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("error %q lacks %q attribution", err, frag)
+		}
+	}
+}
+
+// Result.Comm mirrors the rank's wire byte counters, and Retries stays
+// zero: no transport retries a message.
+func TestResultCommStats(t *testing.T) {
+	p := lbm.WaterAir(6, 4, 4)
+	_, results, err := RunParallel(p, 2, Options{Phases: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Comm.Retries != 0 {
+			t.Errorf("rank %d: Comm.Retries = %d, want 0", r.Rank, r.Comm.Retries)
+		}
+		if r.Comm.Bytes != r.Breakdown.Bytes {
+			t.Errorf("rank %d: Comm.Bytes %+v differs from Breakdown.Bytes %+v", r.Rank, r.Comm.Bytes, r.Breakdown.Bytes)
+		}
+		if r.Comm.Bytes.DensityHalo.SentMsgs == 0 && r.Comm.Bytes.Frame.SentMsgs == 0 {
+			t.Errorf("rank %d: no halo traffic counted: %+v", r.Rank, r.Comm.Bytes)
+		}
+	}
+}
+
+// TestRunGroupAggregatesAllRankErrors is the errors.Join satellite: a
+// primary failure plus the teardown casualties it causes must ALL be
+// visible in the returned error, not just the first.
+func TestRunGroupAggregatesAllRankErrors(t *testing.T) {
+	p := lbm.WaterAir(6, 4, 4)
+	wantErr := errors.New("mass budget blown")
+	_, _, err := RunParallel(p, 3, Options{
+		Phases: 4,
+		PostPhase: func(rank, phase, planes int, mass []float64) error {
+			if rank == 1 && phase == 1 {
+				return wantErr
+			}
+			return nil
+		},
+	})
+	if err == nil {
+		t.Fatal("expected run to abort")
+	}
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("error chain %v does not wrap the invariant error", err)
+	}
+	// The teardown unblocks peers with ErrClosed; aggregation must keep
+	// those secondary failures diagnosable alongside the root cause.
+	if !errors.Is(err, comm.ErrClosed) {
+		t.Fatalf("aggregated error lacks the teardown casualties: %v", err)
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "rank 1") || !strings.Contains(msg, "invariant check") {
+		t.Fatalf("error %q lacks root-cause attribution", msg)
+	}
+	var ranksFailed int
+	for _, frag := range []string{"rank 0 failed", "rank 1 failed", "rank 2 failed"} {
+		if strings.Contains(msg, frag) {
+			ranksFailed++
+		}
+	}
+	if ranksFailed < 2 {
+		t.Fatalf("aggregated error names %d failed ranks, want >= 2:\n%s", ranksFailed, msg)
 	}
 }

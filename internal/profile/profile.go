@@ -113,61 +113,27 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.Bytes.Add(o.Bytes)
 }
 
-// CommStats counts the resilience-layer events of one node: how often
-// the communication substrate retried, timed out, or repaired perturbed
-// traffic. Zero everywhere on a healthy dedicated cluster.
+// CommStats is one node's communication record: its wire payload
+// volume by message class.
 type CommStats struct {
-	// Retries counts retried send/receive attempts.
+	// Retries is always zero: no transport retries a message. The field
+	// survives only because the external bench module reads it as a
+	// regression guard; dropping it belongs with a change to that
+	// module.
 	Retries int64
-	// Timeouts counts expired per-op receive deadlines.
-	Timeouts int64
-	// Duplicates, Reordered and Corrupt count frames the receive path
-	// repaired (discarded duplicate, stashed out-of-order, discarded
-	// corrupt).
-	Duplicates, Reordered, Corrupt int64
 	// Bytes is the node's wire payload volume by message class, counted
-	// at the solver layer (present whether or not a resilience wrapper
-	// is stacked underneath).
+	// at the solver layer.
 	Bytes CommBytes
-}
-
-// Add accumulates another node's counters.
-func (s *CommStats) Add(o CommStats) {
-	s.Retries += o.Retries
-	s.Timeouts += o.Timeouts
-	s.Duplicates += o.Duplicates
-	s.Reordered += o.Reordered
-	s.Corrupt += o.Corrupt
-	s.Bytes.Add(o.Bytes)
-}
-
-// Recovered is the total number of masked fault events.
-func (s CommStats) Recovered() int64 {
-	return s.Retries + s.Duplicates + s.Reordered + s.Corrupt
 }
 
 // Profile collects breakdowns for all nodes of a run.
 type Profile struct {
 	Nodes []Breakdown
-	// Comm holds the per-node resilience counters, indexed like Nodes.
-	Comm []CommStats
 }
 
 // New creates a profile for p nodes.
 func New(p int) *Profile {
-	return &Profile{Nodes: make([]Breakdown, p), Comm: make([]CommStats, p)}
-}
-
-// AddCommStats accumulates resilience counters for node i.
-func (p *Profile) AddCommStats(i int, s CommStats) { p.Comm[i].Add(s) }
-
-// SumComm returns the cluster-wide aggregate resilience counters.
-func (p *Profile) SumComm() CommStats {
-	var s CommStats
-	for _, c := range p.Comm {
-		s.Add(c)
-	}
-	return s
+	return &Profile{Nodes: make([]Breakdown, p)}
 }
 
 // AddComputation charges t seconds of compute to node i.

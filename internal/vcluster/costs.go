@@ -58,10 +58,6 @@ type Costs struct {
 	// CheckpointCommitWire is the wire cost of the checkpoint commit
 	// barrier (the two-phase commit marker write).
 	CheckpointCommitWire float64
-	// RecoveryBase is the fixed wall-clock cost every survivor pays per
-	// node death: failure detection latency, membership agreement,
-	// checkpoint restore, and topology rebuild.
-	RecoveryBase float64
 }
 
 // DefaultCosts returns the calibration above.
@@ -76,7 +72,6 @@ func DefaultCosts() Costs {
 		PlaneMoveWire:          0.0102,
 		CheckpointPerPlane:     0.004,
 		CheckpointCommitWire:   0.001,
-		RecoveryBase:           1.0,
 	}
 }
 
@@ -121,7 +116,6 @@ func (c Costs) Validate() error {
 		"RemapInfoWire": c.RemapInfoWire, "GlobalSyncWire": c.GlobalSyncWire,
 		"CollectiveHandlingWork": c.CollectiveHandlingWork, "PlaneMoveWire": c.PlaneMoveWire,
 		"CheckpointPerPlane": c.CheckpointPerPlane, "CheckpointCommitWire": c.CheckpointCommitWire,
-		"RecoveryBase": c.RecoveryBase,
 	} {
 		if v < 0 {
 			return fmt.Errorf("vcluster: %s %v must be non-negative", name, v)

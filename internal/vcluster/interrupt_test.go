@@ -44,21 +44,3 @@ func TestRunCompletedPhasesFull(t *testing.T) {
 		t.Fatalf("CompletedPhases = %d, want 50", res.CompletedPhases)
 	}
 }
-
-// Interruption inside a death run still merges the partial epochs.
-func TestRunWithDeathsInterrupted(t *testing.T) {
-	cfg := DefaultConfig(balance.NoRemap{}, Dedicated(4), 60)
-	cfg.CheckpointInterval = 10
-	cfg.NodeDeaths = []NodeDeath{{Node: 2, Phase: 25}}
-	cfg.RecordTimeline = true
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfg.Ctx = ctx
-	res, err := Run(cfg)
-	if !errors.Is(err, runctl.ErrCanceled) {
-		t.Fatalf("err = %v, want wrapped ErrCanceled", err)
-	}
-	if res == nil || res.Timeline == nil {
-		t.Fatal("interrupted death run returned no partial result")
-	}
-}

@@ -47,14 +47,6 @@ type Config struct {
 	JitterBase, JitterContended float64
 	// Seed drives the jitter hash.
 	Seed int64
-	// ExchangeFailureRate is the per-node per-phase probability that a
-	// halo exchange is lost on the wire and must be retried. Each
-	// retry re-charges the wire round trip plus the repack work at the
-	// node's contended speed, so a lossy interconnect stretches the
-	// communication share of every phase. The retry count is drawn
-	// geometrically from the jitter hash, so runs stay deterministic
-	// per Seed. Must be in [0, 1); zero disables.
-	ExchangeFailureRate float64
 	// NewPredictor constructs each node's phase-time predictor; nil
 	// means the paper's harmonic mean over the policy's HistoryK
 	// window. Used by the predictor-ablation experiments.
@@ -69,18 +61,8 @@ type Config struct {
 	// CheckpointInterval takes a coordinated checkpoint every this many
 	// phases: each node persists its planes (CheckpointPerPlane work at
 	// its contended speed) and the commit barrier synchronizes the
-	// group. Zero disables checkpointing; then a node death restarts the
-	// run from phase zero.
+	// group. Zero disables checkpointing.
 	CheckpointInterval int
-	// NodeDeaths schedules permanent node deaths (see NodeDeath). On a
-	// death the cluster shrinks to the survivors, rebuilds an even
-	// partition, restores the last committed checkpoint, and replays the
-	// uncommitted phases.
-	NodeDeaths []NodeDeath
-	// checkpointAll charges the checkpoint at the final phase boundary
-	// too; set for death-doomed segments, whose last boundary is a real
-	// commit the recovery restores.
-	checkpointAll bool
 }
 
 // DefaultConfig returns the paper's experimental setup: 20 nodes over
@@ -123,27 +105,8 @@ func (c *Config) Validate() error {
 	if c.WakeDelay < 0 || c.JitterBase < 0 || c.JitterContended < 0 {
 		return fmt.Errorf("vcluster: negative noise parameters")
 	}
-	if math.IsNaN(c.ExchangeFailureRate) || c.ExchangeFailureRate < 0 || c.ExchangeFailureRate >= 1 {
-		return fmt.Errorf("vcluster: ExchangeFailureRate %v outside [0, 1)", c.ExchangeFailureRate)
-	}
 	if c.CheckpointInterval < 0 {
 		return fmt.Errorf("vcluster: CheckpointInterval %d negative", c.CheckpointInterval)
-	}
-	if len(c.NodeDeaths) >= c.P {
-		return fmt.Errorf("vcluster: %d node deaths leave no survivors among %d nodes", len(c.NodeDeaths), c.P)
-	}
-	dying := make(map[int]bool, len(c.NodeDeaths))
-	for _, d := range c.NodeDeaths {
-		if d.Node < 0 || d.Node >= c.P {
-			return fmt.Errorf("vcluster: death of node %d out of range [0,%d)", d.Node, c.P)
-		}
-		if d.Phase < 0 || d.Phase >= c.Phases {
-			return fmt.Errorf("vcluster: death at phase %d out of range [0,%d)", d.Phase, c.Phases)
-		}
-		if dying[d.Node] {
-			return fmt.Errorf("vcluster: node %d dies twice", d.Node)
-		}
-		dying[d.Node] = true
 	}
 	return c.Costs.Validate()
 }
@@ -163,24 +126,11 @@ type Result struct {
 	PlanesMoved int
 	// RemapRounds counts rounds in which at least one transfer fired.
 	RemapRounds int
-	// ExchangeRetries counts halo exchanges re-sent because of
-	// simulated wire loss (Config.ExchangeFailureRate).
-	ExchangeRetries int
-	// Deaths counts permanent node deaths the run survived
-	// (Config.NodeDeaths).
-	Deaths int
-	// RecoveryTime is the wall time spent on death recovery: detection,
-	// membership agreement, checkpoint restore, and topology rebuild.
-	RecoveryTime float64
-	// ReplayedPhases counts phases recomputed because a death discarded
-	// work past the last committed checkpoint.
-	ReplayedPhases int
 	// Timeline is the per-phase makespan record; nil unless
 	// Config.RecordTimeline was set.
 	Timeline *Timeline
-	// CompletedPhases counts the phases actually simulated (death
-	// replays included) — at least Config.Phases unless Config.Ctx
-	// interrupted the run.
+	// CompletedPhases counts the phases actually simulated — Config.Phases
+	// unless Config.Ctx interrupted the run.
 	CompletedPhases int
 }
 
@@ -199,21 +149,6 @@ func jitterU(seed int64, node, phase int) float64 {
 	return float64(x>>11)/float64(1<<53)*2 - 1
 }
 
-// exchangeRetries draws how many times (seed, node, phase)'s halo
-// exchange fails before succeeding: geometric with parameter rate,
-// inverted from one uniform hash draw so the count is deterministic
-// and provably finite for rate < 1.
-func exchangeRetries(seed int64, node, phase int, rate float64) int {
-	if rate <= 0 {
-		return 0
-	}
-	u := (jitterU(seed^0x5EED, node, phase) + 1) / 2
-	if u < 0x1p-53 {
-		u = 0x1p-53
-	}
-	return int(math.Log(u) / math.Log(rate))
-}
-
 // contention returns how contended a speed is, normalized so the
 // persistent-background-job share (1/3) maps to 1.
 func contention(s float64) float64 {
@@ -227,23 +162,11 @@ func contention(s float64) float64 {
 	return c
 }
 
-// Run executes the virtual-cluster simulation. With NodeDeaths
-// scheduled, the run proceeds in epochs: each death discards the work
-// past the last committed checkpoint, shrinks the cluster onto the
-// survivors with a fresh even partition, and replays from there.
+// Run executes the virtual-cluster simulation.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(cfg.NodeDeaths) > 0 {
-		return runWithDeaths(cfg)
-	}
-	return runAlive(cfg)
-}
-
-// runAlive executes one death-free stretch of simulation on an
-// already-validated configuration.
-func runAlive(cfg Config) (*Result, error) {
 	p := cfg.P
 	costs := cfg.Costs
 	part := decomp.Even(cfg.TotalPlanes, p)
@@ -303,12 +226,6 @@ func runAlive(cfg Config) (*Result, error) {
 					end += cfg.WakeDelay * c
 				}
 			}
-			// Lossy wire: every retry re-charges the round trip plus
-			// the repack at the node's contended speed.
-			for k := exchangeRetries(cfg.Seed, i, phase, cfg.ExchangeFailureRate); k > 0; k-- {
-				end += costs.PhaseExchangeWire() + WorkDuration(cfg.Traces[i], end, costs.PhaseHandlingWork())
-				res.ExchangeRetries++
-			}
 			newClock := end
 			prof.AddComputation(i, compDur[i])
 			prof.AddCommunication(i, newClock-clock[i]-compDur[i])
@@ -335,10 +252,8 @@ func runAlive(cfg Config) (*Result, error) {
 
 		// Coordinated checkpoint: every node persists its planes, then
 		// the commit barrier synchronizes the group. The final boundary
-		// is skipped on a run that ends there — unless this is a doomed
-		// segment whose last commit a recovery will restore.
-		if cfg.CheckpointInterval > 0 && (phase+1)%cfg.CheckpointInterval == 0 &&
-			(cfg.checkpointAll || phase+1 < cfg.Phases) {
+		// is skipped on a run that ends there.
+		if cfg.CheckpointInterval > 0 && (phase+1)%cfg.CheckpointInterval == 0 && phase+1 < cfg.Phases {
 			tsync := 0.0
 			for i := 0; i < p; i++ {
 				work := float64(part.Count(i)) * costs.CheckpointPerPlane

@@ -30,6 +30,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Policy = nil },
 		func(c *Config) { c.WakeDelay = -1 },
 		func(c *Config) { c.Costs.CompPerPoint = 0 },
+		func(c *Config) { c.CheckpointInterval = -1 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig(balance.NoRemap{}, Dedicated(4), 10)
@@ -280,5 +281,28 @@ func TestHaloCostKnobs(t *testing.T) {
 	if slimRes.TotalTime >= fullRes.TotalTime {
 		t.Errorf("slim+coalesced run %.1f s not faster than full %.1f s",
 			slimRes.TotalTime, fullRes.TotalTime)
+	}
+}
+
+// TestCheckpointIntervalChargesCheckpointTime: periodic coordinated
+// checkpoints must cost wall time and show up in the profile's
+// checkpoint column — and nowhere else.
+func TestCheckpointIntervalChargesCheckpointTime(t *testing.T) {
+	clean := mustRun(t, DefaultConfig(balance.NoRemap{}, Dedicated(6), 60))
+	cfg := DefaultConfig(balance.NoRemap{}, Dedicated(6), 60)
+	cfg.CheckpointInterval = 10
+	ck := mustRun(t, cfg)
+
+	if ck.Profile.Sum().Checkpoint <= 0 {
+		t.Fatal("checkpointing charged no checkpoint time")
+	}
+	if clean.Profile.Sum().Checkpoint != 0 {
+		t.Fatal("run without checkpointing charged checkpoint time")
+	}
+	if ck.TotalTime <= clean.TotalTime {
+		t.Errorf("checkpointed run %.3f s not slower than clean %.3f s", ck.TotalTime, clean.TotalTime)
+	}
+	if comp, want := ck.Profile.Sum().Computation, clean.Profile.Sum().Computation; comp != want {
+		t.Errorf("checkpointing changed computation time %v -> %v", want, comp)
 	}
 }
