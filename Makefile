@@ -22,17 +22,17 @@ race:
 
 # Full-mode (not -short) race pass over the intra-node ownership
 # scheduler and the distributed pipeline: the band workers' boundary
-# token exchange and the halo protocols are the synchronization most
-# worth re-proving on every change.
+# token exchange and the ranks' frame protocol are the synchronization
+# most worth re-proving on every change.
 race-lbm: race-layout
 	$(GO) test -race -count=1 ./internal/lbm/... ./internal/parlbm/...
 
-# Targeted race pass over the layout matrix: the AoS x SoA bit-identity
-# rows (both stepping paths, both precisions, multi-band), the layout
-# run-artifact comparisons, and the SoA zero-alloc legs — the SoA
-# kernels' multi-band and distributed scheduling re-proved directly.
+# Targeted race pass over the sequential solver's layout legs: the SoA
+# zero-alloc and multi-band scheduling tests and the transpose
+# properties (the AoS x SoA bit-identity rows run in race-lbm's full
+# pass; the distributed solver is AoS-only).
 race-layout:
-	$(GO) test -race -count=1 -run 'TestBitIdentityMatrix|TestLayout|TestPackBytesLayoutIndependent|TestStepParallelZeroAllocs|TestTranspose' ./internal/lbm/ ./internal/parlbm/ ./internal/field/
+	$(GO) test -race -count=1 -run 'TestStepParallelZeroAllocs|TestTranspose' ./internal/lbm/ ./internal/field/
 
 # The abort-safety sweep under the race detector: seeded cancels, wall
 # limits, worker panics, and worker stalls against both the intra-node

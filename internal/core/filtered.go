@@ -40,7 +40,10 @@ type Config struct {
 	// migration granularity.
 	PlanePoints int
 	// MinKeepPlanes is the minimum number of planes a node retains so
-	// the linear exchange chain stays intact.
+	// the linear exchange chain stays intact. The defaults keep 2: a
+	// distributed rank (package parlbm) ships the plane behind each edge
+	// in its frames, so it cannot run on fewer, and the cluster model
+	// (package vcluster) keeps the same rule.
 	MinKeepPlanes int
 	// OverRedistribute enables the kappa = S_recv/S_send scaling
 	// (filtered scheme). Disabled for the conservative baseline.
@@ -70,7 +73,7 @@ func DefaultConfig(planePoints int) Config {
 		Interval:         25,
 		ThresholdPoints:  planePoints,
 		PlanePoints:      planePoints,
-		MinKeepPlanes:    1,
+		MinKeepPlanes:    2,
 		OverRedistribute: true,
 		Alpha:            1,
 		FastToSlowFilter: true,

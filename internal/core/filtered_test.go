@@ -165,17 +165,18 @@ func TestResolvedTransfersAlwaysApply(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := 2 + rng.Intn(10)
+		c := cfg()
+		if rng.Intn(2) == 0 {
+			c = consCfg()
+		}
+		// A valid cluster state: every node holds at least the floor.
 		planes := make([]int, p)
 		times := make([]float64, p)
 		total := 0
 		for i := range planes {
-			planes[i] = 1 + rng.Intn(40)
+			planes[i] = c.MinKeepPlanes + rng.Intn(40)
 			total += planes[i]
 			times[i] = 0.1 + rng.Float64()*2
-		}
-		c := cfg()
-		if rng.Intn(2) == 0 {
-			c = consCfg()
 		}
 		desires := c.DecideAll(planes, times)
 		ts := c.Resolve(desires, planes)

@@ -47,39 +47,9 @@ var W = [Q19]float64{
 // Opposite maps each D3Q19 direction to its reverse.
 var Opposite = [Q19]int{0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15, 18, 17}
 
-// RightGoing lists the D3Q19 directions with Ex > 0; these populations
-// cross the +x subdomain boundary during streaming.
-var RightGoing = [5]int{1, 7, 9, 11, 13}
-
-// LeftGoing lists the D3Q19 directions with Ex < 0.
-var LeftGoing = [5]int{2, 8, 10, 12, 14}
-
 // CrossQ is the number of D3Q19 populations that cross an x-face in one
-// direction: the slim halo record per cell holds CrossQ values instead
-// of Q19.
+// direction (those with Ex = +1, or those with Ex = -1).
 const CrossQ = 5
-
-// CrossSlotRight[i] is the slot of direction i within a slim right-going
-// halo record (RightGoing order), or -1 when i does not cross the +x
-// face. CrossSlotLeft is the left-going analogue. A slim plane stores
-// value (cell, i) at cell*CrossQ + CrossSlot*[i].
-var (
-	CrossSlotRight [Q19]int
-	CrossSlotLeft  [Q19]int
-)
-
-func init() {
-	for i := range CrossSlotRight {
-		CrossSlotRight[i] = -1
-		CrossSlotLeft[i] = -1
-	}
-	for j, d := range RightGoing {
-		CrossSlotRight[d] = j
-	}
-	for j, d := range LeftGoing {
-		CrossSlotLeft[d] = j
-	}
-}
 
 // D2Q9 velocity components (directions 0 rest, 1..4 axis, 5..8 diagonal).
 var (

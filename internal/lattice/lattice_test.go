@@ -124,15 +124,14 @@ func TestDirectionGroups(t *testing.T) {
 			left = append(left, i)
 		}
 	}
-	if len(right) != len(RightGoing) || len(left) != len(LeftGoing) {
-		t.Fatalf("expected 5 right-going and 5 left-going directions, got %d/%d", len(right), len(left))
+	if len(right) != CrossQ || len(left) != CrossQ {
+		t.Fatalf("expected %d right-going and %d left-going directions, got %d/%d", CrossQ, CrossQ, len(right), len(left))
 	}
-	for k, i := range RightGoing {
-		if right[k] != i {
-			t.Errorf("RightGoing[%d] = %d, want %d", k, i, right[k])
-		}
-		if Opposite[i] != LeftGoing[k] {
-			t.Errorf("LeftGoing[%d] = %d is not the opposite of RightGoing[%d] = %d", k, LeftGoing[k], k, i)
+	// Every population crossing one face has its reverse crossing the
+	// other, so the two groups pair up direction for direction.
+	for k, i := range right {
+		if Opposite[i] != left[k] {
+			t.Errorf("left-going %d is not the opposite of right-going %d", left[k], i)
 		}
 	}
 }
@@ -207,46 +206,5 @@ func TestViscosityRoundTrip(t *testing.T) {
 	}
 	if Viscosity(1.0) != CS2*0.5 {
 		t.Errorf("Viscosity(1) = %v, want %v", Viscosity(1.0), CS2*0.5)
-	}
-}
-
-func TestCrossSlotsMatchCrossingDirections(t *testing.T) {
-	var nRight, nLeft int
-	for i := 0; i < Q19; i++ {
-		switch {
-		case Ex[i] > 0:
-			nRight++
-			j := CrossSlotRight[i]
-			if j < 0 || j >= CrossQ || RightGoing[j] != i {
-				t.Errorf("CrossSlotRight[%d] = %d does not index %d in RightGoing", i, j, i)
-			}
-			if CrossSlotLeft[i] != -1 {
-				t.Errorf("CrossSlotLeft[%d] = %d, want -1", i, CrossSlotLeft[i])
-			}
-		case Ex[i] < 0:
-			nLeft++
-			j := CrossSlotLeft[i]
-			if j < 0 || j >= CrossQ || LeftGoing[j] != i {
-				t.Errorf("CrossSlotLeft[%d] = %d does not index %d in LeftGoing", i, j, i)
-			}
-			if CrossSlotRight[i] != -1 {
-				t.Errorf("CrossSlotRight[%d] = %d, want -1", i, CrossSlotRight[i])
-			}
-		default:
-			if CrossSlotRight[i] != -1 || CrossSlotLeft[i] != -1 {
-				t.Errorf("non-crossing direction %d has a cross slot", i)
-			}
-		}
-	}
-	if nRight != CrossQ || nLeft != CrossQ {
-		t.Errorf("crossing direction counts %d/%d, want %d", nRight, nLeft, CrossQ)
-	}
-	// The slim record of a right-going face and the bounce pair of the
-	// left-going face must cover opposite directions slot for slot.
-	for j := 0; j < CrossQ; j++ {
-		if Opposite[RightGoing[j]] != LeftGoing[j] {
-			t.Errorf("slot %d: RightGoing %d and LeftGoing %d are not opposites",
-				j, RightGoing[j], LeftGoing[j])
-		}
 	}
 }

@@ -13,13 +13,13 @@ package lbm
 // band boundaries: a worker exchanges ready tokens with the owners of
 // the planes its stencil reaches, never with the whole pool.
 //
-// The token exchange is the shared-memory mirror of the slim-halo
-// protocol in package parlbm. A distributed rank ships the boundary
-// populations themselves and collides its ghost planes redundantly; an
-// intra-node worker already shares the arrays, so the "halo" a band
+// The token exchange is the shared-memory mirror of the frame protocol
+// in package parlbm. A distributed rank ships its edge planes to its
+// neighbours and collides their edges redundantly as ghost planes; an
+// intra-node worker already shares the arrays, so the "frame" a band
 // ships degenerates to a zero-byte readiness token per boundary, while
 // the fused path keeps exactly the same redundant boundary collision
-// the coalesced protocol uses. A multi-step run hands the whole loop
+// (both run SweepFused). A multi-step run hands the whole loop
 // to the workers: the caller rendezvouses with the pool once per run,
 // and between steps the workers pace each other purely through their
 // boundary tokens, so a fast band can sweep ahead of a slow distant

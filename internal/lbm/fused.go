@@ -12,37 +12,44 @@ import (
 // The fused collide+stream stepping path. The reference step makes
 // three full passes over the distribution arrays (densities, collide,
 // stream), each of which streams every plane through the cache. The
-// fused path makes a single rolling sweep: as the sweep front advances
-// one plane, it computes that plane's densities, collides the plane
-// behind the front, and streams the plane behind that — the three
-// kernels consume each plane while it is still cache-hot. Densities
-// and post-collision values live in per-band rings of three plane
-// sets (the dependency depth of the D3Q19 stencil along x), so the
-// full-size fPost array is only touched once, as the stream
-// destination, and the step allocates nothing in the steady state.
+// fused path makes a single rolling sweep (SweepFused): as the sweep
+// front advances one plane, it computes that plane's densities,
+// collides the plane behind the front, and streams the plane behind
+// that — the three kernels consume each plane while it is still
+// cache-hot. Densities and post-collision values live in rings of three
+// plane sets (the dependency depth of the D3Q19 stencil along x), so
+// the step touches the full-size destination array only once, as the
+// stream destination, and allocates nothing in the steady state.
 //
 // With multiple workers each worker persistently owns a contiguous
 // band of planes and recomputes the densities and post-collision
 // values of the band-boundary planes redundantly into its private
 // rings (identical arithmetic on read-only inputs, hence identical
-// bits — the same redundant ghost collision the coalesced halo
-// protocol uses across ranks), so bands never share written state and
-// the result is bit-equal to Step for any band count. Steps
+// bits — the same redundant ghost collision every distributed rank
+// runs on its neighbours' edge planes), so bands never share written
+// state and the result is bit-equal to Step for any band count. Steps
 // synchronize through the boundary token mesh only: a band starts its
 // next sweep as soon as the owners of the planes within its stencil
 // reach (two on each side) have finished the previous one.
 
-// fusedScratch is one band's rolling rings plus collision scratch; it
-// lives with the band for the lifetime of the plan.
-type fusedScratch[T num.Float] struct {
+// FusedScratchOf is the state one fused sweep carries: its rolling
+// rings plus the collision scratch. A band or rank owns one for its
+// lifetime; it must not be shared between concurrent sweeps.
+type FusedScratchOf[T num.Float] struct {
 	sc   *ScratchOf[T]
 	n    [3][][]T    // n[slot][c]: density plane ring
 	post [3][][]T    // post[slot][c]: post-collision plane ring
 	mom  [3][][3][]T // mom[slot][c][a]: SoA momentum lane ring (nil for AoS)
 }
 
-func newFusedScratch[T num.Float](k *KernelOf[T], soa bool) *fusedScratch[T] {
-	fs := &fusedScratch[T]{sc: k.NewScratch()}
+// FusedScratch is the double-precision sweep state.
+type FusedScratch = FusedScratchOf[float64]
+
+// NewFusedScratch allocates the sweep state for cell-major (AoS) planes.
+func (k *KernelOf[T]) NewFusedScratch() *FusedScratchOf[T] { return newFusedScratch(k, false) }
+
+func newFusedScratch[T num.Float](k *KernelOf[T], soa bool) *FusedScratchOf[T] {
+	fs := &FusedScratchOf[T]{sc: k.NewScratch()}
 	for s := 0; s < 3; s++ {
 		fs.n[s] = make([][]T, k.NComp)
 		fs.post[s] = make([][]T, k.NComp)
@@ -81,44 +88,76 @@ func wrapX(x, nx int) int {
 	return x
 }
 
-// stepFusedChunk runs the fused sweep for the plane band [lo, hi). It
-// reads the src views (read-only during the step) and writes streamed
-// populations into dst planes lo..hi-1 only; the caller (or the band
-// worker) swaps the f/fPost roles once the sweep has finished.
-func (s *SimOf[T]) stepFusedChunk(lo, hi int, fs *fusedScratch[T], src, dst [][][]T) {
-	nx := s.P.NX
+// SweepFused runs one fused step over the planes [lo, hi) of a view
+// window: plane x of the window is src[wrapX(x, len(src))], one entry
+// per component. The sweep reads planes lo-2 .. hi+1 and collides lo-1
+// and hi redundantly — they belong to a neighbouring band or rank — then
+// writes streamed populations into dst planes lo .. hi-1 only.
+//
+// farL and farR, when non-nil, are the densities of planes lo-2 and
+// hi+1 and replace computing them from src: a rank holds its
+// neighbours' edge planes but not the planes behind them. dens, when
+// non-nil, receives a copy of the densities of planes lo .. hi-1
+// (indexed like src). dst may be src itself when the window does not
+// wrap onto the swept planes (lo-2 .. hi+1 are distinct entries): every
+// plane is read for the last time before it is overwritten. A
+// FusedScratch built for SoA planes (the sequential SoA path) selects
+// the direction-major kernels.
+func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi int, farL, farR [][]T, dens [][][]T) {
+	nx := len(src)
+	soa := fs.mom[0] != nil
 	// Density-front advance: the SoA sweep also harvests each plane's
 	// momentum lanes from the same lane walk, so the collision below
 	// can skip its own momentum pass (and with it a second full read
 	// of the distribution lanes).
-	dens := func(x int) {
-		if s.soa {
-			s.K.DensitiesMomentsSoA(src[wrapX(x, nx)], fs.n[slot3(x)], fs.mom[slot3(x)])
-			return
+	density := func(x int) {
+		n := fs.n[slot3(x)]
+		switch {
+		case x == lo-2 && farL != nil:
+			copyPlanes(n, farL)
+		case x == hi+1 && farR != nil:
+			copyPlanes(n, farR)
+		case soa:
+			k.DensitiesMomentsSoA(src[wrapX(x, nx)], n, fs.mom[slot3(x)])
+		default:
+			k.Densities(src[wrapX(x, nx)], n)
 		}
-		s.K.Densities(src[wrapX(x, nx)], fs.n[slot3(x)])
+		if dens != nil && x >= lo && x < hi {
+			copyPlanes(dens[wrapX(x, nx)], n)
+		}
 	}
 	// Prime the density ring behind the sweep front.
-	dens(lo - 2)
-	dens(lo - 1)
+	density(lo - 2)
+	density(lo - 1)
 	for x := lo - 1; x <= hi; x++ {
 		// Advance the front: densities one plane ahead, so the stencil
 		// window n(x-1), n(x), n(x+1) is complete for the collision.
-		dens(x + 1)
-		if s.soa {
-			s.K.collideScratchSoA(fs.sc, fs.n[slot3(x-1)], fs.n[slot3(x)], fs.n[slot3(x+1)],
+		density(x + 1)
+		if soa {
+			k.collideScratchSoA(fs.sc, fs.n[slot3(x-1)], fs.n[slot3(x)], fs.n[slot3(x+1)],
 				src[wrapX(x, nx)], fs.post[slot3(x)], fs.mom[slot3(x)])
 		} else {
-			s.K.CollideScratch(fs.sc, fs.n[slot3(x-1)], fs.n[slot3(x)], fs.n[slot3(x+1)],
+			k.CollideScratch(fs.sc, fs.n[slot3(x-1)], fs.n[slot3(x)], fs.n[slot3(x+1)],
 				src[wrapX(x, nx)], fs.post[slot3(x)])
 		}
 		// Stream two planes behind the front, where post(x-2), post(x-1)
 		// and post(x) are all available. x-1 stays inside [lo, hi):
 		// the boundary collisions at lo-1 and hi are the redundant ones.
-		if x >= lo+1 {
-			s.kStream(fs.post[slot3(x-2)], fs.post[slot3(x-1)], fs.post[slot3(x)],
-				dst[wrapX(x-1, nx)])
+		if x < lo+1 {
+			continue
 		}
+		if soa {
+			k.StreamSoA(fs.post[slot3(x-2)], fs.post[slot3(x-1)], fs.post[slot3(x)], dst[wrapX(x-1, nx)])
+		} else {
+			k.Stream(fs.post[slot3(x-2)], fs.post[slot3(x-1)], fs.post[slot3(x)], dst[wrapX(x-1, nx)])
+		}
+	}
+}
+
+// copyPlanes copies every component plane of src into dst.
+func copyPlanes[T num.Float](dst, src [][]T) {
+	for c := range src {
+		copy(dst[c], src[c])
 	}
 }
 
@@ -183,7 +222,7 @@ func (p *stepPool) stop() { p.once.Do(func() { close(p.quit) }) }
 // run so s.fView always names the current state for readers).
 type fusedState[T num.Float] struct {
 	bandRun
-	scratch []*fusedScratch[T]
+	scratch []*FusedScratchOf[T]
 	va, vb  [][][]T
 	flip    bool
 }
@@ -271,7 +310,7 @@ func (s *SimOf[T]) ensureFused(w int) {
 				if !fs.mesh.wait(i, abort.Done()) {
 					return
 				}
-				s.stepFusedChunk(lo, hi, fs.scratch[i], src, dst)
+				s.K.SweepFused(fs.scratch[i], src, dst, lo, hi, nil, nil, nil)
 				if !fs.mesh.signal(i, abort.Done()) {
 					return
 				}
@@ -302,7 +341,7 @@ func (s *SimOf[T]) runFused(n int) error {
 				hook(0, s.step)
 			}
 			src, dst := fs.views()
-			s.stepFusedChunk(c[0], c[1], fs.scratch[0], src, dst)
+			s.K.SweepFused(fs.scratch[0], src, dst, c[0], c[1], nil, nil, nil)
 			s.swapFused()
 			s.step++
 		}

@@ -8,12 +8,14 @@ import (
 
 // KernelOf evaluates the S-C LBM update on single x-planes at scalar
 // precision T. A plane stores distribution values at (y*NZ+z)*Q19+i and
-// scalar values at y*NZ+z. Both the sequential and the parallel solvers
-// are thin drivers around these three methods, so they produce identical
-// results:
+// scalar values at y*NZ+z. Every solver is a thin driver around three
+// methods, so they all produce identical results:
 //
-//	Densities -> (exchange n halos) -> Collide -> (exchange f halos) -> Stream
+//	Densities -> Collide -> Stream
 //
+// either as three passes over the lattice (the serial reference Step) or
+// fused into one rolling sweep (SweepFused: the fused sequential path and
+// every distributed rank).
 // The float64 instantiation (the Kernel alias) evaluates exactly the
 // expression tree of the historical double-precision kernel, so its
 // results are bit-identical to every pre-generic release; the float32
@@ -70,44 +72,11 @@ type KernelOf[T num.Float] struct {
 	fixSelf   [lattice.Q19][][2]int32
 	fixLeft   [lattice.Q19][][2]int32
 	fixRight  [lattice.Q19][][2]int32
-
-	// Ghost-layout streaming tables. StreamGhost reads neighbour-plane
-	// values at cell*stride + offset, where stride is Q19 for a full
-	// plane and CrossQ for a slim one. pullRGFull/pullLGFull are the
-	// bulk-path offsets of the right-/left-going crossing directions in
-	// a full neighbour plane (RightGoing/LeftGoing order); the Slim
-	// variants are the same offsets in a slim plane, whose per-cell
-	// record holds only the CrossQ crossing populations. ident maps a
-	// direction to its in-record index in a full plane (the identity);
-	// lattice.CrossSlotRight/Left are the slim analogues.
-	pullRGFull, pullRGSlim [lattice.CrossQ]int
-	pullLGFull, pullLGSlim [lattice.CrossQ]int
-	ident                  [lattice.Q19]int
 }
 
 // Kernel is the double-precision plane kernel used by the parallel layer
 // and all historical call sites.
 type Kernel = KernelOf[float64]
-
-// GhostOf describes one x-neighbour plane set handed to StreamGhost:
-// either full Q19 planes per component, or slim planes holding only the
-// lattice.CrossQ populations that cross the shared face, laid out as
-// slim[cell*CrossQ+j] = full[cell*Q19+dirs[j]] with dirs = RightGoing
-// for a left ghost (populations entering from -x) and LeftGoing for a
-// right ghost. Streaming reads exactly those populations, so the two
-// layouts yield bit-identical results.
-type GhostOf[T num.Float] struct {
-	Planes [][]T
-	Slim   bool
-	// SoA marks full neighbour planes stored direction-major (the
-	// intra-node SoA stepping path hands its own planes to StreamGhostSoA
-	// this way). Wire-received ghosts are always canonical (Slim or full
-	// AoS); SoA and Slim are mutually exclusive.
-	SoA bool
-}
-
-// Ghost is the double-precision ghost descriptor.
-type Ghost = GhostOf[float64]
 
 // NewKernelOf builds the plane kernel for p at precision T. It panics on
 // invalid parameters; callers should Validate first for a recoverable
@@ -166,7 +135,6 @@ func NewKernelOf[T num.Float](p *Params) *KernelOf[T] {
 	for i := 0; i < lattice.Q19; i++ {
 		k.pull[i] = i - (lattice.Ey[i]*p.NZ+lattice.Ez[i])*lattice.Q19
 		k.pullCell[i] = -(lattice.Ey[i]*p.NZ + lattice.Ez[i])
-		k.ident[i] = i
 	}
 	for y := 1; y < p.NY-1; y++ {
 		for z := 1; z < p.NZ-1; z++ {
@@ -200,13 +168,6 @@ func NewKernelOf[T num.Float](p *Params) *KernelOf[T] {
 				k.fixRight[i] = append(k.fixRight[i], pair)
 			}
 		}
-	}
-	for j := 0; j < lattice.CrossQ; j++ {
-		r, l := lattice.RightGoing[j], lattice.LeftGoing[j]
-		k.pullRGFull[j] = k.pull[r]
-		k.pullLGFull[j] = k.pull[l]
-		k.pullRGSlim[j] = j - (lattice.Ey[r]*p.NZ+lattice.Ez[r])*lattice.CrossQ
-		k.pullLGSlim[j] = j - (lattice.Ey[l]*p.NZ+lattice.Ez[l])*lattice.CrossQ
 	}
 	if p.WallForceComp >= 0 {
 		var prof *geometry.WallForceProfile
@@ -546,29 +507,10 @@ func zeroCell[T num.Float](p []T, base int) {
 // (bounce-back), which places the no-slip plane halfway into the wall
 // layer. out must not alias fL, fC or fR.
 func (k *KernelOf[T]) Stream(fL, fC, fR, out [][]T) {
-	k.StreamGhost(GhostOf[T]{Planes: fL}, fC, GhostOf[T]{Planes: fR}, out)
-}
-
-// StreamGhost is Stream with explicit neighbour descriptors: either (or
-// both) x-neighbours may be slim ghost planes holding only the crossing
-// populations. The data movement is identical copies either way, so the
-// output is bit-equal to Stream over the corresponding full planes.
-func (k *KernelOf[T]) StreamGhost(fL GhostOf[T], fC [][]T, fR GhostOf[T], out [][]T) {
 	nz := k.NZ
 	o := &k.pull
-	// Layout selectors: the left neighbour is read only along the
-	// right-going directions, the right neighbour only along the
-	// left-going ones.
-	strideL, pullL, slotL := lattice.Q19, &k.pullRGFull, &k.ident
-	if fL.Slim {
-		strideL, pullL, slotL = lattice.CrossQ, &k.pullRGSlim, &lattice.CrossSlotRight
-	}
-	strideR, pullR, slotR := lattice.Q19, &k.pullLGFull, &k.ident
-	if fR.Slim {
-		strideR, pullR, slotR = lattice.CrossQ, &k.pullLGSlim, &lattice.CrossSlotLeft
-	}
 	for c := 0; c < k.NComp; c++ {
-		fl, fc, fr, oc := fL.Planes[c], fC[c], fR.Planes[c], out[c]
+		fl, fc, fr, oc := fL[c], fC[c], fR[c], out[c]
 		for y := 1; y < k.NY-1; y++ {
 			for z := 1; z < nz-1; z++ {
 				cell := y*nz + z
@@ -584,23 +526,22 @@ func (k *KernelOf[T]) StreamGhost(fL GhostOf[T], fC [][]T, fR GhostOf[T], out []
 					// from the precomputed pull offset — directions with
 					// e_x = +1 pull from the left plane, e_x = -1 from
 					// the right, e_x = 0 in-plane.
-					baseL, baseR := cell*strideL, cell*strideR
 					ob := oc[base : base+lattice.Q19 : base+lattice.Q19]
 					ob[0] = fc[base]
-					ob[1] = fl[baseL+pullL[0]]
-					ob[2] = fr[baseR+pullR[0]]
+					ob[1] = fl[base+o[1]]
+					ob[2] = fr[base+o[2]]
 					ob[3] = fc[base+o[3]]
 					ob[4] = fc[base+o[4]]
 					ob[5] = fc[base+o[5]]
 					ob[6] = fc[base+o[6]]
-					ob[7] = fl[baseL+pullL[1]]
-					ob[8] = fr[baseR+pullR[1]]
-					ob[9] = fl[baseL+pullL[2]]
-					ob[10] = fr[baseR+pullR[2]]
-					ob[11] = fl[baseL+pullL[3]]
-					ob[12] = fr[baseR+pullR[3]]
-					ob[13] = fl[baseL+pullL[4]]
-					ob[14] = fr[baseR+pullR[4]]
+					ob[7] = fl[base+o[7]]
+					ob[8] = fr[base+o[8]]
+					ob[9] = fl[base+o[9]]
+					ob[10] = fr[base+o[10]]
+					ob[11] = fl[base+o[11]]
+					ob[12] = fr[base+o[12]]
+					ob[13] = fl[base+o[13]]
+					ob[14] = fr[base+o[14]]
 					ob[15] = fc[base+o[15]]
 					ob[16] = fc[base+o[16]]
 					ob[17] = fc[base+o[17]]
@@ -618,11 +559,11 @@ func (k *KernelOf[T]) StreamGhost(fL GhostOf[T], fC [][]T, fR GhostOf[T], out []
 					}
 					switch lattice.Ex[i] {
 					case 1:
-						oc[base+i] = fl[scell*strideL+slotL[i]]
+						oc[base+i] = fl[scell*lattice.Q19+i]
 					case 0:
 						oc[base+i] = fc[scell*lattice.Q19+i]
 					default:
-						oc[base+i] = fr[scell*strideR+slotR[i]]
+						oc[base+i] = fr[scell*lattice.Q19+i]
 					}
 				}
 			}

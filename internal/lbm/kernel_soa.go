@@ -14,8 +14,8 @@ import (
 // bit-identical; only the memory addresses differ.
 //
 // Scalar (density) planes are layout-agnostic: they keep the y*NZ+z
-// ordering everywhere, so the psi-gradient stencil and the halo wire
-// format for densities are untouched.
+// ordering everywhere, so the psi-gradient stencil reads them the same
+// way in both layouts.
 
 // DensitiesSoA is Densities over SoA distribution planes: the same
 // pairwise tree sum per cell, reading one value from each of the 19
@@ -464,36 +464,18 @@ func (k *KernelOf[T]) zeroSolidBoundarySoA(out [][]T) {
 
 // StreamSoA is Stream over SoA planes: fL, fC, fR and out are all
 // direction-major.
-func (k *KernelOf[T]) StreamSoA(fL, fC, fR, out [][]T) {
-	k.StreamGhostSoA(GhostOf[T]{Planes: fL, SoA: true}, fC, GhostOf[T]{Planes: fR, SoA: true}, out)
-}
-
-// StreamGhostSoA is StreamGhost with an SoA current plane and output.
-// The x-neighbours may each be SoA full planes (the intra-node path),
-// canonical AoS full planes, or canonical slim planes (both wire
-// formats) — ghosts received over the wire are never transposed.
 //
 // The sweep is lane-major: for each direction the bulk of the plane is
-// one contiguous copy (or, for canonical ghosts, a strided gather)
-// shifted by the per-direction cell offset; a fix-up pass then re-runs
-// the checked per-direction logic — bounce-back included — on the
-// near-solid and interior-solid cells, and the boundary frame is
-// zeroed. Every value is still a pure copy of the same source value the
-// AoS path reads, so the result is bit-equal after transposition.
-func (k *KernelOf[T]) StreamGhostSoA(fL GhostOf[T], fC [][]T, fR GhostOf[T], out [][]T) {
+// one contiguous copy shifted by the per-direction cell offset; a fix-up
+// pass then re-runs the checked per-direction logic — bounce-back
+// included — on the near-solid and interior-solid cells, and the
+// boundary frame is zeroed. Every value is still a pure copy of the same
+// source value the AoS path reads, so the result is bit-equal after
+// transposition.
+func (k *KernelOf[T]) StreamSoA(fL, fC, fR, out [][]T) {
 	nz, cells := k.NZ, k.PlaneCells()
-	// Canonical-ghost selectors (used only when the ghost is not SoA):
-	// stride and in-record slot of direction i in the neighbour plane.
-	strideL, slotL := lattice.Q19, &k.ident
-	if fL.Slim {
-		strideL, slotL = lattice.CrossQ, &lattice.CrossSlotRight
-	}
-	strideR, slotR := lattice.Q19, &k.ident
-	if fR.Slim {
-		strideR, slotR = lattice.CrossQ, &lattice.CrossSlotLeft
-	}
 	for c := 0; c < k.NComp; c++ {
-		fl, fc, fr, oc := fL.Planes[c], fC[c], fR.Planes[c], out[c]
+		fl, fc, fr, oc := fL[c], fC[c], fR[c], out[c]
 
 		// Bulk pass: per direction, shift the whole lane by the source
 		// offset, clamped to in-plane sources. Out-of-range destination
@@ -513,23 +495,9 @@ func (k *KernelOf[T]) StreamGhostSoA(fL GhostOf[T], fC [][]T, fR GhostOf[T], out
 			case 0:
 				copy(dst, fc[i*cells+lo+d:i*cells+hi+d])
 			case 1:
-				if fL.SoA {
-					copy(dst, fl[i*cells+lo+d:i*cells+hi+d])
-				} else {
-					slot := slotL[i]
-					for j, cell := 0, lo; cell < hi; j, cell = j+1, cell+1 {
-						dst[j] = fl[(cell+d)*strideL+slot]
-					}
-				}
+				copy(dst, fl[i*cells+lo+d:i*cells+hi+d])
 			default:
-				if fR.SoA {
-					copy(dst, fr[i*cells+lo+d:i*cells+hi+d])
-				} else {
-					slot := slotR[i]
-					for j, cell := 0, lo; cell < hi; j, cell = j+1, cell+1 {
-						dst[j] = fr[(cell+d)*strideR+slot]
-					}
-				}
+				copy(dst, fr[i*cells+lo+d:i*cells+hi+d])
 			}
 		}
 
@@ -555,29 +523,11 @@ func (k *KernelOf[T]) StreamGhostSoA(fL GhostOf[T], fC [][]T, fR GhostOf[T], out
 			for _, p := range k.fixSelf[i] {
 				oc[off+int(p[0])] = fc[off+int(p[1])]
 			}
-			if fix := k.fixLeft[i]; len(fix) > 0 {
-				if fL.SoA {
-					for _, p := range fix {
-						oc[off+int(p[0])] = fl[off+int(p[1])]
-					}
-				} else {
-					slot := slotL[i]
-					for _, p := range fix {
-						oc[off+int(p[0])] = fl[int(p[1])*strideL+slot]
-					}
-				}
+			for _, p := range k.fixLeft[i] {
+				oc[off+int(p[0])] = fl[off+int(p[1])]
 			}
-			if fix := k.fixRight[i]; len(fix) > 0 {
-				if fR.SoA {
-					for _, p := range fix {
-						oc[off+int(p[0])] = fr[off+int(p[1])]
-					}
-				} else {
-					slot := slotR[i]
-					for _, p := range fix {
-						oc[off+int(p[0])] = fr[int(p[1])*strideR+slot]
-					}
-				}
+			for _, p := range k.fixRight[i] {
+				oc[off+int(p[0])] = fr[off+int(p[1])]
 			}
 		}
 

@@ -64,9 +64,10 @@ func ParsePrecision(s string) (Precision, error) {
 // Layout selects the in-memory ordering of distribution planes; see
 // field.Layout. The zero value is AoS (cell-major, canonical), so
 // parameter sets from older checkpoints and configs are unchanged.
-// Layout is an execution detail: the wire format, checkpoint payloads,
-// and State snapshots are always canonical, so two runs differing only
-// in Layout produce byte-identical artifacts.
+// Layout is an execution detail of the sequential solver: checkpoint
+// payloads and State snapshots are always canonical, so two runs
+// differing only in Layout produce byte-identical artifacts. The
+// distributed solver (package parlbm) runs AoS only.
 type Layout = field.Layout
 
 const (
@@ -154,8 +155,8 @@ type Params struct {
 	// Layout selects the in-memory ordering of distribution planes (AoS
 	// cell-major, the default, or SoA direction-major). Both layouts
 	// evaluate the same expression tree per cell and are bit-identical;
-	// everything serialized (wire, checkpoints, State) stays canonical
-	// AoS regardless.
+	// everything serialized (checkpoints, State) stays canonical AoS
+	// regardless. The distributed solver rejects SoA.
 	Layout Layout
 }
 

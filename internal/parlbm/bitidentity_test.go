@@ -3,8 +3,12 @@ package parlbm
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"microslip/internal/balance"
+	"microslip/internal/checkpoint"
+	"microslip/internal/field"
 	"microslip/internal/lbm"
 )
 
@@ -26,27 +30,15 @@ func wave32Params(nx, ny, nz int) *lbm.Params {
 	return p
 }
 
-// haloModes enumerates the halo-exchange wire configurations of the
-// distributed solver.
-var haloModes = []struct {
-	name string
-	opts Options
-}{
-	{"slim", Options{}},
-	{"wide", Options{WideHalo: true}},
-	{"coalesce", Options{Coalesce: true}},
-	{"coalesce-wide", Options{Coalesce: true, WideHalo: true}},
-}
-
-// The full solver matrix — serial reference, intra-node parallel
-// stepping at several worker counts, the fused collide+stream path,
-// and the distributed solver at several rank counts across overlap and
-// halo wire formats (slim, wide, coalesced frames) — must produce
-// byte-equal final fields on the water+air channel with an x-dependent
-// initial condition. This is the guard that lets every perf path claim
-// "same physics, faster".
+// Every execution path — intra-node parallel stepping at several worker
+// counts, the fused collide+stream path, and the distributed solver on
+// several group sizes, both transports, mid-run remapping under every
+// policy, and checkpoint/resume across group sizes — must reproduce
+// the one oracle, the serial three-pass Step, byte for byte on the
+// water+air channel with an x-dependent initial condition. This is the
+// guard that lets every perf path claim "same physics, faster".
 func TestBitIdentityMatrix(t *testing.T) {
-	const nx, ny, nz, steps = 12, 10, 6, 8
+	const nx, ny, nz, steps = matrixNX, matrixNY, matrixNZ, matrixSteps
 	ref, err := lbm.NewSim(waveParams(nx, ny, nz))
 	if err != nil {
 		t.Fatal(err)
@@ -139,94 +131,203 @@ func TestBitIdentityMatrix(t *testing.T) {
 		}
 	}
 
-	// The distributed rows also carry the layout dimension: the gathered
-	// fields are canonical regardless of layout, so SoA ranks must
-	// reproduce the serial reference byte-for-byte through every halo
-	// wire format (the pack/unpack transposes are on the identity path).
+	// The distributed rows named after the switches the solver used to
+	// have — rank storage layout, compute/communication overlap, and halo
+	// wire format — keep their names, and each runs the configuration its
+	// name describes less the deleted switches. Every AoS row therefore
+	// runs the one frame protocol on its rank count and must reproduce
+	// the oracle; every SoA row must be refused, since ranks store
+	// cell-major planes only (the sequential SoA layout is held to the
+	// oracle by the intra rows above).
 	for _, layout := range []lbm.Layout{lbm.AoS, lbm.SoA} {
 		for _, ranks := range []int{1, 2, 3} {
-			for _, overlap := range []bool{false, true} {
-				for _, mode := range haloModes {
-					label := fmt.Sprintf("parlbm/layout=%s/ranks=%d/overlap=%v/%s", layout, ranks, overlap, mode.name)
-					t.Run(label, func(t *testing.T) {
-						opts := mode.opts
-						opts.Phases = steps
-						opts.Overlap = overlap
-						p := waveParams(nx, ny, nz)
-						p.Layout = layout
-						final, results, err := RunParallel(p, ranks, opts)
-						if err != nil {
-							t.Fatal(err)
+			for _, legacy := range legacyProtocols {
+				label := fmt.Sprintf("parlbm/layout=%s/ranks=%d/%s", layout, ranks, legacy)
+				t.Run(label, func(t *testing.T) {
+					p := waveParams(nx, ny, nz)
+					p.Layout = layout
+					final, _, err := RunParallel(p, ranks, Options{Phases: steps})
+					if layout != lbm.AoS {
+						if err == nil || !strings.Contains(err.Error(), "layout") {
+							t.Fatalf("%s: got %v, want a layout error", label, err)
 						}
-						check(t, label, func(c, x int) []float64 { return final[c].Plane(x) })
-						if overlap && !opts.Coalesce && ranks > 1 {
-							// The overlapped phases must attribute a nonzero
-							// overlap window on every rank.
-							for _, r := range results {
-								if r.Breakdown.Overlap <= 0 {
-									t.Errorf("rank %d: overlap window %v, want > 0", r.Rank, r.Breakdown.Overlap)
-								}
-								if r.Breakdown.Overlap > r.Breakdown.Computation {
-									t.Errorf("rank %d: overlap %v exceeds computation %v",
-										r.Rank, r.Breakdown.Overlap, r.Breakdown.Computation)
-								}
-							}
-						}
-					})
-				}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(t, label, func(c, x int) []float64 { return final[c].Plane(x) })
+				})
 			}
 		}
 	}
+
+	// The distributed rows: fused ranks behind frames, checked against
+	// the serial reference through the gathered fields.
+	for _, row := range []struct {
+		name string
+		run  func() ([]*field.Dist3D, []*Result, error)
+		// moved asks the row to prove planes migrated.
+		moved bool
+	}{
+		// 12 planes over 5 and 6 ranks: 2-plane slabs, where every owned
+		// plane is an edge and each frame's far density is the sender's
+		// other edge.
+		{"ranks=5", fabricRun(5, Options{}), false},
+		{"ranks=6", fabricRun(6, Options{}), false},
+		{"tcp/ranks=3", func() ([]*field.Dist3D, []*Result, error) {
+			return RunParallelTCP(waveParams(nx, ny, nz), 3, Options{Phases: steps})
+		}, false},
+		{"remap=filtered", fabricRun(3, remapOptions(balance.NewFiltered(ny*nz))), true},
+		{"remap=conservative", fabricRun(3, remapOptions(balance.NewConservative(ny*nz))), true},
+		{"remap=global", fabricRun(3, remapOptions(balance.NewGlobal(ny*nz))), true},
+		{"resume/3to2", resumeRun(t, 3, 2), false},
+		{"resume/2to3", resumeRun(t, 2, 3), false},
+		{"resume/3to6", resumeRun(t, 3, 6), false},
+	} {
+		label := "parlbm/" + row.name
+		t.Run(label, func(t *testing.T) {
+			final, results, err := row.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, label, func(c, x int) []float64 { return final[c].Plane(x) })
+			if row.moved {
+				moved := 0
+				for _, r := range results {
+					moved += r.PlanesSent
+				}
+				if moved == 0 {
+					t.Error("no plane migrated; the row never remapped")
+				}
+			}
+		})
+	}
 }
 
-// Every halo mode must also hold bit-identity on one- and two-plane
-// slabs — the edge-plane special cases of the overlapped phase and the
-// thin-frame fallback of the coalesced protocol (a single-plane slab
-// cannot ship a finishable edge in its phase-start frame).
+// legacyProtocols names the overlap × halo-wire-format variants the
+// distributed solver offered before one frame per neighbor became its
+// only protocol. Tests keep a row per variant; all of them now run
+// frames.
+var legacyProtocols = []string{
+	"overlap=false/slim", "overlap=false/wide", "overlap=false/coalesce", "overlap=false/coalesce-wide",
+	"overlap=true/slim", "overlap=true/wide", "overlap=true/coalesce", "overlap=true/coalesce-wide",
+}
+
+// The lattice of the bit-identity matrix's distributed rows.
+const matrixNX, matrixNY, matrixNZ, matrixSteps = 12, 10, 6, 8
+
+// fabricRun returns a RunParallel of the matrix lattice on ranks ranks.
+func fabricRun(ranks int, opts Options) func() ([]*field.Dist3D, []*Result, error) {
+	return func() ([]*field.Dist3D, []*Result, error) {
+		opts.Phases = matrixSteps
+		return RunParallel(waveParams(matrixNX, matrixNY, matrixNZ), ranks, opts)
+	}
+}
+
+// remapOptions remaps every other phase with rank 1 reported 3x slow.
+func remapOptions(pol balance.Policy) Options {
+	switch p := pol.(type) {
+	case balance.Filtered:
+		p.Cfg.Interval, p.Cfg.HistoryK = 2, 2
+		pol = p
+	case balance.Conservative:
+		p.Cfg.Interval, p.Cfg.HistoryK = 2, 2
+		pol = p
+	case balance.Global:
+		p.Interval_, p.HistoryK_ = 2, 2
+		pol = p
+	}
+	return Options{Policy: pol, PhaseTime: slowRankTime(1)}
+}
+
+// resumeRun checkpoints the matrix lattice halfway on `from` ranks and
+// returns the resumed run on `to` ranks.
+func resumeRun(t *testing.T, from, to int) func() ([]*field.Dist3D, []*Result, error) {
+	return func() ([]*field.Dist3D, []*Result, error) {
+		p := waveParams(matrixNX, matrixNY, matrixNZ)
+		dir := t.TempDir()
+		if _, _, err := RunParallel(p, from, Options{
+			Phases:     matrixSteps,
+			Checkpoint: &CheckpointSpec{Dir: dir, Interval: matrixSteps / 2},
+		}); err != nil {
+			return nil, nil, err
+		}
+		snap, err := checkpoint.LatestRun(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		return RunParallel(p, to, Options{
+			Phases:     matrixSteps,
+			Checkpoint: &CheckpointSpec{Dir: t.TempDir(), Interval: matrixSteps, Snapshot: snap},
+		})
+	}
+}
+
+// The distributed solver must hold bit-identity on the smallest slabs
+// the frame protocol allows — two planes — on every group size, where
+// both edges of a slab are its only planes and, on two ranks, one peer
+// is both neighbors. The one-plane-slab lattices the solver used to
+// accept keep their rows, one per legacy protocol variant, and must
+// now be refused with the slab-floor error.
 func TestBitIdentityTinySlabs(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		nx, ranks int
+	}{
+		// Slabs of 2, 1, 1, 1 planes.
+		{"5planes-4ranks", 5, 4},
+		// Every slab a single plane.
+		{"4planes-4ranks", 4, 4},
+		// Two single-plane slabs, one peer on both sides.
+		{"2planes-2ranks", 2, 2},
+	} {
+		for _, legacy := range legacyProtocols {
+			t.Run(tc.name+"/"+legacy, func(t *testing.T) {
+				_, _, err := RunParallel(waveParams(tc.nx, 8, 5), tc.ranks, Options{Phases: 6})
+				want := fmt.Sprintf("%d planes cannot give %d ranks %d planes each", tc.nx, tc.ranks, MinSlabPlanes)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("got %v, want the slab-floor error %q", err, want)
+				}
+			})
+		}
+	}
+
 	cases := []struct {
 		name         string
 		nx, ny, nz   int
 		ranks, steps int
 	}{
-		// 5 planes on 4 ranks: slabs of 2, 1, 1, 1 planes (mixed
-		// wide/thin coalesced neighborhoods).
-		{"5planes-4ranks", 5, 8, 5, 4, 6},
-		// 4 planes on 4 ranks: every slab a single plane (all-thin).
-		{"4planes-4ranks", 4, 8, 5, 4, 6},
-		// 2 planes on 2 ranks: both neighbors are the same peer and
-		// both slabs are thin.
-		{"2planes-2ranks", 2, 8, 5, 2, 6},
+		// 4 planes on 2 ranks: two 2-plane slabs, one peer on both sides.
+		{"4planes-2ranks", 4, 8, 5, 2, 6},
+		// 5 planes on 2 ranks: slabs of 3 and 2 planes.
+		{"5planes-2ranks", 5, 8, 5, 2, 6},
+		// 8 planes on 4 ranks: every slab at the floor.
+		{"8planes-4ranks", 8, 8, 5, 4, 6},
+		// 2 planes on 1 rank: the rank's frames wrap onto itself.
+		{"2planes-1rank", 2, 8, 5, 1, 6},
 	}
 	for _, tc := range cases {
-		ref, err := lbm.NewSim(waveParams(tc.nx, tc.ny, tc.nz))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.Run(tc.steps)
-		for _, overlap := range []bool{false, true} {
-			for _, mode := range haloModes {
-				label := fmt.Sprintf("%s/overlap=%v/%s", tc.name, overlap, mode.name)
-				t.Run(label, func(t *testing.T) {
-					opts := mode.opts
-					opts.Phases = tc.steps
-					opts.Overlap = overlap
-					final, _, err := RunParallel(waveParams(tc.nx, tc.ny, tc.nz), tc.ranks, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for c := 0; c < ref.P.NComp(); c++ {
-						for x := 0; x < tc.nx; x++ {
-							want, got := ref.Plane(c, x), final[c].Plane(x)
-							for i := range want {
-								if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-									t.Fatalf("comp %d plane %d index %d: %v != %v", c, x, i, got[i], want[i])
-								}
-							}
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := lbm.NewSim(waveParams(tc.nx, tc.ny, tc.nz))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Run(tc.steps)
+			final, _, err := RunParallel(waveParams(tc.nx, tc.ny, tc.nz), tc.ranks, Options{Phases: tc.steps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < ref.P.NComp(); c++ {
+				for x := 0; x < tc.nx; x++ {
+					want, got := ref.Plane(c, x), final[c].Plane(x)
+					for i := range want {
+						if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+							t.Fatalf("comp %d plane %d index %d: %v != %v", c, x, i, got[i], want[i])
 						}
 					}
-				})
+				}
 			}
-		}
+		})
 	}
 }

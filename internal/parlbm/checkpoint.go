@@ -5,14 +5,13 @@ import (
 	"time"
 
 	"microslip/internal/checkpoint"
-	"microslip/internal/field"
 )
 
 // checkpointPhase runs one coordinated checkpoint round after
 // `completed` phases. Two-phase commit: (1) every rank atomically
-// persists its slab — distribution planes, densities, and remap
-// ownership — as a per-rank container file, streamed from the slab's
-// own planes on the AoS path, so the round allocates nothing
+// persists its slab — distribution planes, the densities its last
+// sweep computed, and remap ownership — as a per-rank container file,
+// streamed from the slab's own planes, so the round allocates nothing
 // proportional to the slab; (2) the ranks synchronize with an AllGather
 // of their ownership ranges, which doubles as the "all files atomically
 // in place (rename), not fsynced" barrier, and rank 0 alone writes the
@@ -33,23 +32,9 @@ func (w *worker) checkpointPhase(completed int) error {
 		Planes:  make([][][]float64, nc),
 		Density: make([][][]float64, nc),
 	}
-	cells := w.k.PlaneCells()
 	for c := 0; c < nc; c++ {
-		rs.Planes[c] = make([][]float64, count)
-		rs.Density[c] = make([][]float64, count)
-		for i := 0; i < count; i++ {
-			if w.soa {
-				// Checkpoint payloads are canonical order regardless of
-				// the in-memory layout, so AoS and SoA runs commit
-				// byte-identical files and a resume may pick either.
-				plane := make([]float64, w.f[c].PlaneSize())
-				field.TransposeToAoS(plane, w.f[c].Plane(start+i), cells, 19)
-				rs.Planes[c][i] = plane
-			} else {
-				rs.Planes[c][i] = w.f[c].Plane(start + i)
-			}
-			rs.Density[c][i] = w.n[c].Plane(start + i)
-		}
+		rs.Planes[c] = w.f[c].Planes
+		rs.Density[c] = w.n[c].Planes
 	}
 	if err := checkpoint.SaveRank(spec.Dir, rs); err != nil {
 		return err

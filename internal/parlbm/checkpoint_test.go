@@ -127,3 +127,44 @@ func TestResumeFromSnapshotBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// A rank file persists, beside each plane, the densities the phase that
+// produced it read — Densities of the plane one phase earlier — so a
+// committed set describes the same quantities whatever solver wrote it.
+func TestCheckpointDensitiesAreLastSweepInputs(t *testing.T) {
+	p := waveParams(12, 8, 5)
+	const phases, every = 7, 3
+	dir := t.TempDir()
+	if _, _, err := RunParallel(p, 3, Options{
+		Phases:     phases,
+		Checkpoint: &CheckpointSpec{Dir: dir, Interval: every},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.LatestRun(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := lbm.NewSim(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(snap.Phase - 1)
+	k := lbm.NewKernel(p)
+	nc := p.NComp()
+	f, n := make([][]float64, nc), make([][]float64, nc)
+	for x := 0; x < p.NX; x++ {
+		for c := 0; c < nc; c++ {
+			f[c], n[c] = ref.Plane(c, x), make([]float64, k.PlaneCells())
+		}
+		k.Densities(f, n)
+		for c := 0; c < nc; c++ {
+			got := snap.DensityPlane(c, x)
+			for i, v := range n[c] {
+				if got[i] != v {
+					t.Fatalf("phase %d comp %d plane %d cell %d: density %v, want %v", snap.Phase, c, x, i, got[i], v)
+				}
+			}
+		}
+	}
+}

@@ -1,39 +1,37 @@
 // Package parlbm is the domain-decomposed parallel LBM solver: the
 // distributed counterpart of the paper's Figure 2 pseudo-code. Each
-// rank owns a contiguous slab of x-planes, exchanges number-density and
-// distribution-function halos with its ring neighbors every phase, and
-// every REMAPPING_INTERVAL phases runs the distributed remapping
-// protocol: load-index exchange with chain neighbors, local decisions
-// (package core), pairwise conflict resolution, and lattice-plane
-// migration.
+// rank owns a contiguous slab of x-planes, exchanges one frame with
+// each ring neighbor every phase, runs the sequential solver's fused
+// collide+stream sweep over its slab, and every REMAPPING_INTERVAL
+// phases runs the distributed remapping protocol: load-index exchange
+// with chain neighbors, local decisions (package core), pairwise
+// conflict resolution, and lattice-plane migration.
 //
 // The kernels are shared with the sequential solver (package lbm), so a
 // parallel run reproduces the sequential result bit-for-bit — including
 // runs whose partition changes mid-flight.
 //
-// # Halo wire protocol
+// # Frame protocol
 //
-// Only 5 of the 19 D3Q19 populations cross an x-face in each direction,
-// so by default the distribution halo ships slim planes — per cell, the
-// lattice.CrossQ crossing populations in RightGoing/LeftGoing slot
-// order — alongside the full density plane the psi-gradient needs:
-// 6 instead of 20 floats per cell per component. Options.WideHalo
-// restores the full 19-direction format (bit-identical results either
-// way). Options.Coalesce further merges the two per-neighbor messages
-// per phase into one frame carrying the pre-collision edge plane plus
-// the second-from-edge density; the receiver recomputes the ghost
-// density and redundantly collides the ghost plane with the shared
-// kernels, which is bit-identical because every input is bit-identical
-// and the kernels are deterministic. See README.md for the exact wire
-// layouts.
+// A phase's two data dependencies on a neighbor — its edge densities
+// for the psi-gradient, and its post-collision edge populations for
+// streaming — are both met by one frame per neighbor, posted at phase
+// start: the sender's pre-collision edge plane plus the densities of
+// the plane behind it. The receiver recomputes the ghost density from
+// the edge plane and collides the ghost plane redundantly inside its
+// own sweep (lbm.KernelOf.SweepFused, exactly as a band edge of the
+// multi-band sequential sweep), which is bit-identical because every
+// input is bit-identical and the kernels are deterministic. A frame
+// therefore needs the plane behind the edge: every slab keeps at least
+// MinSlabPlanes planes. See README.md for the wire layout.
 //
 // Options.WireF32 (implied when Params.Precision selects the float32
-// core) additionally ships every bulk payload — halo planes, coalesced
-// frames, migrating lattice planes — as packed float32: two values per
-// transported float64 word, halving the dominant wire classes at a
-// ~1e-7 relative rounding per transported value. Control, load-index,
-// and gather traffic stays float64. Compressed runs are deterministic
-// but deliberately not bit-identical to the sequential solver.
+// core) ships every bulk payload — frames and migrating lattice planes —
+// as packed float32: two values per transported float64 word, halving
+// both wire classes at a ~1e-7 relative rounding per transported value.
+// Control, load-index, and gather traffic stays float64. Compressed runs
+// are deterministic but deliberately not bit-identical to the
+// sequential solver.
 package parlbm
 
 import (
@@ -46,7 +44,6 @@ import (
 	"microslip/internal/comm"
 	"microslip/internal/decomp"
 	"microslip/internal/field"
-	"microslip/internal/lattice"
 	"microslip/internal/lbm"
 	"microslip/internal/num"
 	"microslip/internal/predict"
@@ -54,32 +51,26 @@ import (
 	"microslip/internal/runctl"
 )
 
-// Message tags. Halo payloads are tagged by the direction they travel:
-// a *L tag marks data sent toward the sender's left neighbor, *R toward
+// Message tags. Frames are tagged by the direction they travel: tagFrameL
+// marks a frame sent toward the sender's left neighbor, tagFrameR toward
 // its right. Direction-distinct tags matter on two ranks, where both
 // neighbors are the same peer and a shared tag would make the two
-// opposite-facing halos indistinguishable (FIFO delivery would hand the
+// opposite-facing frames indistinguishable (FIFO delivery would hand the
 // peer's left-bound edge to the right ghost and vice versa — invisible
 // on x-uniform fields, wrong on everything else).
 const (
-	tagDensHaloL   = 1
-	tagDensHaloR   = 2
 	tagLoadInfo    = 3
 	tagDesire      = 4
 	tagPlanesLeft  = 5
 	tagPlanesRight = 6
 	tagGather      = 7
-	tagDistHaloL   = 8
-	tagDistHaloR   = 9
 	tagFrameL      = 10
 	tagFrameR      = 11
 )
 
-// Coalesced-frame kind header values (first float of the payload).
-const (
-	frameWide = 1 // pre-collision edge plane + far density
-	frameThin = 2 // edge density only; slim post-collision halo follows
-)
+// MinSlabPlanes is the fewest planes a rank may own: its frames carry
+// its edge plane and the densities of the plane behind it.
+const MinSlabPlanes = 2
 
 // Options configures a parallel run.
 type Options struct {
@@ -115,49 +106,21 @@ type Options struct {
 	// worker faults and to cancel at exact phases.
 	PhaseHook func(rank, phase int)
 	// PostPhase, when non-nil, runs after every phase with the rank's
-	// current plane count and per-component local mass; a non-nil
-	// return aborts the run. It is an invariant-checking hook (global
-	// mass conservation, lattice-plane conservation) and costs nothing
-	// when unset.
-	PostPhase func(rank, phase, planes int, mass []float64) error
+	// current plane count and a function computing its per-component
+	// local mass (a pass over the slab, paid only when called); a
+	// non-nil return aborts the run. It is an invariant-checking and
+	// progress hook and costs nothing when unset.
+	PostPhase func(rank, phase, planes int, mass func() []float64) error
 	// Checkpoint, when non-nil, enables coordinated distributed
 	// checkpointing (and, with a Snapshot, resuming).
 	Checkpoint *CheckpointSpec
-	// Overlap enables comm/compute overlap inside each phase: the
-	// boundary planes are computed first, their halos posted, and the
-	// interior planes computed while the exchange is in flight; only
-	// then does the rank block on the ghost receives and finish the
-	// edge planes. The per-plane arithmetic is unchanged, so results
-	// stay bit-identical to the non-overlapped (and sequential)
-	// solver; Breakdown.Overlap reports the overlap window.
-	Overlap bool
-	// WideHalo ships the full 19-direction distribution planes in the
-	// halo exchange (the pre-slim wire format) instead of only the 5
-	// populations that cross each face. Results are bit-identical
-	// either way; the wide format remains for byte-accounting
-	// comparisons and as a cross-check in tests.
-	WideHalo bool
-	// Coalesce merges the two per-neighbor halo messages of each phase
-	// into one frame posted at phase start, halving message count and
-	// per-message overhead. The frame carries the sender's
-	// pre-collision edge plane and second-from-edge density;
-	// the receiver recomputes the ghost density and redundantly
-	// collides the ghost plane locally, trading two plane collides per
-	// phase for half the messages. Single-plane slabs cannot ship a
-	// finishable edge (their post-collision edge depends on both
-	// incoming frames), so they fall back to a thin density-only frame
-	// plus a mid-phase slim distribution halo, negotiated per phase
-	// through the frame kind header. Bit-identical to every other
-	// solver variant.
-	Coalesce bool
-	// WireF32 ships the bulk payloads — halo planes, coalesced frames,
-	// and migrating lattice planes — as packed float32 (two values per
-	// float64 wire word), halving those wire classes at a ~1e-7
-	// relative rounding per transported value; control, load-index, and
-	// gather traffic stays float64. Runs remain deterministic and
-	// composable with every halo format, but are no longer
+	// WireF32 ships the bulk payloads — frames and migrating lattice
+	// planes — as packed float32 (two values per float64 wire word),
+	// halving those wire classes at a ~1e-7 relative rounding per
+	// transported value; control, load-index, and gather traffic stays
+	// float64. Runs remain deterministic but are no longer
 	// bit-identical to the sequential solver. Implied when
-	// Params.Precision selects the float32 core, where halo values
+	// Params.Precision selects the float32 core, where frame values
 	// carry no double-width information worth shipping.
 	WireF32 bool
 }
@@ -185,8 +148,19 @@ type Result struct {
 	// Rank that produced this result.
 	Rank int
 	// Final holds the gathered full distribution fields per component
-	// on rank 0; nil on other ranks.
+	// on rank 0 of a gathering run (RunParallel, RunParallelTCP); nil
+	// on other ranks and in RunParallelReduced.
 	Final []*field.Dist3D
+	// Mass is the rank's share of the final per-component mass — its
+	// populations summed in one pass after the last phase, times the
+	// component's particle mass. A NaN anywhere in the slab makes it
+	// NaN.
+	Mass []float64
+	// Profile is the streamwise velocity u_x along y at x = NX/2,
+	// z = NZ/2 — computed with lbm.KernelOf.CellVelocity, as the
+	// sequential solver's VelocityProfileY — on the rank owning plane
+	// NX/2; nil on the others.
+	Profile []float64
 	// Breakdown is the rank's wall-clock time split; Breakdown.Bytes
 	// carries the per-class wire volume behind the communication time.
 	Breakdown profile.Breakdown
@@ -202,7 +176,7 @@ type Result struct {
 	Comm profile.CommStats
 	// Interrupted is non-nil when the run stopped orderly before
 	// completing all phases (cancellation, wall limit); the fields are
-	// not gathered in that case, so Final stays nil on every rank.
+	// not gathered and Mass and Profile stay nil in that case.
 	Interrupted *Interruption
 }
 
@@ -237,111 +211,19 @@ func (e *RankError) Error() string {
 
 func (e *RankError) Unwrap() error { return e.Err }
 
-// planeViews is a deque of per-plane component views mirroring
-// field.Slab's internal deque: win[i][c] is component c's plane at
-// local index i. Incremental push/pop keeps view maintenance O(planes
-// moved) during remapping and allocation-free in the steady state
-// (records are recycled through a free list, the backing array keeps
-// geometric slack on both ends).
-type planeViews struct {
-	win  [][][]float64
-	buf  [][][]float64
-	off  int
-	free [][][]float64
+// SlabFloorError reports a remapping round that would leave a rank
+// with fewer than MinSlabPlanes planes (a policy configured to keep
+// fewer); the run fails with it instead of running a slab that cannot
+// build its frames.
+type SlabFloorError struct {
+	// Rank is the rank whose slab would shrink below the floor, and
+	// Planes its plane count after the round.
+	Rank, Planes int
 }
 
-// reset rebuilds the deque from scratch (initialization and recovery;
-// remapping uses the incremental push/pop below).
-func (v *planeViews) reset(slabs []*field.Slab) {
-	count := slabs[0].Count()
-	slack := count + 4
-	v.buf = make([][][]float64, count+2*slack)
-	v.off = slack
-	v.free = nil
-	for i := 0; i < count; i++ {
-		rec := make([][]float64, len(slabs))
-		for c, s := range slabs {
-			rec[c] = s.Planes[i]
-		}
-		v.buf[v.off+i] = rec
-	}
-	v.win = v.buf[v.off : v.off+count]
-}
-
-func (v *planeViews) rec(nc int) [][]float64 {
-	if n := len(v.free); n > 0 {
-		r := v.free[n-1]
-		v.free = v.free[:n-1]
-		return r
-	}
-	return make([][]float64, nc)
-}
-
-func (v *planeViews) popLeft(k int) {
-	for i := 0; i < k; i++ {
-		v.free = append(v.free, v.buf[v.off+i])
-		v.buf[v.off+i] = nil
-	}
-	count := len(v.win) - k
-	v.off += k
-	v.win = v.buf[v.off : v.off+count]
-}
-
-func (v *planeViews) popRight(k int) {
-	count := len(v.win) - k
-	for i := 0; i < k; i++ {
-		v.free = append(v.free, v.buf[v.off+count+i])
-		v.buf[v.off+count+i] = nil
-	}
-	v.win = v.buf[v.off : v.off+count]
-}
-
-// pushLeft prepends views of the k leftmost planes of slabs (which the
-// caller just attached); pushRight appends the k rightmost.
-func (v *planeViews) pushLeft(slabs []*field.Slab, k int) {
-	if v.off < k {
-		v.grow(k, 0)
-	}
-	for i := 0; i < k; i++ {
-		r := v.rec(len(slabs))
-		for c, s := range slabs {
-			r[c] = s.Planes[i]
-		}
-		v.buf[v.off-k+i] = r
-	}
-	count := len(v.win) + k
-	v.off -= k
-	v.win = v.buf[v.off : v.off+count]
-}
-
-func (v *planeViews) pushRight(slabs []*field.Slab, k int) {
-	count := len(v.win)
-	if v.off+count+k > len(v.buf) {
-		v.grow(0, k)
-	}
-	base := slabs[0].Count() - k
-	for i := 0; i < k; i++ {
-		r := v.rec(len(slabs))
-		for c, s := range slabs {
-			r[c] = s.Planes[base+i]
-		}
-		v.buf[v.off+count+i] = r
-	}
-	v.win = v.buf[v.off : v.off+count+k]
-}
-
-func (v *planeViews) grow(needL, needR int) {
-	count := len(v.win)
-	total := count + needL + needR
-	slack := total
-	if slack < 4 {
-		slack = 4
-	}
-	buf := make([][][]float64, total+2*slack)
-	off := slack + needL
-	copy(buf[off:off+count], v.win)
-	v.buf, v.off = buf, off
-	v.win = v.buf[v.off : v.off+count]
+func (e *SlabFloorError) Error() string {
+	return fmt.Sprintf("parlbm: remap would leave rank %d with %d planes, below the %d-plane floor",
+		e.Rank, e.Planes, MinSlabPlanes)
 }
 
 // worker is the per-rank state.
@@ -353,54 +235,30 @@ type worker struct {
 	sup  *runctl.Supervisor
 	rank int
 	size int
-	// soa mirrors p.Layout == SoA: owned distribution planes are stored
-	// direction-major and the owned-plane kernel calls dispatch to the
-	// *SoA variants. Everything that crosses the wire or persists —
-	// halos, frames, migration payloads, checkpoints, gather — stays in
-	// canonical cell-major order; the pack/unpack paths transpose at the
-	// plane boundary, so byte counts and artifacts are layout-invariant.
-	soa   bool
-	f     []*field.Slab // per component, Q = 19
-	n     []*field.Slab // per component, Q = 1
-	fPost []*field.Slab
-	pred  predict.Predictor
-	res   *Result
+	f    []*field.Slab // per component, Q = 19
+	// n holds the per-component densities the last sweep computed for
+	// each owned plane, filled only when checkpointing (a rank file
+	// persists them beside the planes).
+	n    []*field.Slab
+	pred predict.Predictor
+	res  *Result
 
-	// sc is the rank's collision scratch (one suffices: a rank's
-	// planes are updated sequentially).
-	sc *lbm.Scratch
-	// fView.win[i][c] etc. are per-plane component views of the slabs
-	// (index i is local, gx-start), maintained incrementally when the
-	// owned range changes so neither the phase hot loop nor remapping
-	// allocates in the steady state.
-	fView, nView, postView planeViews
-	// packL/packR are the reusable halo/frame send buffers; ghostHdrL/R
-	// the reusable per-component ghost-view headers.
-	packL, packR         []float64
-	ghostHdrL, ghostHdrR [][]float64
-
-	// Wire-compression staging (Options.WireF32): grow-only packed
-	// float32 send buffers and the unpacked receive buffers the ghost
-	// views point into. Halo receives reuse rawRecvL/R — safe because a
-	// phase's density ghosts are dead before its distribution halo
-	// arrives — while received frames keep their own buffers (their
-	// views live until the redundant ghost collide, across the thin-slab
-	// follow-up receive).
-	wireSendL, wireSendR []float64
-	rawRecvL, rawRecvR   []float64
-	rawFrameL, rawFrameR []float64
-
-	// Coalesced-mode reusable state, allocated on first use. The *Hdr
-	// and ghostFar headers point into a received frame; ghostN are
-	// owned ghost density planes (filled from a wide frame's edge
-	// plane); ghostNView selects between them per side and kind;
-	// ghostPost are the owned outputs of the redundant ghost collides.
-	frameHdrL, frameHdrR     [][]float64
-	ghostFarL, ghostFarR     [][]float64
-	ghostNL, ghostNR         [][]float64
-	ghostNViewL, ghostNViewR [][]float64
-	ghostPostL, ghostPostR   [][]float64
-	thinL, thinR             bool // incoming frame kinds this phase
+	// sweep is the rank's fused-sweep state (one suffices: a rank's
+	// planes are swept sequentially).
+	sweep *lbm.FusedScratch
+	// fWin and nWin are the sweep's plane windows, rebuilt every phase
+	// from the slabs into grow-only storage: entry 1+i views owned
+	// plane i of every component, entries 0 and count+1 (fWin only) the
+	// left and right ghost planes of this phase's frames. farL/farR view
+	// the frames' far densities and farHdr is packFrame's scratch header.
+	fWin, nWin         [][][]float64
+	farL, farR, farHdr [][]float64
+	// massFn is localMass bound once, so handing it to PostPhase every
+	// phase allocates nothing.
+	massFn               func() []float64
+	packL, packR         []float64 // frame send buffers
+	wireSendL, wireSendR []float64 // packed-float32 staging (WireF32)
+	rawRecvL, rawRecvR   []float64 // unpacked receive buffers (WireF32)
 
 	// Migration reusable state: the grow-only pack buffer and header
 	// scratch, and the plane pools received planes are copied into so
@@ -411,114 +269,22 @@ type worker struct {
 	poolScalar [][]float64
 }
 
-// rebuildViews refreshes the cached per-plane component views from
-// scratch after the slabs' owned range was re-created (init, recovery);
-// remapping maintains them incrementally.
-func (w *worker) rebuildViews() {
-	w.fView.reset(w.f)
-	w.nView.reset(w.n)
-	w.postView.reset(w.fPost)
-}
-
-// fAt/nAt/postAt return the cached per-component plane views at
-// global x.
-func (w *worker) fAt(gx int) [][]float64    { return w.fView.win[gx-w.f[0].Start] }
-func (w *worker) nAt(gx int) [][]float64    { return w.nView.win[gx-w.n[0].Start] }
-func (w *worker) postAt(gx int) [][]float64 { return w.postView.win[gx-w.fPost[0].Start] }
-
-// viewOrGhost resolves the cached views at gx, substituting the ghost
-// planes outside the owned range [start, end).
-func viewOrGhost(views [][][]float64, gx, start, end int, ghostL, ghostR [][]float64) [][]float64 {
-	switch {
-	case gx < start:
-		return ghostL
-	case gx >= end:
-		return ghostR
-	default:
-		return views[gx-start]
-	}
-}
-
-// ghostOr is viewOrGhost for streaming inputs: owned planes become full
-// descriptors (marked SoA when the rank stores them direction-major),
-// out-of-range planes the given (possibly slim, always canonical)
-// ghosts.
-func ghostOr(views [][][]float64, gx, start, end int, gL, gR lbm.Ghost, soa bool) lbm.Ghost {
-	switch {
-	case gx < start:
-		return gL
-	case gx >= end:
-		return gR
-	default:
-		return lbm.Ghost{Planes: views[gx-start], SoA: soa}
-	}
-}
-
-// densities, collide, and stream dispatch the owned-plane kernel calls
-// to the AoS or SoA variant according to the rank's layout. Ghost-plane
-// work (the coalesced protocol's redundant ghost collide) deliberately
-// does NOT go through these: wire data is canonical, so it runs the
-// plain AoS kernels regardless of layout.
-func (w *worker) densities(f, n [][]float64) {
-	if w.soa {
-		w.k.DensitiesSoA(f, n)
-		return
-	}
-	w.k.Densities(f, n)
-}
-
-func (w *worker) collide(nL, nC, nR, fC, out [][]float64) {
-	if w.soa {
-		w.k.CollideScratchSoA(w.sc, nL, nC, nR, fC, out)
-		return
-	}
-	w.k.CollideScratch(w.sc, nL, nC, nR, fC, out)
-}
-
-func (w *worker) stream(fL lbm.Ghost, fC [][]float64, fR lbm.Ghost, out [][]float64) {
-	if w.soa {
-		w.k.StreamGhostSoA(fL, fC, fR, out)
-		return
-	}
-	w.k.StreamGhost(fL, fC, fR, out)
-}
-
-// RunRank executes the phases for one rank. All ranks of the group must
-// call it with identical parameters and options. When opts carries a
-// Ctx or WallLimit, the rank builds its own supervisor — sound for a
-// single-rank group; a multi-rank group must instead share ONE
-// supervisor across all ranks (the RunParallel family does this
-// internally, custom stackers use RunRankSupervised), because the
-// orderly stop protocol agrees on a common boundary through shared
-// supervisor state.
-func RunRank(p *lbm.Params, c comm.Comm, opts Options) (*Result, error) {
-	var sup *runctl.Supervisor
-	if opts.Ctx != nil || opts.WallLimit > 0 {
-		sup = runctl.NewSupervisor(opts.Ctx, opts.WallLimit)
-	}
-	return runRank(p, c, opts, sup)
-}
-
-// RunRankSupervised is RunRank under an externally owned supervisor:
-// the entry point for group runners that stack their own wrappers. All
-// ranks of the group must share the same supervisor instance (its
-// stop-phase agreement lives there), and should also wrap their
-// endpoints with comm.WithSupervision(ep, sup.HardErr, sup.Poll()) so
-// blocked receives unwind on a hard abort. A nil supervisor runs
-// unsupervised.
-func RunRankSupervised(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor) (*Result, error) {
-	return runRank(p, c, opts, sup)
-}
-
-func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor) (*Result, error) {
+// runRank executes the phases for one rank; all ranks of the group run
+// it with identical parameters and options and share one supervisor
+// (its stop-phase agreement lives there; nil runs unsupervised). With
+// gather, rank 0 collects the full fields into Result.Final.
+func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, gather bool) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if p.Layout != lbm.AoS {
+		return nil, fmt.Errorf("parlbm: layout %v unsupported; ranks store cell-major (AoS) planes", p.Layout)
 	}
 	if opts.Phases < 1 {
 		return nil, fmt.Errorf("parlbm: phases %d < 1", opts.Phases)
 	}
-	if p.NX < c.Size() {
-		return nil, fmt.Errorf("parlbm: %d planes cannot cover %d ranks", p.NX, c.Size())
+	if p.NX < MinSlabPlanes*c.Size() {
+		return nil, fmt.Errorf("parlbm: %d planes cannot give %d ranks %d planes each", p.NX, c.Size(), MinSlabPlanes)
 	}
 	if ck := opts.Checkpoint; ck != nil {
 		if ck.Dir == "" || ck.Interval < 1 {
@@ -537,57 +303,29 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor) (
 			}
 		}
 	}
-	w := &worker{
-		p: p, k: lbm.NewKernel(p), c: c, opts: opts, sup: sup,
-		rank: c.Rank(), size: c.Size(), soa: p.Layout == lbm.SoA,
-		res: &Result{Rank: c.Rank()},
-	}
-	w.sc = w.k.NewScratch()
-	w.ghostHdrL = make([][]float64, p.NComp())
-	w.ghostHdrR = make([][]float64, p.NComp())
-	hk := 1
-	if opts.Policy != nil {
-		hk = opts.Policy.HistoryK()
-	}
-	w.pred = predict.NewHarmonicMean(hk)
-
+	w := newWorker(p, c, opts, sup)
+	nc := p.NComp()
 	part := decomp.Even(p.NX, w.size)
 	start, end := part.Range(w.rank)
-	nc := p.NComp()
 	w.f = make([]*field.Slab, nc)
 	w.n = make([]*field.Slab, nc)
-	w.fPost = make([]*field.Slab, nc)
 	startPhase := 0
 	var snap *checkpoint.RunSnapshot
 	if opts.Checkpoint != nil && opts.Checkpoint.Snapshot != nil {
 		snap = opts.Checkpoint.Snapshot
 		startPhase = snap.Phase
 	}
-	layout := field.AoS
-	if w.soa {
-		layout = field.SoA
-	}
-	cells := p.NY * p.NZ
 	for comp := 0; comp < nc; comp++ {
-		w.f[comp] = field.NewSlabLayout(p.NY, p.NZ, 19, start, end-start, layout)
-		w.fPost[comp] = field.NewSlabLayout(p.NY, p.NZ, 19, start, end-start, layout)
+		w.f[comp] = field.NewSlab(p.NY, p.NZ, 19, start, end-start)
 		w.n[comp] = field.NewSlab(p.NY, p.NZ, 1, start, end-start)
 		for gx := start; gx < end; gx++ {
-			switch {
-			case snap != nil && w.soa:
-				// Snapshot planes are canonical; transpose into the
-				// rank's direction-major storage.
-				field.TransposeToSoA(w.f[comp].Plane(gx), snap.Plane(comp, gx), cells, 19)
-			case snap != nil:
+			if snap != nil {
 				copy(w.f[comp].Plane(gx), snap.Plane(comp, gx))
-			case w.soa:
-				w.k.InitEquilibriumSoA(w.f[comp].Plane(gx), p.InitDensityAt(comp, gx))
-			default:
+			} else {
 				w.k.InitEquilibrium(w.f[comp].Plane(gx), p.InitDensityAt(comp, gx))
 			}
 		}
 	}
-	w.rebuildViews()
 	w.res.StartPhase = startPhase
 
 	interval := 0
@@ -624,10 +362,10 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor) (
 		}
 		// Orderly stop: a rank observing a soft cause (cancel, wall
 		// limit) proposes stopping `size` phases past its own boundary —
-		// provably ahead of every peer, since the ring's halo coupling
+		// provably ahead of every peer, since the ring's frame coupling
 		// bounds the phase skew below the group size — and the shared
 		// CAS-min picks one common boundary. Every rank keeps exchanging
-		// halos until it reaches that boundary, so the group arrives in
+		// frames until it reaches that boundary, so the group arrives in
 		// lockstep, writes one coordinated interrupt checkpoint there,
 		// and unwinds with the typed cause.
 		completed := phase + 1
@@ -648,11 +386,34 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor) (
 			return w.res, fmt.Errorf("parlbm: rank %d interrupted after phase %d: %w", w.rank, completed, cause)
 		}
 	}
-	if err := w.gather(); err != nil {
-		return nil, fmt.Errorf("parlbm: rank %d gather: %w", w.rank, err)
+	w.res.Mass = w.localMass()
+	w.res.Profile = w.midProfile()
+	if gather {
+		if err := w.gather(); err != nil {
+			return nil, fmt.Errorf("parlbm: rank %d gather: %w", w.rank, err)
+		}
 	}
 	w.fillStats()
 	return w.res, nil
+}
+
+// newWorker builds rank c's worker state short of its slabs.
+func newWorker(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor) *worker {
+	nc := p.NComp()
+	w := &worker{
+		p: p, k: lbm.NewKernel(p), c: c, opts: opts, sup: sup,
+		rank: c.Rank(), size: c.Size(),
+		res:  &Result{Rank: c.Rank()},
+		farL: make([][]float64, nc), farR: make([][]float64, nc), farHdr: make([][]float64, nc),
+	}
+	w.sweep = w.k.NewFusedScratch()
+	w.massFn = w.localMass
+	hk := 1
+	if opts.Policy != nil {
+		hk = opts.Policy.HistoryK()
+	}
+	w.pred = predict.NewHarmonicMean(hk)
+	return w
 }
 
 // fillStats copies the rank's final slab range and wire byte counters
@@ -664,15 +425,45 @@ func (w *worker) fillStats() {
 	w.res.Comm.Bytes = w.res.Breakdown.Bytes
 }
 
-// neighbors returns the ring neighbors for halo exchange (the domain is
-// periodic along x).
+// localMass returns the rank's per-component mass: one pass summing
+// its populations, times the component's particle mass.
+func (w *worker) localMass() []float64 {
+	mass := make([]float64, len(w.f))
+	for c, s := range w.f {
+		var sum float64
+		for _, plane := range s.Planes {
+			for _, v := range plane {
+				sum += v
+			}
+		}
+		mass[c] = sum * w.p.Components[c].Mass
+	}
+	return mass
+}
+
+// midProfile returns u_x(y) at x = NX/2, z = NZ/2 when this rank owns
+// plane NX/2, nil otherwise.
+func (w *worker) midProfile() []float64 {
+	x := w.p.NX / 2
+	if x < w.f[0].Start || x >= w.f[0].End() {
+		return nil
+	}
+	planes := make([][]float64, len(w.f))
+	for c, s := range w.f {
+		planes[c] = s.Plane(x)
+	}
+	prof := make([]float64, w.p.NY)
+	for y := range prof {
+		prof[y], _, _ = w.k.CellVelocity(planes, y, w.p.NZ/2)
+	}
+	return prof
+}
+
+// neighbors returns the ring neighbors of the frame exchange (the
+// domain is periodic along x).
 func (w *worker) neighbors() (left, right int) {
 	return (w.rank - 1 + w.size) % w.size, (w.rank + 1) % w.size
 }
-
-// distSlim reports whether the distribution halo uses the slim
-// crossing-populations wire format.
-func (w *worker) distSlim() bool { return !w.opts.WideHalo }
 
 // wireF32 reports whether bulk payloads ship as packed float32 words.
 func (w *worker) wireF32() bool { return w.opts.WireF32 || w.p.Precision == lbm.F32 }
@@ -693,7 +484,7 @@ func (w *worker) sendWire(to, tag int, payload []float64, staging *[]float64, cl
 // recvWire blocks for a payload of logical length n from rank `from`,
 // unpacking compressed words into the staging buffer; `what` names the
 // payload in size-mismatch errors. The returned slice is valid until
-// the same staging buffer is reused.
+// the same staging buffer (or, uncompressed, the same tag) is reused.
 func (w *worker) recvWire(from, tag, n int, what string, staging *[]float64, class *profile.TagBytes) ([]float64, error) {
 	msg, err := w.c.Recv(from, tag)
 	if err != nil {
@@ -713,331 +504,57 @@ func (w *worker) recvWire(from, tag, n int, what string, staging *[]float64, cla
 	return *staging, nil
 }
 
-// packPlanes concatenates the given global-x plane of every component
-// of the slabs into buf, reusing its capacity when possible, and
-// returns the (possibly grown) buffer. The steady-state halo exchange
-// therefore sends from two per-worker buffers instead of allocating a
-// fresh one per exchange. SoA distribution planes are transposed into
-// the canonical cell-major wire order during the copy, so the payload
-// bytes are identical between layouts.
-func packPlanes(buf []float64, slabs []*field.Slab, gx int) []float64 {
-	sz := slabs[0].PlaneSize()
-	need := sz * len(slabs)
+// views returns count+2 per-plane component views of slabs, reusing
+// buf's storage: entry 1+i holds plane i of every slab, entries 0 and
+// count+1 are left for the caller's ghost planes.
+func views(buf [][][]float64, slabs []*field.Slab) [][][]float64 {
+	need := slabs[0].Count() + 2
 	if cap(buf) < need {
-		buf = make([]float64, need)
+		grown := make([][][]float64, need, 2*need)
+		copy(grown, buf[:cap(buf)])
+		buf = grown
 	}
 	buf = buf[:need]
-	if slabs[0].Layout == field.SoA && slabs[0].Q > 1 {
-		cells := slabs[0].NY * slabs[0].NZ
-		for c, s := range slabs {
-			field.TransposeToAoS(buf[c*sz:(c+1)*sz], s.Plane(gx), cells, s.Q)
+	for i := range buf {
+		if buf[i] == nil {
+			buf[i] = make([][]float64, len(slabs))
 		}
-		return buf
 	}
 	for c, s := range slabs {
-		copy(buf[c*sz:(c+1)*sz], s.Plane(gx))
-	}
-	return buf
-}
-
-// packCrossing packs the slim halo of the given global-x distribution
-// plane into buf: per component, per cell, the lattice.CrossQ
-// populations listed in dirs (RightGoing for a halo sent rightward,
-// LeftGoing for leftward), laid out as slim[cell*CrossQ+j] =
-// plane[cell*Q19+dirs[j]] — exactly the layout lbm.Ghost{Slim: true}
-// consumes without unpacking.
-func packCrossing(buf []float64, slabs []*field.Slab, gx int, dirs *[5]int) []float64 {
-	cells := slabs[0].NY * slabs[0].NZ
-	per := cells * lattice.CrossQ
-	need := per * len(slabs)
-	if cap(buf) < need {
-		buf = make([]float64, need)
-	}
-	buf = buf[:need]
-	if slabs[0].Layout == field.SoA {
-		// Direction-major source: gather each crossing population from
-		// its contiguous lane. The wire bytes are identical to the AoS
-		// gather below — slim order is canonical either way.
-		for c, s := range slabs {
-			plane := s.Plane(gx)
-			out := buf[c*per : (c+1)*per]
-			l0 := plane[dirs[0]*cells : (dirs[0]+1)*cells]
-			l1 := plane[dirs[1]*cells : (dirs[1]+1)*cells]
-			l2 := plane[dirs[2]*cells : (dirs[2]+1)*cells]
-			l3 := plane[dirs[3]*cells : (dirs[3]+1)*cells]
-			l4 := plane[dirs[4]*cells : (dirs[4]+1)*cells]
-			for cell := 0; cell < cells; cell++ {
-				o := cell * lattice.CrossQ
-				out[o] = l0[cell]
-				out[o+1] = l1[cell]
-				out[o+2] = l2[cell]
-				out[o+3] = l3[cell]
-				out[o+4] = l4[cell]
-			}
-		}
-		return buf
-	}
-	for c, s := range slabs {
-		plane := s.Plane(gx)
-		out := buf[c*per : (c+1)*per]
-		for cell := 0; cell < cells; cell++ {
-			b := cell * lattice.Q19
-			o := cell * lattice.CrossQ
-			out[o] = plane[b+dirs[0]]
-			out[o+1] = plane[b+dirs[1]]
-			out[o+2] = plane[b+dirs[2]]
-			out[o+3] = plane[b+dirs[3]]
-			out[o+4] = plane[b+dirs[4]]
+		for i, plane := range s.Planes {
+			buf[1+i][c] = plane
 		}
 	}
 	return buf
 }
 
-// postHalos packs and sends the boundary planes of slabs to both ring
-// neighbors under the direction-distinct tag pair. Sends are buffered
-// (never block), so posting the halos before computing interior planes
-// overlaps the exchange with compute.
-func (w *worker) postHalos(slabs []*field.Slab, tagL, tagR int, slim bool, class *profile.TagBytes) error {
-	start, end := slabs[0].Start, slabs[0].End()
-	left, right := w.neighbors()
-	if slim {
-		w.packL = packCrossing(w.packL, slabs, start, &lattice.LeftGoing)
-		w.packR = packCrossing(w.packR, slabs, end-1, &lattice.RightGoing)
-	} else {
-		w.packL = packPlanes(w.packL, slabs, start)
-		w.packR = packPlanes(w.packR, slabs, end-1)
-	}
-	if err := w.sendWire(left, tagL, w.packL, &w.wireSendL, class); err != nil {
-		return err
-	}
-	return w.sendWire(right, tagR, w.packR, &w.wireSendR, class)
-}
-
-// recvHalos blocks for both neighbors' ghost planes (per is the
-// expected per-component payload length) and returns them unpacked per
-// component through the worker's reusable view headers: ghostL
-// corresponds to global x start-1, ghostR to end.
-func (w *worker) recvHalos(per, tagL, tagR int, class *profile.TagBytes) (ghostL, ghostR [][]float64, err error) {
-	nc := len(w.ghostHdrL)
-	left, right := w.neighbors()
-	fromL, err := w.recvWire(left, tagR, nc*per, "halo", &w.rawRecvL, class) // the left neighbor's rightward halo
-	if err != nil {
-		return nil, nil, err
-	}
-	fromR, err := w.recvWire(right, tagL, nc*per, "halo", &w.rawRecvR, class)
-	if err != nil {
-		return nil, nil, err
-	}
-	for c := 0; c < nc; c++ {
-		w.ghostHdrL[c] = fromL[c*per : (c+1)*per]
-		w.ghostHdrR[c] = fromR[c*per : (c+1)*per]
-	}
-	return w.ghostHdrL, w.ghostHdrR, nil
-}
-
-// exchangeDensityHalos posts the boundary density planes to both
-// neighbors and blocks for the received ghosts (the non-overlapped
-// pattern: post and immediately wait). A single rank wraps locally.
-func (w *worker) exchangeDensityHalos() (ghostL, ghostR [][]float64, err error) {
-	if w.size == 1 {
-		start, end := w.n[0].Start, w.n[0].End()
-		for c := range w.n {
-			w.ghostHdrL[c] = w.n[c].Plane(end - 1)
-			w.ghostHdrR[c] = w.n[c].Plane(start)
-		}
-		return w.ghostHdrL, w.ghostHdrR, nil
-	}
-	if err := w.postDensityHalos(); err != nil {
-		return nil, nil, err
-	}
-	return w.recvDensityHalos()
-}
-
-func (w *worker) postDensityHalos() error {
-	return w.postHalos(w.n, tagDensHaloL, tagDensHaloR, false, &w.res.Breakdown.Bytes.DensityHalo)
-}
-
-func (w *worker) recvDensityHalos() ([][]float64, [][]float64, error) {
-	return w.recvHalos(w.n[0].PlaneSize(), tagDensHaloL, tagDensHaloR, &w.res.Breakdown.Bytes.DensityHalo)
-}
-
-// exchangeDistHalos is the distribution-function analogue; the ghosts
-// come back as streaming descriptors because the slim format is
-// consumed in place by the kernel.
-func (w *worker) exchangeDistHalos() (ghostL, ghostR lbm.Ghost, err error) {
-	if w.size == 1 {
-		// The wrap points at the rank's own post-collision planes, so
-		// the ghost layout follows the rank's storage layout.
-		start, end := w.fPost[0].Start, w.fPost[0].End()
-		for c := range w.fPost {
-			w.ghostHdrL[c] = w.fPost[c].Plane(end - 1)
-			w.ghostHdrR[c] = w.fPost[c].Plane(start)
-		}
-		return lbm.Ghost{Planes: w.ghostHdrL, SoA: w.soa}, lbm.Ghost{Planes: w.ghostHdrR, SoA: w.soa}, nil
-	}
-	if err := w.postDistHalos(); err != nil {
-		return lbm.Ghost{}, lbm.Ghost{}, err
-	}
-	return w.recvDistHalos()
-}
-
-func (w *worker) postDistHalos() error {
-	return w.postHalos(w.fPost, tagDistHaloL, tagDistHaloR, w.distSlim(), &w.res.Breakdown.Bytes.DistHalo)
-}
-
-func (w *worker) recvDistHalos() (lbm.Ghost, lbm.Ghost, error) {
-	per := w.fPost[0].PlaneSize()
-	if w.distSlim() {
-		per = w.k.PlaneCells() * lattice.CrossQ
-	}
-	hL, hR, err := w.recvHalos(per, tagDistHaloL, tagDistHaloR, &w.res.Breakdown.Bytes.DistHalo)
-	if err != nil {
-		return lbm.Ghost{}, lbm.Ghost{}, err
-	}
-	return lbm.Ghost{Planes: hL, Slim: w.distSlim()}, lbm.Ghost{Planes: hR, Slim: w.distSlim()}, nil
-}
-
-// phase runs one LBM phase: densities, density-halo exchange, collide,
-// distribution-halo exchange, stream. With Options.Coalesce (and more
-// than one rank) the two exchanges merge into one frame per neighbor;
-// with Options.Overlap it dispatches to the overlapped variant.
+// phase runs one LBM phase: post a frame to each neighbor, take theirs
+// as the ghost planes, then one fused sweep over the slab that collides
+// the ghosts redundantly and streams the owned planes.
 func (w *worker) phase(phase int) error {
 	if w.opts.PhaseHook != nil {
 		w.opts.PhaseHook(w.rank, phase)
 	}
-	if w.opts.Coalesce && w.size > 1 {
-		return w.phaseCoalesced(phase)
-	}
-	if w.opts.Overlap && w.size > 1 {
-		return w.phaseOverlap(phase)
-	}
-	start, end := w.f[0].Start, w.f[0].End()
-
-	tComp := time.Now()
-	// Densities for owned planes.
-	for gx := start; gx < end; gx++ {
-		w.densities(w.fAt(gx), w.nAt(gx))
-	}
-	compDur := time.Since(tComp).Seconds()
-
 	tComm := time.Now()
-	nGhostL, nGhostR, err := w.exchangeDensityHalos()
-	if err != nil {
+	if err := w.postFrames(); err != nil {
+		return err
+	}
+	if err := w.recvFrames(); err != nil {
 		return err
 	}
 	commDur := time.Since(tComm).Seconds()
 
-	tComp = time.Now()
-	for gx := start; gx < end; gx++ {
-		nL := viewOrGhost(w.nView.win, gx-1, start, end, nGhostL, nGhostR)
-		nR := viewOrGhost(w.nView.win, gx+1, start, end, nGhostL, nGhostR)
-		w.collide(nL, w.nAt(gx), nR, w.fAt(gx), w.postAt(gx))
-	}
-	compDur += time.Since(tComp).Seconds()
+	tComp := time.Now()
+	w.sweepSlab()
+	compDur := time.Since(tComp).Seconds()
 
-	tComm = time.Now()
-	fGhostL, fGhostR, err := w.exchangeDistHalos()
-	if err != nil {
-		return err
-	}
-	commDur += time.Since(tComm).Seconds()
-
-	tComp = time.Now()
-	for gx := start; gx < end; gx++ {
-		fL := ghostOr(w.postView.win, gx-1, start, end, fGhostL, fGhostR, w.soa)
-		fR := ghostOr(w.postView.win, gx+1, start, end, fGhostL, fGhostR, w.soa)
-		w.stream(fL, w.postAt(gx), fR, w.fAt(gx))
-	}
-	compDur += time.Since(tComp).Seconds()
-
-	return w.finishPhase(phase, compDur, commDur, 0)
-}
-
-// phaseOverlap is phase with comm/compute overlap: boundary planes are
-// computed first and their halos posted, the interior is computed
-// while the exchange is in flight, and only then does the rank block
-// on the ghosts and finish the edge planes. Every plane goes through
-// the identical kernel arithmetic, only the order changes — and plane
-// updates are independent within a sub-phase — so the results are
-// bit-identical to the non-overlapped solver.
-func (w *worker) phaseOverlap(phase int) error {
-	start, end := w.f[0].Start, w.f[0].End()
-	var compDur, commDur, ovDur float64
-
-	// Densities: edges first, halos on the wire, interior overlapped.
-	t := time.Now()
-	w.densities(w.fAt(start), w.nAt(start))
-	if end-1 > start {
-		w.densities(w.fAt(end-1), w.nAt(end-1))
-	}
-	compDur += time.Since(t).Seconds()
-	t = time.Now()
-	if err := w.postDensityHalos(); err != nil {
-		return err
-	}
-	commDur += time.Since(t).Seconds()
-	t = time.Now()
-	for gx := start + 1; gx < end-1; gx++ {
-		w.densities(w.fAt(gx), w.nAt(gx))
-	}
-	d := time.Since(t).Seconds()
-	compDur += d
-	ovDur += d
-	t = time.Now()
-	nGhostL, nGhostR, err := w.recvDensityHalos()
-	if err != nil {
-		return err
-	}
-	commDur += time.Since(t).Seconds()
-
-	// Collide: edge planes need the ghosts and produce the next
-	// exchange's boundary data, so they go first; the interior
-	// overlaps the distribution-halo exchange.
-	t = time.Now()
-	w.collide(nGhostL, w.nAt(start),
-		viewOrGhost(w.nView.win, start+1, start, end, nGhostL, nGhostR),
-		w.fAt(start), w.postAt(start))
-	if end-1 > start {
-		w.collide(
-			viewOrGhost(w.nView.win, end-2, start, end, nGhostL, nGhostR),
-			w.nAt(end-1), nGhostR, w.fAt(end-1), w.postAt(end-1))
-	}
-	compDur += time.Since(t).Seconds()
-	t = time.Now()
-	if err := w.postDistHalos(); err != nil {
-		return err
-	}
-	commDur += time.Since(t).Seconds()
-	t = time.Now()
-	for gx := start + 1; gx < end-1; gx++ {
-		w.collide(w.nAt(gx-1), w.nAt(gx), w.nAt(gx+1), w.fAt(gx), w.postAt(gx))
-	}
-	d = time.Since(t).Seconds()
-	compDur += d
-	ovDur += d
-	t = time.Now()
-	fGhostL, fGhostR, err := w.recvDistHalos()
-	if err != nil {
-		return err
-	}
-	commDur += time.Since(t).Seconds()
-
-	// Stream: no further exchange to overlap; sweep every plane.
-	t = time.Now()
-	for gx := start; gx < end; gx++ {
-		fL := ghostOr(w.postView.win, gx-1, start, end, fGhostL, fGhostR, w.soa)
-		fR := ghostOr(w.postView.win, gx+1, start, end, fGhostL, fGhostR, w.soa)
-		w.stream(fL, w.postAt(gx), fR, w.fAt(gx))
-	}
-	compDur += time.Since(t).Seconds()
-
-	return w.finishPhase(phase, compDur, commDur, ovDur)
+	return w.finishPhase(phase, compDur, commDur)
 }
 
 // finishPhase runs the shared phase epilogue: throttling, time
 // accounting, the phase-time observation feeding the remap predictor,
-// and the PostPhase invariant hook.
-func (w *worker) finishPhase(phase int, compDur, commDur, ovDur float64) error {
+// and the PostPhase hook.
+func (w *worker) finishPhase(phase int, compDur, commDur float64) error {
 	planes := w.f[0].Count()
 	if w.opts.Throttle != nil {
 		t := time.Now()
@@ -1046,7 +563,6 @@ func (w *worker) finishPhase(phase int, compDur, commDur, ovDur float64) error {
 	}
 	w.res.Breakdown.Computation += compDur
 	w.res.Breakdown.Communication += commDur
-	w.res.Breakdown.Overlap += ovDur
 
 	measured := compDur
 	if w.opts.PhaseTime != nil {
@@ -1056,18 +572,7 @@ func (w *worker) finishPhase(phase int, compDur, commDur, ovDur float64) error {
 		w.pred.Observe(measured / float64(planes))
 	}
 	if w.opts.PostPhase != nil {
-		nc := len(w.f)
-		mass := make([]float64, nc)
-		for c := 0; c < nc; c++ {
-			var sum float64
-			for _, plane := range w.f[c].Planes {
-				for _, v := range plane {
-					sum += v
-				}
-			}
-			mass[c] = sum * w.p.Components[c].Mass
-		}
-		if err := w.opts.PostPhase(w.rank, phase, planes, mass); err != nil {
+		if err := w.opts.PostPhase(w.rank, phase, planes, w.massFn); err != nil {
 			return fmt.Errorf("invariant check: %w", err)
 		}
 	}

@@ -1,7 +1,10 @@
 package parlbm
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -217,10 +220,46 @@ func TestRunRankValidation(t *testing.T) {
 	if _, _, err := RunParallel(p, 8, Options{Phases: 1}); err == nil {
 		t.Error("more ranks than planes accepted")
 	}
+	// Every slab needs MinSlabPlanes planes: 4 planes cannot feed 3 ranks.
+	if _, _, err := RunParallel(p, 3, Options{Phases: 1}); err == nil || !strings.Contains(err.Error(), "2 planes each") {
+		t.Errorf("NX < 2*ranks: got %v, want the slab-floor error", err)
+	}
+	// Ranks store cell-major planes only.
+	soa := lbm.WaterAir(4, 8, 6)
+	soa.Layout = lbm.SoA
+	if _, _, err := RunParallel(soa, 2, Options{Phases: 1}); err == nil || !strings.Contains(err.Error(), "layout") {
+		t.Errorf("SoA layout: got %v, want a layout error", err)
+	}
 	bad := lbm.WaterAir(4, 8, 6)
 	bad.Components[0].Tau = 0.1
 	if _, _, err := RunParallel(bad, 2, Options{Phases: 1}); err == nil {
 		t.Error("invalid params accepted")
+	}
+}
+
+// A policy configured to keep fewer than MinSlabPlanes planes fails the
+// run with a typed error at the round that would break the floor —
+// under the local protocol (each rank checks its own slab) and the
+// global one (every rank checks every slab).
+func TestRemapBelowSlabFloorFails(t *testing.T) {
+	p := lbm.WaterAir(8, 8, 6)
+	filtered := balance.NewFiltered(p.NY * p.NZ)
+	filtered.Cfg.Interval, filtered.Cfg.HistoryK, filtered.Cfg.MinKeepPlanes = 2, 2, 1
+	global := balance.NewGlobal(p.NY * p.NZ)
+	global.Interval_, global.HistoryK_, global.MinKeep = 2, 2, 1
+	for _, pol := range []balance.Policy{filtered, global} {
+		_, _, err := RunParallel(p, 2, Options{
+			Phases:    12,
+			Policy:    pol,
+			PhaseTime: func(rank, planes, phase int) float64 { return float64(planes) * float64(1+99*rank) },
+		})
+		var fe *SlabFloorError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%s: got %v, want a SlabFloorError", pol.Name(), err)
+		}
+		if fe.Rank != 1 || fe.Planes >= MinSlabPlanes {
+			t.Errorf("%s: floor error names rank %d with %d planes, want rank 1 below %d", pol.Name(), fe.Rank, fe.Planes, MinSlabPlanes)
+		}
 	}
 }
 
@@ -348,13 +387,13 @@ func TestFilteredRemappingOverTCP(t *testing.T) {
 }
 
 // Stress: the paper's full 20-rank decomposition with aggressive
-// remapping and several emulated slow ranks still reproduces the
-// sequential result exactly.
+// remapping and several emulated slow ranks — draining them down to
+// the 2-plane floor — still reproduces the sequential result exactly.
 func TestTwentyRankStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20-rank run")
 	}
-	p := lbm.WaterAir(40, 8, 6)
+	p := lbm.WaterAir(80, 8, 6)
 	const phases = 10
 	want := sequentialReference(t, p, phases)
 	pol := balance.NewFiltered(p.NY * p.NZ)
@@ -379,7 +418,7 @@ func TestTwentyRankStress(t *testing.T) {
 	covered := 0
 	for _, r := range results {
 		covered += r.FinalCount
-		if r.FinalCount < 1 {
+		if r.FinalCount < MinSlabPlanes {
 			t.Errorf("rank %d ended with %d planes", r.Rank, r.FinalCount)
 		}
 	}
@@ -387,7 +426,7 @@ func TestTwentyRankStress(t *testing.T) {
 		t.Errorf("partition covers %d of %d planes", covered, p.NX)
 	}
 	for r := range slow {
-		if results[r].FinalCount > 2 {
+		if results[r].FinalCount >= 4 {
 			t.Errorf("slow rank %d kept %d planes", r, results[r].FinalCount)
 		}
 	}
@@ -425,5 +464,64 @@ func TestThrottleRecoveredByRemapping(t *testing.T) {
 	// stay robust under scheduler noise.
 	if filt.Seconds() > 0.75*none.Seconds() {
 		t.Errorf("filtered %.3fs vs none %.3fs; real-time recovery too small", filt.Seconds(), none.Seconds())
+	}
+}
+
+// RunParallelReduced gathers nothing and still returns what a caller
+// reads off the final state: the rank mass shares sum to the sequential
+// mass to 1e-12, and exactly one rank — the owner of plane NX/2, which
+// remapping moves — returns the mid-channel profile, bit-equal to the
+// sequential VelocityProfileY.
+func TestRunParallelReducedMassAndProfile(t *testing.T) {
+	p := waveParams(16, 12, 6)
+	p.BodyForce[0] = 1e-5 // a profile worth comparing
+	const phases = 10
+	ref, err := lbm.NewSim(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(phases)
+	want := ref.VelocityProfileY(p.NX/2, p.NZ/2)
+
+	pol := balance.NewFiltered(p.NY * p.NZ)
+	pol.Cfg.Interval, pol.Cfg.HistoryK = 3, 2
+	for _, opts := range []Options{
+		{Phases: phases},
+		{Phases: phases, Policy: pol, PhaseTime: slowRankTime(2)},
+	} {
+		results, err := RunParallelReduced(p, 4, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mass := make([]float64, p.NComp())
+		owners := 0
+		for _, r := range results {
+			if r.Final != nil || r.Comm.Bytes.Gather.SentBytes != 0 || r.Comm.Bytes.Gather.RecvBytes != 0 {
+				t.Errorf("rank %d gathered: Final %v, gather bytes %+v", r.Rank, r.Final != nil, r.Comm.Bytes.Gather)
+			}
+			for c, m := range r.Mass {
+				mass[c] += m
+			}
+			if r.Profile == nil {
+				continue
+			}
+			owners++
+			if x := p.NX / 2; x < r.FinalStart || x >= r.FinalStart+r.FinalCount {
+				t.Errorf("rank %d owns [%d,%d) but returned the plane-%d profile", r.Rank, r.FinalStart, r.FinalStart+r.FinalCount, x)
+			}
+			for y := range want {
+				if math.Float64bits(r.Profile[y]) != math.Float64bits(want[y]) {
+					t.Fatalf("profile y=%d: %v, sequential %v", y, r.Profile[y], want[y])
+				}
+			}
+		}
+		if owners != 1 {
+			t.Errorf("%d ranks returned a profile, want 1", owners)
+		}
+		for c := range mass {
+			if w := ref.TotalMass(c); math.Abs(mass[c]-w) > 1e-12*w {
+				t.Errorf("component %d: summed mass %.17g, sequential %.17g", c, mass[c], w)
+			}
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"microslip/internal/comm"
 	"microslip/internal/field"
-	"microslip/internal/lattice"
 	"microslip/internal/lbm"
 )
 
@@ -17,27 +16,17 @@ func benchWorker(b testing.TB, c comm.Comm, opts Options) *worker {
 // testWorker assembles rank c's worker owning planes [start,
 // start+count) of an equilibrium lattice, as runRank would.
 func testWorker(p *lbm.Params, c comm.Comm, opts Options, start, count int) *worker {
-	w := &worker{
-		p: p, k: lbm.NewKernel(p), c: c, opts: opts,
-		rank: c.Rank(), size: c.Size(),
-		res: &Result{Rank: c.Rank()},
-	}
-	w.sc = w.k.NewScratch()
+	w := newWorker(p, c, opts, nil)
 	nc := p.NComp()
-	w.ghostHdrL = make([][]float64, nc)
-	w.ghostHdrR = make([][]float64, nc)
 	w.f = make([]*field.Slab, nc)
 	w.n = make([]*field.Slab, nc)
-	w.fPost = make([]*field.Slab, nc)
 	for comp := 0; comp < nc; comp++ {
 		w.f[comp] = field.NewSlab(p.NY, p.NZ, 19, start, count)
-		w.fPost[comp] = field.NewSlab(p.NY, p.NZ, 19, start, count)
 		w.n[comp] = field.NewSlab(p.NY, p.NZ, 1, start, count)
 		for gx := start; gx < start+count; gx++ {
 			w.k.InitEquilibrium(w.f[comp].Plane(gx), p.Components[comp].InitDensity)
 		}
 	}
-	w.rebuildViews()
 	return w
 }
 
@@ -101,105 +90,53 @@ func (e *reuseEndpoint) AllGather(data []float64) ([][]float64, error) {
 
 func (e *reuseEndpoint) Close() error { return nil }
 
-// The rank-side pack/unpack hot path of the halo exchange must not
-// allocate in the steady state: packPlanes/packCrossing reuse the
-// worker's send buffers and recvHalos reuses its ghost-view headers.
-// (The transport itself copies each message once by contract; that
-// copy lives in the comm layer, not here.)
+// A single rank's phase is entirely rank-side — frames packed to
+// itself, parsed as its ghosts, the in-place sweep, the checkpoint
+// density copy — and must not allocate in the steady state.
 func TestHaloPackPathZeroAllocs(t *testing.T) {
 	f := comm.NewFabric(1)
 	defer f.Close()
-	w := benchWorker(t, f.Endpoint(0), Options{})
-
-	w.packL = packPlanes(w.packL, w.f, w.f[0].Start) // warm the buffer
-	if allocs := testing.AllocsPerRun(10, func() {
-		w.packL = packPlanes(w.packL, w.f, w.f[0].Start)
-	}); allocs != 0 {
-		t.Errorf("packPlanes steady state: %v allocs/op, want 0", allocs)
-	}
-
-	w.packR = packCrossing(w.packR, w.f, w.f[0].Start, &lattice.RightGoing)
-	if allocs := testing.AllocsPerRun(10, func() {
-		w.packR = packCrossing(w.packR, w.f, w.f[0].Start, &lattice.RightGoing)
-	}); allocs != 0 {
-		t.Errorf("packCrossing steady state: %v allocs/op, want 0", allocs)
-	}
-
-	// Ghost unpacking into the reusable headers.
-	payload := make([]float64, len(w.f)*w.f[0].PlaneSize())
-	sz := w.f[0].PlaneSize()
-	if allocs := testing.AllocsPerRun(10, func() {
-		for c := 0; c < len(w.f); c++ {
-			w.ghostHdrL[c] = payload[c*sz : (c+1)*sz]
-			w.ghostHdrR[c] = payload[c*sz : (c+1)*sz]
-		}
-	}); allocs != 0 {
-		t.Errorf("ghost header reuse: %v allocs/op, want 0", allocs)
-	}
-
-	// Single-rank exchange (periodic wrap) is entirely rank-side.
-	if _, _, err := w.exchangeDensityHalos(); err != nil {
+	w := testWorker(lbm.WaterAir(8, 10, 6), f.Endpoint(0), Options{Checkpoint: &CheckpointSpec{}}, 0, 8)
+	if err := w.phase(0); err != nil { // warm the window and frame buffers
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := w.exchangeDensityHalos(); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := w.exchangeDistHalos(); err != nil {
+		if err := w.phase(1); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("single-rank halo exchange: %v allocs/op, want 0", allocs)
+		t.Errorf("single-rank phase steady state: %v allocs/op, want 0", allocs)
 	}
 }
 
-// The full two-rank slim exchange — pack, send, receive, consume-in-
-// place — must be allocation-free in the steady state on a transport
-// that reuses its buffers, and so must the coalesced frame path.
+// A full two-rank phase — frames packed, sent, received and parsed in
+// place, then the sweep — must be allocation-free in the steady state on
+// a transport that reuses its buffers, at full precision and under wire
+// compression.
 func TestSlimExchangeZeroAllocsSteadyState(t *testing.T) {
-	e0, e1 := newReusePair()
-	w0 := benchWorker(t, e0, Options{})
-	w1 := benchWorker(t, e1, Options{})
-	exchange := func() {
-		for _, w := range []*worker{w0, w1} {
-			if err := w.postDensityHalos(); err != nil {
-				t.Fatal(err)
+	for _, wire32 := range []bool{false, true} {
+		e0, e1 := newReusePair()
+		ws := []*worker{
+			benchWorker(t, e0, Options{WireF32: wire32}),
+			benchWorker(t, e1, Options{WireF32: wire32}),
+		}
+		phase := func() {
+			for _, w := range ws {
+				if err := w.postFrames(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := w.postDistHalos(); err != nil {
-				t.Fatal(err)
+			for _, w := range ws {
+				if err := w.recvFrames(); err != nil {
+					t.Fatal(err)
+				}
+				w.sweepSlab()
 			}
 		}
-		for _, w := range []*worker{w0, w1} {
-			if _, _, err := w.recvDensityHalos(); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := w.recvDistHalos(); err != nil {
-				t.Fatal(err)
-			}
+		phase() // warm buffers and transport slots
+		if allocs := testing.AllocsPerRun(10, phase); allocs != 0 {
+			t.Errorf("two-rank phase (wire32=%v): %v allocs/op, want 0", wire32, allocs)
 		}
-	}
-	exchange() // warm buffers and transport slots
-	if allocs := testing.AllocsPerRun(10, exchange); allocs != 0 {
-		t.Errorf("two-rank slim exchange: %v allocs/op, want 0", allocs)
-	}
-
-	w0.ensureCoalesceBufs()
-	w1.ensureCoalesceBufs()
-	frames := func() {
-		for _, w := range []*worker{w0, w1} {
-			if err := w.postFrames(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, w := range []*worker{w0, w1} {
-			if err := w.recvFrames(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	frames()
-	if allocs := testing.AllocsPerRun(10, frames); allocs != 0 {
-		t.Errorf("coalesced frame exchange: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -224,7 +161,7 @@ func pingPong(t *testing.T, w0, w1 *worker, count int) {
 // Plane migration must (a) preserve plane contents exactly, (b) never
 // leave a slab aliasing a transport receive buffer, and (c) allocate
 // nothing in the steady state: pop, pack, send, receive, copy into
-// pooled storage, push, shift the cached views.
+// pooled storage, push.
 func TestMigrationZeroAllocAndNoAliasing(t *testing.T) {
 	e0, e1 := newReusePair()
 	w0 := benchWorker(t, e0, Options{})
@@ -264,9 +201,8 @@ func TestMigrationZeroAllocAndNoAliasing(t *testing.T) {
 			}
 		}
 	}
-	// Views must track the new ownership.
-	if &w1.fAt(2)[0][0] != &w1.f[0].Plane(2)[0] {
-		t.Fatal("cached views not updated for received planes")
+	if got := w1.n[0].Start; got != 2 {
+		t.Fatalf("receiver density slab start %d, want 2", got)
 	}
 
 	// Scribble over every transport slot; slab contents must not move.
@@ -314,74 +250,50 @@ func TestMigrationZeroAllocAndNoAliasing(t *testing.T) {
 	}
 }
 
-// BenchmarkHaloExchange measures the fault-free two-rank halo exchange
-// end to end (pack, send, receive, unpack) on the in-process
-// transport. allocs/op isolates the transport's per-message copy; the
-// rank-side pack/unpack path contributes zero (see
-// TestHaloPackPathZeroAllocs).
-func BenchmarkHaloExchange(b *testing.B) {
-	for _, wide := range []bool{false, true} {
-		name := "halo=slim"
-		if wide {
-			name = "halo=wide"
+// BenchmarkFrameExchange measures the two-rank frame exchange end to
+// end (pack, send, receive, parse) on the in-process transport.
+// allocs/op isolates the transport's per-message copy; the rank side
+// contributes zero (see TestSlimExchangeZeroAllocsSteadyState).
+func BenchmarkFrameExchange(b *testing.B) {
+	f := comm.NewFabric(2)
+	defer f.Close()
+	w0 := benchWorker(b, f.Endpoint(0), Options{})
+	w1 := benchWorker(b, f.Endpoint(1), Options{})
+	b.SetBytes(int64(2 * 8 * w0.frameLen()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	exchange := func(w *worker) error {
+		if err := w.postFrames(); err != nil {
+			return err
 		}
-		b.Run(name, func(b *testing.B) {
-			f := comm.NewFabric(2)
-			defer f.Close()
-			opts := Options{WideHalo: wide}
-			w0 := benchWorker(b, f.Endpoint(0), opts)
-			w1 := benchWorker(b, f.Endpoint(1), opts)
-			per := w0.f[0].PlaneSize()
-			if !wide {
-				per = w0.k.PlaneCells() * lattice.CrossQ
+		return w.recvFrames()
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < b.N; i++ {
+			if err := exchange(w1); err != nil {
+				done <- err
+				return
 			}
-			b.SetBytes(int64(2 * len(w0.f) * per * 8))
-			b.ReportAllocs()
-			b.ResetTimer()
-			done := make(chan error, 1)
-			go func() {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := w1.exchangeDistHalos(); err != nil {
-						done <- err
-						return
-					}
-				}
-				done <- nil
-			}()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := w0.exchangeDistHalos(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := <-done; err != nil {
-				b.Fatal(err)
-			}
-		})
+		}
+		done <- nil
+	}()
+	for i := 0; i < b.N; i++ {
+		if err := exchange(w0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		b.Fatal(err)
 	}
 }
 
-// BenchmarkPhase measures one full LBM phase per rank on two ranks
-// across the exchange schedules.
+// BenchmarkPhase measures one full LBM phase per rank on two ranks.
 func BenchmarkPhase(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{
-		{"overlap=off", Options{}},
-		{"overlap=on", Options{Overlap: true}},
-		{"wide", Options{WideHalo: true}},
-		{"coalesce", Options{Coalesce: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			p := lbm.WaterAir(16, 40, 12)
-			opts := cfg.opts
-			opts.Phases = b.N
-			b.ReportAllocs()
-			b.ResetTimer()
-			_, _, err := RunParallel(p, 2, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
+	p := lbm.WaterAir(16, 40, 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, _, err := RunParallel(p, 2, Options{Phases: b.N}); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -42,7 +42,7 @@ func (w *worker) remap() error {
 // remapLocal is the distributed filtered/conservative protocol. Note
 // the remapping topology is the *chain* (no wraparound): planes only
 // move across subdomain boundaries, and ranks 0 and P-1 have one chain
-// neighbor even though halo exchange is a ring.
+// neighbor even though the frame exchange is a ring.
 func (w *worker) remapLocal(cfg core.Config) error {
 	planes := w.f[0].Count()
 	predicted := w.pred.Predict() * float64(planes)
@@ -125,20 +125,21 @@ func (w *worker) remapLocal(cfg core.Config) error {
 
 	// Net flow on each of my boundaries (positive = rightward), agreed
 	// by both sides from the same two desires.
+	var netL, netR int
 	if hasLeft {
 		// Positive = rightward = the left neighbor ships planes to me.
-		net := leftDesire.ToRight - myL
-		if err := w.moveBoundary(w.rank-1, net); err != nil {
-			return err
-		}
+		netL = leftDesire.ToRight - myL
 	}
 	if hasRight {
-		net := myR - rightDesire.ToLeft
-		if err := w.moveBoundary(w.rank+1, net); err != nil {
-			return err
-		}
+		netR = myR - rightDesire.ToLeft
 	}
-	return nil
+	if after := planes + netL - netR; after < MinSlabPlanes {
+		return &SlabFloorError{Rank: w.rank, Planes: after}
+	}
+	if err := w.moveBoundary(w.rank-1, netL); err != nil {
+		return err
+	}
+	return w.moveBoundary(w.rank+1, netR)
 }
 
 // moveBoundary transfers |net| planes across the boundary between this
@@ -146,12 +147,10 @@ func (w *worker) remapLocal(cfg core.Config) error {
 // higher rank), net < 0 leftward.
 //
 // The transfer is allocation-free in the steady state: departing f
-// planes are packed into the grow-only migration buffer and all three
-// slabs' storage recycled into the worker's plane pools; received
-// planes are copied out of the transport buffer into pooled storage
-// before attachment, so a slab never aliases memory the transport may
-// reuse, and the cached plane views shift incrementally with the
-// boundary instead of being rebuilt.
+// planes are packed into the grow-only migration buffer and both slabs'
+// storage recycled into the worker's plane pools; received planes are
+// copied out of the transport buffer into pooled storage before
+// attachment, so a slab never aliases memory the transport may reuse.
 func (w *worker) moveBoundary(neighbor, net int) error {
 	if net == 0 {
 		return nil
@@ -177,45 +176,18 @@ func (w *worker) moveBoundary(neighbor, net int) error {
 		}
 		w.migBuf = w.migBuf[:need]
 		// Message layout: per plane (ascending global x), the
-		// per-component planes concatenated — always canonical order, so
-		// the wire bytes are layout-independent.
-		cells := w.k.PlaneCells()
+		// per-component planes concatenated.
 		for c := 0; c < nc; c++ {
-			var pl [][]float64
+			pop := w.f[c].PopRight
+			popN := w.n[c].PopRight
 			if fromLeft {
-				pl = w.f[c].PopLeft(count)
-			} else {
-				pl = w.f[c].PopRight(count)
+				pop, popN = w.f[c].PopLeft, w.n[c].PopLeft
 			}
-			for i, p := range pl {
-				if w.soa {
-					field.TransposeToAoS(w.migBuf[(i*nc+c)*sz:(i*nc+c+1)*sz], p, cells, 19)
-				} else {
-					copy(w.migBuf[(i*nc+c)*sz:(i*nc+c+1)*sz], p)
-				}
+			for i, p := range pop(count) {
+				copy(w.migBuf[(i*nc+c)*sz:(i*nc+c+1)*sz], p)
 				w.poolDist = append(w.poolDist, p)
 			}
-		}
-		for c := 0; c < nc; c++ {
-			var pl, sl [][]float64
-			if fromLeft {
-				pl = w.fPost[c].PopLeft(count)
-				sl = w.n[c].PopLeft(count)
-			} else {
-				pl = w.fPost[c].PopRight(count)
-				sl = w.n[c].PopRight(count)
-			}
-			w.poolDist = append(w.poolDist, pl...)
-			w.poolScalar = append(w.poolScalar, sl...)
-		}
-		if fromLeft {
-			w.fView.popLeft(count)
-			w.nView.popLeft(count)
-			w.postView.popLeft(count)
-		} else {
-			w.fView.popRight(count)
-			w.nView.popRight(count)
-			w.postView.popRight(count)
+			w.poolScalar = append(w.poolScalar, popN(count)...)
 		}
 		w.res.PlanesSent += count
 		return w.sendWire(neighbor, tag, w.migBuf, &w.wireSendL, mig)
@@ -224,55 +196,27 @@ func (w *worker) moveBoundary(neighbor, net int) error {
 	if err != nil {
 		return err
 	}
-	// Rightward flow arrives at the receiver's left edge.
-	atLeft := rightward
 	if cap(w.migHdr) < count {
 		w.migHdr = make([][]float64, count)
 	}
 	hdr := w.migHdr[:count]
-	cells := w.k.PlaneCells()
 	for c := 0; c < nc; c++ {
-		for i := 0; i < count; i++ {
-			p := w.grabDist()
-			if w.soa {
-				field.TransposeToSoA(p, msg[(i*nc+c)*sz:(i*nc+c+1)*sz], cells, 19)
-			} else {
-				copy(p, msg[(i*nc+c)*sz:(i*nc+c+1)*sz])
-			}
-			hdr[i] = p
+		push, pushN := w.f[c].PushRight, w.n[c].PushRight
+		if rightward {
+			// Rightward flow arrives at the receiver's left edge.
+			push, pushN = w.f[c].PushLeft, w.n[c].PushLeft
 		}
-		if atLeft {
-			w.f[c].PushLeft(hdr)
-		} else {
-			w.f[c].PushRight(hdr)
-		}
-		// fPost and n get pooled storage too; their contents are
-		// recomputed from f every phase, so no values travel.
-		for i := 0; i < count; i++ {
+		for i := range hdr {
 			hdr[i] = w.grabDist()
+			copy(hdr[i], msg[(i*nc+c)*sz:(i*nc+c+1)*sz])
 		}
-		if atLeft {
-			w.fPost[c].PushLeft(hdr)
-		} else {
-			w.fPost[c].PushRight(hdr)
-		}
-		for i := 0; i < count; i++ {
+		push(hdr)
+		// Densities get pooled storage too; the next checkpointing
+		// sweep refills them, so no values travel.
+		for i := range hdr {
 			hdr[i] = w.grabScalar()
 		}
-		if atLeft {
-			w.n[c].PushLeft(hdr)
-		} else {
-			w.n[c].PushRight(hdr)
-		}
-	}
-	if atLeft {
-		w.fView.pushLeft(w.f, count)
-		w.nView.pushLeft(w.n, count)
-		w.postView.pushLeft(w.fPost, count)
-	} else {
-		w.fView.pushRight(w.f, count)
-		w.nView.pushRight(w.n, count)
-		w.postView.pushRight(w.fPost, count)
+		pushN(hdr)
 	}
 	return nil
 }
@@ -325,6 +269,17 @@ func (w *worker) remapGlobal(pol balance.Policy) error {
 	ordered, err := orderTransfers(ts, planesAll)
 	if err != nil {
 		return err
+	}
+	// Every rank derives the same counts, so all fail together.
+	after := append([]int(nil), planesAll...)
+	for _, tr := range ts {
+		after[tr.From] -= tr.Planes
+		after[tr.To] += tr.Planes
+	}
+	for r, n := range after {
+		if n < MinSlabPlanes {
+			return &SlabFloorError{Rank: r, Planes: n}
+		}
 	}
 	for _, tr := range ordered {
 		if tr.From != w.rank && tr.To != w.rank {
@@ -380,25 +335,13 @@ func orderTransfers(ts []decomp.Transfer, counts []int) ([]decomp.Transfer, erro
 func (w *worker) gather() error {
 	nc := w.p.NComp()
 	sz := w.f[0].PlaneSize()
-	cells := w.k.PlaneCells()
+	start, count := w.f[0].Start, w.f[0].Count()
 	if w.rank != 0 {
-		start, count := w.f[0].Start, w.f[0].Count()
 		msg := make([]float64, 0, 2+count*nc*sz)
 		msg = append(msg, float64(start), float64(count))
-		// Wire planes are canonical order regardless of the in-memory
-		// layout, so rank 0 never needs to know the senders' layouts.
-		var scratch []float64
-		if w.soa {
-			scratch = make([]float64, sz)
-		}
 		for gx := start; gx < start+count; gx++ {
 			for c := 0; c < nc; c++ {
-				if w.soa {
-					field.TransposeToAoS(scratch, w.f[c].Plane(gx), cells, 19)
-					msg = append(msg, scratch...)
-				} else {
-					msg = append(msg, w.f[c].Plane(gx)...)
-				}
+				msg = append(msg, w.f[c].Plane(gx)...)
 			}
 		}
 		w.res.Breakdown.Bytes.Gather.CountSend(8 * len(msg))
@@ -407,17 +350,8 @@ func (w *worker) gather() error {
 	final := make([]*field.Dist3D, nc)
 	for c := 0; c < nc; c++ {
 		final[c] = field.NewDist3D(w.p.NX, w.p.NY, w.p.NZ, 19)
-	}
-	place := func(gx int, c int, data []float64) {
-		copy(final[c].Plane(gx), data)
-	}
-	for gx := w.f[0].Start; gx < w.f[0].End(); gx++ {
-		for c := 0; c < nc; c++ {
-			if w.soa {
-				field.TransposeToAoS(final[c].Plane(gx), w.f[c].Plane(gx), cells, 19)
-			} else {
-				place(gx, c, w.f[c].Plane(gx))
-			}
+		for gx := start; gx < start+count; gx++ {
+			copy(final[c].Plane(gx), w.f[c].Plane(gx))
 		}
 	}
 	for r := 1; r < w.size; r++ {
@@ -436,7 +370,7 @@ func (w *worker) gather() error {
 		off := 2
 		for gx := start; gx < start+count; gx++ {
 			for c := 0; c < nc; c++ {
-				place(gx, c, msg[off:off+sz])
+				copy(final[c].Plane(gx), msg[off:off+sz])
 				off += sz
 			}
 		}
@@ -446,12 +380,16 @@ func (w *worker) gather() error {
 }
 
 // RunParallel runs a full parallel simulation over an in-process
-// communicator group and returns the gathered fields (from rank 0) and
+// communicator group and returns the fields gathered to rank 0 and
 // every rank's result.
 func RunParallel(p *lbm.Params, ranks int, opts Options) ([]*field.Dist3D, []*Result, error) {
 	fabric := comm.NewFabric(ranks)
 	defer fabric.Close()
-	return runGroup(p, fabric.Endpoints(), opts, fabric.Close)
+	results, err := runGroup(p, fabric.Endpoints(), opts, fabric.Close, true)
+	if err != nil {
+		return nil, results, err
+	}
+	return results[0].Final, results, nil
 }
 
 // RunParallelTCP is RunParallel over TCP loopback.
@@ -461,7 +399,22 @@ func RunParallelTCP(p *lbm.Params, ranks int, opts Options) ([]*field.Dist3D, []
 		return nil, nil, err
 	}
 	defer shutdown()
-	return runGroup(p, eps, opts, shutdown)
+	results, err := runGroup(p, eps, opts, shutdown, true)
+	if err != nil {
+		return nil, results, err
+	}
+	return results[0].Final, results, nil
+}
+
+// RunParallelReduced is RunParallel without the end-of-run gather: no
+// field leaves its rank. What a caller needs of the final state comes
+// back in the per-rank results instead — each rank's share of the mass
+// (sum Result.Mass over ranks) and, from the rank owning plane NX/2,
+// the mid-channel velocity Profile.
+func RunParallelReduced(p *lbm.Params, ranks int, opts Options) ([]*Result, error) {
+	fabric := comm.NewFabric(ranks)
+	defer fabric.Close()
+	return runGroup(p, fabric.Endpoints(), opts, fabric.Close, false)
 }
 
 // runGroup drives one goroutine per rank. Abort liveness comes from
@@ -474,13 +427,13 @@ func RunParallelTCP(p *lbm.Params, ranks int, opts Options) ([]*field.Dist3D, []
 // ErrClosed instead of waiting for its messages. It must be safe to
 // call concurrently with endpoint use and again afterwards (both
 // transports' teardowns are).
-func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func()) ([]*field.Dist3D, []*Result, error) {
+func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func(), gather bool) ([]*Result, error) {
 	ranks := len(eps)
 	// One supervisor for the whole group: the orderly stop-phase
 	// agreement and the panic abort flag live in its shared state. Every
 	// endpoint is wrapped so a blocked receive polls the hard-abort
 	// check; soft causes deliberately do NOT fail receives (HardErr
-	// stays nil during an orderly stop), so halo traffic keeps flowing
+	// stays nil during an orderly stop), so frame traffic keeps flowing
 	// until every rank reaches the agreed boundary.
 	sup := runctl.NewSupervisor(opts.Ctx, opts.WallLimit)
 	seps := comm.WithSupervisionAll(eps, sup.HardErr, sup.Poll())
@@ -501,7 +454,7 @@ func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func()) ([]*fi
 					errs[r] = pe
 				}
 			}()
-			results[r], errs[r] = RunRankSupervised(p, seps[r], opts, sup)
+			results[r], errs[r] = runRank(p, seps[r], opts, sup, gather)
 		}(r)
 	}
 	// Aggregate every rank failure, in completion order: the first is
@@ -530,9 +483,9 @@ func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func()) ([]*fi
 	}
 	if len(failures) > 0 {
 		if interruptsOnly {
-			return nil, results, errors.Join(failures...)
+			return results, errors.Join(failures...)
 		}
-		return nil, nil, errors.Join(failures...)
+		return nil, errors.Join(failures...)
 	}
-	return results[0].Final, results, nil
+	return results, nil
 }

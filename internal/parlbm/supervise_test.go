@@ -261,7 +261,7 @@ func TestPostPhaseErrorAborts(t *testing.T) {
 	wantErr := errors.New("mass budget blown")
 	_, _, err := RunParallel(p, 2, Options{
 		Phases: 3,
-		PostPhase: func(rank, phase, planes int, mass []float64) error {
+		PostPhase: func(rank, phase, planes int, mass func() []float64) error {
 			if rank == 1 && phase == 1 {
 				return wantErr
 			}
@@ -296,7 +296,7 @@ func TestResultCommStats(t *testing.T) {
 		if r.Comm.Bytes != r.Breakdown.Bytes {
 			t.Errorf("rank %d: Comm.Bytes %+v differs from Breakdown.Bytes %+v", r.Rank, r.Comm.Bytes, r.Breakdown.Bytes)
 		}
-		if r.Comm.Bytes.DensityHalo.SentMsgs == 0 && r.Comm.Bytes.Frame.SentMsgs == 0 {
+		if r.Comm.Bytes.Frame.SentMsgs == 0 {
 			t.Errorf("rank %d: no halo traffic counted: %+v", r.Rank, r.Comm.Bytes)
 		}
 	}
@@ -310,7 +310,7 @@ func TestRunGroupAggregatesAllRankErrors(t *testing.T) {
 	wantErr := errors.New("mass budget blown")
 	_, _, err := RunParallel(p, 3, Options{
 		Phases: 4,
-		PostPhase: func(rank, phase, planes int, mass []float64) error {
+		PostPhase: func(rank, phase, planes int, mass func() []float64) error {
 			if rank == 1 && phase == 1 {
 				return wantErr
 			}

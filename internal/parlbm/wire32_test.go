@@ -4,18 +4,15 @@ import (
 	"math"
 	"testing"
 
-	"microslip/internal/lattice"
 	"microslip/internal/lbm"
 	"microslip/internal/num"
 )
 
-// Wire compression must hit the closed-form byte counts: every bulk
-// payload of even raw length (all halos: per-component lengths times
-// nc=2) packs to exactly half the bytes, and coalesced frames (odd raw
-// length from the kind header) to 8*ceil(n/2) per message. Expected
-// volumes are derived from the lattice constants, so the counters —
-// which count what actually crosses the wire — are themselves under
-// test.
+// Wire compression must hit the closed-form byte counts: a frame's raw
+// length is odd (kind header + nc*(19+1) planes), so each message packs
+// to 8*ceil(n/2) bytes. Expected volumes are derived from the lattice
+// constants, so the counters — which count what actually crosses the
+// wire — are themselves under test.
 func TestWireF32HalvesBulkBytes(t *testing.T) {
 	const nx, ny, nz, ranks, phases = 12, 10, 6, 3, 5
 	run := func(opts Options) []*Result {
@@ -27,65 +24,27 @@ func TestWireF32HalvesBulkBytes(t *testing.T) {
 		return results
 	}
 	const nc, cells = 2, ny * nz
-
-	sumClass := func(results []*Result, pick func(*Result) int64) int64 {
-		var total int64
-		for _, r := range results {
-			total += pick(r)
-		}
-		return total
+	raw := 1 + nc*cells*(19+1)
+	f32 := run(Options{WireF32: true})
+	want := int64(ranks * phases * 2 * 8 * num.PackedWords(raw))
+	if got, _ := sumHalo(f32); got != want {
+		t.Errorf("f32 frame bytes %d, want %d", got, want)
 	}
-	densSent := func(r *Result) int64 { return r.Comm.Bytes.DensityHalo.SentBytes }
-	distSent := func(r *Result) int64 { return r.Comm.Bytes.DistHalo.SentBytes }
-	frameSent := func(r *Result) int64 { return r.Comm.Bytes.Frame.SentBytes }
-
-	// Slim halos: per rank per phase, one density and one distribution
-	// message in each direction.
-	slim32 := run(Options{WireF32: true})
-	densWant := int64(ranks * phases * 2 * 8 * num.PackedWords(nc*cells))
-	distWant := int64(ranks * phases * 2 * 8 * num.PackedWords(nc*cells*lattice.CrossQ))
-	if got := sumClass(slim32, densSent); got != densWant {
-		t.Errorf("f32 density-halo bytes %d, want %d", got, densWant)
+	// Against the uncompressed run the cut is exactly one word short of
+	// half per frame (the odd header word rounds up).
+	f64 := run(Options{})
+	got32, msgs := sumHalo(f32)
+	got64, _ := sumHalo(f64)
+	if got64 != 2*got32-8*msgs {
+		t.Errorf("f32 frames %d bytes vs f64 %d over %d frames: not half", got32, got64, msgs)
 	}
-	if got := sumClass(slim32, distSent); got != distWant {
-		t.Errorf("f32 slim dist-halo bytes %d, want %d", got, distWant)
-	}
-	// Both halo payload lengths are even, so the cut is exactly 2x
-	// against the uncompressed run.
-	slim64 := run(Options{})
-	if got, want := sumClass(slim32, distSent)*2, sumClass(slim64, distSent); got != want {
-		t.Errorf("f32 dist-halo bytes not exactly half: 2*%d != %d", got/2, want)
-	}
-	if got, want := sumClass(slim32, densSent)*2, sumClass(slim64, densSent); got != want {
-		t.Errorf("f32 density-halo bytes not exactly half: 2*%d != %d", got/2, want)
-	}
-
-	// Wide halos compress the full 19-direction planes the same way.
-	wide32 := run(Options{WideHalo: true, WireF32: true})
-	wideDistWant := int64(ranks * phases * 2 * 8 * num.PackedWords(nc*cells*19))
-	if got := sumClass(wide32, distSent); got != wideDistWant {
-		t.Errorf("f32 wide dist-halo bytes %d, want %d", got, wideDistWant)
-	}
-
-	// Coalesced frames have odd raw length (kind header + nc*(19+1)
-	// planes), so each message packs to ceil(n/2) words.
-	coal32 := run(Options{Coalesce: true, WireF32: true})
-	frameWant := int64(ranks * phases * 2 * 8 * num.PackedWords(1+nc*cells*(19+1)))
-	if got := sumClass(coal32, frameSent); got != frameWant {
-		t.Errorf("f32 frame bytes %d, want %d", got, frameWant)
-	}
-
 	// Sent and received volumes still balance over the closed ring.
-	for name, results := range map[string][]*Result{"slim": slim32, "wide": wide32, "coalesce": coal32} {
-		var sent, recv int64
-		for _, r := range results {
-			h := r.Comm.Bytes.Halo()
-			sent += h.SentBytes
-			recv += h.RecvBytes
-		}
-		if sent != recv {
-			t.Errorf("%s/f32: %d bytes sent but %d received", name, sent, recv)
-		}
+	var recv int64
+	for _, r := range f32 {
+		recv += r.Comm.Bytes.Halo().RecvBytes
+	}
+	if recv != got32 {
+		t.Errorf("f32: %d bytes sent but %d received", got32, recv)
 	}
 }
 
@@ -144,11 +103,8 @@ func TestWireF32MigrationHalvesBytesAndRounds(t *testing.T) {
 }
 
 // Compressed runs must stay deterministic (two identical runs produce
-// byte-equal fields), agree bit-for-bit between the slim and wide halo
-// formats (both round the very same transported values, and the
-// receiver consumes the same subset), and stay within a tight relative
-// error of the uncompressed solver. Tiny all-thin slabs exercise the
-// coalesced fallback path under compression.
+// byte-equal fields, 2-plane slabs included) and within a tight relative
+// error of the uncompressed solver.
 func TestWireF32DeterministicAndAccurate(t *testing.T) {
 	const ny, nz, steps = 10, 6, 8
 	fields := func(nx, ranks int, opts Options) [][]float64 {
@@ -176,21 +132,10 @@ func TestWireF32DeterministicAndAccurate(t *testing.T) {
 		}
 	}
 
-	slimA := fields(12, 3, Options{WireF32: true})
-	slimB := fields(12, 3, Options{WireF32: true})
-	bitEqual(t, "slim/f32 rerun", slimA, slimB)
-
-	wide := fields(12, 3, Options{WideHalo: true, WireF32: true})
-	bitEqual(t, "slim/f32 vs wide/f32", slimA, wide)
-
-	coalA := fields(12, 3, Options{Coalesce: true, WireF32: true})
-	coalB := fields(12, 3, Options{Coalesce: true, WireF32: true})
-	bitEqual(t, "coalesce/f32 rerun", coalA, coalB)
-
-	// All-thin coalesced slabs (one plane per rank) under compression.
-	thinA := fields(4, 4, Options{Coalesce: true, WireF32: true})
-	thinB := fields(4, 4, Options{Coalesce: true, WireF32: true})
-	bitEqual(t, "thin coalesce/f32 rerun", thinA, thinB)
+	a := fields(12, 3, Options{WireF32: true})
+	bitEqual(t, "f32 rerun", a, fields(12, 3, Options{WireF32: true}))
+	// 2-plane slabs: every plane of the lattice is some rank's edge.
+	bitEqual(t, "2-plane f32 rerun", fields(4, 2, Options{WireF32: true}), fields(4, 2, Options{WireF32: true}))
 
 	// Accuracy against the uncompressed solver: only boundary-plane
 	// traffic is rounded, so after a short run the fields agree to a few
@@ -203,7 +148,7 @@ func TestWireF32DeterministicAndAccurate(t *testing.T) {
 			if denom < 1e-12 {
 				continue
 			}
-			if rel := math.Abs(slimA[p][i]-ref[p][i]) / denom; rel > maxRel {
+			if rel := math.Abs(a[p][i]-ref[p][i]) / denom; rel > maxRel {
 				maxRel = rel
 			}
 		}
@@ -228,12 +173,8 @@ func TestWireF32ImpliedByPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nc, cells = 2, ny * nz
-	want := int64(ranks * phases * 2 * 8 * num.PackedWords(nc*cells*lattice.CrossQ))
-	var got int64
-	for _, r := range results {
-		got += r.Comm.Bytes.DistHalo.SentBytes
-	}
-	if got != want {
-		t.Errorf("F32 params dist-halo bytes %d, want packed %d", got, want)
+	want := int64(ranks * phases * 2 * 8 * num.PackedWords(1+nc*cells*(19+1)))
+	if got, _ := sumHalo(results); got != want {
+		t.Errorf("F32 params frame bytes %d, want packed %d", got, want)
 	}
 }

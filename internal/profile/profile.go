@@ -17,13 +17,6 @@ type Breakdown struct {
 	// Checkpoint is time spent persisting coordinated checkpoints
 	// (serialization, fsync-equivalent I/O, and the commit barrier).
 	Checkpoint float64
-	// Overlap is the portion of Computation spent on interior planes
-	// while a halo exchange was already posted and in flight (the
-	// comm/compute overlap window of the overlapped parallel solver).
-	// It is a subset of Computation, not an additional category, so
-	// Total does not include it; Communication then counts only the
-	// blocking remainder of each exchange.
-	Overlap float64
 	// Bytes is the wire payload volume behind the Communication and
 	// Remapping splits, counted per message class at the solver's
 	// send/receive call sites (8 bytes per float64, headers excluded),
@@ -54,11 +47,8 @@ func (t *TagBytes) Add(o TagBytes) {
 
 // CommBytes is one node's wire traffic split by message class.
 type CommBytes struct {
-	// DensityHalo and DistHalo are the per-phase halo exchanges of
-	// number densities and distribution functions (slim or wide).
-	DensityHalo, DistHalo TagBytes
-	// Frame counts the coalesced per-neighbour phase frames that
-	// replace the two halo messages when coalescing is enabled.
+	// Frame counts the per-neighbour phase frames, the distributed
+	// solver's whole halo exchange.
 	Frame TagBytes
 	// Migration counts lattice-plane transfers of dynamic remapping.
 	Migration TagBytes
@@ -71,23 +61,14 @@ type CommBytes struct {
 
 // Add accumulates another node's traffic.
 func (b *CommBytes) Add(o CommBytes) {
-	b.DensityHalo.Add(o.DensityHalo)
-	b.DistHalo.Add(o.DistHalo)
 	b.Frame.Add(o.Frame)
 	b.Migration.Add(o.Migration)
 	b.Control.Add(o.Control)
 	b.Gather.Add(o.Gather)
 }
 
-// Halo returns the aggregate per-phase halo traffic: density and
-// distribution halos plus coalesced frames.
-func (b CommBytes) Halo() TagBytes {
-	var t TagBytes
-	t.Add(b.DensityHalo)
-	t.Add(b.DistHalo)
-	t.Add(b.Frame)
-	return t
-}
+// Halo returns the per-phase halo traffic: the frames.
+func (b CommBytes) Halo() TagBytes { return b.Frame }
 
 // Total returns the aggregate over every message class.
 func (b CommBytes) Total() TagBytes {
@@ -109,7 +90,6 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.Communication += o.Communication
 	b.Remapping += o.Remapping
 	b.Checkpoint += o.Checkpoint
-	b.Overlap += o.Overlap
 	b.Bytes.Add(o.Bytes)
 }
 
@@ -173,10 +153,10 @@ func (p *Profile) Sum() Breakdown {
 // textual analogue of Figure 9.
 func (p *Profile) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%4s %12s %14s %10s %10s %10s %10s\n", "node", "comp (s)", "comm (s)", "remap (s)", "ckpt (s)", "ovlp (s)", "total (s)")
+	fmt.Fprintf(&sb, "%4s %12s %14s %10s %10s %10s\n", "node", "comp (s)", "comm (s)", "remap (s)", "ckpt (s)", "total (s)")
 	for i, b := range p.Nodes {
-		fmt.Fprintf(&sb, "%4d %12.2f %14.2f %10.2f %10.2f %10.2f %10.2f\n",
-			i, b.Computation, b.Communication, b.Remapping, b.Checkpoint, b.Overlap, b.Total())
+		fmt.Fprintf(&sb, "%4d %12.2f %14.2f %10.2f %10.2f %10.2f\n",
+			i, b.Computation, b.Communication, b.Remapping, b.Checkpoint, b.Total())
 	}
 	return sb.String()
 }

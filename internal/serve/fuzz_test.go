@@ -57,7 +57,7 @@ func FuzzJobSpec(f *testing.F) {
 			if ranks == 0 {
 				ranks = 2 // the server's default
 			}
-			if ranks < 1 || ranks > lim.MaxRanks || ranks > sp.NX {
+			if ranks < 1 || ranks > lim.MaxRanks || 2*ranks > sp.NX {
 				t.Fatalf("admitted ranks outside the limits: %+v", sp)
 			}
 		}

@@ -81,7 +81,8 @@ type JobSpec struct {
 	// Workers is the intra-node worker count for sequential kinds
 	// (0 = 1).
 	Workers int `json:"workers,omitempty"`
-	// Ranks is the simulated rank count for distributed jobs (0 = 2).
+	// Ranks is the simulated rank count for distributed jobs (0 = 2);
+	// every rank needs at least 2 x-planes.
 	Ranks int `json:"ranks,omitempty"`
 	// Precision is the scalar precision, "f64" (default) or "f32".
 	Precision string `json:"precision,omitempty"`
@@ -210,8 +211,8 @@ func (sp *JobSpec) Validate(l Limits) error {
 		if ranks == 0 {
 			ranks = 2
 		}
-		if ranks > sp.NX {
-			return specErr("ranks %d exceed the %d x-planes", ranks, sp.NX)
+		if 2*ranks > sp.NX {
+			return specErr("ranks %d need at least 2 x-planes each, lattice has %d", ranks, sp.NX)
 		}
 		if sp.CheckpointInterval < 0 {
 			return specErr("checkpoint_interval %d negative", sp.CheckpointInterval)
@@ -250,7 +251,7 @@ type Result struct {
 	// CenterVelocity is the streamwise velocity at mid-channel.
 	CenterVelocity float64 `json:"center_velocity,omitempty"`
 	// SlipLengthNM is the Navier slip length from the near-wall profile
-	// in nanometers (wallforce jobs).
+	// in nanometers (wallforce and distributed jobs).
 	SlipLengthNM float64 `json:"slip_length_nm,omitempty"`
 	// CheckpointPhase is the newest committed coordinated checkpoint
 	// (distributed jobs), -1 when none.
@@ -291,8 +292,8 @@ type Frame struct {
 	Step int `json:"step"`
 	// Residual is the last steady-state residual (steady jobs).
 	Residual float64 `json:"residual,omitempty"`
-	// MassWater is the water-component mass at the sample (sequential
-	// kinds) or the rank-0 local mass (distributed kinds).
+	// MassWater is the water-component mass at the sample (for
+	// distributed jobs, the sum of every rank's share at that step).
 	MassWater float64 `json:"mass_water,omitempty"`
 	// State is set on the final frame only.
 	State State `json:"state,omitempty"`

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"microslip/internal/checkpoint"
@@ -240,7 +242,7 @@ func (s *Server) runSequential(j *job, spec JobSpec, ckptDir string, resume *lbm
 	ux, _, _ := solver.Velocity(p.NX/2, p.NY/2, p.NZ/2)
 	res.CenterVelocity = ux
 	if spec.Kind == KindWallForce {
-		res.SlipLengthNM = slipLengthNM(solver)
+		res.SlipLengthNM = slipLengthNM(p, solver.VelocityProfileY(p.NX/2, p.NZ/2))
 	}
 	if rs, ok := solver.(lbm.RefinedSolver); ok {
 		if refined, fineEq := rs.SiteUpdatesPerStep(); refined > 0 {
@@ -263,12 +265,12 @@ func (s *Server) runSequential(j *job, spec JobSpec, ckptDir string, resume *lbm
 }
 
 // slipLengthNM fits the Navier slip length (nanometers) from the
-// near-wall half of the mid-channel velocity profile; 0 when the fit
-// is not possible (no developed flow yet). Refined solvers report the
-// profile in global fine coordinates, so the fit is layout-agnostic.
-func slipLengthNM(solver seqSolver) float64 {
-	p := solver.Params()
-	u := solver.VelocityProfileY(p.NX/2, p.NZ/2)
+// near-wall half of the mid-channel velocity profile u (u_x along y at
+// x = NX/2, z = NZ/2 of lattice p); 0 when the fit is not possible (no
+// developed flow yet). Refined solvers report the profile in global fine
+// coordinates, and distributed jobs take it from the rank owning the
+// plane, so the fit is the same for every solver.
+func slipLengthNM(p *lbm.Params, u []float64) float64 {
 	ch := geometry.NewChannel(p.NX, p.NY, p.NZ)
 	half := p.NY / 2
 	dist := make([]float64, 0, half)
@@ -292,7 +294,8 @@ func slipLengthNM(solver seqSolver) float64 {
 // runDistributed executes a distributed water/air job across simulated
 // ranks with coordinated checkpoints in the job's checkpoint
 // directory. A non-nil snap resumes from a committed coordinated
-// checkpoint; startPhase is then snap.Phase.
+// checkpoint; startPhase is then snap.Phase. No field leaves its rank:
+// the result is reduced from what each rank returns.
 func (s *Server) runDistributed(j *job, spec JobSpec, ckptDir string, snap *checkpoint.RunSnapshot, startPhase int) (*Result, time.Duration, error) {
 	scheduleStart := time.Now()
 	p := lbm.WaterAir(spec.NX, spec.NY, spec.NZ)
@@ -312,13 +315,16 @@ func (s *Server) runDistributed(j *job, spec JobSpec, ckptDir string, snap *chec
 		interval = 1
 	}
 	every := s.cfg.StreamEvery
+	frames := &massFrames{ranks: ranks, pending: map[int]*massShares{}, publish: j.publish}
 	opts := parlbm.Options{
 		Phases:    phases,
 		Ctx:       j.ctx,
 		WallLimit: time.Duration(spec.WallLimitMS) * time.Millisecond,
-		PostPhase: func(rank, phase, planes int, mass []float64) error {
-			if rank == 0 && phase%every == 0 && len(mass) > 0 {
-				j.publish(Frame{Step: phase, MassWater: mass[0]})
+		PostPhase: func(rank, phase, planes int, mass func() []float64) error {
+			// Frames at the steps a sequential job streams: every
+			// StreamEvery steps from the start, then the final one below.
+			if step := phase + 1; (step-startPhase)%every == 0 && step < phases {
+				frames.add(step, rank, mass()[0])
 			}
 			return nil
 		},
@@ -331,7 +337,7 @@ func (s *Server) runDistributed(j *job, spec JobSpec, ckptDir string, snap *chec
 	schedule := time.Since(scheduleStart)
 	j.markCompute()
 
-	fields, results, err := parlbm.RunParallel(p, ranks, opts)
+	results, err := parlbm.RunParallelReduced(p, ranks, opts)
 	res := &Result{StartStep: startPhase, Steps: phases, CheckpointPhase: -1}
 	if ckptDir != "" {
 		if m, cerr := checkpoint.LatestCommitted(ckptDir); cerr == nil {
@@ -348,10 +354,71 @@ func (s *Server) runDistributed(j *job, spec JobSpec, ckptDir string, snap *chec
 		}
 		return res, schedule, err
 	}
-	if len(fields) > 0 {
-		res.MassWater = fields[0].TotalMass()
+	if err := reduceRanks(res, p, results); err != nil {
+		return res, schedule, err
 	}
+	j.publish(Frame{Step: res.Steps, MassWater: res.MassWater})
 	return res, schedule, nil
+}
+
+// reduceRanks fills a finished distributed job's result from what its
+// ranks returned — the water mass as the sum of their shares (in rank
+// order), the center velocity and slip length from the mid-channel
+// profile of the rank owning plane NX/2 — and fails the job when a
+// rank's mass is NaN, as CheckFinite does for sequential jobs.
+func reduceRanks(res *Result, p *lbm.Params, results []*parlbm.Result) error {
+	for _, r := range results {
+		for c, m := range r.Mass {
+			if math.IsNaN(m) {
+				return fmt.Errorf("serve: NaN in component %d on rank %d at step %d", c, r.Rank, res.Steps)
+			}
+		}
+		res.MassWater += r.Mass[0]
+		if r.Profile != nil {
+			res.CenterVelocity = r.Profile[p.NY/2]
+			res.SlipLengthNM = slipLengthNM(p, r.Profile)
+		}
+	}
+	return nil
+}
+
+// massFrames turns the ranks' per-phase water-mass shares into progress
+// frames: a step's frame goes out once every rank has reported, with
+// the shares summed in rank order, so a distributed job streams the
+// global mass at the same steps as a sequential one. Ranks run ahead of
+// each other by less than the group size, so only a few steps are ever
+// pending, and a step completes before any later one can.
+type massFrames struct {
+	mu      sync.Mutex
+	ranks   int
+	pending map[int]*massShares // by step
+	publish func(Frame)
+}
+
+// massShares collects one step's per-rank shares.
+type massShares struct {
+	share    []float64
+	reported int
+}
+
+func (m *massFrames) add(step, rank int, share float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ps := m.pending[step]
+	if ps == nil {
+		ps = &massShares{share: make([]float64, m.ranks)}
+		m.pending[step] = ps
+	}
+	ps.share[rank] = share
+	if ps.reported++; ps.reported < m.ranks {
+		return
+	}
+	delete(m.pending, step)
+	var total float64
+	for _, v := range ps.share {
+		total += v
+	}
+	m.publish(Frame{Step: step, MassWater: total})
 }
 
 // runResumed continues an interrupted (or extendable) job named by
