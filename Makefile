@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test race race-lbm race-layout chaos-abort bench bench-module serve-smoke fuzz
+.PHONY: check build vet gofmt test race race-lbm race-layout chaos-abort bench bench-module serve-smoke fuzz
 
-# The CI gate: compile everything, vet, run the full suite, the race
-# detector in short mode (the -short guard trims the long abort-chaos
-# sweep and physics soaks so the race pass stays around a minute),
-# then the benchmark module's vet, tests and smoke-size traced run.
-check: build vet test race bench-module
+# The CI gate: compile everything, vet, check formatting, run the full
+# suite, the race detector in short mode (the -short guard trims the
+# long abort-chaos sweep and physics soaks so the race pass stays
+# around a minute), then the benchmark module's vet, tests and
+# smoke-size traced run.
+check: build vet gofmt test race bench-module
 
 build:
 	$(GO) build ./...
@@ -14,29 +15,33 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Every tracked Go file must be gofmt-clean; the offenders are listed.
+gofmt:
+	@files="$$(gofmt -l $$(git ls-files '*.go'))"; test -z "$$files" || { echo "gofmt -l:"; echo "$$files"; exit 1; }
+
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race -short ./...
 
-# Full-mode (not -short) race pass over the intra-node ownership
-# scheduler and the distributed pipeline: the band workers' boundary
-# token exchange and the ranks' frame protocol are the synchronization
-# most worth re-proving on every change.
+# Full-mode (not -short) race pass over the intra-node bands and the
+# distributed pipeline: the bands' in-memory frame exchange and the
+# ranks' wire frames are the synchronization most worth re-proving on
+# every change.
 race-lbm: race-layout
 	$(GO) test -race -count=1 ./internal/lbm/... ./internal/parlbm/...
 
-# Targeted race pass over the sequential solver's layout legs: the SoA
-# zero-alloc and multi-band scheduling tests and the transpose
-# properties (the AoS x SoA bit-identity rows run in race-lbm's full
-# pass; the distributed solver is AoS-only).
+# Targeted race pass over the sequential solver's layout legs: the
+# zero-alloc banding matrix (both layouts) and the transpose properties
+# (the AoS x SoA bit-identity rows run in race-lbm's full pass; the
+# distributed solver is AoS-only).
 race-layout:
 	$(GO) test -race -count=1 -run 'TestStepParallelZeroAllocs|TestTranspose' ./internal/lbm/ ./internal/field/
 
 # The abort-safety sweep under the race detector: seeded cancels, wall
 # limits, worker panics, and worker stalls against both the intra-node
-# band scheduler and the distributed phase loop — typed unwind, zero
+# bands and the distributed phase loop — typed unwind, zero
 # leaked goroutines, committed interrupt checkpoints, bit-identical
 # resume.
 chaos-abort:

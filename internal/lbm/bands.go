@@ -1,129 +1,97 @@
 package lbm
 
-// Persistent plane ownership for intra-node parallelism.
+// Intra-node parallelism: bands are in-process slabs.
 //
-// The original scheduler re-sharded the domain every step: each phase
-// spawned goroutines over freshly computed chunks and joined them at a
-// global barrier, so a step paid three full barriers (or one, fused)
-// plus the spawn cost, and a worker's planes could migrate between
-// steps, dragging their cache footprint along. Here each worker owns a
-// fixed contiguous band of x-planes for the lifetime of the run. Its
-// collision scratch and sweep rings live with the band, every plane is
-// always updated by the same worker, and steps synchronize only at
-// band boundaries: a worker exchanges ready tokens with the owners of
-// the planes its stencil reaches, never with the whole pool.
+// Each band owns a fixed contiguous run of x-planes for the lifetime of
+// the banding, together with its sweep rings and its frames, and
+// advances its planes in place with the same fused sweep a distributed
+// rank runs over its slab (SweepFused). Before each sweep a band packs
+// its two frames — edge plane plus the densities of the plane behind
+// it, the format of package parlbm's wire frames — into the slot of
+// the step's parity, signals "frame ready" to its two neighbour bands,
+// and waits for theirs; it then sweeps its planes with the neighbours'
+// frames as ghost planes. A band never reads another band's planes, so
+// sweeping in place is safe, and one lattice is all the solver holds.
 //
-// The token exchange is the shared-memory mirror of the frame protocol
-// in package parlbm. A distributed rank ships its edge planes to its
-// neighbours and collides their edges redundantly as ghost planes; an
-// intra-node worker already shares the arrays, so the "frame" a band
-// ships degenerates to a zero-byte readiness token per boundary, while
-// the fused path keeps exactly the same redundant boundary collision
-// (both run SweepFused). A multi-step run hands the whole loop
-// to the workers: the caller rendezvouses with the pool once per run,
-// and between steps the workers pace each other purely through their
-// boundary tokens, so a fast band can sweep ahead of a slow distant
-// band by a step instead of idling at a barrier.
+// Reusing slot t%2 at step t+2 is safe: before a band packs frame t+2
+// it waits for its neighbour's frame t+1, which the neighbour packs only
+// after finishing sweep t — the last reader of slot t%2. A single band
+// is its own neighbour on both sides: its frames wrap the periodic x
+// boundary exactly as a one-rank parlbm slab's do.
+//
+// A multi-step run hands the whole loop to the bands: the caller
+// rendezvouses with the pool once per run, and between steps the bands
+// pace each other purely through their frame tokens, so a fast band can
+// sweep ahead of a slow distant band instead of idling at a barrier.
 
-import "microslip/internal/runctl"
+import (
+	"runtime"
+	"runtime/debug"
+
+	"microslip/internal/num"
+	"microslip/internal/runctl"
+)
 
 // bandPlan is the persistent partition of the x-planes into contiguous
-// worker bands, plus each band's dependency set: the distinct owners of
-// every plane within the stencil reach of its boundaries. The reach is
-// 1 for the three-phase path (each phase reads one plane beyond the
-// band) and 2 for the fused path (its rolling sweep reads two planes
-// beyond the band and recomputes the boundary ring redundantly).
+// bands, plus each band's dependency set: its distinct neighbour bands
+// (none for a lone band, one for two bands).
 type bandPlan struct {
-	bands [][2]int // bands[w] = [lo, hi) planes owned by worker w
-	deps  [][]int  // deps[w]: workers owning planes within reach, excluding w
+	bands [][2]int // bands[w] = [lo, hi) planes owned by band w
+	deps  [][]int  // deps[w]: the bands left and right of w, excluding w
 }
 
-// bandCountFor returns the number of bands planBands would produce for
-// a request of nBands over nx planes, without allocating: the ensure
-// paths call it every step to detect a banding change.
+// bandCountFor returns the number of bands planBands produces for a
+// request of nBands over nx planes: at least one, and few enough that
+// every band of a multi-band plan keeps MinFramePlanes planes.
 func bandCountFor(nx, nBands int) int {
-	if nBands > nx {
-		nBands = nx
+	if limit := nx / MinFramePlanes; nBands > limit {
+		nBands = limit
 	}
 	if nBands < 1 {
 		nBands = 1
 	}
-	chunk := (nx + nBands - 1) / nBands
-	return (nx + chunk - 1) / chunk
+	return nBands
 }
 
-// planBands partitions nx planes into at most nBands contiguous bands
-// (ceil-sized, so every band is non-empty and sizes differ by at most
-// one chunk) and derives the reach-plane dependency sets. The actual
-// band count can come out below the request when nx is small.
-func planBands(nx, nBands, reach int) bandPlan {
-	if nBands > nx {
-		nBands = nx
-	}
-	if nBands < 1 {
-		nBands = 1
-	}
-	chunk := (nx + nBands - 1) / nBands
+// planBands partitions nx planes into bandCountFor(nx, nBands)
+// contiguous bands whose sizes differ by at most one plane, and derives
+// the neighbour dependency sets.
+func planBands(nx, nBands int) bandPlan {
+	n := bandCountFor(nx, nBands)
 	var p bandPlan
-	owner := make([]int, nx)
-	for lo := 0; lo < nx; lo += chunk {
-		hi := lo + chunk
-		if hi > nx {
-			hi = nx
-		}
-		w := len(p.bands)
-		p.bands = append(p.bands, [2]int{lo, hi})
-		for x := lo; x < hi; x++ {
-			owner[x] = w
-		}
-	}
-	for w, b := range p.bands {
+	for w := 0; w < n; w++ {
+		p.bands = append(p.bands, [2]int{w * nx / n, (w + 1) * nx / n})
 		var deps []int
-		add := func(x int) {
-			j := owner[wrapX(x, nx)]
-			if j == w {
-				return
+		for _, j := range []int{(w - 1 + n) % n, (w + 1) % n} {
+			if j != w && (len(deps) == 0 || deps[0] != j) {
+				deps = append(deps, j)
 			}
-			for _, d := range deps {
-				if d == j {
-					return
-				}
-			}
-			deps = append(deps, j)
-		}
-		for r := 1; r <= reach; r++ {
-			add(b[0] - r)
-			add(b[1] - 1 + r)
 		}
 		p.deps = append(p.deps, deps)
 	}
 	return p
 }
 
-// tokenCap bounds the tokens in flight on one dependency edge. A
-// worker sends one token per wave and cannot start a wave before
-// consuming its dependencies' tokens for the previous wave, so an edge
-// never holds more than the one prefilled token plus two in-flight
-// waves; 4 leaves headroom and costs nothing (struct{} buffers are
-// zero bytes).
-const tokenCap = 4
+// tokenCap bounds the tokens in flight on one dependency edge. A band
+// sends its token for step t+1 only after consuming its neighbour's
+// token for step t, which the neighbour sends only after consuming
+// this band's token for step t-1; so an edge never holds more than two
+// tokens and a signal never blocks. struct{} buffers are zero bytes.
+const tokenCap = 2
 
-// tokenMesh is the boundary-plane exchange fabric: one FIFO token
-// channel per directed dependency edge. Senders and receivers move in
-// lockstep waves — every worker sends exactly one token per dependency
-// per wave and consumes exactly one per dependency per wave — so the
-// indistinguishable tokens align by position: the k-th receive on an
-// edge observes the sender's k-th wave. Each channel is prefilled with
-// one token standing for "the state before step 0 is ready".
+// tokenMesh is the frame-ready fabric: one FIFO token channel per
+// directed dependency edge. Every band sends exactly one token per
+// neighbour per step and consumes exactly one per neighbour per step,
+// so the indistinguishable tokens align by position: the k-th receive
+// on an edge observes the sender's k-th frame.
 type tokenMesh struct {
 	in  [][]chan struct{} // in[w][k] carries tokens from deps[w][k] to w
 	out [][]chan struct{} // out[w][k] is the peer's inbox w signals
 }
 
-// newTokenMesh builds the mesh for a plan. Dependency sets of
-// contiguous bands are symmetric (the distance between two intervals
-// does not depend on the endpoint), which is what guarantees every
-// outbound edge has a matching inbox on the peer.
+// newTokenMesh builds the mesh for a plan. Neighbour sets are symmetric,
+// which is what guarantees every outbound edge has a matching inbox on
+// the peer.
 func newTokenMesh(p bandPlan) *tokenMesh {
 	m := &tokenMesh{
 		in:  make([][]chan struct{}, len(p.bands)),
@@ -132,23 +100,18 @@ func newTokenMesh(p bandPlan) *tokenMesh {
 	for w, deps := range p.deps {
 		m.in[w] = make([]chan struct{}, len(deps))
 		for k := range deps {
-			ch := make(chan struct{}, tokenCap)
-			ch <- struct{}{}
-			m.in[w][k] = ch
+			m.in[w][k] = make(chan struct{}, tokenCap)
 		}
 	}
 	for w, deps := range p.deps {
 		m.out[w] = make([]chan struct{}, len(deps))
 		for k, j := range deps {
-			found := false
 			for k2, d := range p.deps[j] {
 				if d == w {
 					m.out[w][k] = m.in[j][k2]
-					found = true
-					break
 				}
 			}
-			if !found {
+			if m.out[w][k] == nil {
 				panic("lbm: asymmetric band dependency graph")
 			}
 		}
@@ -156,11 +119,9 @@ func newTokenMesh(p bandPlan) *tokenMesh {
 	return m
 }
 
-// wait consumes one token from every dependency of worker w: its
-// neighbors have finished the previous wave over their whole bands, so
-// every plane within reach is ready to read and none of w's planes are
-// still being read. It returns false when abort fires first — a
-// panicked neighbor will never send its token, so waiting workers must
+// wait consumes one token from every neighbour of band w: their frames
+// for this step are packed. It returns false when abort fires first — a
+// panicked neighbour will never send its token, so waiting bands must
 // unwind through the abort channel instead of hanging. The fast path
 // (token already queued) costs one non-blocking receive.
 func (m *tokenMesh) wait(w int, abort <-chan struct{}) bool {
@@ -178,10 +139,10 @@ func (m *tokenMesh) wait(w int, abort <-chan struct{}) bool {
 	return true
 }
 
-// signal hands one token to every dependency of worker w: w's wave
-// over its band is complete. It returns false when abort fires while a
-// token channel is full — an aborted neighbor has stopped consuming, so
-// a blocked send must unwind too.
+// signal hands one token to every neighbour of band w: its frames for
+// this step are packed. It returns false when abort fires while a token
+// channel is full — an aborted neighbour has stopped consuming, so a
+// blocked send must unwind too.
 func (m *tokenMesh) signal(w int, abort <-chan struct{}) bool {
 	for _, ch := range m.out[w] {
 		select {
@@ -197,39 +158,188 @@ func (m *tokenMesh) signal(w int, abort <-chan struct{}) bool {
 	return true
 }
 
-// bandRun is the built state of one ownership scheduler instance: the
-// plan, its token mesh, the persistent worker pool, and the cached
-// per-worker closure. steps is the length of the current run; the
-// coordinator writes it before waking the pool (the channel send
-// publishes it to the workers) and the workers loop that many steps,
-// pacing each other through the mesh. abort lives with the build (a
-// trip poisons the whole scheduler): the first worker to recover a
-// panic trips it so every peer blocked on the mesh unwinds instead of
-// waiting for a token that will never come.
-type bandRun struct {
-	plan  bandPlan
+// slabOf is one band: its planes, its sweep state, and the frames it
+// publishes to its neighbours.
+type slabOf[T num.Float] struct {
+	lo, hi      int
+	left, right int // neighbour band indices (the band itself when alone)
+	sweep       *FusedScratchOf[T]
+	// win is the sweep window: win[1+i] views owned plane lo+i, and
+	// win[0], win[len-1] take the neighbours' frame edge planes as ghost
+	// planes each step.
+	win [][][]T
+	// frame[par][side] is the frame packed at steps of parity par (a lone
+	// band uses parity 0 only): side 0 carries plane lo to the left
+	// neighbour, side 1 plane hi-1 to the right. edge and far view into
+	// the frames.
+	frame     [2][2][]T
+	edge, far [2][2][][]T
+}
+
+// bandSet is the built state of one banding: its slabs and —
+// for more than one band — the frame-token mesh, the persistent worker
+// pool and the cached per-band closure. steps is the length of the
+// current run; the coordinator writes it before waking the pool (the
+// channel send publishes it to the workers). abort lives with the build
+// (a trip poisons the whole banding): the first band to recover a panic
+// trips it so every peer blocked on the mesh unwinds instead of waiting
+// for a token that will never come.
+type bandSet[T num.Float] struct {
+	slabs []slabOf[T]
 	mesh  *tokenMesh
 	pool  *stepPool
-	steps int
 	abort *runctl.Abort
+	steps int
 	work  func(int)
 }
 
 // stop terminates the pool workers, if any.
-func (r *bandRun) stop() {
-	if r != nil && r.pool != nil {
-		r.pool.stop()
+func (b *bandSet[T]) stop() {
+	if b != nil && b.pool != nil {
+		b.pool.stop()
 	}
 }
 
+// fusedChunkCount returns the number of bands for the configured
+// workers: capped by the scheduler's usable CPUs (extra bands cannot run
+// anywhere and only add redundant boundary work) and by NX/minBandPlanes
+// so every band amortizes its redundancy tax, floor 1. SetFusedChunks
+// overrides the heuristic, clamped to NX/MinFramePlanes.
+func (s *SimOf[T]) fusedChunkCount() int {
+	if s.fusedChunks > 0 {
+		return bandCountFor(s.P.NX, s.fusedChunks)
+	}
+	return usableBands(s.Workers(), s.P.NX, runtime.GOMAXPROCS(0))
+}
+
+// ensureBands (re)builds the slabs, token mesh and pool for w bands; it
+// is a no-op once built until SetWorkers or SetFusedChunks changes the
+// banding.
+func (s *SimOf[T]) ensureBands(w int) {
+	if s.bands != nil && len(s.bands.slabs) == bandCountFor(s.P.NX, w) {
+		return
+	}
+	s.bands.stop()
+	plan := planBands(s.P.NX, w)
+	nb := len(plan.bands)
+	parities := 1
+	if nb > 1 {
+		parities = 2
+	}
+	bs := &bandSet[T]{slabs: make([]slabOf[T], nb)}
+	for i, b := range plan.bands {
+		sl := &bs.slabs[i]
+		sl.lo, sl.hi = b[0], b[1]
+		sl.left, sl.right = (i-1+nb)%nb, (i+1)%nb
+		sl.sweep = newFusedScratch(s.K, s.soa)
+		sl.win = make([][][]T, b[1]-b[0]+2)
+		copy(sl.win[1:], s.fView[b[0]:b[1]])
+		for par := 0; par < parities; par++ {
+			for side := 0; side < 2; side++ {
+				sl.frame[par][side] = make([]T, s.K.FrameLen())
+				sl.edge[par][side] = make([][]T, s.K.NComp)
+				sl.far[par][side] = make([][]T, s.K.NComp)
+				s.K.frameViews(sl.frame[par][side], sl.edge[par][side], sl.far[par][side])
+			}
+		}
+	}
+	if nb > 1 {
+		bs.mesh = newTokenMesh(plan)
+		bs.pool = newStepPool(nb)
+		// Build-time abort: a trip poisons the build, so the per-run hot
+		// path allocates nothing.
+		bs.abort = runctl.NewAbort()
+		// One band's whole run: pack, signal, wait for the neighbours'
+		// frames, sweep. A recovered panic trips the run's abort so peers
+		// blocked on the mesh unwind and the pool rendezvous completes.
+		bs.work = func(i int) {
+			abort := bs.abort
+			defer func() {
+				if r := recover(); r != nil {
+					abort.Trip(&runctl.PanicError{Rank: -1, Band: i, Value: r, Stack: debug.Stack()})
+				}
+			}()
+			hook := s.bandHook
+			base := s.step
+			for t := 0; t < bs.steps; t++ {
+				if hook != nil {
+					hook(i, base+t)
+				}
+				par := t & 1
+				s.packFrames(i, par)
+				if !bs.mesh.signal(i, abort.Done()) || !bs.mesh.wait(i, abort.Done()) {
+					return
+				}
+				s.sweepSlab(i, par)
+			}
+		}
+	}
+	s.bands = bs
+}
+
+// packFrames packs band i's two frames into the slots of parity par.
+// The plane behind an edge wraps only for a lone band narrower than two
+// planes, whose frames then carry its single plane twice.
+func (s *SimOf[T]) packFrames(i, par int) {
+	sl := &s.bands.slabs[i]
+	nx := s.P.NX
+	s.K.PackFrame(sl.sweep, sl.frame[par][0], s.fView[sl.lo], s.fView[wrapX(sl.lo+1, nx)])
+	s.K.PackFrame(sl.sweep, sl.frame[par][1], s.fView[sl.hi-1], s.fView[wrapX(sl.hi-2, nx)])
+}
+
+// sweepSlab advances band i one step in place, with its left
+// neighbour's rightward frame and its right neighbour's leftward frame
+// of parity par as ghost planes and far densities.
+func (s *SimOf[T]) sweepSlab(i, par int) {
+	sl := &s.bands.slabs[i]
+	l, r := &s.bands.slabs[sl.left], &s.bands.slabs[sl.right]
+	last := len(sl.win) - 1
+	sl.win[0], sl.win[last] = l.edge[par][1], r.edge[par][0]
+	s.K.SweepFused(sl.sweep, sl.win, sl.win, 1, last, l.far[par][1], r.far[par][0], nil)
+}
+
+// runParallelErr is RunParallelSteps with the worker-panic cause as an
+// error value (a *runctl.PanicError) instead of a re-panic. A lone band
+// sweeps inline; a multi-band plan wakes the persistent workers once
+// for the whole run. A worker panic surfaces after every worker has
+// unwound, and the banding is poisoned for rebuild (the half-swept
+// lattice behind it is not trustworthy).
+func (s *SimOf[T]) runParallelErr(n int) error {
+	if n < 1 {
+		return nil
+	}
+	s.ensureBands(s.fusedChunkCount())
+	bs := s.bands
+	if bs.pool == nil {
+		hook := s.bandHook
+		for i := 0; i < n; i++ {
+			if hook != nil {
+				hook(0, s.step)
+			}
+			s.packFrames(0, 0)
+			s.sweepSlab(0, 0)
+			s.step++
+		}
+		return nil
+	}
+	bs.steps = n
+	bs.pool.run(bs.work)
+	if err := bs.abort.Err(); err != nil {
+		bs.stop()
+		s.bands = nil
+		return err
+	}
+	s.step += n
+	return nil
+}
+
 // minBandPlanes is the smallest band worth a dedicated worker. Below
-// it the per-step synchronization (and, on the fused path, the
-// redundant boundary ring recomputation) outweighs the parallel gain
-// and over-sharded small grids run slower than one sweep (measured on
-// a 32x48x16 grid at workers=4). Grids under 2*minBandPlanes therefore
-// take the sequential fast path no matter how many workers are
-// requested; SetBands and SetFusedChunks bypass the floor for
-// correctness tests.
+// it the per-step synchronization and the redundant boundary
+// collisions outweigh the parallel gain and over-sharded small grids
+// run slower than one sweep (measured on a 32x48x16 grid at workers=4).
+// Grids under 2*minBandPlanes therefore take the single-band path no
+// matter how many workers are requested; SetFusedChunks bypasses the
+// floor for correctness tests.
 const minBandPlanes = 16
 
 // usableBands caps a requested worker count by the scheduler's usable

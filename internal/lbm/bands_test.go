@@ -2,59 +2,63 @@ package lbm
 
 import "testing"
 
-// planBands must partition the planes exactly once, keep bands
-// contiguous and non-empty, and agree with bandCountFor.
+// planBands must partition the planes exactly once into contiguous
+// bands whose sizes differ by at most one plane, agree with
+// bandCountFor, and keep every band of a multi-band plan at
+// MinFramePlanes planes or more (requests beyond NX/2 are clamped).
 func TestPlanBandsPartition(t *testing.T) {
-	for _, tc := range []struct{ nx, req, reach int }{
-		{12, 1, 1}, {12, 2, 1}, {12, 3, 2}, {12, 8, 2}, {12, 12, 2},
-		{7, 3, 1}, {2, 2, 2}, {3, 3, 2}, {1, 4, 2}, {400, 8, 2},
+	for _, tc := range []struct{ nx, req, want int }{
+		{12, 1, 1}, {12, 2, 2}, {12, 3, 3}, {12, 8, 6}, {12, 12, 6},
+		{7, 3, 3}, {2, 2, 1}, {3, 3, 1}, {1, 4, 1}, {5, 2, 2}, {400, 8, 8},
 	} {
-		p := planBands(tc.nx, tc.req, tc.reach)
-		if got := len(p.bands); got != bandCountFor(tc.nx, tc.req) {
-			t.Errorf("nx=%d req=%d: %d bands, bandCountFor says %d", tc.nx, tc.req, got, bandCountFor(tc.nx, tc.req))
+		p := planBands(tc.nx, tc.req)
+		if got := len(p.bands); got != tc.want || got != bandCountFor(tc.nx, tc.req) {
+			t.Errorf("nx=%d req=%d: %d bands, want %d (bandCountFor says %d)",
+				tc.nx, tc.req, got, tc.want, bandCountFor(tc.nx, tc.req))
 		}
-		next := 0
+		next, lo, hi := 0, tc.nx, 0
 		for w, b := range p.bands {
 			if b[0] != next || b[1] <= b[0] || b[1] > tc.nx {
 				t.Fatalf("nx=%d req=%d: band %d = %v not contiguous from %d", tc.nx, tc.req, w, b, next)
 			}
+			n := b[1] - b[0]
+			lo, hi = min(lo, n), max(hi, n)
 			next = b[1]
 		}
 		if next != tc.nx {
 			t.Errorf("nx=%d req=%d: bands cover [0,%d), want [0,%d)", tc.nx, tc.req, next, tc.nx)
 		}
+		if hi-lo > 1 {
+			t.Errorf("nx=%d req=%d: band sizes %d..%d differ by more than one", tc.nx, tc.req, lo, hi)
+		}
+		if len(p.bands) > 1 && lo < MinFramePlanes {
+			t.Errorf("nx=%d req=%d: a %d-plane band, below the %d-plane floor", tc.nx, tc.req, lo, MinFramePlanes)
+		}
 	}
 }
 
-// Dependency sets must contain exactly the owners of the planes within
-// reach of each band's boundaries, never the band itself, and must be
-// symmetric — the property the token mesh's edge matching relies on.
+// A band's dependencies are exactly its distinct neighbour bands on the
+// periodic ring — never itself, one peer on two bands — and are
+// symmetric, the property the token mesh's edge matching relies on.
 func TestPlanBandsDeps(t *testing.T) {
-	for _, tc := range []struct{ nx, req, reach int }{
-		{12, 3, 1}, {12, 6, 2}, {12, 12, 2}, {5, 5, 2}, {2, 2, 2}, {3, 3, 2}, {16, 4, 1},
+	for _, tc := range []struct{ nx, req int }{
+		{12, 1}, {12, 2}, {12, 3}, {12, 6}, {5, 2}, {16, 8}, {16, 4},
 	} {
-		p := planBands(tc.nx, tc.req, tc.reach)
-		owner := make([]int, tc.nx)
-		for w, b := range p.bands {
-			for x := b[0]; x < b[1]; x++ {
-				owner[x] = w
-			}
-		}
-		for w, b := range p.bands {
+		p := planBands(tc.nx, tc.req)
+		n := len(p.bands)
+		for w := range p.bands {
 			want := map[int]bool{}
-			for r := 1; r <= tc.reach; r++ {
-				for _, x := range []int{b[0] - r, b[1] - 1 + r} {
-					if j := owner[wrapX(x, tc.nx)]; j != w {
-						want[j] = true
-					}
+			for _, j := range []int{(w - 1 + n) % n, (w + 1) % n} {
+				if j != w {
+					want[j] = true
 				}
 			}
 			if len(want) != len(p.deps[w]) {
-				t.Fatalf("nx=%d req=%d reach=%d: band %d deps %v, want %v", tc.nx, tc.req, tc.reach, w, p.deps[w], want)
+				t.Fatalf("nx=%d req=%d: band %d deps %v, want %v", tc.nx, tc.req, w, p.deps[w], want)
 			}
 			for _, j := range p.deps[w] {
 				if !want[j] {
-					t.Fatalf("nx=%d req=%d reach=%d: band %d has spurious dep %d", tc.nx, tc.req, tc.reach, w, j)
+					t.Fatalf("nx=%d req=%d: band %d has spurious dep %d", tc.nx, tc.req, w, j)
 				}
 				sym := false
 				for _, back := range p.deps[j] {
@@ -63,34 +67,31 @@ func TestPlanBandsDeps(t *testing.T) {
 					}
 				}
 				if !sym {
-					t.Fatalf("nx=%d req=%d reach=%d: dep %d->%d not symmetric", tc.nx, tc.req, tc.reach, w, j)
+					t.Fatalf("nx=%d req=%d: dep %d->%d not symmetric", tc.nx, tc.req, w, j)
 				}
 			}
 		}
+		newTokenMesh(p) // panics on an asymmetric graph
 	}
 }
 
-// The chunk floor: grids without at least minBandPlanes planes per
-// band take the sequential fast path no matter how many workers are
-// requested, on both stepping paths, while the explicit overrides
-// still pin any banding.
+// The band floor: grids without at least minBandPlanes planes per band
+// take the single-band path no matter how many workers are requested,
+// while the explicit override still pins any banding down to the
+// MinFramePlanes floor.
 func TestBandFloorSequentialFastPath(t *testing.T) {
 	p := WaterAir(12, 8, 6) // 12 planes < 2*minBandPlanes
-	p.Fused = true
 	s, err := NewSim(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetWorkers(8)
-	if got := s.bandCount(); got != 1 {
-		t.Errorf("12 planes, 8 workers: phase bandCount %d, want 1", got)
-	}
 	if got := s.fusedChunkCount(); got != 1 {
-		t.Errorf("12 planes, 8 workers: fused band count %d, want 1", got)
+		t.Errorf("12 planes, 8 workers: band count %d, want 1", got)
 	}
 	s.StepParallel()
-	if s.fused.pool != nil {
-		t.Error("tiny grid built a fused worker pool; want inline sweep")
+	if s.bands.pool != nil {
+		t.Error("tiny grid built a band worker pool; want inline sweep")
 	}
 	// usableBands also caps by CPUs and keeps the floor of one.
 	if got := usableBands(8, 64, 2); got != 2 {
@@ -102,17 +103,17 @@ func TestBandFloorSequentialFastPath(t *testing.T) {
 	if got := usableBands(8, 4, 16); got != 1 {
 		t.Errorf("usableBands(8, 4, 16) = %d, want 1", got)
 	}
-	// The overrides bypass the floor.
-	s.SetBands(6)
-	if got := s.bandCount(); got != 6 {
-		t.Errorf("SetBands(6): bandCount %d", got)
+	// The override bypasses the heuristic but not the frame floor.
+	s.SetFusedChunks(6)
+	if got := s.fusedChunkCount(); got != 6 {
+		t.Errorf("SetFusedChunks(6): band count %d", got)
 	}
-	s.SetBands(100)
-	if got := s.bandCount(); got != 12 {
-		t.Errorf("SetBands(100) on 12 planes: bandCount %d, want 12", got)
+	s.SetFusedChunks(100)
+	if got := s.fusedChunkCount(); got != 6 {
+		t.Errorf("SetFusedChunks(100) on 12 planes: band count %d, want 6 (two-plane bands)", got)
 	}
-	s.SetBands(0)
-	if got := s.bandCount(); got != 1 {
-		t.Errorf("override cleared: bandCount %d, want 1", got)
+	s.SetFusedChunks(0)
+	if got := s.fusedChunkCount(); got != 1 {
+		t.Errorf("override cleared: band count %d, want 1", got)
 	}
 }

@@ -1,36 +1,29 @@
 package lbm
 
 import (
+	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 
 	"microslip/internal/num"
-	"microslip/internal/runctl"
 )
 
-// The fused collide+stream stepping path. The reference step makes
-// three full passes over the distribution arrays (densities, collide,
-// stream), each of which streams every plane through the cache. The
-// fused path makes a single rolling sweep (SweepFused): as the sweep
-// front advances one plane, it computes that plane's densities,
-// collides the plane behind the front, and streams the plane behind
-// that — the three kernels consume each plane while it is still
-// cache-hot. Densities and post-collision values live in rings of three
-// plane sets (the dependency depth of the D3Q19 stencil along x), so
-// the step touches the full-size destination array only once, as the
-// stream destination, and allocates nothing in the steady state.
+// The fused collide+stream sweep. The reference step makes three full
+// passes over the distribution arrays (densities, collide, stream),
+// each of which streams every plane through the cache. The fused sweep
+// makes a single rolling pass (SweepFused): as the sweep front advances
+// one plane, it computes that plane's densities, collides the plane
+// behind the front, and streams the plane behind that — the three
+// kernels consume each plane while it is still cache-hot. Densities and
+// post-collision values live in rings of three plane sets (the
+// dependency depth of the D3Q19 stencil along x), so the sweep touches
+// the lattice only as its source and, in place, as its destination,
+// and allocates nothing in the steady state.
 //
-// With multiple workers each worker persistently owns a contiguous
-// band of planes and recomputes the densities and post-collision
-// values of the band-boundary planes redundantly into its private
-// rings (identical arithmetic on read-only inputs, hence identical
-// bits — the same redundant ghost collision every distributed rank
-// runs on its neighbours' edge planes), so bands never share written
-// state and the result is bit-equal to Step for any band count. Steps
-// synchronize through the boundary token mesh only: a band starts its
-// next sweep as soon as the owners of the planes within its stencil
-// reach (two on each side) have finished the previous one.
+// Every stepping path outside the serial reference Step is this sweep
+// run in place over a slab of planes behind one frame per neighbour
+// (see PackFrame): a band of the sequential solver and a distributed
+// rank differ only in where the neighbour's frame comes from.
 
 // FusedScratchOf is the state one fused sweep carries: its rolling
 // rings plus the collision scratch. A band or rank owns one for its
@@ -40,6 +33,9 @@ type FusedScratchOf[T num.Float] struct {
 	n    [3][][]T    // n[slot][c]: density plane ring
 	post [3][][]T    // post[slot][c]: post-collision plane ring
 	mom  [3][][3][]T // mom[slot][c][a]: SoA momentum lane ring (nil for AoS)
+	// edge and far are PackFrame's per-component headers into the frame
+	// it is filling.
+	edge, far [][]T
 }
 
 // FusedScratch is the double-precision sweep state.
@@ -49,7 +45,7 @@ type FusedScratch = FusedScratchOf[float64]
 func (k *KernelOf[T]) NewFusedScratch() *FusedScratchOf[T] { return newFusedScratch(k, false) }
 
 func newFusedScratch[T num.Float](k *KernelOf[T], soa bool) *FusedScratchOf[T] {
-	fs := &FusedScratchOf[T]{sc: k.NewScratch()}
+	fs := &FusedScratchOf[T]{sc: k.NewScratch(), edge: make([][]T, k.NComp), far: make([][]T, k.NComp)}
 	for s := 0; s < 3; s++ {
 		fs.n[s] = make([][]T, k.NComp)
 		fs.post[s] = make([][]T, k.NComp)
@@ -73,6 +69,9 @@ func newFusedScratch[T num.Float](k *KernelOf[T], soa bool) *FusedScratchOf[T] {
 	return fs
 }
 
+// soa reports whether the scratch was built for direction-major planes.
+func (fs *FusedScratchOf[T]) soa() bool { return fs.mom[0] != nil }
+
 // slot3 maps a sweep index (which may run past the domain on either
 // side) to its ring slot. Keyed by the raw index, not the wrapped
 // plane, so the three slots of any stencil window are always distinct
@@ -95,7 +94,7 @@ func wrapX(x, nx int) int {
 // writes streamed populations into dst planes lo .. hi-1 only.
 //
 // farL and farR, when non-nil, are the densities of planes lo-2 and
-// hi+1 and replace computing them from src: a rank holds its
+// hi+1 and replace computing them from src: a slab holds its
 // neighbours' edge planes but not the planes behind them. dens, when
 // non-nil, receives a copy of the densities of planes lo .. hi-1
 // (indexed like src). dst may be src itself when the window does not
@@ -105,7 +104,7 @@ func wrapX(x, nx int) int {
 // the direction-major kernels.
 func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi int, farL, farR [][]T, dens [][][]T) {
 	nx := len(src)
-	soa := fs.mom[0] != nil
+	soa := fs.soa()
 	// Density-front advance: the SoA sweep also harvests each plane's
 	// momentum lanes from the same lane walk, so the collision below
 	// can skip its own momentum pass (and with it a second full read
@@ -161,7 +160,75 @@ func copyPlanes[T num.Float](dst, src [][]T) {
 	}
 }
 
-// stepPool is the persistent goroutine pool of the ownership
+// FrameKind heads every frame. A slab owning planes [lo, hi) sends its
+// left neighbour the frame of plane lo — the pre-collision plane of
+// every component, then the densities of plane lo+1 — and its right
+// neighbour the frame of plane hi-1 with the densities of plane hi-2.
+// That is everything the receiver's sweep needs beyond its own planes:
+// the ghost plane itself (whose densities it recomputes) and the
+// density plane behind it for the ghost's psi-gradient. A frame is a
+// copy, so its sender may overwrite the edge plane in place while the
+// receiver still reads the frame.
+const FrameKind = 1
+
+// MinFramePlanes is the fewest planes a slab sharing the lattice with
+// others may own: its frames carry its edge plane and the densities of
+// the plane behind it, which must be its own. A lone slab is exempt —
+// its frames wrap onto itself.
+const MinFramePlanes = 2
+
+// FrameLen returns the length of one frame: the kind header, the edge
+// plane of every component, then the far densities of every component.
+func (k *KernelOf[T]) FrameLen() int {
+	return 1 + k.NComp*(k.PlaneLen()+k.PlaneCells())
+}
+
+// frameViews points edge[c] and far[c] at component c's edge plane and
+// far densities inside frame buf.
+func (k *KernelOf[T]) frameViews(buf []T, edge, far [][]T) {
+	nc, sz, cells := k.NComp, k.PlaneLen(), k.PlaneCells()
+	for c := 0; c < nc; c++ {
+		edge[c] = buf[1+c*sz : 1+(c+1)*sz]
+		far[c] = buf[1+nc*sz+c*cells : 1+nc*sz+(c+1)*cells]
+	}
+}
+
+// PackFrame fills buf, reusing its capacity, with the frame of the edge
+// planes edge and returns it: the kind header, a copy of edge, then the
+// densities of the planes far, computed straight into the frame in the
+// layout fs was built for.
+func (k *KernelOf[T]) PackFrame(fs *FusedScratchOf[T], buf []T, edge, far [][]T) []T {
+	need := k.FrameLen()
+	if cap(buf) < need {
+		buf = make([]T, need)
+	}
+	buf = buf[:need]
+	buf[0] = FrameKind
+	k.frameViews(buf, fs.edge, fs.far)
+	copyPlanes(fs.edge, edge)
+	if fs.soa() {
+		k.DensitiesSoA(far, fs.far)
+	} else {
+		k.Densities(far, fs.far)
+	}
+	return buf
+}
+
+// ParseFrame checks a frame's length and kind header and points
+// ghost[c] and far[c] at its edge plane and far densities, which a
+// sweep takes as its ghost plane and farL/farR.
+func (k *KernelOf[T]) ParseFrame(msg []T, ghost, far [][]T) error {
+	if len(msg) != k.FrameLen() {
+		return fmt.Errorf("frame size %d, want %d", len(msg), k.FrameLen())
+	}
+	if msg[0] != FrameKind {
+		return fmt.Errorf("unknown frame kind %v", msg[0])
+	}
+	k.frameViews(msg, ghost, far)
+	return nil
+}
+
+// stepPool is the persistent goroutine pool of the band and level
 // schedulers: spawning goroutines every run would allocate, parked
 // workers woken over channels do not. Workers reference only their
 // channels — never the Sim or the pool — so when the owning Sim
@@ -213,158 +280,3 @@ func (p *stepPool) run(fn func(int)) {
 
 // stop terminates the pool workers; safe to call more than once.
 func (p *stepPool) stop() { p.once.Do(func() { close(p.quit) }) }
-
-// fusedState is the lazily built per-Sim state of the fused path: the
-// band scheduler plus the band-owned rings and the two view sets the
-// workers alternate between. va/vb are the f-side and post-side plane
-// views at build time; flip records that the current distributions
-// live in vb (the sim-level views are swapped after every odd-length
-// run so s.fView always names the current state for readers).
-type fusedState[T num.Float] struct {
-	bandRun
-	scratch []*FusedScratchOf[T]
-	va, vb  [][][]T
-	flip    bool
-}
-
-// views returns the (src, dst) view pair for the next step.
-func (fs *fusedState[T]) views() (src, dst [][][]T) {
-	if fs.flip {
-		return fs.vb, fs.va
-	}
-	return fs.va, fs.vb
-}
-
-// fusedChunkCount returns the number of bands the fused sweep should
-// use for w requested workers: capped by the scheduler's usable CPUs
-// (extra bands cannot run anywhere and only add redundant boundary
-// work) and by NX/minBandPlanes so every band amortizes its redundancy
-// tax, floor 1. SetFusedChunks overrides the heuristic.
-func (s *SimOf[T]) fusedChunkCount() int {
-	if s.fusedChunks > 0 {
-		n := s.fusedChunks
-		if n > s.P.NX {
-			n = s.P.NX
-		}
-		return n
-	}
-	return usableBands(s.Workers(), s.P.NX, runtime.GOMAXPROCS(0))
-}
-
-// SetFusedChunks pins the fused path to exactly n bands (capped at
-// NX), bypassing the minimum-planes heuristic; n <= 0 restores the
-// heuristic. Correctness tests use it to force multi-band sweeps that
-// the heuristic would (rightly) refuse on small grids or few CPUs.
-func (s *SimOf[T]) SetFusedChunks(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.fusedChunks = n
-}
-
-// ensureFused (re)builds the fused bands, rings, token mesh, and pool
-// for the current band count; it is a no-op once built until
-// SetWorkers or SetFusedChunks changes the banding.
-func (s *SimOf[T]) ensureFused(w int) {
-	if s.fused != nil && len(s.fused.plan.bands) == bandCountFor(s.P.NX, w) {
-		return
-	}
-	if s.fused != nil {
-		s.fused.stop()
-	}
-	plan := planBands(s.P.NX, w, 2)
-	fs := &fusedState[T]{va: s.fView, vb: s.postView}
-	fs.plan = plan
-	for range plan.bands {
-		fs.scratch = append(fs.scratch, newFusedScratch(s.K, s.soa))
-	}
-	if len(plan.bands) > 1 {
-		fs.mesh = newTokenMesh(plan)
-		fs.pool = newStepPool(len(plan.bands))
-		// Build-time abort, like the three-phase scheduler: a trip
-		// poisons the build, so the per-run hot path allocates nothing.
-		fs.abort = runctl.NewAbort()
-		// One band's whole run: sweep, signal the boundary owners, and
-		// wait for theirs before the next sweep. The wait covers both
-		// hazard directions at once — the planes this band reads two
-		// deep into its neighbors were written, and the planes it is
-		// about to overwrite are no longer being read — because a
-		// neighbor's token means its previous sweep finished entirely.
-		// A recovered panic trips the run's abort so peers blocked on the
-		// mesh unwind; see the three-phase closure in parallel.go.
-		fs.work = func(i int) {
-			abort := fs.abort
-			defer func() {
-				if r := recover(); r != nil {
-					abort.Trip(&runctl.PanicError{Rank: -1, Band: i, Value: r, Stack: debug.Stack()})
-				}
-			}()
-			hook := s.bandHook
-			base := s.step
-			lo, hi := fs.plan.bands[i][0], fs.plan.bands[i][1]
-			src, dst := fs.views()
-			for t := 0; t < fs.steps; t++ {
-				if hook != nil {
-					hook(i, base+t)
-				}
-				if !fs.mesh.wait(i, abort.Done()) {
-					return
-				}
-				s.K.SweepFused(fs.scratch[i], src, dst, lo, hi, nil, nil, nil)
-				if !fs.mesh.signal(i, abort.Done()) {
-					return
-				}
-				src, dst = dst, src
-			}
-		}
-	}
-	s.fused = fs
-}
-
-// runFused advances n steps on the fused path. A single band sweeps
-// inline, swapping the f/fPost roles per step (a pointer swap, not a
-// copy) exactly like the reference step; a multi-band plan wakes the
-// persistent workers once for the whole run, each worker alternating
-// the view roles privately, and the coordinator reconciles the
-// sim-level views once at the end.
-// A worker panic surfaces as a *runctl.PanicError after every worker
-// has unwound, and the fused state is poisoned for rebuild (its rings
-// and view roles are no longer trustworthy).
-func (s *SimOf[T]) runFused(n int) error {
-	s.ensureFused(s.fusedChunkCount())
-	fs := s.fused
-	if fs.pool == nil {
-		c := fs.plan.bands[0]
-		hook := s.bandHook
-		for i := 0; i < n; i++ {
-			if hook != nil {
-				hook(0, s.step)
-			}
-			src, dst := fs.views()
-			s.K.SweepFused(fs.scratch[0], src, dst, c[0], c[1], nil, nil, nil)
-			s.swapFused()
-			s.step++
-		}
-		return nil
-	}
-	fs.steps = n
-	fs.pool.run(fs.work)
-	if err := fs.abort.Err(); err != nil {
-		fs.stop()
-		s.fused = nil
-		return err
-	}
-	if n%2 == 1 {
-		s.swapFused()
-	}
-	s.step += n
-	return nil
-}
-
-// swapFused exchanges the f/fPost roles after an odd number of fused
-// sweeps, keeping s.f and s.fView naming the current state.
-func (s *SimOf[T]) swapFused() {
-	s.f, s.fPost = s.fPost, s.f
-	s.fView, s.postView = s.postView, s.fView
-	s.fused.flip = !s.fused.flip
-}

@@ -1,8 +1,13 @@
 package lbm
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
+
+	"microslip/internal/num"
 )
 
 func planesBitEqual(t *testing.T, label string, a, b *Sim) {
@@ -20,23 +25,23 @@ func planesBitEqual(t *testing.T, label string, a, b *Sim) {
 	}
 }
 
-// The fused collide+stream path must match the serial reference bit
-// for bit, for any chunk count, including domains smaller than the
-// ring depth and chunk counts that do not divide NX. SetFusedChunks
-// pins the sharding: the production heuristic would refuse to shard
-// grids this small (or on machines with few CPUs), and the point here
-// is the correctness of multi-chunk sweeps, not the scheduling choice.
+// The in-place sweep must match the serial reference bit for bit, for
+// any band count, including domains smaller than the ring depth (a lone
+// band's frames then wrap onto its own planes) and band counts that do
+// not divide NX or exceed NX/2 (clamped to two-plane bands).
+// SetFusedChunks pins the banding: the production heuristic would
+// refuse to shard grids this small (or on machines with few CPUs), and
+// the point here is the correctness of multi-band sweeps, not the
+// scheduling choice.
 func TestFusedMatchesStep(t *testing.T) {
-	grids := [][3]int{{12, 10, 6}, {2, 8, 5}, {1, 6, 5}, {7, 9, 7}}
+	grids := [][3]int{{12, 10, 6}, {2, 8, 5}, {1, 6, 5}, {3, 6, 5}, {7, 9, 7}}
 	for _, g := range grids {
 		for _, chunks := range []int{1, 2, 3, 8} {
 			ref, err := NewSim(WaterAir(g[0], g[1], g[2]))
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp := WaterAir(g[0], g[1], g[2])
-			fp.Fused = true
-			fused, err := NewSim(fp)
+			fused, err := NewSim(WaterAir(g[0], g[1], g[2]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,165 +50,216 @@ func TestFusedMatchesStep(t *testing.T) {
 				ref.Step()
 				fused.StepParallel()
 			}
-			planesBitEqual(t, "fused", ref, fused)
+			planesBitEqual(t, fmt.Sprintf("grid %v chunks %d", g, chunks), ref, fused)
 		}
 	}
 }
 
-// Changing the chunk count mid-run rebuilds the fused pool without
-// perturbing the results.
+// Changing the band count mid-run rebuilds the bands without perturbing
+// the results.
 func TestFusedWorkerResize(t *testing.T) {
 	ref, err := NewSim(WaterAir(10, 10, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := WaterAir(10, 10, 6)
-	fp.Fused = true
-	fused, err := NewSim(fp)
+	fused, err := NewSim(WaterAir(10, 10, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for step, chunks := range []int{1, 4, 2, 8, 1, 3} {
+	for _, chunks := range []int{1, 4, 2, 8, 1, 3} {
 		fused.SetFusedChunks(chunks)
 		ref.Step()
 		fused.StepParallel()
-		_ = step
 	}
 	planesBitEqual(t, "resize", ref, fused)
 }
 
-// The steady-state step must not allocate: the per-plane component
-// views, phase closures, collision scratches, band plans, and the
-// boundary token mesh are all built at NewSim (or on the first step
-// after a banding change), never per step. Pinned for the serial
-// path, for the plane-ownership scheduler at workers=8 on both
-// stepping paths (degenerate one-plane bands, the densest token
-// traffic), and for multi-step runs, whose boundary-plane exchange
-// must reuse the prefilled token channels rather than grow buffers.
+// The steady-state step must not allocate: the plane windows, frames,
+// sweep rings, band plans, and the frame-token mesh are all built on
+// the first step after a banding change, never per step. Pinned for
+// every banding (one band, and 2, 3 and 8 requested, which the 8-plane
+// grid clamps to two-plane bands) at both precisions in both layouts,
+// for single steps and for multi-step runs, whose frame exchange must
+// reuse its two parity slots and token channels rather than grow
+// buffers.
 func TestStepParallelZeroAllocs(t *testing.T) {
-	p := WaterAir(8, 10, 6)
-	s, err := NewSim(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.StepParallel() // warm scratches
-	if allocs := testing.AllocsPerRun(5, s.StepParallel); allocs != 0 {
-		t.Errorf("StepParallel(workers=1): %v allocs/op, want 0", allocs)
-	}
-	s.SetWorkers(8)
-	s.SetBands(8)
-	s.StepParallel() // build bands, mesh, pool
-	if allocs := testing.AllocsPerRun(5, s.StepParallel); allocs != 0 {
-		t.Errorf("StepParallel(bands=8): %v allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(5, func() { s.RunParallelSteps(3) }); allocs != 0 {
-		t.Errorf("RunParallelSteps(3, bands=8): %v allocs/op, want 0 (boundary exchange grew)", allocs)
-	}
-
-	fp := WaterAir(8, 10, 6)
-	fp.Fused = true
-	f, err := NewSim(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.StepParallel() // single-band fused
-	if allocs := testing.AllocsPerRun(5, f.StepParallel); allocs != 0 {
-		t.Errorf("fused StepParallel(workers=1): %v allocs/op, want 0", allocs)
-	}
-	f.SetFusedChunks(4)
-	f.StepParallel() // build pool + scratches
-	if allocs := testing.AllocsPerRun(5, f.StepParallel); allocs != 0 {
-		t.Errorf("fused StepParallel(chunks=4): %v allocs/op, want 0", allocs)
-	}
-	f.SetFusedChunks(8)
-	f.StepParallel() // rebuild at one-plane bands
-	if allocs := testing.AllocsPerRun(5, f.StepParallel); allocs != 0 {
-		t.Errorf("fused StepParallel(chunks=8): %v allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(5, func() { f.RunParallelSteps(3) }); allocs != 0 {
-		t.Errorf("fused RunParallelSteps(3, chunks=8): %v allocs/op, want 0 (boundary exchange grew)", allocs)
-	}
-
-	// The SoA layout must preserve the guarantee on both stepping paths:
-	// the lane views are stack-built arrays and the lane-shift stream
-	// writes in place, so direction-major storage adds no per-step heap
-	// traffic.
-	sp := WaterAir(8, 10, 6)
-	sp.Layout = SoA
-	ss, err := NewSim(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss.StepParallel()
-	if allocs := testing.AllocsPerRun(5, ss.StepParallel); allocs != 0 {
-		t.Errorf("SoA StepParallel(workers=1): %v allocs/op, want 0", allocs)
-	}
-	ss.SetWorkers(8)
-	ss.SetBands(8)
-	ss.StepParallel()
-	if allocs := testing.AllocsPerRun(5, ss.StepParallel); allocs != 0 {
-		t.Errorf("SoA StepParallel(bands=8): %v allocs/op, want 0", allocs)
-	}
-
-	sfp := WaterAir(8, 10, 6)
-	sfp.Layout = SoA
-	sfp.Fused = true
-	sf, err := NewSim(sfp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf.SetFusedChunks(4)
-	sf.StepParallel()
-	if allocs := testing.AllocsPerRun(5, sf.StepParallel); allocs != 0 {
-		t.Errorf("SoA fused StepParallel(chunks=4): %v allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(5, func() { sf.RunParallelSteps(3) }); allocs != 0 {
-		t.Errorf("SoA fused RunParallelSteps(3, chunks=4): %v allocs/op, want 0", allocs)
+	for _, layout := range []Layout{AoS, SoA} {
+		for _, prec := range []Precision{F64, F32} {
+			for _, bands := range []int{1, 2, 3, 8} {
+				p := WaterAir(8, 10, 6)
+				p.Layout, p.Precision = layout, prec
+				s, err := NewSolver(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetWorkers(bands)
+				s.SetFusedChunks(bands)
+				s.StepParallel() // build the bands, mesh and pool
+				label := fmt.Sprintf("layout=%s/prec=%v/bands=%d", layout, prec, bands)
+				if allocs := testing.AllocsPerRun(5, s.StepParallel); allocs != 0 {
+					t.Errorf("%s: StepParallel %v allocs/op, want 0", label, allocs)
+				}
+				if allocs := testing.AllocsPerRun(5, func() { s.RunParallelSteps(3) }); allocs != 0 {
+					t.Errorf("%s: RunParallelSteps(3) %v allocs/op, want 0 (frame exchange grew)", label, allocs)
+				}
+			}
+		}
 	}
 }
 
 // The chunking heuristic: requested workers are capped by usable CPUs
-// and by a minimum chunk size, so small grids never over-shard (8-plane
-// chunks once made fused workers=4 slower than workers=1), while an
-// explicit SetFusedChunks bypasses the cap for correctness tests.
+// and by a minimum band size, so small grids never over-shard (8-plane
+// bands once made workers=4 slower than workers=1), while an explicit
+// SetFusedChunks bypasses the cap for correctness tests down to the
+// two-plane frame floor.
 func TestFusedChunkHeuristic(t *testing.T) {
-	p := WaterAir(32, 8, 6)
-	p.Fused = true
-	s, err := NewSim(p)
+	s, err := NewSim(WaterAir(32, 8, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 32 planes / minFusedChunkPlanes=16 allows at most 2 chunks no
-	// matter how many workers are requested.
+	// 32 planes / minBandPlanes=16 allows at most 2 bands no matter how
+	// many workers are requested.
 	s.SetWorkers(64)
 	if got := s.fusedChunkCount(); got > 2 {
-		t.Errorf("32 planes, 64 workers: %d chunks, want <= 2", got)
+		t.Errorf("32 planes, 64 workers: %d bands, want <= 2", got)
 	}
 	if got := s.fusedChunkCount(); got < 1 {
-		t.Errorf("chunk count %d < 1", got)
+		t.Errorf("band count %d < 1", got)
 	}
 	// A grid below the minimum never shards.
-	p2 := WaterAir(12, 8, 6)
-	p2.Fused = true
-	s2, err := NewSim(p2)
+	s2, err := NewSim(WaterAir(12, 8, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2.SetWorkers(8)
 	if got := s2.fusedChunkCount(); got != 1 {
-		t.Errorf("12 planes, 8 workers: %d chunks, want 1", got)
+		t.Errorf("12 planes, 8 workers: %d bands, want 1", got)
 	}
-	// The override pins the count exactly (capped at NX).
+	// The override pins the count exactly, clamped to NX/2.
 	s2.SetFusedChunks(5)
 	if got := s2.fusedChunkCount(); got != 5 {
-		t.Errorf("override 5: got %d chunks", got)
+		t.Errorf("override 5: got %d bands", got)
 	}
 	s2.SetFusedChunks(100)
-	if got := s2.fusedChunkCount(); got != 12 {
-		t.Errorf("override 100 on 12 planes: got %d chunks, want 12", got)
+	if got := s2.fusedChunkCount(); got != 6 {
+		t.Errorf("override 100 on 12 planes: got %d bands, want 6", got)
 	}
 	s2.SetFusedChunks(0)
 	if got := s2.fusedChunkCount(); got != 1 {
-		t.Errorf("override cleared: got %d chunks, want 1", got)
+		t.Errorf("override cleared: got %d bands, want 1", got)
+	}
+}
+
+// heldBytes is what s is allowed to hold: one distribution lattice,
+// plus each band's sweep rings and frames.
+func heldBytes[T num.Float](s *SimOf[T]) int {
+	n := s.P.NComp() * s.P.NX * s.K.PlaneLen()
+	for i := range s.bands.slabs {
+		sl := &s.bands.slabs[i]
+		for slot := 0; slot < 3; slot++ {
+			for c := range sl.sweep.n[slot] {
+				n += len(sl.sweep.n[slot][c]) + len(sl.sweep.post[slot][c])
+				if sl.sweep.mom[slot] != nil {
+					n += 3 * len(sl.sweep.mom[slot][c][0])
+				}
+			}
+		}
+		for par := range sl.frame {
+			for side := range sl.frame[par] {
+				n += len(sl.frame[par][side])
+			}
+		}
+	}
+	var zero T
+	return n * int(unsafe.Sizeof(zero))
+}
+
+// heapAfterGC returns the live heap after a full collection.
+func heapAfterGC() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// checkHeld fails unless the live heap grew by at most 1.05x held.
+func checkHeld(t *testing.T, grew int64, held int) {
+	t.Helper()
+	if limit := 1.05 * float64(held); float64(grew) > limit {
+		t.Errorf("live heap grew %d bytes, limit %.0f (1.05 x %d for one lattice plus rings and frames)",
+			grew, limit, held)
+	}
+}
+
+// runHeld builds a solver at precision T on bands bands, steps it, and
+// checks what stays live against heldBytes.
+func runHeld[T num.Float](t *testing.T, p *Params, bands int) {
+	before := heapAfterGC()
+	s, err := NewSimOf[T](p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetFusedChunks(bands)
+	s.RunParallelSteps(3)
+	checkHeld(t, heapAfterGC()-before, heldBytes(s))
+	runtime.KeepAlive(s)
+}
+
+// A solver holds one distribution lattice: everything it keeps live
+// once stepping has begun — the lattice, the bands' rings and frames,
+// kernel tables, scratch — fits in 1.05x the lattice plus the rings and
+// frames. A second lattice (the post-collision copy the solver used to
+// alternate with) would double the bill. Checked for both precisions,
+// one and two bands, and a refined solver, whose three blocks are each
+// one lattice.
+func TestSolverHoldsOneLattice(t *testing.T) {
+	const nx, ny, nz = 64, 48, 16
+	for _, bands := range []int{1, 2} {
+		t.Run(fmt.Sprintf("f64/bands=%d", bands), func(t *testing.T) {
+			runHeld[float64](t, WaterAir(nx, ny, nz), bands)
+		})
+		t.Run(fmt.Sprintf("f32/bands=%d", bands), func(t *testing.T) {
+			p := WaterAir(nx, ny, nz)
+			p.Precision = F32
+			runHeld[float32](t, p, bands)
+		})
+	}
+	t.Run("refined", func(t *testing.T) {
+		before := heapAfterGC()
+		rs, err := NewRefined(WaterAir(nx, ny, nz), RefineSpec{Levels: 2, WallLayers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.RunParallelSteps(3)
+		grew := heapAfterGC() - before
+		r := rs.(*refinedOf[float64])
+		checkHeld(t, grew, heldBytes(r.bot)+heldBytes(r.top)+heldBytes(r.coarse))
+		runtime.KeepAlive(rs)
+	})
+}
+
+// Bands trade frames through memory one goroutine writes and another
+// reads; this run gives the race detector every banding from two to
+// eight bands (two-plane bands at eight) over 60 steps, in runs of odd
+// and even length so both parity slots are reused across run
+// boundaries, and holds each to the serial reference.
+func TestBandFrameExchangeLongRun(t *testing.T) {
+	const nx, steps = 16, 60
+	ref, err := NewSim(WaterAir(nx, 6, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(steps)
+	for bands := 2; bands <= 8; bands++ {
+		s, err := NewSim(WaterAir(nx, 6, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetWorkers(bands)
+		s.SetFusedChunks(bands)
+		for _, n := range []int{7, 13, 40} {
+			s.RunParallelSteps(n)
+		}
+		planesBitEqual(t, fmt.Sprintf("bands=%d", bands), ref, s)
 	}
 }

@@ -14,8 +14,8 @@ import (
 //	Densities -> Collide -> Stream
 //
 // either as three passes over the lattice (the serial reference Step) or
-// fused into one rolling sweep (SweepFused: the fused sequential path and
-// every distributed rank).
+// fused into one rolling sweep run in place (SweepFused: every band of
+// the sequential solver and every distributed rank).
 // The float64 instantiation (the Kernel alias) evaluates exactly the
 // expression tree of the historical double-precision kernel, so its
 // results are bit-identical to every pre-generic release; the float32

@@ -11,7 +11,6 @@ import (
 // and with -cpuprofile / -memprofile the way to profile the kernel.
 func benchFusedLayout[T interface{ float32 | float64 }](b *testing.B, layout Layout) {
 	p := WaterAir(200, 100, 20)
-	p.Fused = true
 	p.Layout = layout
 	if _, ok := any(*new(T)).(float32); ok {
 		p.Precision = F32
@@ -22,13 +21,13 @@ func benchFusedLayout[T interface{ float32 | float64 }](b *testing.B, layout Lay
 	}
 	s.SetWorkers(1)
 	s.RunParallelSteps(4)
-	cells := float64(p.NX*p.NY*p.NZ) / 1e6
+	mlups := float64(p.NX*p.NY*p.NZ) / 1e6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.RunParallelSteps(1)
 	}
 	b.StopTimer()
-	b.ReportMetric(cells/(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e9), "MLUPS")
+	b.ReportMetric(mlups/(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e9), "MLUPS")
 }
 
 func BenchmarkFusedStepAoS(b *testing.B)    { benchFusedLayout[float64](b, AoS) }
@@ -36,11 +35,12 @@ func BenchmarkFusedStepSoA(b *testing.B)    { benchFusedLayout[float64](b, SoA) 
 func BenchmarkFusedStepAoSF32(b *testing.B) { benchFusedLayout[float32](b, AoS) }
 func BenchmarkFusedStepSoAF32(b *testing.B) { benchFusedLayout[float32](b, SoA) }
 
-// benchCollideLayout isolates the collision phase on the paper-sized
-// plane: densities are computed once, then the collide phase alone is
-// timed over every x-plane. The AoS/SoA pairs bound the layout cost of
-// collision without streaming in the picture — the number the float32
-// pass-fusion in collideScratchSoA is accountable to.
+// benchCollideLayout isolates the collision kernel on the paper-sized
+// plane: densities (and, for SoA, the momentum lanes the sweep harvests
+// with them) are computed once, then the collision alone is timed over
+// every x-plane. The AoS/SoA pairs bound the layout cost of collision
+// without streaming in the picture — the number the float32 pass-fusion
+// in collideScratchSoA is accountable to.
 func benchCollideLayout[T interface{ float32 | float64 }](b *testing.B, layout Layout) {
 	p := WaterAir(200, 100, 20)
 	p.Layout = layout
@@ -52,19 +52,39 @@ func benchCollideLayout[T interface{ float32 | float64 }](b *testing.B, layout L
 		b.Fatal(err)
 	}
 	s.SetWorkers(1)
-	s.RunParallelSteps(2) // allocates the per-worker scratch, develops flow
+	s.RunParallelSteps(2) // develops flow
+	k, nc, cells := s.K, p.NComp(), s.K.PlaneCells()
+	n := newPlanes[T](p.NX, nc, cells)
+	post := newPlanes[T](1, nc, k.PlaneLen())[0]
+	mom := make([][][3][]T, p.NX)
 	for x := 0; x < p.NX; x++ {
-		s.densPhase(x, 0)
+		if s.soa {
+			mom[x] = make([][3][]T, nc)
+			for c := range mom[x] {
+				for a := range mom[x][c] {
+					mom[x][c][a] = make([]T, cells)
+				}
+			}
+			k.DensitiesMomentsSoA(s.fView[x], n[x], mom[x])
+		} else {
+			k.Densities(s.fView[x], n[x])
+		}
 	}
-	cells := float64(p.NX*p.NY*p.NZ) / 1e6
+	sc := k.NewScratch()
+	mlups := float64(p.NX*p.NY*p.NZ) / 1e6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for x := 0; x < p.NX; x++ {
-			s.collidePhase(x, 0)
+			l, r := wrapX(x-1, p.NX), wrapX(x+1, p.NX)
+			if s.soa {
+				k.collideScratchSoA(sc, n[l], n[x], n[r], s.fView[x], post, mom[x])
+			} else {
+				k.CollideScratch(sc, n[l], n[x], n[r], s.fView[x], post)
+			}
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(cells/(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e9), "MLUPS")
+	b.ReportMetric(mlups/(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e9), "MLUPS")
 }
 
 func BenchmarkCollideAoS(b *testing.B)    { benchCollideLayout[float64](b, AoS) }

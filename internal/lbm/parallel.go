@@ -2,18 +2,18 @@ package lbm
 
 import (
 	"runtime"
-	"runtime/debug"
 
 	"microslip/internal/runctl"
 )
 
-// SetWorkers sets the number of goroutines used to update planes within
-// a step; n <= 1 means serial. Plane updates are independent given the
-// previous phase's data, so parallel and serial stepping produce
-// identical results bit for bit. This is intra-node parallelism, the
-// complement of the inter-node decomposition in package parlbm. The
-// effective band count is capped by usable CPUs and the minBandPlanes
-// floor (see usableBands); SetBands pins it exactly for tests.
+// SetWorkers sets the number of bands used to advance the planes within
+// a step; n <= 1 means one band. Every banding runs the same fused
+// sweep behind the same frames, so any worker count produces results
+// identical to the serial Step bit for bit. This is intra-node
+// parallelism, the complement of the inter-node decomposition in
+// package parlbm. The effective band count is capped by usable CPUs and
+// the minBandPlanes floor (see usableBands); SetFusedChunks pins it for
+// tests.
 func (s *SimOf[T]) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -39,167 +39,23 @@ func (s *SimOf[T]) Workers() int {
 	return s.workers
 }
 
-// SetBands pins the three-phase ownership scheduler to exactly n bands
-// (capped at NX), bypassing the usable-CPU cap and the minimum-planes
-// floor; n <= 0 restores the heuristic. Correctness tests use it to
-// force degenerate one- and two-plane bands that the heuristic would
-// (rightly) refuse on small grids or few CPUs. The fused path has its
-// own override, SetFusedChunks.
-func (s *SimOf[T]) SetBands(n int) {
+// SetFusedChunks pins the band count to n, bypassing the usable-CPU cap
+// and the minimum-planes heuristic but not the MinFramePlanes floor (n
+// is clamped to NX/2); n <= 0 restores the heuristic. Correctness tests
+// use it to force multi-band sweeps that the heuristic would (rightly)
+// refuse on small grids or few CPUs.
+func (s *SimOf[T]) SetFusedChunks(n int) {
 	if n < 0 {
 		n = 0
 	}
-	s.bandsOverride = n
+	s.fusedChunks = n
 }
 
-// bandCount returns the number of bands the three-phase path should
-// use for the configured worker count.
-func (s *SimOf[T]) bandCount() int {
-	if s.bandsOverride > 0 {
-		n := s.bandsOverride
-		if n > s.P.NX {
-			n = s.P.NX
-		}
-		return n
-	}
-	return usableBands(s.Workers(), s.P.NX, runtime.GOMAXPROCS(0))
-}
-
-// ensureScratch grows the per-band collision scratch pool to at least
-// n entries; steady-state steps then never allocate. Scratch index w
-// belongs to band w for the lifetime of the plan, so its cache lines
-// stay with the band's planes.
-func (s *SimOf[T]) ensureScratch(n int) {
-	for len(s.parScratch) < n {
-		s.parScratch = append(s.parScratch, s.K.NewScratch())
-	}
-}
-
-// ensurePhaseBands (re)builds the three-phase ownership scheduler for
-// the requested band count; a no-op once built until SetWorkers or
-// SetBands changes the effective count.
-func (s *SimOf[T]) ensurePhaseBands(n int) {
-	if s.phaseBands != nil && len(s.phaseBands.plan.bands) == bandCountFor(s.P.NX, n) {
-		return
-	}
-	s.phaseBands.stop()
-	plan := planBands(s.P.NX, n, 1)
-	if len(plan.bands) == 1 {
-		s.phaseBands = &bandRun{plan: plan}
-		return
-	}
-	s.ensureScratch(len(plan.bands))
-	// The abort flag lives with the build, not the run, keeping the
-	// steady-state step allocation-free: a tripped abort always poisons
-	// the scheduler, so a rebuilt scheduler always carries a fresh one.
-	br := &bandRun{plan: plan, mesh: newTokenMesh(plan), pool: newStepPool(len(plan.bands)), abort: runctl.NewAbort()}
-	// One worker's whole run: for each step, three waves over the owned
-	// band — densities, collide, stream — each preceded by a wait for
-	// the boundary neighbors' previous wave and followed by a ready
-	// signal. The FIFO alignment of the mesh makes wave k's wait land
-	// exactly on the neighbors' wave k-1 tokens: collide reads the
-	// neighbor boundary densities only after the neighbor computed
-	// them, stream reads the neighbor boundary post-collision planes
-	// only after the neighbor collided, and the next step's densities
-	// overwrite nothing a neighbor still needs, because its stream
-	// (which consumed this band's collide token) has already finished.
-	// The closure additionally contains panics: a recovered panic trips
-	// the run's abort (first cause wins) and every peer's mesh wait or
-	// signal unwinds through the abort channel, so the pool rendezvous
-	// completes and no worker outlives the run.
-	br.work = func(w int) {
-		abort := br.abort
-		defer func() {
-			if r := recover(); r != nil {
-				abort.Trip(&runctl.PanicError{Rank: -1, Band: w, Value: r, Stack: debug.Stack()})
-			}
-		}()
-		hook := s.bandHook
-		base := s.step
-		lo, hi := br.plan.bands[w][0], br.plan.bands[w][1]
-		for t := 0; t < br.steps; t++ {
-			if hook != nil {
-				hook(w, base+t)
-			}
-			if !br.mesh.wait(w, abort.Done()) { // neighbors streamed step t-1
-				return
-			}
-			for x := lo; x < hi; x++ {
-				s.densPhase(x, w)
-			}
-			if !br.mesh.signal(w, abort.Done()) {
-				return
-			}
-			if !br.mesh.wait(w, abort.Done()) { // neighbors' densities of step t are ready
-				return
-			}
-			for x := lo; x < hi; x++ {
-				s.collidePhase(x, w)
-			}
-			if !br.mesh.signal(w, abort.Done()) {
-				return
-			}
-			if !br.mesh.wait(w, abort.Done()) { // neighbors' post-collision planes are ready
-				return
-			}
-			for x := lo; x < hi; x++ {
-				s.streamPhase(x, w)
-			}
-			if !br.mesh.signal(w, abort.Done()) {
-				return
-			}
-		}
-	}
-	s.phaseBands = br
-}
-
-// runPhases advances n steps on the three-phase path. A single band
-// runs the phases inline; a multi-band plan wakes the persistent
-// workers once for the whole run. A worker panic comes back as a
-// *runctl.PanicError after every worker has unwound; the scheduler is
-// then poisoned (stopped and dropped for rebuild) because the
-// half-stepped arrays behind it are not trustworthy.
-func (s *SimOf[T]) runPhases(n int) error {
-	s.ensurePhaseBands(s.bandCount())
-	br := s.phaseBands
-	if br.pool == nil {
-		s.ensureScratch(1)
-		hook := s.bandHook
-		for i := 0; i < n; i++ {
-			if hook != nil {
-				hook(0, s.step)
-			}
-			for x := 0; x < s.P.NX; x++ {
-				s.densPhase(x, 0)
-			}
-			for x := 0; x < s.P.NX; x++ {
-				s.collidePhase(x, 0)
-			}
-			for x := 0; x < s.P.NX; x++ {
-				s.streamPhase(x, 0)
-			}
-			s.step++
-		}
-		return nil
-	}
-	br.steps = n
-	br.pool.run(br.work)
-	if err := br.abort.Err(); err != nil {
-		br.stop()
-		s.phaseBands = nil
-		return err
-	}
-	s.step += n
-	return nil
-}
-
-// StepParallel is Step with the configured intra-node parallelism. Sim
-// keeps Step itself strictly serial so the reference behaviour stays
-// trivially auditable; drivers that want speed call this instead. When
-// P.Fused is set it dispatches to the fused collide+stream path, which
-// makes a single sweep over the distribution arrays instead of three
-// and allocates nothing in the steady state; both paths are bit-equal
-// to Step.
+// StepParallel advances one step with the configured intra-node
+// parallelism: the fused sweep, in place, over every band. Sim keeps
+// Step itself as the strictly serial three-pass reference so the
+// physics stays trivially auditable; drivers that want speed and one
+// lattice call this instead. Both are bit-equal.
 func (s *SimOf[T]) StepParallel() {
 	s.RunParallelSteps(1)
 }
@@ -207,12 +63,12 @@ func (s *SimOf[T]) StepParallel() {
 // RunParallelSteps advances n steps with the configured intra-node
 // parallelism. Multi-step runs hand the whole loop to the persistent
 // band workers: the caller rendezvouses with the pool once per run
-// instead of once per step, and between steps the workers synchronize
-// only with their boundary neighbors through the token mesh.
+// instead of once per step, and between steps the bands synchronize
+// only with their neighbours through their frames.
 func (s *SimOf[T]) RunParallelSteps(n int) {
 	if err := s.runParallelErr(n); err != nil {
 		// A band worker panicked: every worker has already unwound (the
-		// abort flag drained the token mesh) and the scheduler has been
+		// abort flag drained the token mesh) and the banding has been
 		// poisoned for rebuild. Re-panic with the typed cause so the
 		// unsupervised interface keeps panic semantics; supervised loops
 		// use RunSupervised and get it as an error instead.
@@ -220,24 +76,12 @@ func (s *SimOf[T]) RunParallelSteps(n int) {
 	}
 }
 
-// runParallelErr is RunParallelSteps with the worker-panic cause as an
-// error value (a *runctl.PanicError) instead of a re-panic.
-func (s *SimOf[T]) runParallelErr(n int) error {
-	if n < 1 {
-		return nil
-	}
-	if s.P.Fused {
-		return s.runFused(n)
-	}
-	return s.runPhases(n)
-}
-
-// SetBandHook installs a per-step observation hook: the ownership
-// schedulers call hook(band, step) once per band at the top of every
-// step (band 0 on the serial fast paths), concurrently from the band
-// workers. Chaos tests use it to inject panics and stalls into compute
-// workers and to trigger cancellation at exact steps; a nil hook (the
-// default) costs one predictable branch per band-step.
+// SetBandHook installs a per-step observation hook: the bands call
+// hook(band, step) once per band at the top of every step (band 0 on
+// the single-band path), concurrently from the band workers. Chaos
+// tests use it to inject panics and stalls into compute workers and to
+// trigger cancellation at exact steps; a nil hook (the default) costs
+// one predictable branch per band-step.
 func (s *SimOf[T]) SetBandHook(hook func(band, step int)) {
 	s.bandHook = hook
 }

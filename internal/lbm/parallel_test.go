@@ -6,10 +6,10 @@ import (
 )
 
 // Intra-node parallel stepping must match serial stepping bit for bit.
-// The band count is pinned so the ownership scheduler actually shards
-// a 12-plane grid (the heuristic would rightly refuse on small grids
-// or few CPUs); bands=8 ceils down to 6 two-plane bands and bands=12
-// is the fully degenerate one-plane-per-band case.
+// The band count is pinned so the bands actually shard a 12-plane grid
+// (the heuristic would rightly refuse on small grids or few CPUs);
+// bands=8 and bands=12 both clamp to 6 two-plane bands, the smallest a
+// frame allows.
 func TestStepParallelMatchesStep(t *testing.T) {
 	for _, bands := range []int{1, 2, 3, 8, 12} {
 		p := WaterAir(12, 10, 6)
@@ -22,7 +22,7 @@ func TestStepParallelMatchesStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		par.SetWorkers(bands)
-		par.SetBands(bands)
+		par.SetFusedChunks(bands)
 		for step := 0; step < 6; step++ {
 			serial.Step()
 			par.StepParallel()
@@ -41,10 +41,11 @@ func TestStepParallelMatchesStep(t *testing.T) {
 	}
 }
 
-// A multi-step run (the one-rendezvous path where workers pace each
-// other through boundary tokens alone) must be bit-identical to the
-// same number of single steps, for odd and even lengths and across a
-// mid-run band-count change.
+// A multi-step run (the one-rendezvous path where bands pace each other
+// through their frame tokens alone) must be bit-identical to the same
+// number of single steps, for odd and even lengths and across a mid-run
+// band-count change. Params.Fused is ignored: both settings run the one
+// in-place sweep.
 func TestRunParallelStepsMatchesStepwise(t *testing.T) {
 	for _, fused := range []bool{false, true} {
 		p := WaterAir(12, 10, 6)
@@ -57,20 +58,12 @@ func TestRunParallelStepsMatchesStepwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fused {
-			batch.SetFusedChunks(4)
-		} else {
-			batch.SetBands(4)
-		}
+		batch.SetFusedChunks(4)
 		// 3 (odd) + 4 (even) steps batched, then a resharding to
-		// degenerate one-plane bands, then 5 more.
+		// two-plane bands, then 5 more.
 		batch.RunParallelSteps(3)
 		batch.RunParallelSteps(4)
-		if fused {
-			batch.SetFusedChunks(12)
-		} else {
-			batch.SetBands(12)
-		}
+		batch.SetFusedChunks(12)
 		batch.RunParallelSteps(5)
 		serial.Run(12)
 		if batch.StepCount() != 12 {

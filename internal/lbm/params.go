@@ -146,11 +146,10 @@ type Params struct {
 	// NewSolver; NewSim remains the double-precision constructor and
 	// rejects F32 parameter sets.
 	Precision Precision
-	// Fused selects the fused collide+stream stepping path in
-	// Sim.StepParallel: one rolling sweep over the distribution arrays
-	// instead of three passes, zero steady-state allocations, bit-equal
-	// results. The serial reference Step ignores it. Off by default so
-	// the reference behaviour stays the baseline.
+	// Fused is accepted and ignored: StepParallel always runs the fused
+	// collide+stream sweep, in place, and the serial reference Step never
+	// did. Kept so parameter sets and configs that still set it compile
+	// and decode.
 	Fused bool
 	// Layout selects the in-memory ordering of distribution planes (AoS
 	// cell-major, the default, or SoA direction-major). Both layouts

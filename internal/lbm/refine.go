@@ -26,9 +26,9 @@ import (
 // then the blocks exchange ghost rows through conservative rescaled-
 // distribution coupling.
 //
-// Each block is an ordinary SimOf at the solver's precision, layout,
-// and fused setting — refinement composes with the kernel work instead
-// of forking it. The blocks are closed for the unmodified kernel by
+// Each block is an ordinary SimOf at the solver's precision and layout,
+// holding one lattice and stepped by the same in-place sweep —
+// refinement composes with the kernel work instead of forking it. The blocks are closed for the unmodified kernel by
 // fake solid rows ("closure" rows, see field.MultiLevel); the rows the
 // fake walls pollute are exactly the ghost rows, which the exchange
 // overwrites from the other level every composite step, so the owned
@@ -113,7 +113,7 @@ func coarseTau(tau float64) float64 { return tau/2 + 0.25 }
 // levelParams derives the per-block parameter sets: the two fine wall
 // slabs (full resolution, identity wall-force scale, offset windows)
 // and the coarse bulk block (halved dims, rescaled tau, doubled body
-// force, scale-2 wall window). Precision, layout, fused mode, the S-C
+// force, scale-2 wall window). Precision, layout, the S-C
 // coupling matrix, and the wall-force shape parameters carry over
 // unchanged — the S-C force needs no rescaling because the coarse
 // psi-gradient stencil doubles the gradient estimate by itself, which

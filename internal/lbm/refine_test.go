@@ -398,10 +398,10 @@ func TestRefinedFromStateRejectsMismatch(t *testing.T) {
 	}
 }
 
-// The refined composite step must compose with the fused kernels and
-// the SoA layout without diverging from the three-phase AoS reference
-// beyond round-off — they are bit-identical per level, so the composite
-// is too.
+// The refined composite step must compose with the SoA layout without
+// diverging from the AoS reference — the layouts are bit-identical per
+// level, so the composite is too. The "fused" rows keep the name of the
+// deleted path switch; Params.Fused is ignored.
 func TestRefinedComposesWithKernelVariants(t *testing.T) {
 	p, spec := refineTestParams()
 	ref, err := NewRefined(p, spec)

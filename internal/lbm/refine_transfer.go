@@ -22,9 +22,9 @@ import (
 // population patch pins the recomposed density to the original bit
 // pattern's sum, so the transfer conserves mass to the last ulp.
 func rescaleCell[T num.Float](fv *[lattice.Q19]T, scale, restEps, rhoMin T) {
-	n := ((fv[0]+fv[1])+(fv[2]+fv[3])) + ((fv[4]+fv[5])+(fv[6]+fv[7])) +
-		(((fv[8]+fv[9])+(fv[10]+fv[11]))+((fv[12]+fv[13])+(fv[14]+fv[15]))) +
-		((fv[16]+fv[17])+fv[18])
+	n := ((fv[0] + fv[1]) + (fv[2] + fv[3])) + ((fv[4] + fv[5]) + (fv[6] + fv[7])) +
+		(((fv[8] + fv[9]) + (fv[10] + fv[11])) + ((fv[12] + fv[13]) + (fv[14] + fv[15]))) +
+		((fv[16] + fv[17]) + fv[18])
 	if n <= rhoMin {
 		return
 	}
@@ -49,9 +49,9 @@ func rescaleCell[T num.Float](fv *[lattice.Q19]T, scale, restEps, rhoMin T) {
 	for i := range fv {
 		fv[i] = feq[i] + scale*(fv[i]-feq[i])
 	}
-	s2 := ((fv[0]+fv[1])+(fv[2]+fv[3])) + ((fv[4]+fv[5])+(fv[6]+fv[7])) +
-		(((fv[8]+fv[9])+(fv[10]+fv[11]))+((fv[12]+fv[13])+(fv[14]+fv[15]))) +
-		((fv[16]+fv[17])+fv[18])
+	s2 := ((fv[0] + fv[1]) + (fv[2] + fv[3])) + ((fv[4] + fv[5]) + (fv[6] + fv[7])) +
+		(((fv[8] + fv[9]) + (fv[10] + fv[11])) + ((fv[12] + fv[13]) + (fv[14] + fv[15]))) +
+		((fv[16] + fv[17]) + fv[18])
 	fv[0] += n - s2
 }
 

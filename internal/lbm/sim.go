@@ -18,50 +18,27 @@ type SimOf[T num.Float] struct {
 	P *Params
 	K *KernelOf[T]
 
-	// f[c][x] is the current distribution plane of component c at x;
-	// fPost holds post-collision values during a step.
-	f, fPost [][][]T
-	n        [][][]T // number-density planes n[c][x]
+	// f[c][x] is the distribution plane of component c at x: the one
+	// lattice the solver holds, advanced in place by every stepping path.
+	// fView[x][c] is its transposed per-plane view, the form the kernels
+	// take.
+	f, fView [][][]T
 	step     int
 	workers  int // intra-node parallelism for StepParallel
-
-	// fView[x][c] etc. are the transposed per-plane component views the
-	// parallel stepping paths hand to the plane kernels. They are built
-	// once here (and swapped, never reallocated, by the fused path) so
-	// the steady-state step performs no allocations.
-	fView, postView, nView [][][]T
-	// mom[x][c][a] are the per-plane momentum lanes of the SoA
-	// three-phase path (nil for AoS): the densities phase fills them
-	// during its lane walk (DensitiesMomentsSoA, bit-equal to the
-	// collision's pass A), so the collide phase skips its full second
-	// read of the distribution lanes.
-	mom [][][3][]T
-	// densPhase/collidePhase/streamPhase are the cached per-plane phase
-	// closures of StepParallel; allocating them per step would defeat
-	// the zero-alloc hot path.
-	densPhase, collidePhase, streamPhase func(x, wkr int)
-	// parScratch[w] is the collision scratch owned by band w of the
-	// three-phase ownership scheduler (index 0 doubles as the serial
-	// path's scratch).
-	parScratch []*ScratchOf[T]
-	// phaseBands is the lazily built plane-ownership scheduler of the
-	// three-phase path.
-	phaseBands *bandRun
-	// bandsOverride, when positive, pins the three-phase path to
-	// exactly that many bands, bypassing the usable-CPU cap and the
-	// minimum-planes floor; tests use it to exercise degenerate bands
-	// on any machine.
-	bandsOverride int
-	// fused is the lazily built state of the fused collide+stream path.
-	fused *fusedState[T]
-	// fusedChunks, when positive, pins the fused path to exactly that
-	// many bands, bypassing the minimum-planes-per-band heuristic;
-	// tests use it to exercise multi-band sweeps on any machine.
+	// post[x][c] and n[x][c] are the serial Step's post-collision and
+	// density lattices, built on its first call: only callers of the
+	// reference path pay for a second lattice.
+	post, n [][][]T
+	// bands is the lazily built banding of the stepping path.
+	bands *bandSet[T]
+	// fusedChunks, when positive, pins the band count, bypassing the
+	// minimum-planes-per-band heuristic; tests use it to exercise
+	// multi-band sweeps on any machine.
 	fusedChunks int
 	// bandHook, when set, is called (band, step) at the top of every
-	// band-step by the ownership schedulers — concurrently from the
-	// band workers — and with band 0 by the serial fast paths. Fault
-	// injection and supervision tests hang off it; see SetBandHook.
+	// band-step — concurrently from the band workers, and with band 0 on
+	// the single-band path. Fault injection and supervision tests hang
+	// off it; see SetBandHook.
 	bandHook func(band, step int)
 	// soa mirrors P.Layout == SoA: the distribution planes are stored
 	// direction-major and every kernel call dispatches to the *SoA
@@ -89,80 +66,24 @@ func NewSimOf[T num.Float](p *Params) (*SimOf[T], error) {
 	s := &SimOf[T]{P: p, K: k, soa: p.Layout == SoA}
 	nc := p.NComp()
 	s.f = make([][][]T, nc)
-	s.fPost = make([][][]T, nc)
-	s.n = make([][][]T, nc)
+	sz := k.PlaneLen()
 	for c := 0; c < nc; c++ {
+		// One allocation per component: plane-sized allocations would each
+		// round up to whole pages.
+		lattice := make([]T, p.NX*sz)
 		s.f[c] = make([][]T, p.NX)
-		s.fPost[c] = make([][]T, p.NX)
-		s.n[c] = make([][]T, p.NX)
 		for x := 0; x < p.NX; x++ {
-			s.f[c][x] = make([]T, k.PlaneLen())
-			s.fPost[c][x] = make([]T, k.PlaneLen())
-			s.n[c][x] = make([]T, k.PlaneCells())
+			s.f[c][x] = lattice[x*sz : (x+1)*sz : (x+1)*sz]
 			s.kInitEquilibrium(s.f[c][x], p.InitDensityAt(c, x))
 		}
 	}
 	s.fView = transposeViews(s.f, p.NX, nc)
-	s.postView = transposeViews(s.fPost, p.NX, nc)
-	s.nView = transposeViews(s.n, p.NX, nc)
-	if s.soa {
-		s.mom = make([][][3][]T, p.NX)
-		cells := k.PlaneCells()
-		for x := 0; x < p.NX; x++ {
-			s.mom[x] = make([][3][]T, nc)
-			for c := 0; c < nc; c++ {
-				for a := 0; a < 3; a++ {
-					s.mom[x][c][a] = make([]T, cells)
-				}
-			}
-		}
-		s.densPhase = func(x, wkr int) {
-			s.K.DensitiesMomentsSoA(s.fView[x], s.nView[x], s.mom[x])
-		}
-		s.collidePhase = func(x, wkr int) {
-			l := x - 1
-			if l < 0 {
-				l = s.P.NX - 1
-			}
-			r := x + 1
-			if r == s.P.NX {
-				r = 0
-			}
-			s.K.collideScratchSoA(s.parScratch[wkr], s.nView[l], s.nView[x], s.nView[r], s.fView[x], s.postView[x], s.mom[x])
-		}
-	} else {
-		s.densPhase = func(x, wkr int) {
-			s.kDensities(s.fView[x], s.nView[x])
-		}
-		s.collidePhase = func(x, wkr int) {
-			l := x - 1
-			if l < 0 {
-				l = s.P.NX - 1
-			}
-			r := x + 1
-			if r == s.P.NX {
-				r = 0
-			}
-			s.kCollideScratch(s.parScratch[wkr], s.nView[l], s.nView[x], s.nView[r], s.fView[x], s.postView[x])
-		}
-	}
-	s.streamPhase = func(x, wkr int) {
-		l := x - 1
-		if l < 0 {
-			l = s.P.NX - 1
-		}
-		r := x + 1
-		if r == s.P.NX {
-			r = 0
-		}
-		s.kStream(s.postView[l], s.postView[x], s.postView[r], s.fView[x])
-	}
 	return s, nil
 }
 
-// kDensities, kCollideScratch, kStream, and kInitEquilibrium dispatch
-// each kernel phase to the AoS or SoA variant according to the layout
-// chosen at construction. Both variants evaluate the same expression
+// kDensities, kStream, and kInitEquilibrium dispatch each kernel phase
+// to the AoS or SoA variant according to the layout chosen at
+// construction. Both variants evaluate the same expression
 // tree per cell, so the dispatch never affects results — only memory
 // access order.
 func (s *SimOf[T]) kDensities(f, n [][]T) {
@@ -171,14 +92,6 @@ func (s *SimOf[T]) kDensities(f, n [][]T) {
 		return
 	}
 	s.K.Densities(f, n)
-}
-
-func (s *SimOf[T]) kCollideScratch(sc *ScratchOf[T], nL, nC, nR, fC, out [][]T) {
-	if s.soa {
-		s.K.CollideScratchSoA(sc, nL, nC, nR, fC, out)
-		return
-	}
-	s.K.CollideScratch(sc, nL, nC, nR, fC, out)
 }
 
 func (s *SimOf[T]) kStream(fL, fC, fR, out [][]T) {
@@ -223,52 +136,50 @@ func transposeViews[T num.Float](store [][][]T, nx, nc int) [][][]T {
 	return out
 }
 
+// newPlanes allocates nx x nc planes of size values each, indexed
+// [x][c].
+func newPlanes[T num.Float](nx, nc, size int) [][][]T {
+	out := make([][][]T, nx)
+	for x := range out {
+		out[x] = make([][]T, nc)
+		for c := range out[x] {
+			out[x][c] = make([]T, size)
+		}
+	}
+	return out
+}
+
 // Params returns the simulation parameters.
 func (s *SimOf[T]) Params() *Params { return s.P }
 
-// Step advances the simulation by one LBM phase: density computation,
-// force evaluation + collision, then streaming with bounce-back.
+// Step advances the simulation by one LBM phase as three passes over
+// the whole lattice — density computation, force evaluation +
+// collision, then streaming with bounce-back — the plain reference
+// every stepping path is held to bit for bit. Its post-collision and
+// density lattices are allocated on the first call and kept.
 func (s *SimOf[T]) Step() {
 	p := s.P
-	nc := p.NComp()
-	fAt := func(x int) [][]T {
-		planes := make([][]T, nc)
-		for c := 0; c < nc; c++ {
-			planes[c] = s.f[c][x]
-		}
-		return planes
+	if s.post == nil {
+		s.post = newPlanes[T](p.NX, p.NComp(), s.K.PlaneLen())
+		s.n = newPlanes[T](p.NX, p.NComp(), s.K.PlaneCells())
 	}
-	postAt := func(x int) [][]T {
-		planes := make([][]T, nc)
-		for c := 0; c < nc; c++ {
-			planes[c] = s.fPost[c][x]
-		}
-		return planes
-	}
-	nAt := func(x int) [][]T {
-		planes := make([][]T, nc)
-		for c := 0; c < nc; c++ {
-			planes[c] = s.n[c][x]
-		}
-		return planes
-	}
-
+	f, post, n := s.fView, s.post, s.n
 	for x := 0; x < p.NX; x++ {
-		s.kDensities(fAt(x), nAt(x))
+		s.kDensities(f[x], n[x])
 	}
 	for x := 0; x < p.NX; x++ {
 		l := (x - 1 + p.NX) % p.NX
 		r := (x + 1) % p.NX
 		if s.soa {
-			s.K.CollideSoA(nAt(l), nAt(x), nAt(r), fAt(x), postAt(x))
+			s.K.CollideSoA(n[l], n[x], n[r], f[x], post[x])
 		} else {
-			s.K.Collide(nAt(l), nAt(x), nAt(r), fAt(x), postAt(x))
+			s.K.Collide(n[l], n[x], n[r], f[x], post[x])
 		}
 	}
 	for x := 0; x < p.NX; x++ {
 		l := (x - 1 + p.NX) % p.NX
 		r := (x + 1) % p.NX
-		s.kStream(postAt(l), postAt(x), postAt(r), fAt(x))
+		s.kStream(post[l], post[x], post[r], f[x])
 	}
 	s.step++
 }

@@ -16,7 +16,7 @@ type Solver interface {
 	// Run advances n serial steps.
 	Run(n int)
 	// StepParallel advances one step with the configured intra-node
-	// parallelism (and the fused path when Params.Fused is set).
+	// parallelism: the fused sweep, in place, over every band.
 	StepParallel()
 	// RunParallelSteps advances n steps with StepParallel.
 	RunParallelSteps(n int)
@@ -28,9 +28,7 @@ type Solver interface {
 	AutoWorkers()
 	// Workers returns the configured worker count.
 	Workers() int
-	// SetBands pins the three-phase path's band count (tests only).
-	SetBands(n int)
-	// SetFusedChunks pins the fused path's band count (tests only).
+	// SetFusedChunks pins the band count (tests only).
 	SetFusedChunks(n int)
 	// RunSupervised advances up to n steps under a supervisor, checking
 	// for cancellation, wall-clock expiry, or a worker abort at every

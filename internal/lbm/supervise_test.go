@@ -12,7 +12,10 @@ import (
 // A panic in one band worker must abort the whole run with a typed
 // PanicError naming the band, unwind every other worker (the pool
 // rendezvous completes instead of deadlocking on the token mesh), and
-// leave the scheduler rebuildable: the next run works again.
+// leave the banding rebuildable: the next run works again. The
+// "phases" and "fused" rows keep the names of the two stepping paths
+// the solver used to have; Params.Fused is ignored, so both run the
+// one in-place sweep.
 func TestBandWorkerPanicAborts(t *testing.T) {
 	for _, fused := range []bool{false, true} {
 		name := "phases"
@@ -27,11 +30,7 @@ func TestBandWorkerPanicAborts(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetWorkers(4)
-			if fused {
-				s.SetFusedChunks(4)
-			} else {
-				s.SetBands(4)
-			}
+			s.SetFusedChunks(4)
 			s.SetBandHook(func(band, step int) {
 				if band == 2 && step == 3 {
 					panic("injected band fault")
@@ -78,7 +77,7 @@ func TestRunSupervisedSurfacesPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetWorkers(3)
-	s.SetBands(3)
+	s.SetFusedChunks(3)
 	s.SetBandHook(func(band, step int) {
 		if band == 1 && step == 2 {
 			panic("kaboom")
@@ -101,7 +100,8 @@ func TestRunSupervisedSurfacesPanic(t *testing.T) {
 // Cancellation stops a supervised run at the next step boundary with
 // the typed cause, and checkpoint-resume from that boundary reproduces
 // the uninterrupted run bit for bit — the intra-node half of the
-// abort-safety story, for both stepping paths at both precisions.
+// abort-safety story, at both precisions (the phases/fused row pairs
+// keep the names of the deleted path switch and run the same sweep).
 func TestRunSupervisedCancelResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -259,7 +259,7 @@ func TestBandStallIsHarmless(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetWorkers(4)
-	s.SetBands(4)
+	s.SetFusedChunks(4)
 	s.SetBandHook(func(band, step int) {
 		if band == 1 && step == 3 {
 			time.Sleep(20 * time.Millisecond)

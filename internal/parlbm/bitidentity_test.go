@@ -30,8 +30,8 @@ func wave32Params(nx, ny, nz int) *lbm.Params {
 	return p
 }
 
-// Every execution path — intra-node parallel stepping at several worker
-// counts, the fused collide+stream path, and the distributed solver on
+// Every execution path — intra-node parallel stepping at every banding,
+// layout and precision, and the distributed solver on
 // several group sizes, both transports, mid-run remapping under every
 // policy, and checkpoint/resume across group sizes — must reproduce
 // the one oracle, the serial three-pass Step, byte for byte on the
@@ -64,15 +64,17 @@ func TestBitIdentityMatrix(t *testing.T) {
 		}
 	}
 
-	// The plane-ownership scheduler rows: workers 1/2/3/8 across both
-	// stepping paths and both scalar precisions, plus the degenerate
-	// bandings (two-plane and one-plane bands on the 12-plane grid).
-	// The band count is pinned: the production heuristic would refuse
-	// to shard a grid this small, and the matrix's point is
-	// multi-band bit-identity, including the boundary token exchange
-	// under the densest dependency graphs. Each precision is compared
-	// against its own serial reference through the exactly-widening
-	// State snapshot.
+	// The intra-node rows: every banding of the sequential solver's one
+	// stepping path — the fused sweep, in place, behind in-memory frames
+	// — at both scalar precisions in both layouts, each compared through
+	// the exactly-widening, canonical-order State snapshot against the
+	// serial Step of its precision, and each then held to zero
+	// allocations per step. The band count is pinned: the production
+	// heuristic would refuse to shard a grid this small. Requests above
+	// NX/2 (bands=8, 12) clamp to two-plane bands, the frame floor. The
+	// rows keep the names of the switches they used to carry: fused=false
+	// named the deleted three-pass band path and now runs the same sweep
+	// as fused=true.
 	ref32, err := lbm.NewSolver(wave32Params(nx, ny, nz))
 	if err != nil {
 		t.Fatal(err)
@@ -82,16 +84,10 @@ func TestBitIdentityMatrix(t *testing.T) {
 		lbm.F64: ref.State(),
 		lbm.F32: ref32.State(),
 	}
-	// The SoA rows hold the tentpole guarantee of the direction-major
-	// layout: it evaluates the same per-cell expression tree as the
-	// canonical layout, so the State snapshot (canonical by
-	// construction) must be byte-equal, not merely close. AoS keeps the
-	// degenerate bandings (6/12 → two-/one-plane bands); SoA covers the
-	// representative 1/2/8 band counts.
 	for _, layout := range []lbm.Layout{lbm.AoS, lbm.SoA} {
 		bandCounts := []int{1, 2, 3, 8, 6, 12}
 		if layout == lbm.SoA {
-			bandCounts = []int{1, 2, 8}
+			bandCounts = []int{1, 2, 3, 8}
 		}
 		for _, prec := range []lbm.Precision{lbm.F64, lbm.F32} {
 			for _, bands := range bandCounts {
@@ -107,27 +103,62 @@ func TestBitIdentityMatrix(t *testing.T) {
 							t.Fatal(err)
 						}
 						s.SetWorkers(bands)
-						if fused {
-							s.SetFusedChunks(bands)
-						} else {
-							s.SetBands(bands)
-						}
+						s.SetFusedChunks(bands)
 						s.RunParallelSteps(steps)
-						want := refState[prec]
-						got := s.State()
-						for c := 0; c < nc; c++ {
-							for x := 0; x < nx; x++ {
-								for i := range want.F[c][x] {
-									if math.Float64bits(want.F[c][x][i]) != math.Float64bits(got.F[c][x][i]) {
-										t.Fatalf("%s: diverged at comp %d plane %d index %d: %v != %v",
-											label, c, x, i, got.F[c][x][i], want.F[c][x][i])
-									}
-								}
-							}
-						}
+						checkIntra(t, refState[prec], s)
 					})
 				}
 			}
+		}
+	}
+	// Single-band rows on lattices narrower than the sweep's stencil: the
+	// band's frames wrap onto its own one, two or three planes.
+	for _, tnx := range []int{1, 2, 3} {
+		for _, layout := range []lbm.Layout{lbm.AoS, lbm.SoA} {
+			for _, prec := range []lbm.Precision{lbm.F64, lbm.F32} {
+				label := fmt.Sprintf("intra/nx=%d/layout=%s/prec=%v", tnx, layout, prec)
+				t.Run(label, func(t *testing.T) {
+					p := waveParams(tnx, ny, nz)
+					p.Precision = prec
+					want, err := lbm.NewSolver(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.Run(steps)
+					q := *p
+					q.Layout = layout
+					s, err := lbm.NewSolver(&q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.RunParallelSteps(steps)
+					checkIntra(t, want.State(), s)
+				})
+			}
+		}
+	}
+	// Mid-run resume: a banded run snapshotted halfway through State and
+	// rebuilt with SolverFromState continues byte-identically.
+	for _, prec := range []lbm.Precision{lbm.F64, lbm.F32} {
+		for _, bands := range []int{1, 3} {
+			label := fmt.Sprintf("intra/resume/prec=%v/bands=%d", prec, bands)
+			t.Run(label, func(t *testing.T) {
+				p := waveParams(nx, ny, nz)
+				p.Precision = prec
+				first, err := lbm.NewSolver(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first.SetFusedChunks(bands)
+				first.RunParallelSteps(steps / 2)
+				s, err := lbm.SolverFromState(first.State())
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetFusedChunks(bands)
+				s.RunParallelSteps(steps - steps/2)
+				checkIntra(t, refState[prec], s)
+			})
 		}
 	}
 
@@ -202,6 +233,27 @@ func TestBitIdentityMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkIntra holds an intra-node solver to the serial reference state
+// want byte for byte, then asserts its steady-state step allocates
+// nothing.
+func checkIntra(t *testing.T, want *lbm.State, s lbm.Solver) {
+	t.Helper()
+	got := s.State()
+	for c := range want.F {
+		for x := range want.F[c] {
+			for i := range want.F[c][x] {
+				if math.Float64bits(want.F[c][x][i]) != math.Float64bits(got.F[c][x][i]) {
+					t.Fatalf("diverged at comp %d plane %d index %d: %v != %v",
+						c, x, i, got.F[c][x][i], want.F[c][x][i])
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, s.StepParallel); allocs != 0 {
+		t.Errorf("StepParallel: %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"microslip/internal/comm"
+	"microslip/internal/lbm"
 )
 
 // sumHalo aggregates the per-phase frame traffic over all ranks.
@@ -93,7 +94,7 @@ func TestMalformedHaloAndFrameErrors(t *testing.T) {
 		}
 	})
 	t.Run("unknown frame kind", func(t *testing.T) {
-		msg := make([]float64, w.frameLen())
+		msg := make([]float64, w.k.FrameLen())
 		msg[0] = 42
 		err := recv(msg)
 		if err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
@@ -101,7 +102,7 @@ func TestMalformedHaloAndFrameErrors(t *testing.T) {
 		}
 	})
 	t.Run("truncated wide frame", func(t *testing.T) {
-		err := recv([]float64{frameKind, 1, 2, 3})
+		err := recv([]float64{lbm.FrameKind, 1, 2, 3})
 		if err == nil || !strings.Contains(err.Error(), "frame size 4") {
 			t.Fatalf("got %v, want frame size error", err)
 		}

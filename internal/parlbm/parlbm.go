@@ -19,11 +19,12 @@
 // start: the sender's pre-collision edge plane plus the densities of
 // the plane behind it. The receiver recomputes the ghost density from
 // the edge plane and collides the ghost plane redundantly inside its
-// own sweep (lbm.KernelOf.SweepFused, exactly as a band edge of the
-// multi-band sequential sweep), which is bit-identical because every
-// input is bit-identical and the kernels are deterministic. A frame
-// therefore needs the plane behind the edge: every slab keeps at least
-// MinSlabPlanes planes. See README.md for the wire layout.
+// own sweep (lbm.KernelOf.SweepFused, exactly as a band of the
+// sequential solver does with its neighbours' in-memory frames), which
+// is bit-identical because every input is bit-identical and the
+// kernels are deterministic. A frame therefore needs the plane behind
+// the edge: every slab keeps at least MinSlabPlanes planes. See
+// README.md for the wire layout.
 //
 // Options.WireF32 (implied when Params.Precision selects the float32
 // core) ships every bulk payload — frames and migrating lattice planes —
@@ -70,7 +71,7 @@ const (
 
 // MinSlabPlanes is the fewest planes a rank may own: its frames carry
 // its edge plane and the densities of the plane behind it.
-const MinSlabPlanes = 2
+const MinSlabPlanes = lbm.MinFramePlanes
 
 // Options configures a parallel run.
 type Options struct {
@@ -250,9 +251,9 @@ type worker struct {
 	// from the slabs into grow-only storage: entry 1+i views owned
 	// plane i of every component, entries 0 and count+1 (fWin only) the
 	// left and right ghost planes of this phase's frames. farL/farR view
-	// the frames' far densities and farHdr is packFrame's scratch header.
-	fWin, nWin         [][][]float64
-	farL, farR, farHdr [][]float64
+	// the frames' far densities.
+	fWin, nWin [][][]float64
+	farL, farR [][]float64
 	// massFn is localMass bound once, so handing it to PostPhase every
 	// phase allocates nothing.
 	massFn               func() []float64
@@ -404,7 +405,7 @@ func newWorker(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor)
 		p: p, k: lbm.NewKernel(p), c: c, opts: opts, sup: sup,
 		rank: c.Rank(), size: c.Size(),
 		res:  &Result{Rank: c.Rank()},
-		farL: make([][]float64, nc), farR: make([][]float64, nc), farHdr: make([][]float64, nc),
+		farL: make([][]float64, nc), farR: make([][]float64, nc),
 	}
 	w.sweep = w.k.NewFusedScratch()
 	w.massFn = w.localMass

@@ -259,7 +259,7 @@ func BenchmarkFrameExchange(b *testing.B) {
 	defer f.Close()
 	w0 := benchWorker(b, f.Endpoint(0), Options{})
 	w1 := benchWorker(b, f.Endpoint(1), Options{})
-	b.SetBytes(int64(2 * 8 * w0.frameLen()))
+	b.SetBytes(int64(2 * 8 * w0.k.FrameLen()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	exchange := func(w *worker) error {

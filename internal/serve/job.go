@@ -86,7 +86,8 @@ type JobSpec struct {
 	Ranks int `json:"ranks,omitempty"`
 	// Precision is the scalar precision, "f64" (default) or "f32".
 	Precision string `json:"precision,omitempty"`
-	// Fused selects the fused collide+stream path (sequential kinds).
+	// Fused is accepted and ignored: every job steps with the fused
+	// collide+stream sweep. Kept so specs that still set it decode.
 	Fused bool `json:"fused,omitempty"`
 	// SteadyTol is the convergence tolerance for steady jobs.
 	SteadyTol float64 `json:"steady_tol,omitempty"`
@@ -270,15 +271,15 @@ type Result struct {
 // JobStatus is the externally visible record of one job; the storage
 // backend persists it verbatim as JSON.
 type JobStatus struct {
-	ID          string    `json:"id"`
-	Spec        JobSpec   `json:"spec"`
-	State       State     `json:"state"`
+	ID          string     `json:"id"`
+	Spec        JobSpec    `json:"spec"`
+	State       State      `json:"state"`
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
-	Stages      Stages    `json:"stages"`
-	Error       string    `json:"error,omitempty"`
-	Result      *Result   `json:"result,omitempty"`
+	Stages      Stages     `json:"stages"`
+	Error       string     `json:"error,omitempty"`
+	Result      *Result    `json:"result,omitempty"`
 	// Resumable reports that a committed checkpoint exists from which a
 	// "resume" job can continue.
 	Resumable bool `json:"resumable,omitempty"`

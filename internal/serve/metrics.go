@@ -127,11 +127,11 @@ func (m *Metrics) CountState(from, to State) {
 
 // MetricsSnapshot is the /metrics JSON document.
 type MetricsSnapshot struct {
-	UptimeMS  int64            `json:"uptime_ms"`
-	Submitted int64            `json:"submitted_total"`
-	Rejected  int64            `json:"rejected_total"`
-	Refused   int64            `json:"refused_total"`
-	States    map[State]int64  `json:"jobs"`
+	UptimeMS  int64                      `json:"uptime_ms"`
+	Submitted int64                      `json:"submitted_total"`
+	Rejected  int64                      `json:"rejected_total"`
+	Refused   int64                      `json:"refused_total"`
+	States    map[State]int64            `json:"jobs"`
 	Stages    map[string]LatencySnapshot `json:"stages"`
 }
 

@@ -171,7 +171,6 @@ func (s *Server) runSequential(j *job, spec JobSpec, ckptDir string, resume *lbm
 	default:
 		p := lbm.WaterAir(spec.NX, spec.NY, spec.NZ)
 		p.Precision = spec.precision()
-		p.Fused = spec.Fused
 		if spec.Refine != nil {
 			solver, err = lbm.NewRefined(p, *spec.Refine)
 		} else {

@@ -8,9 +8,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"microslip/internal/lbm"
 )
 
 // newTestServer boots a Server plus its HTTP front end; cleanup drains
@@ -401,6 +405,48 @@ func TestDistributedJobCommitsCheckpoints(t *testing.T) {
 	}
 	if !fin.Resumable {
 		t.Error("distributed job with committed checkpoints not resumable")
+	}
+}
+
+// JobSpec.Fused is accepted and ignored: a job with "fused": true and
+// one with "fused": false persist byte-identical results in their
+// status.json, on a uniform and on a refined lattice.
+func TestFusedSpecIsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Pool: 2, Storage: store, StreamEvery: 10})
+	persistedResult := func(id string) json.RawMessage {
+		t.Helper()
+		buf, err := os.ReadFile(filepath.Join(dir, "jobs", id, "status.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(buf, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc["result"]
+	}
+	for _, spec := range []JobSpec{
+		{Kind: KindWallForce, NX: 8, NY: 16, NZ: 6, Steps: 30, Workers: 2},
+		{Kind: KindWallForce, NX: 8, NY: 20, NZ: 8, Steps: 10, Refine: &lbm.RefineSpec{Levels: 2, WallLayers: 4}},
+	} {
+		var results [2]json.RawMessage
+		for i, fused := range []bool{false, true} {
+			sp := spec
+			sp.Fused = fused
+			fin := waitTerminal(t, ts, postJob(t, ts, sp, http.StatusAccepted).ID)
+			if fin.State != StateDone {
+				t.Fatalf("fused=%v: state = %s (%s), want done", fused, fin.State, fin.Error)
+			}
+			results[i] = persistedResult(fin.ID)
+		}
+		if len(results[0]) == 0 || !bytes.Equal(results[0], results[1]) {
+			t.Errorf("refine=%v: persisted results differ:\nfused=false %s\nfused=true  %s", spec.Refine != nil, results[0], results[1])
+		}
 	}
 }
 
