@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet gofmt test race race-lbm race-layout chaos-abort bench bench-module serve-smoke fuzz
+.PHONY: check build vet gofmt test race race-lbm chaos-abort bench bench-module serve-smoke fuzz
 
 # The CI gate: compile everything, vet, check formatting, run the full
 # suite, the race detector in short mode (the -short guard trims the
@@ -29,15 +29,8 @@ race:
 # distributed pipeline: the bands' in-memory frame exchange and the
 # ranks' wire frames are the synchronization most worth re-proving on
 # every change.
-race-lbm: race-layout
+race-lbm:
 	$(GO) test -race -count=1 ./internal/lbm/... ./internal/parlbm/...
-
-# Targeted race pass over the sequential solver's layout legs: the
-# zero-alloc banding matrix (both layouts) and the transpose properties
-# (the AoS x SoA bit-identity rows run in race-lbm's full pass; the
-# distributed solver is AoS-only).
-race-layout:
-	$(GO) test -race -count=1 -run 'TestStepParallelZeroAllocs|TestTranspose' ./internal/lbm/ ./internal/field/
 
 # The abort-safety sweep under the race detector: seeded cancels, wall
 # limits, worker panics, and worker stalls against both the intra-node

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"microslip/internal/geometry"
 	"microslip/internal/lbm"
 )
 
@@ -104,9 +105,17 @@ func reframe(t testing.TB, raw []byte, edit func(*meta)) []byte {
 		t.Fatal(err)
 	}
 	edit(&m)
+	return rewrap(t, raw, &m)
+}
+
+// rewrap rebuilds container raw around header hdr, encoded with gob,
+// with both CRCs valid.
+func rewrap(t testing.TB, raw []byte, hdr any) []byte {
+	t.Helper()
+	hlen := int(binary.BigEndian.Uint32(raw[6:]))
 	var out bytes.Buffer
 	out.Write(raw[:prefixLen])
-	if err := gob.NewEncoder(&out).Encode(&m); err != nil {
+	if err := gob.NewEncoder(&out).Encode(hdr); err != nil {
 		t.Fatal(err)
 	}
 	binary.BigEndian.PutUint32(out.Bytes()[6:], uint32(out.Len()-prefixLen))
@@ -118,6 +127,104 @@ func reframe(t testing.TB, raw []byte, edit func(*meta)) []byte {
 	out.Write(planes)
 	out.Write(binary.BigEndian.AppendUint32(nil, crc.Sum32()))
 	return out.Bytes()
+}
+
+// parentParams is lbm.Params as the previous release declared it, with
+// the in-plane Layout field it has since dropped, and parentStateMeta /
+// parentMeta the headers built on it.
+type parentParams struct {
+	NX, NY, NZ     int
+	Components     []lbm.Component
+	G              [][]float64
+	WallForceAmp   float64
+	WallForceDecay float64
+	WallForceComp  int
+	WallWindow     *geometry.WallForceWindow
+	BodyForce      [3]float64
+	Obstacles      []lbm.Obstacle
+	WallAdhesion   []float64
+	InitXWave      float64
+	RhoMin         float64
+	Precision      lbm.Precision
+	Fused          bool
+	Layout         uint8
+}
+
+type parentStateMeta struct {
+	Params *parentParams
+	Step   int
+}
+
+type parentMeta struct {
+	Kind               kind
+	NComp              int
+	State              parentStateMeta
+	Spec               lbm.RefineSpec
+	M0, RawDrift       []float64
+	Levels             [3]parentStateMeta
+	Phase, Rank, Start int
+	Manifest           *Manifest
+	Groups             []group
+}
+
+// TestLoadsParentHeaders: a state container whose header was written
+// with the previous Params type — the gob type descriptor still names
+// Layout, with the cell-major value every such file carried, and Fused
+// set as job specs set it — loads, and the solver rebuilt from it
+// steps byte-identically to one rebuilt from the unedited file.
+func TestLoadsParentHeaders(t *testing.T) {
+	p := lbm.WaterAir(6, 8, 6)
+	p.InitXWave = 0.04
+	s, err := lbm.NewSim(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2)
+	var buf bytes.Buffer
+	if err := Save(&buf, s.State()); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	var m meta
+	hlen := int(binary.BigEndian.Uint32(raw[6:]))
+	if err := gob.NewDecoder(bytes.NewReader(raw[prefixLen : prefixLen+hlen])).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	q := m.State.Params
+	old := rewrap(t, raw, &parentMeta{
+		Kind: m.Kind, NComp: m.NComp, Groups: m.Groups,
+		State: parentStateMeta{Step: m.State.Step, Params: &parentParams{
+			NX: q.NX, NY: q.NY, NZ: q.NZ, Components: q.Components, G: q.G,
+			WallForceAmp: q.WallForceAmp, WallForceDecay: q.WallForceDecay, WallForceComp: q.WallForceComp,
+			WallWindow: q.WallWindow, BodyForce: q.BodyForce, Obstacles: q.Obstacles,
+			WallAdhesion: q.WallAdhesion, InitXWave: q.InitXWave, RhoMin: q.RhoMin,
+			Precision: q.Precision, Fused: true,
+		}},
+	})
+	if bytes.Equal(old, raw) {
+		t.Fatal("the parent header encodes like the current one; the test checks nothing")
+	}
+
+	run := func(file []byte) *lbm.State {
+		t.Helper()
+		st, err := Load(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver, err := lbm.SolverFromState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver.Run(3)
+		return solver.State()
+	}
+	want, got := run(raw), run(old)
+	if got.Step != want.Step {
+		t.Fatalf("resumed to step %d, want %d", got.Step, want.Step)
+	}
+	for c := range want.F {
+		requireBitEqual(t, fmt.Sprintf("comp %d", c), got.F[c], want.F[c])
+	}
 }
 
 // TestLoadChecksDeclaredLengthsBeforeAllocating: a header whose CRC is

@@ -74,13 +74,8 @@ func (s *Scalar3DOf[T]) Clone() *Scalar3DOf[T] {
 }
 
 // Dist3DOf is a dense NX x NY x NZ x Q distribution-function field of T.
-// Within each fixed-x plane the Layout selects cell-major (AoS,
-// canonical) or direction-major (SoA) ordering; planes themselves are
-// always contiguous and ascending in x, so plane-granular operations
-// (halo exchange, migration) are layout-agnostic.
 type Dist3DOf[T num.Float] struct {
 	NX, NY, NZ, Q int
-	Layout        Layout
 	Data          []T
 }
 
@@ -90,16 +85,10 @@ type Dist3D = Dist3DOf[float64]
 
 // NewDist3DOf allocates a zeroed distribution field of T with Q velocities.
 func NewDist3DOf[T num.Float](nx, ny, nz, q int) *Dist3DOf[T] {
-	return NewDist3DLayoutOf[T](nx, ny, nz, q, AoS)
-}
-
-// NewDist3DLayoutOf allocates a zeroed distribution field of T with Q
-// velocities in the given plane layout.
-func NewDist3DLayoutOf[T num.Float](nx, ny, nz, q int, layout Layout) *Dist3DOf[T] {
 	if nx <= 0 || ny <= 0 || nz <= 0 || q <= 0 {
 		panic(fmt.Sprintf("field: invalid dimensions %dx%dx%dx%d", nx, ny, nz, q))
 	}
-	return &Dist3DOf[T]{NX: nx, NY: ny, NZ: nz, Q: q, Layout: layout, Data: make([]T, nx*ny*nz*q)}
+	return &Dist3DOf[T]{NX: nx, NY: ny, NZ: nz, Q: q, Data: make([]T, nx*ny*nz*q)}
 }
 
 // NewDist3D allocates a zeroed float64 distribution field.
@@ -107,9 +96,6 @@ func NewDist3D(nx, ny, nz, q int) *Dist3D { return NewDist3DOf[float64](nx, ny, 
 
 // Idx returns the flat index of population i at (x, y, z).
 func (f *Dist3DOf[T]) Idx(x, y, z, i int) int {
-	if f.Layout == SoA {
-		return (x*f.Q+i)*f.NY*f.NZ + y*f.NZ + z
-	}
 	return (((x*f.NY)+y)*f.NZ+z)*f.Q + i
 }
 
@@ -120,11 +106,7 @@ func (f *Dist3DOf[T]) At(x, y, z, i int) T { return f.Data[f.Idx(x, y, z, i)] }
 func (f *Dist3DOf[T]) Set(x, y, z, i int, v T) { f.Data[f.Idx(x, y, z, i)] = v }
 
 // Cell returns the contiguous Q-slice of populations at (x, y, z).
-// Only AoS planes hold a cell contiguously; on an SoA field Cell panics.
 func (f *Dist3DOf[T]) Cell(x, y, z int) []T {
-	if f.Layout != AoS {
-		panic("field: Cell requires the AoS layout (SoA cells are not contiguous)")
-	}
 	base := (((x*f.NY)+y)*f.NZ + z) * f.Q
 	return f.Data[base : base+f.Q]
 }
@@ -138,9 +120,9 @@ func (f *Dist3DOf[T]) Plane(x int) []T {
 	return f.Data[x*p : (x+1)*p]
 }
 
-// Clone returns a deep copy (same layout).
+// Clone returns a deep copy.
 func (f *Dist3DOf[T]) Clone() *Dist3DOf[T] {
-	c := NewDist3DLayoutOf[T](f.NX, f.NY, f.NZ, f.Q, f.Layout)
+	c := NewDist3DOf[T](f.NX, f.NY, f.NZ, f.Q)
 	copy(c.Data, f.Data)
 	return c
 }

@@ -5,9 +5,8 @@ import "fmt"
 // Two-level refined-grid geometry. The refined solver keeps three
 // blocks of storage — a fine slab against each y wall and a coarse bulk
 // lattice at half resolution — and couples them through overlapping
-// ghost rows. This file owns the index arithmetic: block dimensions,
-// the coarse<->fine cell maps, and the layout-generic per-plane value
-// index the transfer operators use. The alignment is staggered
+// ghost rows. This file owns the index arithmetic: block dimensions
+// and the coarse<->fine cell maps. The alignment is staggered
 // volumetric: one coarse cell covers a 2x2x2 brick of fine cells, so
 // coarse cell centers sit at fine-coordinate half-offsets and the
 // bounce-back wall planes of the coarse lattice land exactly on the
@@ -101,14 +100,3 @@ func (m MultiLevel) CoarseZFineZ(zc int) (lo, hi int) { return 2*zc - 1, 2 * zc 
 
 // TopSlabY0 returns the global fine row of the top slab's local row 0.
 func (m MultiLevel) TopSlabY0() int { return m.NY - m.FineNY() }
-
-// PlaneIdx returns the index of population i of cell within a
-// distribution plane of the given cell count, for either plane layout.
-// The transfer operators use it to stay layout-generic: they touch only
-// interface rows, so the strided access costs nothing measurable.
-func PlaneIdx(l Layout, cells, cell, i int) int {
-	if l == SoA {
-		return i*cells + cell
-	}
-	return cell*19 + i
-}

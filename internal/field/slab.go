@@ -23,9 +23,8 @@ import (
 // reused). Planes is the live window into that storage; treat it as
 // read-only and re-read it after any Push/Pop.
 type SlabOf[T num.Float] struct {
-	NY, NZ, Q int    // Q == 1 for scalar slabs
-	Layout    Layout // per-plane ordering; meaningful only when Q > 1
-	Start     int    // global x index of Planes[0]
+	NY, NZ, Q int // Q == 1 for scalar slabs
+	Start     int // global x index of Planes[0]
 	// Planes is the owned window, ascending x. It aliases the internal
 	// deque storage: valid until the next Push/Pop, and must not be
 	// appended to or resliced by callers.
@@ -41,16 +40,10 @@ type Slab = SlabOf[float64]
 
 // NewSlabOf allocates a slab of T covering global x-range [start, start+count).
 func NewSlabOf[T num.Float](ny, nz, q, start, count int) *SlabOf[T] {
-	return NewSlabLayoutOf[T](ny, nz, q, start, count, AoS)
-}
-
-// NewSlabLayoutOf allocates a slab of T covering global x-range
-// [start, start+count) with the given per-plane layout.
-func NewSlabLayoutOf[T num.Float](ny, nz, q, start, count int, layout Layout) *SlabOf[T] {
 	if ny <= 0 || nz <= 0 || q <= 0 || count < 0 {
 		panic(fmt.Sprintf("field: invalid slab %dx%dx%d count %d", ny, nz, q, count))
 	}
-	s := &SlabOf[T]{NY: ny, NZ: nz, Q: q, Layout: layout, Start: start, buf: make([][]T, count)}
+	s := &SlabOf[T]{NY: ny, NZ: nz, Q: q, Start: start, buf: make([][]T, count)}
 	for i := range s.buf {
 		s.buf[i] = make([]T, ny*nz*q)
 	}
@@ -60,12 +53,6 @@ func NewSlabLayoutOf[T num.Float](ny, nz, q, start, count int, layout Layout) *S
 
 // NewSlab allocates a float64 slab covering global x-range [start, start+count).
 func NewSlab(ny, nz, q, start, count int) *Slab { return NewSlabOf[float64](ny, nz, q, start, count) }
-
-// NewSlabLayout allocates a float64 slab covering global x-range
-// [start, start+count) with the given per-plane layout.
-func NewSlabLayout(ny, nz, q, start, count int, layout Layout) *Slab {
-	return NewSlabLayoutOf[float64](ny, nz, q, start, count, layout)
-}
 
 // PlaneSize returns the number of values in one plane.
 func (s *SlabOf[T]) PlaneSize() int { return s.NY * s.NZ * s.Q }
@@ -81,13 +68,8 @@ func (s *SlabOf[T]) Plane(gx int) []T {
 	return s.Planes[gx-s.Start]
 }
 
-// idx returns the within-plane index of (y, z, i) under the layout.
-func (s *SlabOf[T]) idx(y, z, i int) int {
-	if s.Layout == SoA {
-		return i*s.NY*s.NZ + y*s.NZ + z
-	}
-	return (y*s.NZ+z)*s.Q + i
-}
+// idx returns the within-plane index of (y, z, i).
+func (s *SlabOf[T]) idx(y, z, i int) int { return (y*s.NZ+z)*s.Q + i }
 
 // At returns value (y, z, i) within the plane at global x index gx.
 func (s *SlabOf[T]) At(gx, y, z, i int) T {

@@ -231,7 +231,7 @@ func (s *SimOf[T]) ensureBands(w int) {
 		sl := &bs.slabs[i]
 		sl.lo, sl.hi = b[0], b[1]
 		sl.left, sl.right = (i-1+nb)%nb, (i+1)%nb
-		sl.sweep = newFusedScratch(s.K, s.soa)
+		sl.sweep = s.K.NewFusedScratch()
 		sl.win = make([][][]T, b[1]-b[0]+2)
 		copy(sl.win[1:], s.fView[b[0]:b[1]])
 		for par := 0; par < parities; par++ {

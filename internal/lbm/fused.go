@@ -30,9 +30,8 @@ import (
 // lifetime; it must not be shared between concurrent sweeps.
 type FusedScratchOf[T num.Float] struct {
 	sc   *ScratchOf[T]
-	n    [3][][]T    // n[slot][c]: density plane ring
-	post [3][][]T    // post[slot][c]: post-collision plane ring
-	mom  [3][][3][]T // mom[slot][c][a]: SoA momentum lane ring (nil for AoS)
+	n    [3][][]T // n[slot][c]: density plane ring
+	post [3][][]T // post[slot][c]: post-collision plane ring
 	// edge and far are PackFrame's per-component headers into the frame
 	// it is filling.
 	edge, far [][]T
@@ -41,10 +40,8 @@ type FusedScratchOf[T num.Float] struct {
 // FusedScratch is the double-precision sweep state.
 type FusedScratch = FusedScratchOf[float64]
 
-// NewFusedScratch allocates the sweep state for cell-major (AoS) planes.
-func (k *KernelOf[T]) NewFusedScratch() *FusedScratchOf[T] { return newFusedScratch(k, false) }
-
-func newFusedScratch[T num.Float](k *KernelOf[T], soa bool) *FusedScratchOf[T] {
+// NewFusedScratch allocates the sweep state.
+func (k *KernelOf[T]) NewFusedScratch() *FusedScratchOf[T] {
 	fs := &FusedScratchOf[T]{sc: k.NewScratch(), edge: make([][]T, k.NComp), far: make([][]T, k.NComp)}
 	for s := 0; s < 3; s++ {
 		fs.n[s] = make([][]T, k.NComp)
@@ -53,24 +50,9 @@ func newFusedScratch[T num.Float](k *KernelOf[T], soa bool) *FusedScratchOf[T] {
 			fs.n[s][c] = make([]T, k.PlaneCells())
 			fs.post[s][c] = make([]T, k.PlaneLen())
 		}
-		if soa {
-			// The SoA sweep computes each plane's momentum lanes
-			// together with its densities (one read of the
-			// distribution lanes); the ring carries them from the
-			// density front back to the collision, exactly like n.
-			fs.mom[s] = make([][3][]T, k.NComp)
-			for c := 0; c < k.NComp; c++ {
-				for a := 0; a < 3; a++ {
-					fs.mom[s][c][a] = make([]T, k.PlaneCells())
-				}
-			}
-		}
 	}
 	return fs
 }
-
-// soa reports whether the scratch was built for direction-major planes.
-func (fs *FusedScratchOf[T]) soa() bool { return fs.mom[0] != nil }
 
 // slot3 maps a sweep index (which may run past the domain on either
 // side) to its ring slot. Keyed by the raw index, not the wrapped
@@ -99,16 +81,9 @@ func wrapX(x, nx int) int {
 // non-nil, receives a copy of the densities of planes lo .. hi-1
 // (indexed like src). dst may be src itself when the window does not
 // wrap onto the swept planes (lo-2 .. hi+1 are distinct entries): every
-// plane is read for the last time before it is overwritten. A
-// FusedScratch built for SoA planes (the sequential SoA path) selects
-// the direction-major kernels.
+// plane is read for the last time before it is overwritten.
 func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi int, farL, farR [][]T, dens [][][]T) {
 	nx := len(src)
-	soa := fs.soa()
-	// Density-front advance: the SoA sweep also harvests each plane's
-	// momentum lanes from the same lane walk, so the collision below
-	// can skip its own momentum pass (and with it a second full read
-	// of the distribution lanes).
 	density := func(x int) {
 		n := fs.n[slot3(x)]
 		switch {
@@ -116,8 +91,6 @@ func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi
 			copyPlanes(n, farL)
 		case x == hi+1 && farR != nil:
 			copyPlanes(n, farR)
-		case soa:
-			k.DensitiesMomentsSoA(src[wrapX(x, nx)], n, fs.mom[slot3(x)])
 		default:
 			k.Densities(src[wrapX(x, nx)], n)
 		}
@@ -132,24 +105,15 @@ func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi
 		// Advance the front: densities one plane ahead, so the stencil
 		// window n(x-1), n(x), n(x+1) is complete for the collision.
 		density(x + 1)
-		if soa {
-			k.collideScratchSoA(fs.sc, fs.n[slot3(x-1)], fs.n[slot3(x)], fs.n[slot3(x+1)],
-				src[wrapX(x, nx)], fs.post[slot3(x)], fs.mom[slot3(x)])
-		} else {
-			k.CollideScratch(fs.sc, fs.n[slot3(x-1)], fs.n[slot3(x)], fs.n[slot3(x+1)],
-				src[wrapX(x, nx)], fs.post[slot3(x)])
-		}
+		k.CollideScratch(fs.sc, fs.n[slot3(x-1)], fs.n[slot3(x)], fs.n[slot3(x+1)],
+			src[wrapX(x, nx)], fs.post[slot3(x)])
 		// Stream two planes behind the front, where post(x-2), post(x-1)
 		// and post(x) are all available. x-1 stays inside [lo, hi):
 		// the boundary collisions at lo-1 and hi are the redundant ones.
 		if x < lo+1 {
 			continue
 		}
-		if soa {
-			k.StreamSoA(fs.post[slot3(x-2)], fs.post[slot3(x-1)], fs.post[slot3(x)], dst[wrapX(x-1, nx)])
-		} else {
-			k.Stream(fs.post[slot3(x-2)], fs.post[slot3(x-1)], fs.post[slot3(x)], dst[wrapX(x-1, nx)])
-		}
+		k.Stream(fs.post[slot3(x-2)], fs.post[slot3(x-1)], fs.post[slot3(x)], dst[wrapX(x-1, nx)])
 	}
 }
 
@@ -195,8 +159,7 @@ func (k *KernelOf[T]) frameViews(buf []T, edge, far [][]T) {
 
 // PackFrame fills buf, reusing its capacity, with the frame of the edge
 // planes edge and returns it: the kind header, a copy of edge, then the
-// densities of the planes far, computed straight into the frame in the
-// layout fs was built for.
+// densities of the planes far, computed straight into the frame.
 func (k *KernelOf[T]) PackFrame(fs *FusedScratchOf[T], buf []T, edge, far [][]T) []T {
 	need := k.FrameLen()
 	if cap(buf) < need {
@@ -206,11 +169,7 @@ func (k *KernelOf[T]) PackFrame(fs *FusedScratchOf[T], buf []T, edge, far [][]T)
 	buf[0] = FrameKind
 	k.frameViews(buf, fs.edge, fs.far)
 	copyPlanes(fs.edge, edge)
-	if fs.soa() {
-		k.DensitiesSoA(far, fs.far)
-	} else {
-		k.Densities(far, fs.far)
-	}
+	k.Densities(far, fs.far)
 	return buf
 }
 

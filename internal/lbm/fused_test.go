@@ -78,30 +78,27 @@ func TestFusedWorkerResize(t *testing.T) {
 // sweep rings, band plans, and the frame-token mesh are all built on
 // the first step after a banding change, never per step. Pinned for
 // every banding (one band, and 2, 3 and 8 requested, which the 8-plane
-// grid clamps to two-plane bands) at both precisions in both layouts,
-// for single steps and for multi-step runs, whose frame exchange must
+// grid clamps to two-plane bands) at both precisions, for single steps and for multi-step runs, whose frame exchange must
 // reuse its two parity slots and token channels rather than grow
 // buffers.
 func TestStepParallelZeroAllocs(t *testing.T) {
-	for _, layout := range []Layout{AoS, SoA} {
-		for _, prec := range []Precision{F64, F32} {
-			for _, bands := range []int{1, 2, 3, 8} {
-				p := WaterAir(8, 10, 6)
-				p.Layout, p.Precision = layout, prec
-				s, err := NewSolver(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.SetWorkers(bands)
-				s.SetFusedChunks(bands)
-				s.StepParallel() // build the bands, mesh and pool
-				label := fmt.Sprintf("layout=%s/prec=%v/bands=%d", layout, prec, bands)
-				if allocs := testing.AllocsPerRun(5, s.StepParallel); allocs != 0 {
-					t.Errorf("%s: StepParallel %v allocs/op, want 0", label, allocs)
-				}
-				if allocs := testing.AllocsPerRun(5, func() { s.RunParallelSteps(3) }); allocs != 0 {
-					t.Errorf("%s: RunParallelSteps(3) %v allocs/op, want 0 (frame exchange grew)", label, allocs)
-				}
+	for _, prec := range []Precision{F64, F32} {
+		for _, bands := range []int{1, 2, 3, 8} {
+			p := WaterAir(8, 10, 6)
+			p.Precision = prec
+			s, err := NewSolver(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetWorkers(bands)
+			s.SetFusedChunks(bands)
+			s.StepParallel() // build the bands, mesh and pool
+			label := fmt.Sprintf("prec=%v/bands=%d", prec, bands)
+			if allocs := testing.AllocsPerRun(5, s.StepParallel); allocs != 0 {
+				t.Errorf("%s: StepParallel %v allocs/op, want 0", label, allocs)
+			}
+			if allocs := testing.AllocsPerRun(5, func() { s.RunParallelSteps(3) }); allocs != 0 {
+				t.Errorf("%s: RunParallelSteps(3) %v allocs/op, want 0 (frame exchange grew)", label, allocs)
 			}
 		}
 	}
@@ -159,9 +156,6 @@ func heldBytes[T num.Float](s *SimOf[T]) int {
 		for slot := 0; slot < 3; slot++ {
 			for c := range sl.sweep.n[slot] {
 				n += len(sl.sweep.n[slot][c]) + len(sl.sweep.post[slot][c])
-				if sl.sweep.mom[slot] != nil {
-					n += 3 * len(sl.sweep.mom[slot][c][0])
-				}
 			}
 		}
 		for par := range sl.frame {

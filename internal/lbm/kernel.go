@@ -46,32 +46,6 @@ type KernelOf[T num.Float] struct {
 	// pull[i] is the in-plane offset, in values, from a cell's base to
 	// the value streamed along direction i: i - (Ey[i]*NZ+Ez[i])*Q19.
 	pull [lattice.Q19]int
-	// pullCell[i] is the in-plane offset, in cells, from a destination
-	// cell to its streaming source along direction i:
-	// -(Ey[i]*NZ+Ez[i]). The SoA streaming path shifts whole direction
-	// lanes by this offset.
-	pullCell [lattice.Q19]int
-	// fixCells lists the interior cells that are solid or near-solid —
-	// exactly the cells the SoA lane-shift bulk pass cannot handle; a
-	// per-cell fix-up sweep re-runs the checked per-direction logic
-	// (including bounce-back) on them after the lane copies.
-	fixCells []int32
-	// The SoA streaming fix-up, compiled at build time: the solid mask
-	// is static and x-independent, so each near-solid destination cell
-	// resolves, per direction, to exactly one of bounce-back (its pull
-	// source is solid) or a pull from the current/left/right plane.
-	// Classifying the fixCells once here turns the per-step fix-up into
-	// four branch-free copy loops per direction instead of re-deriving
-	// the source of every (cell, direction) pair each step.
-	// fixSolid is the solid subset of fixCells (all lanes zeroed);
-	// fixBounce[i] lists destination cells taking fc[Opposite[i]] at the
-	// same cell; fixSelf/fixLeft/fixRight[i] list (dst, src) cell pairs
-	// pulling lane i from the current, left, or right plane.
-	fixSolid  []int32
-	fixBounce [lattice.Q19][]int32
-	fixSelf   [lattice.Q19][][2]int32
-	fixLeft   [lattice.Q19][][2]int32
-	fixRight  [lattice.Q19][][2]int32
 }
 
 // Kernel is the double-precision plane kernel used by the parallel layer
@@ -134,40 +108,6 @@ func NewKernelOf[T num.Float](p *Params) *KernelOf[T] {
 	}
 	for i := 0; i < lattice.Q19; i++ {
 		k.pull[i] = i - (lattice.Ey[i]*p.NZ+lattice.Ez[i])*lattice.Q19
-		k.pullCell[i] = -(lattice.Ey[i]*p.NZ + lattice.Ez[i])
-	}
-	for y := 1; y < p.NY-1; y++ {
-		for z := 1; z < p.NZ-1; z++ {
-			cell := y*p.NZ + z
-			if k.solid[cell] || k.nearSolid[cell] {
-				k.fixCells = append(k.fixCells, int32(cell))
-			}
-		}
-	}
-	// Compile the SoA streaming fix-up: classify every (fix cell,
-	// direction) pair by its pull source once, mirroring the checked
-	// logic the fix-up used to run per step.
-	for _, cc := range k.fixCells {
-		cell := int(cc)
-		if k.solid[cell] {
-			k.fixSolid = append(k.fixSolid, cc)
-			continue
-		}
-		y, z := cell/p.NZ, cell%p.NZ
-		for i := 1; i < lattice.Q19; i++ {
-			scell := (y-lattice.Ey[i])*p.NZ + z - lattice.Ez[i]
-			pair := [2]int32{cc, int32(scell)}
-			switch {
-			case k.solid[scell]:
-				k.fixBounce[i] = append(k.fixBounce[i], cc)
-			case lattice.Ex[i] == 1:
-				k.fixLeft[i] = append(k.fixLeft[i], pair)
-			case lattice.Ex[i] == 0:
-				k.fixSelf[i] = append(k.fixSelf[i], pair)
-			default:
-				k.fixRight[i] = append(k.fixRight[i], pair)
-			}
-		}
 	}
 	if p.WallForceComp >= 0 {
 		var prof *geometry.WallForceProfile
@@ -238,23 +178,15 @@ func hasAdhesion(a []float64) bool {
 }
 
 // ScratchOf holds the per-cell work buffers of the collision kernel.
-// Collide allocates one per call; hot paths (the fused stepping path,
-// the parallel solvers) allocate one per goroutine up front via
-// NewScratch and pass it to CollideScratch so the steady-state step
-// performs no allocations. A scratch must not be shared between
-// concurrent CollideScratch calls.
+// Collide allocates one per call; the stepping paths allocate one per
+// sweep (or per serial Step) up front via NewScratch and pass it to
+// CollideScratch. A scratch must not be shared between concurrent
+// CollideScratch calls.
 type ScratchOf[T num.Float] struct {
 	mom   [][3]T
 	nHere []T
 	grads [][3]T
 	feq   [lattice.Q19]T
-	// Plane-length lane buffers of the SoA collision's pass-split
-	// sweep (see CollideScratchSoA): per-component momentum lanes
-	// (px, py, pz) and equilibrium-input lanes (ueqx, ueqy, ueqz,
-	// usq), each PlaneCells() long. Allocated here once so the SoA
-	// path stays allocation-free per step.
-	momLanes [][3][]T
-	eqLanes  [][4][]T
 }
 
 // Scratch is the double-precision collision scratch.
@@ -262,23 +194,11 @@ type Scratch = ScratchOf[float64]
 
 // NewScratch allocates collision work buffers sized for this kernel.
 func (k *KernelOf[T]) NewScratch() *ScratchOf[T] {
-	sc := &ScratchOf[T]{
-		mom:      make([][3]T, k.NComp),
-		nHere:    make([]T, k.NComp),
-		grads:    make([][3]T, k.NComp),
-		momLanes: make([][3][]T, k.NComp),
-		eqLanes:  make([][4][]T, k.NComp),
+	return &ScratchOf[T]{
+		mom:   make([][3]T, k.NComp),
+		nHere: make([]T, k.NComp),
+		grads: make([][3]T, k.NComp),
 	}
-	cells := k.PlaneCells()
-	for c := range sc.momLanes {
-		for a := 0; a < 3; a++ {
-			sc.momLanes[c][a] = make([]T, cells)
-		}
-		for a := 0; a < 4; a++ {
-			sc.eqLanes[c][a] = make([]T, cells)
-		}
-	}
-	return sc
 }
 
 // PlaneCells returns the number of cells in one x-plane.
@@ -328,7 +248,7 @@ func (k *KernelOf[T]) Collide(nL, nC, nR, fC, out [][]T) {
 }
 
 // CollideScratch is Collide with caller-provided work buffers; it is
-// the allocation-free form used by the fused and parallel hot paths.
+// the allocation-free form every stepping path uses.
 // The arithmetic is identical to Collide, so both produce bit-equal
 // output.
 func (k *KernelOf[T]) CollideScratch(sc *ScratchOf[T], nL, nC, nR, fC, out [][]T) {

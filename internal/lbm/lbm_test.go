@@ -2,6 +2,7 @@ package lbm
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -85,6 +86,26 @@ func TestMassConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The serial reference Step builds its post-collision and density
+// lattices on the first call; from the second call on it allocates only
+// one collision scratch of a few dozen bytes, never a plane-length
+// buffer.
+func TestSerialStepAllocatesOnlyScratch(t *testing.T) {
+	s, err := NewSim(WaterAir(64, 48, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step()
+	const steps = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Run(steps)
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / steps; per >= 16<<10 {
+		t.Errorf("serial Step allocated %d bytes per step, want < 16 KiB", per)
 	}
 }
 

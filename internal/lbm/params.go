@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 
-	"microslip/internal/field"
 	"microslip/internal/geometry"
 )
 
@@ -60,23 +59,6 @@ func ParsePrecision(s string) (Precision, error) {
 		return F64, fmt.Errorf("lbm: unknown precision %q (want f32 or f64)", s)
 	}
 }
-
-// Layout selects the in-memory ordering of distribution planes; see
-// field.Layout. The zero value is AoS (cell-major, canonical), so
-// parameter sets from older checkpoints and configs are unchanged.
-// Layout is an execution detail of the sequential solver: checkpoint
-// payloads and State snapshots are always canonical, so two runs
-// differing only in Layout produce byte-identical artifacts. The
-// distributed solver (package parlbm) runs AoS only.
-type Layout = field.Layout
-
-const (
-	// AoS stores each cell's 19 populations contiguously (canonical).
-	AoS = field.AoS
-	// SoA stores one contiguous per-plane lane per velocity direction,
-	// letting the kernels stream unit-stride through each lane.
-	SoA = field.SoA
-)
 
 // Component describes one fluid component of the S-C model.
 type Component struct {
@@ -151,12 +133,6 @@ type Params struct {
 	// did. Kept so parameter sets and configs that still set it compile
 	// and decode.
 	Fused bool
-	// Layout selects the in-memory ordering of distribution planes (AoS
-	// cell-major, the default, or SoA direction-major). Both layouts
-	// evaluate the same expression tree per cell and are bit-identical;
-	// everything serialized (checkpoints, State) stays canonical AoS
-	// regardless. The distributed solver rejects SoA.
-	Layout Layout
 }
 
 // Obstacle is a solid rectangle [Y0,Y1] x [Z0,Z1] present in every
@@ -231,24 +207,7 @@ func (p *Params) Validate() error {
 	if p.Precision != F64 && p.Precision != F32 {
 		return fmt.Errorf("lbm: invalid precision %d", uint8(p.Precision))
 	}
-	if p.Layout != AoS && p.Layout != SoA {
-		return fmt.Errorf("lbm: invalid layout %d", uint8(p.Layout))
-	}
 	return nil
-}
-
-// Canonical returns the parameter set with the in-memory layout
-// stripped back to the canonical AoS. Everything persisted or shipped
-// (checkpoint manifests and rank states, State snapshots) embeds the
-// canonical params, so artifacts from an SoA run are byte-identical to
-// an AoS run's and a resume is free to pick its own layout.
-func (p *Params) Canonical() *Params {
-	if p.Layout == AoS {
-		return p
-	}
-	q := *p
-	q.Layout = AoS
-	return &q
 }
 
 // InitDensityAt returns the initial number density of component c at

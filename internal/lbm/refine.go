@@ -26,13 +26,14 @@ import (
 // then the blocks exchange ghost rows through conservative rescaled-
 // distribution coupling.
 //
-// Each block is an ordinary SimOf at the solver's precision and layout,
-// holding one lattice and stepped by the same in-place sweep —
-// refinement composes with the kernel work instead of forking it. The blocks are closed for the unmodified kernel by
-// fake solid rows ("closure" rows, see field.MultiLevel); the rows the
-// fake walls pollute are exactly the ghost rows, which the exchange
-// overwrites from the other level every composite step, so the owned
-// rows only ever see correctly-advanced data.
+// Each block is an ordinary SimOf at the solver's precision, holding one
+// lattice and stepped by the same in-place sweep — refinement composes
+// with the kernel work instead of forking it. The blocks are closed for
+// the unmodified kernel by fake solid rows ("closure" rows, see
+// field.MultiLevel); the rows the fake walls pollute are exactly the
+// ghost rows, which the exchange overwrites from the other level every
+// composite step, so the owned rows only ever see correctly-advanced
+// data.
 //
 // Coupling follows the rescaled-distribution (Dupuis-Chopard) scheme:
 // a transferred cell is decomposed into equilibrium and non-equilibrium
@@ -113,8 +114,7 @@ func coarseTau(tau float64) float64 { return tau/2 + 0.25 }
 // levelParams derives the per-block parameter sets: the two fine wall
 // slabs (full resolution, identity wall-force scale, offset windows)
 // and the coarse bulk block (halved dims, rescaled tau, doubled body
-// force, scale-2 wall window). Precision, layout, the S-C
-// coupling matrix, and the wall-force shape parameters carry over
+// force, scale-2 wall window). Precision, the S-C coupling matrix, and the wall-force shape parameters carry over
 // unchanged — the S-C force needs no rescaling because the coarse
 // psi-gradient stencil doubles the gradient estimate by itself, which
 // is exactly the dt^2/dx factor the coarse acceleration needs.

@@ -209,10 +209,10 @@ type RefinedState struct {
 	Levels [3]*State
 }
 
-// State captures a deep, canonical-order, double-precision snapshot.
+// State captures a deep, double-precision snapshot.
 func (r *refinedOf[T]) State() *RefinedState {
 	return &RefinedState{
-		Params:   r.p.Canonical(),
+		Params:   r.p,
 		Spec:     r.spec,
 		Step:     r.step,
 		M0:       append([]float64(nil), r.m0...),

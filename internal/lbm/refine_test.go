@@ -77,7 +77,7 @@ func TestRefineSiteUpdatesPerStep(t *testing.T) {
 }
 
 // levelPlanesSnapshot deep-copies every distribution plane of every
-// block, via the canonical per-level State snapshots.
+// block, via the per-level State snapshots.
 func refinedSnapshot(r RefinedSolver) *RefinedState { return r.State() }
 
 func refinedBitEqual(t *testing.T, label string, a, b *RefinedState) {
@@ -101,29 +101,26 @@ func refinedBitEqual(t *testing.T, label string, a, b *RefinedState) {
 // The ghost exchange must be idempotent — its sources are disjoint from
 // its writes — and the uniform rest equilibrium the solver starts from
 // must pass through it bit for bit (the rest shortcut), at both
-// precisions and on both layouts. Both properties are load-bearing:
+// precisions. Both properties are load-bearing:
 // idempotency is what lets the resume path re-run the exchange, and the
 // rest fixed point is what keeps the interface invisible in a fluid at
 // rest.
 func TestRefinedExchangeIdempotentRestNoop(t *testing.T) {
 	for _, prec := range []Precision{F64, F32} {
-		for _, layout := range []Layout{AoS, SoA} {
-			p, spec := refineTestParams()
-			p.Precision = prec
-			p.Layout = layout
-			solver, err := NewRefined(p, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := refinedSnapshot(solver)
-			switch r := solver.(type) {
-			case *refinedOf[float64]:
-				r.exchangeGhosts()
-			case *refinedOf[float32]:
-				r.exchangeGhosts()
-			}
-			refinedBitEqual(t, prec.String()+"/"+layout.String(), before, refinedSnapshot(solver))
+		p, spec := refineTestParams()
+		p.Precision = prec
+		solver, err := NewRefined(p, spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		before := refinedSnapshot(solver)
+		switch r := solver.(type) {
+		case *refinedOf[float64]:
+			r.exchangeGhosts()
+		case *refinedOf[float32]:
+			r.exchangeGhosts()
+		}
+		refinedBitEqual(t, prec.String(), before, refinedSnapshot(solver))
 	}
 }
 
@@ -202,15 +199,13 @@ func TestRescaleCellConservesMoments(t *testing.T) {
 // component c over local rows [y0, y1] of one block, in float64.
 func rowMoments(t *testing.T, s *Sim, c, y0, y1 int) (m, px, py, pz float64) {
 	t.Helper()
-	l := s.P.Layout
-	cells := s.K.PlaneCells()
 	nz := s.P.NZ
 	var fv [lattice.Q19]float64
 	for x := 0; x < s.P.NX; x++ {
 		plane := s.f[c][x]
 		for y := y0; y <= y1; y++ {
 			for z := 1; z < nz-1; z++ {
-				readCell(plane, l, cells, y*nz+z, &fv)
+				readCell(plane, y*nz+z, &fv)
 				for i, v := range fv {
 					m += v
 					px += float64(lattice.Ex[i]) * v
@@ -398,10 +393,9 @@ func TestRefinedFromStateRejectsMismatch(t *testing.T) {
 	}
 }
 
-// The refined composite step must compose with the SoA layout without
-// diverging from the AoS reference — the layouts are bit-identical per
-// level, so the composite is too. The "fused" rows keep the name of the
-// deleted path switch; Params.Fused is ignored.
+// The refined composite step must not depend on the ignored fused
+// switch: the "fused" row keeps the name of the deleted path switch and
+// must reproduce the default run bit for bit.
 func TestRefinedComposesWithKernelVariants(t *testing.T) {
 	p, spec := refineTestParams()
 	ref, err := NewRefined(p, spec)
@@ -415,8 +409,6 @@ func TestRefinedComposesWithKernelVariants(t *testing.T) {
 		mutate func(*Params)
 	}{
 		{"fused", func(p *Params) { p.Fused = true }},
-		{"soa", func(p *Params) { p.Layout = SoA }},
-		{"fused-soa", func(p *Params) { p.Fused = true; p.Layout = SoA }},
 	} {
 		p2, spec2 := refineTestParams()
 		variant.mutate(p2)
@@ -576,39 +568,35 @@ func TestRefinedStepParallelZeroAllocs(t *testing.T) {
 // only zeroed populations, so restricting the renorm rescale to owned
 // rows is bit-identical to rescaling everything — the ghost rows it
 // also skips are rebuilt from the rescaled owned rows by the exchange
-// that follows. Checked across layouts and precisions since the zero
-// discipline lives in the per-layout kernels.
+// that follows. Checked at both precisions.
 func TestRefinedWallClosureRowsZero(t *testing.T) {
-	for _, layout := range []field.Layout{field.AoS, field.SoA} {
-		for _, prec := range []Precision{F64, F32} {
-			p, spec := refineTestParams()
-			p.Layout = layout
-			p.Precision = prec
-			solver, err := NewRefined(p, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			solver.Run(5)
-			st := solver.State()
-			D := spec.WallLayers
-			nb := (p.NY - 2 - 2*D) / 2
-			rows := [3][]int{
-				{0, D + 5},  // bottom slab: real wall, closure
-				{0, D + 5},  // top slab: closure, real wall
-				{0, nb + 5}, // coarse: closure, closure
-			}
-			for li, lv := range st.Levels {
-				nz := lv.Params.NZ
-				for _, y := range rows[li] {
-					for c := range lv.F {
-						for x := range lv.F[c] {
-							plane := lv.F[c][x]
-							for cell := y * nz; cell < (y+1)*nz; cell++ {
-								for i := 0; i < lattice.Q19; i++ {
-									if v := plane[cell*lattice.Q19+i]; v != 0 {
-										t.Fatalf("layout=%v prec=%v level %d row %d plane %d: population %v != 0",
-											layout, prec, li, y, x, v)
-									}
+	for _, prec := range []Precision{F64, F32} {
+		p, spec := refineTestParams()
+		p.Precision = prec
+		solver, err := NewRefined(p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver.Run(5)
+		st := solver.State()
+		D := spec.WallLayers
+		nb := (p.NY - 2 - 2*D) / 2
+		rows := [3][]int{
+			{0, D + 5},  // bottom slab: real wall, closure
+			{0, D + 5},  // top slab: closure, real wall
+			{0, nb + 5}, // coarse: closure, closure
+		}
+		for li, lv := range st.Levels {
+			nz := lv.Params.NZ
+			for _, y := range rows[li] {
+				for c := range lv.F {
+					for x := range lv.F[c] {
+						plane := lv.F[c][x]
+						for cell := y * nz; cell < (y+1)*nz; cell++ {
+							for i := 0; i < lattice.Q19; i++ {
+								if v := plane[cell*lattice.Q19+i]; v != 0 {
+									t.Fatalf("prec=%v level %d row %d plane %d: population %v != 0",
+										prec, li, y, x, v)
 								}
 							}
 						}

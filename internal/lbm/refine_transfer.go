@@ -1,7 +1,6 @@
 package lbm
 
 import (
-	"microslip/internal/field"
 	"microslip/internal/lattice"
 	"microslip/internal/num"
 )
@@ -56,16 +55,16 @@ func rescaleCell[T num.Float](fv *[lattice.Q19]T, scale, restEps, rhoMin T) {
 }
 
 // readCell gathers one cell's populations from a distribution plane.
-func readCell[T num.Float](plane []T, l field.Layout, cells, cell int, fv *[lattice.Q19]T) {
+func readCell[T num.Float](plane []T, cell int, fv *[lattice.Q19]T) {
 	for i := 0; i < lattice.Q19; i++ {
-		fv[i] = plane[field.PlaneIdx(l, cells, cell, i)]
+		fv[i] = plane[cell*lattice.Q19+i]
 	}
 }
 
 // writeCell scatters one cell's populations into a distribution plane.
-func writeCell[T num.Float](plane []T, l field.Layout, cells, cell int, fv *[lattice.Q19]T) {
+func writeCell[T num.Float](plane []T, cell int, fv *[lattice.Q19]T) {
 	for i := 0; i < lattice.Q19; i++ {
-		plane[field.PlaneIdx(l, cells, cell, i)] = fv[i]
+		plane[cell*lattice.Q19+i] = fv[i]
 	}
 }
 
@@ -95,10 +94,7 @@ const gradLimit = 0.3
 // survives bit for bit. Fine cells on the z walls are solid in the
 // slab and stay zero.
 func (r *refinedOf[T]) explode(dst *SimOf[T], srcRow, loRow int) {
-	l := r.p.Layout
 	cnx, cnz := r.coarse.P.NX, r.coarse.P.NZ
-	cCells := r.coarse.K.PlaneCells()
-	fCells := dst.K.PlaneCells()
 	nz := dst.P.NZ
 	var ezm, ezp, fv [lattice.Q19]T
 	var gx, gy, gz [lattice.Q19]T
@@ -118,7 +114,7 @@ func (r *refinedOf[T]) explode(dst *SimOf[T], srcRow, loRow int) {
 				src := r.coarse.f[c][xc]
 				for zc := 1; zc < cnz-1; zc++ {
 					out := &scr[xc*cnz+zc]
-					readCell(src, l, cCells, row*cnz+zc, out)
+					readCell(src, row*cnz+zc, out)
 					rescaleCell(out, scale, r.restEps, r.rhoMin)
 				}
 			}
@@ -194,19 +190,19 @@ func (r *refinedOf[T]) explode(dst *SimOf[T], srcRow, loRow int) {
 					for i := range fv {
 						fv[i] = fc[i] + sy*gy[i] - gx[i] - gz[i]
 					}
-					writeCell(d0, l, fCells, base, &fv)
+					writeCell(d0, base, &fv)
 					for i := range fv {
 						fv[i] = fc[i] + sy*gy[i] - gx[i] + gz[i]
 					}
-					writeCell(d0, l, fCells, base+1, &fv)
+					writeCell(d0, base+1, &fv)
 					for i := range fv {
 						fv[i] = fc[i] + sy*gy[i] + gx[i] - gz[i]
 					}
-					writeCell(d1, l, fCells, base, &fv)
+					writeCell(d1, base, &fv)
 					for i := range fv {
 						fv[i] = fc[i] + sy*gy[i] + gx[i] + gz[i]
 					}
-					writeCell(d1, l, fCells, base+1, &fv)
+					writeCell(d1, base+1, &fv)
 				}
 			}
 		}
@@ -219,10 +215,7 @@ func (r *refinedOf[T]) explode(dst *SimOf[T], srcRow, loRow int) {
 // eight, so eight identical cells average to their own bit pattern)
 // and the average rescaled by 1/alpha.
 func (r *refinedOf[T]) coalesce(src *SimOf[T], loRow, dstRow int) {
-	l := r.p.Layout
 	cnz := r.coarse.P.NZ
-	cCells := r.coarse.K.PlaneCells()
-	fCells := src.K.PlaneCells()
 	nz := src.P.NZ
 	var fv [lattice.Q19]T
 	for c := 0; c < r.p.NComp(); c++ {
@@ -233,21 +226,21 @@ func (r *refinedOf[T]) coalesce(src *SimOf[T], loRow, dstRow int) {
 			s1 := src.f[c][2*xc+1]
 			for zc := 1; zc < cnz-1; zc++ {
 				zf := 2*zc - 1
-				b0 := loRow*nz + zf
-				b1 := (loRow+1)*nz + zf
+				b0 := (loRow*nz + zf) * lattice.Q19
+				b1 := ((loRow+1)*nz + zf) * lattice.Q19
 				for i := 0; i < lattice.Q19; i++ {
-					v0 := s0[field.PlaneIdx(l, fCells, b0, i)]
-					v1 := s0[field.PlaneIdx(l, fCells, b0+1, i)]
-					v2 := s0[field.PlaneIdx(l, fCells, b1, i)]
-					v3 := s0[field.PlaneIdx(l, fCells, b1+1, i)]
-					v4 := s1[field.PlaneIdx(l, fCells, b0, i)]
-					v5 := s1[field.PlaneIdx(l, fCells, b0+1, i)]
-					v6 := s1[field.PlaneIdx(l, fCells, b1, i)]
-					v7 := s1[field.PlaneIdx(l, fCells, b1+1, i)]
+					v0 := s0[b0+i]
+					v1 := s0[b0+lattice.Q19+i]
+					v2 := s0[b1+i]
+					v3 := s0[b1+lattice.Q19+i]
+					v4 := s1[b0+i]
+					v5 := s1[b0+lattice.Q19+i]
+					v6 := s1[b1+i]
+					v7 := s1[b1+lattice.Q19+i]
 					fv[i] = (((v0 + v1) + (v2 + v3)) + ((v4 + v5) + (v6 + v7))) * T(0.125)
 				}
 				rescaleCell(&fv, scale, r.restEps, r.rhoMin)
-				writeCell(dst, l, cCells, dstRow*cnz+zc, &fv)
+				writeCell(dst, dstRow*cnz+zc, &fv)
 			}
 		}
 	}
@@ -279,64 +272,38 @@ func (r *refinedOf[T]) exchangeGhosts() {
 }
 
 // rowMass sums the raw populations of component c over local rows
-// [y0, y1] of one block, in double precision. The summation tree is
-// fixed by logical position — per plane, element k of the cell-major
-// population sequence feeds lane k%4, the four lanes pairwise-combine
-// into the plane sum, and plane sums accumulate sequentially — so the
-// result is bit-identical across layouts (the sum feeds the
-// renormalization factor; AoS and SoA refined runs would otherwise
-// diverge at the first triggered renorm). The four independent lanes
-// also break the add-latency chain: this walk runs every composite
-// step, so a single serial accumulator would put it on the critical
-// path at about a quarter of memory bandwidth.
+// [y0, y1] of one block, in double precision. The rows are one
+// contiguous span per plane, and the summation tree is fixed: element k
+// of the span feeds lane k%4, the four lanes pairwise-combine into the
+// plane sum, and plane sums accumulate sequentially. The sum feeds the
+// renormalization factor, so any other order changes refined results.
+// The four independent lanes also break the add-latency chain: this
+// walk runs every composite step, so a single serial accumulator would
+// put it on the critical path at about a quarter of memory bandwidth.
 func rowMass[T num.Float](s *SimOf[T], c, y0, y1 int) float64 {
 	nz := s.P.NZ
-	cells := s.K.PlaneCells()
-	l := s.P.Layout
+	lo, hi := y0*nz*lattice.Q19, (y1+1)*nz*lattice.Q19
 	var m float64
 	for x := 0; x < s.P.NX; x++ {
 		plane := s.f[c][x]
 		var a0, a1, a2, a3 float64
-		if l == field.AoS {
-			// Cell-major population order is memory order: one
-			// contiguous span per plane.
-			lo, hi := y0*nz*lattice.Q19, (y1+1)*nz*lattice.Q19
-			k := lo
-			for ; k+4 <= hi; k += 4 {
-				a0 += float64(plane[k])
-				a1 += float64(plane[k+1])
-				a2 += float64(plane[k+2])
-				a3 += float64(plane[k+3])
-			}
-			// The span starts at lane 0, so the tail continues from a0.
-			switch hi - k {
-			case 3:
-				a2 += float64(plane[k+2])
-				fallthrough
-			case 2:
-				a1 += float64(plane[k+1])
-				fallthrough
-			case 1:
-				a0 += float64(plane[k])
-			}
-		} else {
-			pos := 0
-			for cell := y0 * nz; cell < (y1+1)*nz; cell++ {
-				for i := 0; i < lattice.Q19; i++ {
-					v := float64(plane[field.PlaneIdx(l, cells, cell, i)])
-					switch pos & 3 {
-					case 0:
-						a0 += v
-					case 1:
-						a1 += v
-					case 2:
-						a2 += v
-					case 3:
-						a3 += v
-					}
-					pos++
-				}
-			}
+		k := lo
+		for ; k+4 <= hi; k += 4 {
+			a0 += float64(plane[k])
+			a1 += float64(plane[k+1])
+			a2 += float64(plane[k+2])
+			a3 += float64(plane[k+3])
+		}
+		// The span starts at lane 0, so the tail continues from a0.
+		switch hi - k {
+		case 3:
+			a2 += float64(plane[k+2])
+			fallthrough
+		case 2:
+			a1 += float64(plane[k+1])
+			fallthrough
+		case 1:
+			a0 += float64(plane[k])
 		}
 		m += (a0 + a1) + (a2 + a3)
 	}
@@ -353,27 +320,14 @@ func (r *refinedOf[T]) ownedMassComp(c int) float64 {
 }
 
 // scaleRows multiplies the populations of component c over local rows
-// [y0, y1] of one block by factor, both layouts via contiguous row
-// spans.
+// [y0, y1] of one block by factor, one contiguous span per plane.
 func scaleRows[T num.Float](s *SimOf[T], c, y0, y1 int, factor T) {
 	nz := s.P.NZ
-	cells := s.K.PlaneCells()
-	if s.P.Layout == field.AoS {
-		lo, hi := y0*nz*lattice.Q19, (y1+1)*nz*lattice.Q19
-		for _, plane := range s.f[c] {
-			seg := plane[lo:hi]
-			for i := range seg {
-				seg[i] *= factor
-			}
-		}
-		return
-	}
+	lo, hi := y0*nz*lattice.Q19, (y1+1)*nz*lattice.Q19
 	for _, plane := range s.f[c] {
-		for i := 0; i < lattice.Q19; i++ {
-			seg := plane[i*cells+y0*nz : i*cells+(y1+1)*nz]
-			for j := range seg {
-				seg[j] *= factor
-			}
+		seg := plane[lo:hi]
+		for i := range seg {
+			seg[i] *= factor
 		}
 	}
 }

@@ -40,10 +40,6 @@ type SimOf[T num.Float] struct {
 	// the single-band path. Fault injection and supervision tests hang
 	// off it; see SetBandHook.
 	bandHook func(band, step int)
-	// soa mirrors P.Layout == SoA: the distribution planes are stored
-	// direction-major and every kernel call dispatches to the *SoA
-	// variants. Density planes stay in the scalar layout either way.
-	soa bool
 }
 
 // Sim is the double-precision sequential solver used by the parallel
@@ -63,7 +59,7 @@ func NewSimOf[T num.Float](p *Params) (*SimOf[T], error) {
 		return nil, fmt.Errorf("lbm: solver type %T does not match Params.Precision %v", zero, p.Precision)
 	}
 	k := NewKernelOf[T](p)
-	s := &SimOf[T]{P: p, K: k, soa: p.Layout == SoA}
+	s := &SimOf[T]{P: p, K: k}
 	nc := p.NComp()
 	s.f = make([][][]T, nc)
 	sz := k.PlaneLen()
@@ -74,40 +70,11 @@ func NewSimOf[T num.Float](p *Params) (*SimOf[T], error) {
 		s.f[c] = make([][]T, p.NX)
 		for x := 0; x < p.NX; x++ {
 			s.f[c][x] = lattice[x*sz : (x+1)*sz : (x+1)*sz]
-			s.kInitEquilibrium(s.f[c][x], p.InitDensityAt(c, x))
+			k.InitEquilibrium(s.f[c][x], p.InitDensityAt(c, x))
 		}
 	}
 	s.fView = transposeViews(s.f, p.NX, nc)
 	return s, nil
-}
-
-// kDensities, kStream, and kInitEquilibrium dispatch each kernel phase
-// to the AoS or SoA variant according to the layout chosen at
-// construction. Both variants evaluate the same expression
-// tree per cell, so the dispatch never affects results — only memory
-// access order.
-func (s *SimOf[T]) kDensities(f, n [][]T) {
-	if s.soa {
-		s.K.DensitiesSoA(f, n)
-		return
-	}
-	s.K.Densities(f, n)
-}
-
-func (s *SimOf[T]) kStream(fL, fC, fR, out [][]T) {
-	if s.soa {
-		s.K.StreamSoA(fL, fC, fR, out)
-		return
-	}
-	s.K.Stream(fL, fC, fR, out)
-}
-
-func (s *SimOf[T]) kInitEquilibrium(plane []T, n0 float64) {
-	if s.soa {
-		s.K.InitEquilibriumSoA(plane, n0)
-		return
-	}
-	s.K.InitEquilibrium(plane, n0)
 }
 
 // isSingle reports whether T is single precision, by probing whether it
@@ -156,7 +123,8 @@ func (s *SimOf[T]) Params() *Params { return s.P }
 // the whole lattice — density computation, force evaluation +
 // collision, then streaming with bounce-back — the plain reference
 // every stepping path is held to bit for bit. Its post-collision and
-// density lattices are allocated on the first call and kept.
+// density lattices are allocated on the first call and kept; each call
+// allocates only one collision scratch.
 func (s *SimOf[T]) Step() {
 	p := s.P
 	if s.post == nil {
@@ -165,21 +133,18 @@ func (s *SimOf[T]) Step() {
 	}
 	f, post, n := s.fView, s.post, s.n
 	for x := 0; x < p.NX; x++ {
-		s.kDensities(f[x], n[x])
+		s.K.Densities(f[x], n[x])
+	}
+	sc := s.K.NewScratch()
+	for x := 0; x < p.NX; x++ {
+		l := (x - 1 + p.NX) % p.NX
+		r := (x + 1) % p.NX
+		s.K.CollideScratch(sc, n[l], n[x], n[r], f[x], post[x])
 	}
 	for x := 0; x < p.NX; x++ {
 		l := (x - 1 + p.NX) % p.NX
 		r := (x + 1) % p.NX
-		if s.soa {
-			s.K.CollideSoA(n[l], n[x], n[r], f[x], post[x])
-		} else {
-			s.K.Collide(n[l], n[x], n[r], f[x], post[x])
-		}
-	}
-	for x := 0; x < p.NX; x++ {
-		l := (x - 1 + p.NX) % p.NX
-		r := (x + 1) % p.NX
-		s.kStream(post[l], post[x], post[r], f[x])
+		s.K.Stream(post[l], post[x], post[r], f[x])
 	}
 	s.step++
 }
@@ -194,37 +159,21 @@ func (s *SimOf[T]) Run(n int) {
 // StepCount returns the number of completed steps.
 func (s *SimOf[T]) StepCount() int { return s.step }
 
-// Plane returns the current distribution plane of component c at x, in
-// the sim's in-memory layout (AoS unless Params.Layout is SoA; use
-// State for a canonical-order snapshot).
+// Plane returns the current distribution plane of component c at x.
 func (s *SimOf[T]) Plane(c, x int) []T { return s.f[c][x] }
 
-// Density returns the mass density of component c at (x, y, z). The
-// accumulation order over the 19 populations is identical in both
-// layouts.
+// Density returns the mass density of component c at (x, y, z).
 func (s *SimOf[T]) Density(c, x, y, z int) float64 {
-	cell := y*s.P.NZ + z
+	base := (y*s.P.NZ + z) * lattice.Q19
 	var sum T
-	plane := s.f[c][x]
-	if s.soa {
-		cells := s.K.PlaneCells()
-		for i := 0; i < lattice.Q19; i++ {
-			sum += plane[i*cells+cell]
-		}
-	} else {
-		base := cell * lattice.Q19
-		for i := 0; i < lattice.Q19; i++ {
-			sum += plane[base+i]
-		}
+	for _, v := range s.f[c][x][base : base+lattice.Q19] {
+		sum += v
 	}
 	return float64(sum) * s.P.Components[c].Mass
 }
 
 // Velocity returns the barycentric velocity at (x, y, z).
 func (s *SimOf[T]) Velocity(x, y, z int) (ux, uy, uz float64) {
-	if s.soa {
-		return s.K.CellVelocitySoA(s.fView[x], y, z)
-	}
 	return s.K.CellVelocity(s.fView[x], y, z)
 }
 

@@ -20,30 +20,16 @@ type State struct {
 // State captures a deep snapshot of the simulation. Snapshots are
 // always double precision in memory: widening float32 populations is
 // exact, so a reduced-precision simulation round-trips through its
-// State (and hence through a checkpoint) bit-stably. Snapshots are
-// also always canonical order: an SoA sim transposes its planes back
-// to cell-major and strips Layout from the embedded params, so two
-// runs differing only in layout produce byte-identical states (and
-// hence byte-identical checkpoints).
+// State (and hence through a checkpoint) bit-stably.
 func (s *SimOf[T]) State() *State {
 	nc := s.P.NComp()
-	cells := s.K.PlaneCells()
-	st := &State{Params: s.P.Canonical(), Step: s.step, F: make([][][]float64, nc)}
+	st := &State{Params: s.P, Step: s.step, F: make([][][]float64, nc)}
 	for c := 0; c < nc; c++ {
 		st.F[c] = make([][]float64, s.P.NX)
 		for x := 0; x < s.P.NX; x++ {
 			plane := make([]float64, len(s.f[c][x]))
-			if s.soa {
-				src := s.f[c][x]
-				for i := 0; i < 19; i++ {
-					for cell := 0; cell < cells; cell++ {
-						plane[cell*19+i] = float64(src[i*cells+cell])
-					}
-				}
-			} else {
-				for i, v := range s.f[c][x] {
-					plane[i] = float64(v)
-				}
+			for i, v := range s.f[c][x] {
+				plane[i] = float64(v)
 			}
 			st.F[c][x] = plane
 		}
@@ -63,7 +49,7 @@ func StateFromPlanes(p *Params, planes [][][]float64, step int) (*State, error) 
 		return nil, fmt.Errorf("lbm: %d components of planes, want %d", len(planes), p.NComp())
 	}
 	want := p.NY * p.NZ * 19
-	st := &State{Params: p.Canonical(), Step: step, F: make([][][]float64, len(planes))}
+	st := &State{Params: p, Step: step, F: make([][][]float64, len(planes))}
 	for c := range planes {
 		if len(planes[c]) != p.NX {
 			return nil, fmt.Errorf("lbm: component %d has %d planes, want %d", c, len(planes[c]), p.NX)
@@ -108,18 +94,6 @@ func SimFromState[T num.Float](st *State) (*SimOf[T], error) {
 			if len(st.F[c][x]) != s.K.PlaneLen() {
 				return nil, fmt.Errorf("lbm: component %d plane %d has %d values, want %d",
 					c, x, len(st.F[c][x]), s.K.PlaneLen())
-			}
-			if s.soa {
-				// Snapshot planes are canonical; transpose into the
-				// sim's direction-major storage.
-				cells := s.K.PlaneCells()
-				dst := s.f[c][x]
-				for i := 0; i < 19; i++ {
-					for cell := 0; cell < cells; cell++ {
-						dst[i*cells+cell] = T(st.F[c][x][cell*19+i])
-					}
-				}
-				continue
 			}
 			for i, v := range st.F[c][x] {
 				s.f[c][x][i] = T(v)

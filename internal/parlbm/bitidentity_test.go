@@ -30,8 +30,8 @@ func wave32Params(nx, ny, nz int) *lbm.Params {
 	return p
 }
 
-// Every execution path — intra-node parallel stepping at every banding,
-// layout and precision, and the distributed solver on
+// Every execution path — intra-node parallel stepping at every banding
+// and precision, and the distributed solver on
 // several group sizes, both transports, mid-run remapping under every
 // policy, and checkpoint/resume across group sizes — must reproduce
 // the one oracle, the serial three-pass Step, byte for byte on the
@@ -66,15 +66,15 @@ func TestBitIdentityMatrix(t *testing.T) {
 
 	// The intra-node rows: every banding of the sequential solver's one
 	// stepping path — the fused sweep, in place, behind in-memory frames
-	// — at both scalar precisions in both layouts, each compared through
-	// the exactly-widening, canonical-order State snapshot against the
-	// serial Step of its precision, and each then held to zero
-	// allocations per step. The band count is pinned: the production
-	// heuristic would refuse to shard a grid this small. Requests above
-	// NX/2 (bands=8, 12) clamp to two-plane bands, the frame floor. The
-	// rows keep the names of the switches they used to carry: fused=false
-	// named the deleted three-pass band path and now runs the same sweep
-	// as fused=true.
+	// — at both scalar precisions, each compared through the
+	// exactly-widening State snapshot against the serial Step of its
+	// precision, and each then held to zero allocations per step. The
+	// band count is pinned: the production heuristic would refuse to
+	// shard a grid this small. Requests above NX/2 (bands=8, 12) clamp to
+	// two-plane bands, the frame floor. The rows keep the names of the
+	// switches they used to carry: layout=aos names the one plane
+	// ordering, and fused=false named the deleted three-pass band path
+	// and now runs the same sweep as fused=true.
 	ref32, err := lbm.NewSolver(wave32Params(nx, ny, nz))
 	if err != nil {
 		t.Fatal(err)
@@ -84,57 +84,46 @@ func TestBitIdentityMatrix(t *testing.T) {
 		lbm.F64: ref.State(),
 		lbm.F32: ref32.State(),
 	}
-	for _, layout := range []lbm.Layout{lbm.AoS, lbm.SoA} {
-		bandCounts := []int{1, 2, 3, 8, 6, 12}
-		if layout == lbm.SoA {
-			bandCounts = []int{1, 2, 3, 8}
-		}
-		for _, prec := range []lbm.Precision{lbm.F64, lbm.F32} {
-			for _, bands := range bandCounts {
-				for _, fused := range []bool{false, true} {
-					label := fmt.Sprintf("intra/layout=%s/prec=%v/bands=%d/fused=%v", layout, prec, bands, fused)
-					t.Run(label, func(t *testing.T) {
-						p := waveParams(nx, ny, nz)
-						p.Precision = prec
-						p.Fused = fused
-						p.Layout = layout
-						s, err := lbm.NewSolver(p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						s.SetWorkers(bands)
-						s.SetFusedChunks(bands)
-						s.RunParallelSteps(steps)
-						checkIntra(t, refState[prec], s)
-					})
-				}
+	for _, prec := range []lbm.Precision{lbm.F64, lbm.F32} {
+		for _, bands := range []int{1, 2, 3, 8, 6, 12} {
+			for _, fused := range []bool{false, true} {
+				label := fmt.Sprintf("intra/layout=aos/prec=%v/bands=%d/fused=%v", prec, bands, fused)
+				t.Run(label, func(t *testing.T) {
+					p := waveParams(nx, ny, nz)
+					p.Precision = prec
+					p.Fused = fused
+					s, err := lbm.NewSolver(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.SetWorkers(bands)
+					s.SetFusedChunks(bands)
+					s.RunParallelSteps(steps)
+					checkIntra(t, refState[prec], s)
+				})
 			}
 		}
 	}
 	// Single-band rows on lattices narrower than the sweep's stencil: the
 	// band's frames wrap onto its own one, two or three planes.
 	for _, tnx := range []int{1, 2, 3} {
-		for _, layout := range []lbm.Layout{lbm.AoS, lbm.SoA} {
-			for _, prec := range []lbm.Precision{lbm.F64, lbm.F32} {
-				label := fmt.Sprintf("intra/nx=%d/layout=%s/prec=%v", tnx, layout, prec)
-				t.Run(label, func(t *testing.T) {
-					p := waveParams(tnx, ny, nz)
-					p.Precision = prec
-					want, err := lbm.NewSolver(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want.Run(steps)
-					q := *p
-					q.Layout = layout
-					s, err := lbm.NewSolver(&q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s.RunParallelSteps(steps)
-					checkIntra(t, want.State(), s)
-				})
-			}
+		for _, prec := range []lbm.Precision{lbm.F64, lbm.F32} {
+			label := fmt.Sprintf("intra/nx=%d/layout=aos/prec=%v", tnx, prec)
+			t.Run(label, func(t *testing.T) {
+				p := waveParams(tnx, ny, nz)
+				p.Precision = prec
+				want, err := lbm.NewSolver(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Run(steps)
+				s, err := lbm.NewSolver(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.RunParallelSteps(steps)
+				checkIntra(t, want.State(), s)
+			})
 		}
 	}
 	// Mid-run resume: a banded run snapshotted halfway through State and
@@ -165,31 +154,18 @@ func TestBitIdentityMatrix(t *testing.T) {
 	// The distributed rows named after the switches the solver used to
 	// have — rank storage layout, compute/communication overlap, and halo
 	// wire format — keep their names, and each runs the configuration its
-	// name describes less the deleted switches. Every AoS row therefore
-	// runs the one frame protocol on its rank count and must reproduce
-	// the oracle; every SoA row must be refused, since ranks store
-	// cell-major planes only (the sequential SoA layout is held to the
-	// oracle by the intra rows above).
-	for _, layout := range []lbm.Layout{lbm.AoS, lbm.SoA} {
-		for _, ranks := range []int{1, 2, 3} {
-			for _, legacy := range legacyProtocols {
-				label := fmt.Sprintf("parlbm/layout=%s/ranks=%d/%s", layout, ranks, legacy)
-				t.Run(label, func(t *testing.T) {
-					p := waveParams(nx, ny, nz)
-					p.Layout = layout
-					final, _, err := RunParallel(p, ranks, Options{Phases: steps})
-					if layout != lbm.AoS {
-						if err == nil || !strings.Contains(err.Error(), "layout") {
-							t.Fatalf("%s: got %v, want a layout error", label, err)
-						}
-						return
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					check(t, label, func(c, x int) []float64 { return final[c].Plane(x) })
-				})
-			}
+	// name describes less the deleted switches: the one frame protocol on
+	// its rank count, which must reproduce the oracle.
+	for _, ranks := range []int{1, 2, 3} {
+		for _, legacy := range legacyProtocols {
+			label := fmt.Sprintf("parlbm/layout=aos/ranks=%d/%s", ranks, legacy)
+			t.Run(label, func(t *testing.T) {
+				final, _, err := RunParallel(waveParams(nx, ny, nz), ranks, Options{Phases: steps})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, label, func(c, x int) []float64 { return final[c].Plane(x) })
+			})
 		}
 	}
 

@@ -47,7 +47,7 @@ func (w *worker) checkpointPhase(completed int) error {
 	if w.rank == 0 {
 		m := &checkpoint.Manifest{
 			Phase: completed, NX: w.p.NX, NComp: nc,
-			PlaneSize: w.f[0].PlaneSize(), Params: w.p.Canonical(),
+			PlaneSize: w.f[0].PlaneSize(), Params: w.p,
 			Ranks: make([]checkpoint.RankRange, len(all)),
 		}
 		for r, data := range all {

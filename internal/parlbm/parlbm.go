@@ -278,9 +278,6 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, g
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.Layout != lbm.AoS {
-		return nil, fmt.Errorf("parlbm: layout %v unsupported; ranks store cell-major (AoS) planes", p.Layout)
-	}
 	if opts.Phases < 1 {
 		return nil, fmt.Errorf("parlbm: phases %d < 1", opts.Phases)
 	}

@@ -224,12 +224,6 @@ func TestRunRankValidation(t *testing.T) {
 	if _, _, err := RunParallel(p, 3, Options{Phases: 1}); err == nil || !strings.Contains(err.Error(), "2 planes each") {
 		t.Errorf("NX < 2*ranks: got %v, want the slab-floor error", err)
 	}
-	// Ranks store cell-major planes only.
-	soa := lbm.WaterAir(4, 8, 6)
-	soa.Layout = lbm.SoA
-	if _, _, err := RunParallel(soa, 2, Options{Phases: 1}); err == nil || !strings.Contains(err.Error(), "layout") {
-		t.Errorf("SoA layout: got %v, want a layout error", err)
-	}
 	bad := lbm.WaterAir(4, 8, 6)
 	bad.Components[0].Tau = 0.1
 	if _, _, err := RunParallel(bad, 2, Options{Phases: 1}); err == nil {
