@@ -36,9 +36,10 @@ race-lbm:
 # limits, worker panics, and worker stalls against both the intra-node
 # bands and the distributed phase loop — typed unwind, zero
 # leaked goroutines, committed interrupt checkpoints, bit-identical
-# resume.
+# resume — plus the distributed group's one abort path, the watcher
+# that tears the transport down on a hard trip or an overrun grace.
 chaos-abort:
-	$(GO) test -race -run 'AbortChaos|RunParallelCancel|RunParallelWallLimit|RunParallelRankPanic|RunSupervised' -v ./internal/experiments/ ./internal/parlbm/ ./internal/lbm/
+	$(GO) test -race -run 'AbortChaos|RunParallelCancel|RunParallelWallLimit|RunParallelRankPanic|RunSupervised|RunGroupWatcher' -v ./internal/experiments/ ./internal/parlbm/ ./internal/lbm/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

@@ -43,8 +43,7 @@ func main() {
 		duty     = flag.Float64("duty", 0.7, "competing-job duty cycle (duty-cycle)")
 		spike    = flag.Float64("spike", 2, "spike length in seconds (spikes)")
 		seed     = flag.Int64("seed", 1, "workload and jitter seed")
-		haloDirs = flag.Int("halo-dirs", 0, "distribution populations per cell on the halo wire: 19 full, 5 slim (0 = full)")
-		coalesce = flag.Bool("coalesce", false, "model the coalesced one-frame-per-neighbor halo protocol")
+		coalesce = flag.Bool("coalesce", false, "model the one-frame-per-neighbor halo protocol parlbm runs")
 		profileF = flag.Bool("profile", false, "print the per-node time breakdown")
 		timeline = flag.String("timeline", "", "write the per-phase makespan timeline as CSV to this file")
 	)
@@ -88,7 +87,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.RecordTimeline = *timeline != ""
-	cfg.Costs.DistHaloDirs = *haloDirs
 	cfg.Costs.CoalescedHalo = *coalesce
 	if err := cfg.Costs.Validate(); err != nil {
 		log.Fatal(err)

@@ -67,9 +67,19 @@ func TestLoadRejectsCorruptionWithTypedError(t *testing.T) {
 		{"version 3", func(b []byte) []byte { b[5] = 3; return b }, ErrVersion},
 		{"version 3, header only", func(b []byte) []byte { b[5] = 3; return b[:10] }, ErrVersion},
 	}
-	for _, cut := range []int{0, 4, 5, 6, 8, prefixLen, prefixLen + hlen/2, prefixLen + hlen, bulk - 2, bulk,
-		bulk + 8, (bulk + end) / 2, end, end + 2} {
-		cases = append(cases, tc{fmt.Sprintf("truncated at %d", cut), func(b []byte) []byte { return b[:cut] }, ErrCorrupt})
+	// Each cut is named by the section it ends in, so the names stay
+	// put when the gob header changes length.
+	for _, c := range []struct {
+		where string
+		cut   int
+	}{
+		{"empty", 0}, {"after magic", 4}, {"inside version", 5}, {"after version", 6},
+		{"inside header length", 8}, {"after header length", prefixLen}, {"inside header", prefixLen + hlen/2},
+		{"after header", prefixLen + hlen}, {"inside header crc", bulk - 2}, {"after header crc", bulk},
+		{"inside first plane", bulk + 8}, {"inside bulk", (bulk + end) / 2}, {"before trailer", end},
+		{"inside trailer", end + 2},
+	} {
+		cases = append(cases, tc{"truncated " + c.where, func(b []byte) []byte { return b[:c.cut] }, ErrCorrupt})
 	}
 	for name, at := range map[string]int{"header length": 9, "header": prefixLen + hlen/2, "header crc": bulk - 1,
 		"first plane": bulk, "bulk": (bulk + end) / 2, "last plane": end - 1, "trailer": end, "trailer end": end + 3} {

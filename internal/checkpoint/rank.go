@@ -48,9 +48,9 @@ type RankState struct {
 	// Start+i (length NY*NZ*19).
 	Planes [][][]float64
 	// Density[c][i] is component c's number-density plane at Start+i
-	// (length NY*NZ); recomputed every phase but persisted so a snapshot
-	// is a complete picture of the rank at the boundary. Nil when the
-	// writer persisted none.
+	// (length NY*NZ). Densities derive from the planes, so parlbm
+	// writes none and a resume never reads them; rank sets written
+	// with them still load. Nil when the writer persisted none.
 	Density [][][]float64
 }
 

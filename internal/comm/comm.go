@@ -10,22 +10,20 @@
 //
 // Semantics follow MPI: messages between a (sender, receiver) pair are
 // non-overtaking per tag, sends are buffered (never deadlock), and
-// receives block until a matching message arrives.
+// receives block until a matching message arrives. There is no
+// per-operation deadline: a group aborts the MPI way, by tearing its
+// transport down (Fabric.Close, the TCP group's shutdown), which fails
+// every pending and later receive with ErrClosed.
 package comm
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // ErrClosed is returned by operations on a closed communicator.
 var ErrClosed = errors.New("comm: communicator closed")
-
-// ErrTimeout is returned by deadline-bounded operations that expire
-// before a matching message arrives.
-var ErrTimeout = errors.New("comm: operation timed out")
 
 // Comm is one rank's endpoint of a communicator group.
 type Comm interface {
@@ -51,15 +49,6 @@ type Comm interface {
 	Close() error
 }
 
-// DeadlineRecver is the optional transport capability backing per-op
-// receive deadlines. Both built-in transports and the supervision
-// wrapper implement it. A timeout <= 0 blocks like Recv.
-type DeadlineRecver interface {
-	// RecvDeadline is Recv bounded by a timeout; it returns an error
-	// wrapping ErrTimeout when the deadline expires first.
-	RecvDeadline(from, tag int, timeout time.Duration) ([]float64, error)
-}
-
 // Reserved internal tags (user tags must be >= 0).
 const (
 	tagBarrierArrive  = -1
@@ -79,9 +68,6 @@ type mailbox struct {
 	cond   *sync.Cond
 	queue  []message
 	closed bool
-	// timer is the reusable deadline wakeup for takeDeadline; guarded
-	// by mu.
-	timer *time.Timer
 }
 
 func newMailbox() *mailbox {
@@ -121,61 +107,6 @@ func (m *mailbox) take(tag int) ([]float64, error) {
 		}
 		m.cond.Wait()
 	}
-}
-
-// takeDeadline is take with an absolute deadline; it returns ErrTimeout
-// if no matching message arrives in time. A zero deadline blocks
-// forever (plain take). The timer broadcasts the shared cond, so
-// concurrent takers on other tags re-check their own deadlines and go
-// back to sleep; spurious wakeups are benign.
-func (m *mailbox) takeDeadline(tag int, deadline time.Time) ([]float64, error) {
-	if deadline.IsZero() {
-		return m.take(tag)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	armed := false
-	defer func() {
-		if armed {
-			m.timer.Stop()
-		}
-	}()
-	for {
-		for i, msg := range m.queue {
-			if msg.tag == tag {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				return msg.data, nil
-			}
-		}
-		if m.closed {
-			return nil, ErrClosed
-		}
-		if !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("comm: recv tag %d: %w", tag, ErrTimeout)
-		}
-		// Arm the wakeup only once a wait is unavoidable, reusing the
-		// mailbox's timer so the deadline path stays allocation-free
-		// after the first use. One timer suffices: receives on a
-		// mailbox come from its single owning rank goroutine.
-		if !armed {
-			d := time.Until(deadline)
-			if m.timer == nil {
-				m.timer = time.AfterFunc(d, m.wake)
-			} else {
-				m.timer.Reset(d)
-			}
-			armed = true
-		}
-		m.cond.Wait()
-	}
-}
-
-// wake broadcasts the mailbox cond so a deadline-bounded taker
-// re-checks its clock; spurious wakeups of other takers are benign.
-func (m *mailbox) wake() {
-	m.mu.Lock()
-	m.cond.Broadcast()
-	m.mu.Unlock()
 }
 
 func (m *mailbox) close() {
@@ -273,19 +204,6 @@ func (c *chanComm) Recv(from, tag int) ([]float64, error) {
 
 func (c *chanComm) recv(from, tag int) ([]float64, error) {
 	return c.fabric.boxes[from][c.rank].take(tag)
-}
-
-func (c *chanComm) RecvDeadline(from, tag int, timeout time.Duration) ([]float64, error) {
-	if err := c.checkPeer(from); err != nil {
-		return nil, err
-	}
-	if tag < 0 {
-		return nil, fmt.Errorf("comm: user tag %d must be >= 0", tag)
-	}
-	if timeout <= 0 {
-		return c.recv(from, tag)
-	}
-	return c.fabric.boxes[from][c.rank].takeDeadline(tag, time.Now().Add(timeout))
 }
 
 func (c *chanComm) SendRecv(to int, send []float64, from, tag int) ([]float64, error) {

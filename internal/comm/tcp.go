@@ -8,7 +8,6 @@ import (
 	"math"
 	"net"
 	"sync"
-	"time"
 )
 
 // tcpComm is one rank's endpoint over real TCP connections (loopback or
@@ -85,23 +84,6 @@ func (c *tcpComm) recv(from, tag int) ([]float64, error) {
 		return c.selfBox.take(tag)
 	}
 	return c.inbox[from].take(tag)
-}
-
-func (c *tcpComm) RecvDeadline(from, tag int, timeout time.Duration) ([]float64, error) {
-	if tag < 0 {
-		return nil, fmt.Errorf("comm: user tag %d must be >= 0", tag)
-	}
-	if from < 0 || from >= c.size {
-		return nil, fmt.Errorf("comm: peer rank %d out of range [0,%d)", from, c.size)
-	}
-	if timeout <= 0 {
-		return c.recv(from, tag)
-	}
-	deadline := time.Now().Add(timeout)
-	if from == c.rank {
-		return c.selfBox.takeDeadline(tag, deadline)
-	}
-	return c.inbox[from].takeDeadline(tag, deadline)
 }
 
 func (c *tcpComm) SendRecv(to int, send []float64, from, tag int) ([]float64, error) {

@@ -10,7 +10,7 @@ import (
 // Worker faults for the abort-chaos sweep: a workerInjector wraps a
 // rank hook (parlbm's Options.PhaseHook, func(id, step int)) and fires
 // panics or stalls at scheduled points. A panic exercises the
-// hard-abort path (runctl.PanicError, supervised unwind); a stall
+// hard-abort path (runctl.PanicError, transport teardown); a stall
 // exercises the soft path (wall-clock escalation, orderly stop).
 
 // workerFaultKind is a compute-side fault kind.

@@ -3,11 +3,9 @@ package lattice
 import "microslip/internal/num"
 
 // EquilibriumOf is the precision-generic D3Q19 BGK equilibrium: the
-// same unrolled expression tree as Equilibrium evaluated in T. For
-// T = float64 every constant below converts exactly, so the float64
-// instantiation is bit-identical to the historical scalar routine
-// (Equilibrium now delegates here); for T = float32 the constants are
-// the correctly rounded single-precision values.
+// unrolled expression tree Equilibrium delegates to, evaluated in T.
+// For T = float32 the constants are the correctly rounded
+// single-precision values.
 func EquilibriumOf[T num.Float](rho, ux, uy, uz T, feq *[Q19]T) {
 	usq := 1.5 * (ux*ux + uy*uy + uz*uz)
 	ra := rho * (1.0 / 18.0)

@@ -295,7 +295,7 @@ func (s *SimOf[T]) sweepSlab(i, par int) {
 	l, r := &s.bands.slabs[sl.left], &s.bands.slabs[sl.right]
 	last := len(sl.win) - 1
 	sl.win[0], sl.win[last] = l.edge[par][1], r.edge[par][0]
-	s.K.SweepFused(sl.sweep, sl.win, sl.win, 1, last, l.far[par][1], r.far[par][0], nil)
+	s.K.SweepFused(sl.sweep, sl.win, sl.win, 1, last, l.far[par][1], r.far[par][0])
 }
 
 // runParallelErr is RunParallelSteps with the worker-panic cause as an

@@ -77,12 +77,11 @@ func wrapX(x, nx int) int {
 //
 // farL and farR, when non-nil, are the densities of planes lo-2 and
 // hi+1 and replace computing them from src: a slab holds its
-// neighbours' edge planes but not the planes behind them. dens, when
-// non-nil, receives a copy of the densities of planes lo .. hi-1
-// (indexed like src). dst may be src itself when the window does not
-// wrap onto the swept planes (lo-2 .. hi+1 are distinct entries): every
-// plane is read for the last time before it is overwritten.
-func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi int, farL, farR [][]T, dens [][][]T) {
+// neighbours' edge planes but not the planes behind them. dst may be
+// src itself when the window does not wrap onto the swept planes
+// (lo-2 .. hi+1 are distinct entries): every plane is read for the
+// last time before it is overwritten.
+func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi int, farL, farR [][]T) {
 	nx := len(src)
 	density := func(x int) {
 		n := fs.n[slot3(x)]
@@ -93,9 +92,6 @@ func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi
 			copyPlanes(n, farR)
 		default:
 			k.Densities(src[wrapX(x, nx)], n)
-		}
-		if dens != nil && x >= lo && x < hi {
-			copyPlanes(dens[wrapX(x, nx)], n)
 		}
 	}
 	// Prime the density ring behind the sweep front.

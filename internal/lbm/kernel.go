@@ -16,9 +16,7 @@ import (
 // either as three passes over the lattice (the serial reference Step) or
 // fused into one rolling sweep run in place (SweepFused: every band of
 // the sequential solver and every distributed rank).
-// The float64 instantiation (the Kernel alias) evaluates exactly the
-// expression tree of the historical double-precision kernel, so its
-// results are bit-identical to every pre-generic release; the float32
+// The float64 instantiation is the Kernel alias; the float32
 // instantiation is the reduced-precision core behind Params.Precision.
 type KernelOf[T num.Float] struct {
 	NY, NZ, NComp int

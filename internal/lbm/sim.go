@@ -10,10 +10,9 @@ import (
 // SimOf is the sequential multicomponent LBM solver at scalar precision
 // T. It keeps per-x-plane storage (the same layout the parallel workers
 // use) and is the reference implementation the parallel solver is tested
-// against. The float64 instantiation (the Sim alias) is bit-identical to
-// the historical double-precision solver; the float32 instantiation is
-// the reduced-precision core selected by Params.Precision (construct via
-// NewSolver to dispatch on it).
+// against. The float64 instantiation is the Sim alias; the float32
+// instantiation is the reduced-precision core selected by
+// Params.Precision (construct via NewSolver to dispatch on it).
 type SimOf[T num.Float] struct {
 	P *Params
 	K *KernelOf[T]

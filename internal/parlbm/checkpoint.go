@@ -9,10 +9,10 @@ import (
 
 // checkpointPhase runs one coordinated checkpoint round after
 // `completed` phases. Two-phase commit: (1) every rank atomically
-// persists its slab — distribution planes, the densities its last
-// sweep computed, and remap ownership — as a per-rank container file,
-// streamed from the slab's own planes, so the round allocates nothing
-// proportional to the slab; (2) the ranks synchronize with an AllGather
+// persists its slab — distribution planes and remap ownership; the
+// densities derive from the planes, so none are written — as a
+// per-rank container file, streamed from the slab's own planes, so the
+// round allocates nothing proportional to the slab; (2) the ranks synchronize with an AllGather
 // of their ownership ranges, which doubles as the "all files atomically
 // in place (rename), not fsynced" barrier, and rank 0 alone writes the
 // COMMIT manifest assembled from the gathered ranges. A rank dying
@@ -29,12 +29,10 @@ func (w *worker) checkpointPhase(completed int) error {
 	nc := len(w.f)
 	rs := &checkpoint.RankState{
 		Phase: completed, Rank: w.rank, Start: start,
-		Planes:  make([][][]float64, nc),
-		Density: make([][][]float64, nc),
+		Planes: make([][][]float64, nc),
 	}
 	for c := 0; c < nc; c++ {
 		rs.Planes[c] = w.f[c].Planes
-		rs.Density[c] = w.n[c].Planes
 	}
 	if err := checkpoint.SaveRank(spec.Dir, rs); err != nil {
 		return err

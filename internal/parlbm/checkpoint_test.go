@@ -1,6 +1,7 @@
 package parlbm
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -12,15 +13,15 @@ import (
 // TestCheckpointRoundAllocBound: a coordinated checkpoint round streams
 // the AoS slab to disk from where it lies, so what it allocates — the
 // container's chunk buffer, the header, plane tables, the commit
-// barrier's messages — stays under 1 MiB whether the slab holds 0.6 MB
-// or 39 MB.
+// barrier's messages — stays under 1 MiB whether the slab holds 0.16 MB
+// or 9.7 MB.
 func TestCheckpointRoundAllocBound(t *testing.T) {
 	for _, g := range []struct{ nx, ny, nz int }{{4, 16, 8}, {16, 100, 20}} {
 		p := lbm.WaterAir(g.nx, g.ny, g.nz)
 		dir := t.TempDir()
 		fab := comm.NewFabric(1)
 		w := testWorker(p, fab.Endpoint(0), Options{Checkpoint: &CheckpointSpec{Dir: dir, Interval: 1}}, 0, g.nx)
-		slab := 8 * p.NComp() * g.nx * g.ny * g.nz * (19 + 1)
+		slab := 8 * p.NComp() * g.nx * g.ny * g.nz * 19
 		round := func(phase int) uint64 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -128,12 +129,15 @@ func TestResumeFromSnapshotBitIdentical(t *testing.T) {
 	}
 }
 
-// A rank file persists, beside each plane, the densities the phase that
-// produced it read — Densities of the plane one phase earlier — so a
-// committed set describes the same quantities whatever solver wrote it.
-func TestCheckpointDensitiesAreLastSweepInputs(t *testing.T) {
+// Densities derive from the planes, so a rank file carries none. A
+// rank set that does carry them — older writers persisted a density
+// plane beside every distribution plane — must resume bit-identically
+// to the same planes without them: here the carried densities are NaN,
+// so a resume that read them could not match.
+func TestResumeIgnoresPersistedDensities(t *testing.T) {
 	p := waveParams(12, 8, 5)
 	const phases, every = 7, 3
+	want := sequentialReference(t, p, phases)
 	dir := t.TempDir()
 	if _, _, err := RunParallel(p, 3, Options{
 		Phases:     phases,
@@ -141,30 +145,63 @@ func TestCheckpointDensitiesAreLastSweepInputs(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := checkpoint.LatestRun(dir)
+	m, err := checkpoint.LatestCommitted(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := lbm.NewSim(p)
+	bare, err := checkpoint.LoadRun(dir, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Run(snap.Phase - 1)
-	k := lbm.NewKernel(p)
 	nc := p.NComp()
-	f, n := make([][]float64, nc), make([][]float64, nc)
-	for x := 0; x < p.NX; x++ {
-		for c := 0; c < nc; c++ {
-			f[c], n[c] = ref.Plane(c, x), make([]float64, k.PlaneCells())
+	for c := 0; c < nc; c++ {
+		for x := 0; x < p.NX; x++ {
+			if d := bare.DensityPlane(c, x); d != nil {
+				t.Fatalf("rank set persisted a density plane for comp %d plane %d", c, x)
+			}
 		}
-		k.Densities(f, n)
-		for c := 0; c < nc; c++ {
-			got := snap.DensityPlane(c, x)
-			for i, v := range n[c] {
-				if got[i] != v {
-					t.Fatalf("phase %d comp %d plane %d cell %d: density %v, want %v", snap.Phase, c, x, i, got[i], v)
+	}
+
+	denseDir := t.TempDir()
+	cells := lbm.NewKernel(p).PlaneCells()
+	for _, rr := range m.Ranks {
+		rs, err := checkpoint.LoadRank(dir, m.Phase, rr.Rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.Density = make([][][]float64, nc)
+		for c := range rs.Density {
+			rs.Density[c] = make([][]float64, rr.Count)
+			for i := range rs.Density[c] {
+				rs.Density[c][i] = make([]float64, cells)
+				for j := range rs.Density[c][i] {
+					rs.Density[c][i][j] = math.NaN()
 				}
 			}
 		}
+		if err := checkpoint.SaveRank(denseDir, rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkpoint.Commit(denseDir, m); err != nil {
+		t.Fatal(err)
+	}
+	dense, err := checkpoint.LoadRun(denseDir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := dense.DensityPlane(0, 0); len(d) != cells {
+		t.Fatalf("rewritten set carries a %d-cell density plane, want %d", len(d), cells)
+	}
+
+	for name, snap := range map[string]*checkpoint.RunSnapshot{"without densities": bare, "with densities": dense} {
+		got, _, err := RunParallel(p, 2, Options{
+			Phases:     phases,
+			Checkpoint: &CheckpointSpec{Dir: t.TempDir(), Interval: 100, Snapshot: snap},
+		})
+		if err != nil {
+			t.Fatalf("resume %s: %v", name, err)
+		}
+		assertFieldsEqual(t, want, got, "resume "+name)
 	}
 }

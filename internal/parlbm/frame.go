@@ -13,9 +13,6 @@ import "fmt"
 func (w *worker) postFrames() error {
 	count := w.f[0].Count()
 	w.fWin = views(w.fWin, w.f)
-	if w.opts.Checkpoint != nil {
-		w.nWin = views(w.nWin, w.n)
-	}
 	w.packL = w.k.PackFrame(w.sweep, w.packL, w.fWin[1], w.fWin[2])
 	w.packR = w.k.PackFrame(w.sweep, w.packR, w.fWin[count], w.fWin[count-1])
 	if w.size == 1 {
@@ -64,12 +61,7 @@ func (w *worker) recvFrames() error {
 }
 
 // sweepSlab runs the phase's fused sweep over the owned planes, in
-// place, with the frames' ghosts on both sides; when checkpointing it
-// keeps the densities it computes in w.n.
+// place, with the frames' ghosts on both sides.
 func (w *worker) sweepSlab() {
-	var dens [][][]float64
-	if w.opts.Checkpoint != nil {
-		dens = w.nWin
-	}
-	w.k.SweepFused(w.sweep, w.fWin, w.fWin, 1, len(w.fWin)-1, w.farL, w.farR, dens)
+	w.k.SweepFused(w.sweep, w.fWin, w.fWin, 1, len(w.fWin)-1, w.farL, w.farR)
 }

@@ -237,22 +237,18 @@ type worker struct {
 	rank int
 	size int
 	f    []*field.Slab // per component, Q = 19
-	// n holds the per-component densities the last sweep computed for
-	// each owned plane, filled only when checkpointing (a rank file
-	// persists them beside the planes).
-	n    []*field.Slab
 	pred predict.Predictor
 	res  *Result
 
 	// sweep is the rank's fused-sweep state (one suffices: a rank's
 	// planes are swept sequentially).
 	sweep *lbm.FusedScratch
-	// fWin and nWin are the sweep's plane windows, rebuilt every phase
-	// from the slabs into grow-only storage: entry 1+i views owned
-	// plane i of every component, entries 0 and count+1 (fWin only) the
-	// left and right ghost planes of this phase's frames. farL/farR view
-	// the frames' far densities.
-	fWin, nWin [][][]float64
+	// fWin is the sweep's plane window, rebuilt every phase from the
+	// slabs into grow-only storage: entry 1+i views owned plane i of
+	// every component, entries 0 and count+1 the left and right ghost
+	// planes of this phase's frames. farL/farR view the frames' far
+	// densities.
+	fWin       [][][]float64
 	farL, farR [][]float64
 	// massFn is localMass bound once, so handing it to PostPhase every
 	// phase allocates nothing.
@@ -262,12 +258,11 @@ type worker struct {
 	rawRecvL, rawRecvR   []float64 // unpacked receive buffers (WireF32)
 
 	// Migration reusable state: the grow-only pack buffer and header
-	// scratch, and the plane pools received planes are copied into so
+	// scratch, and the plane pool received planes are copied into so
 	// slabs never alias a transport receive buffer.
-	migBuf     []float64
-	migHdr     [][]float64
-	poolDist   [][]float64
-	poolScalar [][]float64
+	migBuf   []float64
+	migHdr   [][]float64
+	poolDist [][]float64
 }
 
 // runRank executes the phases for one rank; all ranks of the group run
@@ -306,7 +301,6 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, g
 	part := decomp.Even(p.NX, w.size)
 	start, end := part.Range(w.rank)
 	w.f = make([]*field.Slab, nc)
-	w.n = make([]*field.Slab, nc)
 	startPhase := 0
 	var snap *checkpoint.RunSnapshot
 	if opts.Checkpoint != nil && opts.Checkpoint.Snapshot != nil {
@@ -315,7 +309,6 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, g
 	}
 	for comp := 0; comp < nc; comp++ {
 		w.f[comp] = field.NewSlab(p.NY, p.NZ, 19, start, end-start)
-		w.n[comp] = field.NewSlab(p.NY, p.NZ, 1, start, end-start)
 		for gx := start; gx < end; gx++ {
 			if snap != nil {
 				copy(w.f[comp].Plane(gx), snap.Plane(comp, gx))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"microslip/internal/balance"
@@ -147,8 +148,8 @@ func (w *worker) remapLocal(cfg core.Config) error {
 // higher rank), net < 0 leftward.
 //
 // The transfer is allocation-free in the steady state: departing f
-// planes are packed into the grow-only migration buffer and both slabs'
-// storage recycled into the worker's plane pools; received planes are
+// planes are packed into the grow-only migration buffer and their
+// storage recycled into the worker's plane pool; received planes are
 // copied out of the transport buffer into pooled storage before
 // attachment, so a slab never aliases memory the transport may reuse.
 func (w *worker) moveBoundary(neighbor, net int) error {
@@ -179,15 +180,13 @@ func (w *worker) moveBoundary(neighbor, net int) error {
 		// per-component planes concatenated.
 		for c := 0; c < nc; c++ {
 			pop := w.f[c].PopRight
-			popN := w.n[c].PopRight
 			if fromLeft {
-				pop, popN = w.f[c].PopLeft, w.n[c].PopLeft
+				pop = w.f[c].PopLeft
 			}
 			for i, p := range pop(count) {
 				copy(w.migBuf[(i*nc+c)*sz:(i*nc+c+1)*sz], p)
 				w.poolDist = append(w.poolDist, p)
 			}
-			w.poolScalar = append(w.poolScalar, popN(count)...)
 		}
 		w.res.PlanesSent += count
 		return w.sendWire(neighbor, tag, w.migBuf, &w.wireSendL, mig)
@@ -201,22 +200,16 @@ func (w *worker) moveBoundary(neighbor, net int) error {
 	}
 	hdr := w.migHdr[:count]
 	for c := 0; c < nc; c++ {
-		push, pushN := w.f[c].PushRight, w.n[c].PushRight
+		push := w.f[c].PushRight
 		if rightward {
 			// Rightward flow arrives at the receiver's left edge.
-			push, pushN = w.f[c].PushLeft, w.n[c].PushLeft
+			push = w.f[c].PushLeft
 		}
 		for i := range hdr {
 			hdr[i] = w.grabDist()
 			copy(hdr[i], msg[(i*nc+c)*sz:(i*nc+c+1)*sz])
 		}
 		push(hdr)
-		// Densities get pooled storage too; the next checkpointing
-		// sweep refills them, so no values travel.
-		for i := range hdr {
-			hdr[i] = w.grabScalar()
-		}
-		pushN(hdr)
 	}
 	return nil
 }
@@ -230,16 +223,6 @@ func (w *worker) grabDist() []float64 {
 		return p
 	}
 	return make([]float64, w.f[0].PlaneSize())
-}
-
-// grabScalar is grabDist for density planes.
-func (w *worker) grabScalar() []float64 {
-	if n := len(w.poolScalar); n > 0 {
-		p := w.poolScalar[n-1]
-		w.poolScalar = w.poolScalar[:n-1]
-		return p
-	}
-	return make([]float64, w.k.PlaneCells())
 }
 
 // remapGlobal is the distributed global scheme: allgather the load
@@ -385,7 +368,7 @@ func (w *worker) gather() error {
 func RunParallel(p *lbm.Params, ranks int, opts Options) ([]*field.Dist3D, []*Result, error) {
 	fabric := comm.NewFabric(ranks)
 	defer fabric.Close()
-	results, err := runGroup(p, fabric.Endpoints(), opts, fabric.Close, true)
+	results, err := runGroup(p, fabric.Endpoints(), opts, runctl.NewSupervisor(opts.Ctx, opts.WallLimit), fabric.Close, true)
 	if err != nil {
 		return nil, results, err
 	}
@@ -399,7 +382,7 @@ func RunParallelTCP(p *lbm.Params, ranks int, opts Options) ([]*field.Dist3D, []
 		return nil, nil, err
 	}
 	defer shutdown()
-	results, err := runGroup(p, eps, opts, shutdown, true)
+	results, err := runGroup(p, eps, opts, runctl.NewSupervisor(opts.Ctx, opts.WallLimit), shutdown, true)
 	if err != nil {
 		return nil, results, err
 	}
@@ -414,29 +397,25 @@ func RunParallelTCP(p *lbm.Params, ranks int, opts Options) ([]*field.Dist3D, []
 func RunParallelReduced(p *lbm.Params, ranks int, opts Options) ([]*Result, error) {
 	fabric := comm.NewFabric(ranks)
 	defer fabric.Close()
-	return runGroup(p, fabric.Endpoints(), opts, fabric.Close, false)
+	return runGroup(p, fabric.Endpoints(), opts, runctl.NewSupervisor(opts.Ctx, opts.WallLimit), fabric.Close, false)
 }
 
-// runGroup drives one goroutine per rank. Abort liveness comes from
-// WithSupervisionAll: every endpoint polls the shared supervisor's
-// hard-abort check, so when one rank fails (a panic trips the
-// supervisor) its peers unwind out of any blocked receive or
-// collective. abort is the group-level transport teardown (close every
-// mailbox / connection); it runs once, on the first non-interrupt rank
-// failure, so peers blocked on the failed rank's traffic fail fast with
-// ErrClosed instead of waiting for its messages. It must be safe to
-// call concurrently with endpoint use and again afterwards (both
-// transports' teardowns are).
-func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func(), gather bool) ([]*Result, error) {
+// runGroup drives one goroutine per rank over the raw endpoints, all
+// sharing sup, which holds the orderly stop-phase agreement and the
+// hard-abort flag. A group aborts the MPI way, by abort — the transport
+// teardown (close every mailbox / connection) — so a peer blocked on a
+// failed rank's traffic fails fast with comm.ErrClosed instead of
+// waiting for its messages. abort runs at most once: on the first
+// non-interrupt rank failure, or from the watcher when sup trips hard
+// (a rank panic) or a soft stop overruns sup.Grace. Soft stops never
+// tear down: every rank reaches the agreed boundary on its own. abort
+// must be safe to call concurrently with endpoint use and again
+// afterwards (both transports' teardowns are).
+func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, sup *runctl.Supervisor, abort func(), gather bool) ([]*Result, error) {
 	ranks := len(eps)
-	// One supervisor for the whole group: the orderly stop-phase
-	// agreement and the panic abort flag live in its shared state. Every
-	// endpoint is wrapped so a blocked receive polls the hard-abort
-	// check; soft causes deliberately do NOT fail receives (HardErr
-	// stays nil during an orderly stop), so frame traffic keeps flowing
-	// until every rank reaches the agreed boundary.
-	sup := runctl.NewSupervisor(opts.Ctx, opts.WallLimit)
-	seps := comm.WithSupervisionAll(eps, sup.HardErr, sup.Poll())
+	abort = sync.OnceFunc(abort)
+	quit := make(chan struct{})
+	watched := watch(sup, abort, quit)
 	results := make([]*Result, ranks)
 	errs := make([]error, ranks)
 	done := make(chan int, ranks)
@@ -446,15 +425,15 @@ func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func(), gather
 			defer func() {
 				if rec := recover(); rec != nil {
 					// A rank goroutine panic becomes a typed, attributable
-					// cause and trips the shared abort, so every peer
-					// blocked in a supervised receive unwinds instead of
-					// waiting for this rank's traffic forever.
+					// cause and trips the shared abort, so the watcher
+					// tears the transport down under every peer blocked
+					// on this rank's traffic.
 					pe := &runctl.PanicError{Rank: r, Band: -1, Value: rec, Stack: debug.Stack()}
 					sup.Trip(pe)
 					errs[r] = pe
 				}
 			}()
-			results[r], errs[r] = runRank(p, seps[r], opts, sup, gather)
+			results[r], errs[r] = runRank(p, eps[r], opts, sup, gather)
 		}(r)
 	}
 	// Aggregate every rank failure, in completion order: the first is
@@ -465,7 +444,6 @@ func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func(), gather
 	// the agreed boundary on its own — and hand the per-rank results
 	// (carrying Result.Interrupted) back alongside the joined error.
 	var failures []error
-	aborted := false
 	interruptsOnly := true
 	for i := 0; i < ranks; i++ {
 		r := <-done
@@ -475,17 +453,53 @@ func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, abort func(), gather
 		failures = append(failures, &RankError{Rank: r, Err: errs[r]})
 		if !runctl.IsInterrupt(errs[r]) {
 			interruptsOnly = false
-			if !aborted {
-				aborted = true
+			abort()
+		}
+	}
+	close(quit)
+	cause := <-watched
+	if len(failures) == 0 {
+		return results, nil
+	}
+	// A watcher teardown is a hard abort: its cause joins the rank
+	// failures (which may only show ErrClosed), and no result is
+	// trusted.
+	if cause != nil {
+		if !errors.Is(errors.Join(failures...), cause) {
+			failures = append(failures, fmt.Errorf("parlbm: group aborted: %w", cause))
+		}
+		interruptsOnly = false
+	}
+	if interruptsOnly {
+		return results, errors.Join(failures...)
+	}
+	return nil, errors.Join(failures...)
+}
+
+// watch tears the group down with abort, once, when sup trips hard or
+// a soft stop overruns its grace (sup.HardErr turns non-nil; polling it
+// every sup.Poll() also latches when a soft cause was first seen). Its
+// channel yields the cause it tore down for, or nil once quit closes
+// first.
+func watch(sup *runctl.Supervisor, abort func(), quit <-chan struct{}) <-chan error {
+	out := make(chan error, 1)
+	go func() {
+		tick := time.NewTicker(sup.Poll())
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				out <- nil
+				return
+			case <-sup.Done():
+			case <-tick.C:
+			}
+			if err := sup.HardErr(); err != nil {
 				abort()
+				out <- err
+				return
 			}
 		}
-	}
-	if len(failures) > 0 {
-		if interruptsOnly {
-			return results, errors.Join(failures...)
-		}
-		return nil, errors.Join(failures...)
-	}
-	return results, nil
+	}()
+	return out
 }

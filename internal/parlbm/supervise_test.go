@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -340,5 +341,126 @@ func TestRunGroupAggregatesAllRankErrors(t *testing.T) {
 	}
 	if ranksFailed < 2 {
 		t.Fatalf("aggregated error names %d failed ranks, want >= 2:\n%s", ranksFailed, msg)
+	}
+}
+
+// recvSpy reports when its rank first enters a receive and when a
+// receive first fails.
+type recvSpy struct {
+	comm.Comm
+	enterOnce, failOnce sync.Once
+	entered             chan struct{}
+	failed              chan time.Time
+}
+
+func (s *recvSpy) Recv(from, tag int) ([]float64, error) {
+	s.enterOnce.Do(func() { close(s.entered) })
+	data, err := s.Comm.Recv(from, tag)
+	if err != nil {
+		s.failOnce.Do(func() { s.failed <- time.Now() })
+	}
+	return data, err
+}
+
+// The group watcher is the one abort path of a distributed run: rank 1
+// stalls in its phase-0 hook, so rank 0 parks in the receive for rank
+// 1's first frame, which never comes. A soft stop cannot finish there;
+// it must leave the receive alone for Grace and then tear the
+// transport down, with the grace-overrun cause in the returned error.
+// A hard trip must tear down at once, with its cause in the error.
+func TestRunGroupWatcherTearsDown(t *testing.T) {
+	const grace, poll = 100 * time.Millisecond, 5 * time.Millisecond
+	// slack absorbs scheduling delay on a loaded machine; a teardown
+	// that waited for the 30 s default grace would still miss it.
+	const slack = time.Second
+	hardCause := errors.New("external hard abort")
+	for _, tc := range []struct {
+		name string
+		// grace is the supervisor's Grace for this case.
+		grace time.Duration
+		// stop fires the stop cause once rank 0 is parked.
+		stop func(sup *runctl.Supervisor, cancel context.CancelFunc)
+		// min and max bound the park-to-failure time of the receive.
+		min, max time.Duration
+		// wantCause checks the returned error carries the stop cause.
+		wantCause func(err error) bool
+	}{
+		{
+			name:  "grace_overrun",
+			grace: grace,
+			stop:  func(_ *runctl.Supervisor, cancel context.CancelFunc) { cancel() },
+			min:   grace, max: grace + poll + slack,
+			wantCause: func(err error) bool {
+				return errors.Is(err, runctl.ErrCanceled) && strings.Contains(err.Error(), "grace")
+			},
+		},
+		{
+			name:  "hard_trip",
+			grace: time.Minute,
+			stop:  func(sup *runctl.Supervisor, _ context.CancelFunc) { sup.Trip(hardCause) },
+			min:   0, max: slack,
+			wantCause: func(err error) bool { return errors.Is(err, hardCause) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := lbm.WaterAir(8, 6, 4)
+			f := comm.NewFabric(2)
+			defer f.Close()
+			eps := f.Endpoints()
+			spy := &recvSpy{Comm: eps[0], entered: make(chan struct{}), failed: make(chan time.Time, 1)}
+			eps[0] = spy
+			release := make(chan struct{})
+			unstall := sync.OnceFunc(func() { close(release) })
+			defer unstall()
+			opts := Options{
+				Phases: 5,
+				PhaseHook: func(rank, phase int) {
+					if rank == 1 && phase == 0 {
+						<-release
+					}
+				},
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sup := runctl.NewSupervisor(ctx, 0)
+			sup.Grace, sup.PollInterval = tc.grace, poll
+			type outcome struct {
+				results []*Result
+				err     error
+			}
+			out := make(chan outcome, 1)
+			go func() {
+				results, err := runGroup(p, eps, opts, sup, f.Close, false)
+				out <- outcome{results, err}
+			}()
+
+			// Rank 1 never sends its first frame: it is held in the hook
+			// or, after a hard trip, aborts before phase 0.
+			<-spy.entered
+			parked := time.Now()
+			tc.stop(sup, cancel)
+			select {
+			case at := <-spy.failed:
+				if d := at.Sub(parked); d < tc.min || d > tc.max {
+					t.Fatalf("receive failed %v after the stop, want within [%v, %v]", d, tc.min, tc.max)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("parked receive never unblocked")
+			}
+			unstall()
+			o := <-out
+			if o.err == nil {
+				t.Fatal("torn-down group returned no error")
+			}
+			if !tc.wantCause(o.err) {
+				t.Fatalf("error lacks the stop cause: %v", o.err)
+			}
+			if !errors.Is(o.err, comm.ErrClosed) {
+				t.Fatalf("error lacks the teardown casualties: %v", o.err)
+			}
+			if o.results != nil {
+				t.Fatal("a torn-down group handed back results")
+			}
+		})
 	}
 }

@@ -15,10 +15,11 @@
 //     resumable bit-identically.
 //
 //   - hard causes (a worker panic, an unrecoverable rank failure) trip
-//     the abort immediately. Peers blocked in receives or on the band
-//     token mesh unwind through the abort channel / polled deadline
-//     receives instead of hanging; no coordination is attempted and the
-//     in-memory state is not trusted afterwards.
+//     the abort immediately. Bands blocked on the token mesh unwind
+//     through the abort channel; a distributed group's watcher tears
+//     its transport down, so ranks blocked in receives fail instead of
+//     hanging. No coordination is attempted and the in-memory state is
+//     not trusted afterwards.
 package runctl
 
 import (
@@ -145,8 +146,9 @@ const noStop = math.MaxInt64
 // the same instance. All methods are safe for concurrent use and
 // nil-tolerant, so unsupervised call sites simply pass nil.
 type Supervisor struct {
-	// PollInterval bounds how long a supervised receive blocks before
-	// re-checking for a hard abort. Set before the run starts; the
+	// PollInterval is how often a distributed group's watcher re-checks
+	// HardErr, so it bounds how long past Grace a stalled orderly stop
+	// keeps its ranks blocked. Set before the run starts; the
 	// constructor default is 25ms.
 	PollInterval time.Duration
 	// Grace is how long after a soft cause first fires before it
@@ -182,8 +184,8 @@ func NewSupervisor(ctx context.Context, wallLimit time.Duration) *Supervisor {
 	return s
 }
 
-// Poll returns the supervised-receive poll interval (the constructor
-// default when unset or on a nil supervisor).
+// Poll returns the watcher's poll interval (the constructor default
+// when unset or on a nil supervisor).
 func (s *Supervisor) Poll() time.Duration {
 	if s == nil || s.PollInterval <= 0 {
 		return 25 * time.Millisecond
@@ -252,8 +254,9 @@ func (s *Supervisor) Err() error {
 
 // HardErr returns only causes that must fail blocking operations right
 // now: a hard trip always, a soft cause once it has been pending longer
-// than Grace (the orderly stop agreement has stalled). Supervised
-// receives consult it between polls.
+// than Grace (the orderly stop agreement has stalled). Distributed
+// ranks check it at every phase, and a group's watcher polls it to
+// decide when to tear the transport down.
 func (s *Supervisor) HardErr() error {
 	if s == nil {
 		return nil

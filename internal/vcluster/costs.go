@@ -26,17 +26,10 @@ type Costs struct {
 	// current contended speed, which is how a loaded node slows its
 	// neighbors beyond pure compute.
 	MsgHandlingWork float64
-	// DistHaloDirs is the number of distribution populations the halo
-	// exchange ships per cell: 19 for the historical full-plane wire
-	// format, 5 for the slim format (only the populations that cross an
-	// x-face). Zero means 19, so the calibrated paper anchors above are
-	// reproduced by default. The density halo always ships one value
-	// per cell; see PhaseExchangeWire.
-	DistHaloDirs int
-	// CoalescedHalo models the coalesced frame protocol: one message
-	// per neighbor per phase instead of two, halving the per-phase
-	// message-handling work (the wire volume stays that of the two
-	// payloads it merges).
+	// CoalescedHalo models the frame protocol parlbm runs: one message
+	// per neighbor per phase instead of the paper's two, halving the
+	// per-phase message-handling work (the wire volume stays that of
+	// the two payloads it merges).
 	CoalescedHalo bool
 	// RemapInfoWire is the wire cost of the neighbor load-index
 	// exchange at a local remapping round.
@@ -75,25 +68,11 @@ func DefaultCosts() Costs {
 	}
 }
 
-// distHaloDirs resolves the zero default.
-func (c Costs) distHaloDirs() float64 {
-	if c.DistHaloDirs == 0 {
-		return 19
-	}
-	return float64(c.DistHaloDirs)
-}
-
 // PhaseExchangeWire returns the wire cost of one phase's halo traffic
-// on the critical path. ExchangeWire is calibrated as the cost of one
-// full-plane exchange; the density exchange keeps that cost (it is
-// dominated by the same per-message latency the calibration folded in)
-// while the distribution exchange scales with the fraction of the 19
-// populations actually shipped. With the historical default (19
-// directions) this reduces to the 2*ExchangeWire the paper anchors
-// were calibrated against; the slim format gives 1 + 5/19 of one
-// exchange instead.
+// on the critical path: the distribution and density exchanges, the
+// 2*ExchangeWire the paper anchors were calibrated against.
 func (c Costs) PhaseExchangeWire() float64 {
-	return c.ExchangeWire * (1 + c.distHaloDirs()/19)
+	return 2 * c.ExchangeWire
 }
 
 // PhaseHandlingWork returns the per-phase CPU work of packing and
@@ -120,9 +99,6 @@ func (c Costs) Validate() error {
 		if v < 0 {
 			return fmt.Errorf("vcluster: %s %v must be non-negative", name, v)
 		}
-	}
-	if c.DistHaloDirs < 0 || c.DistHaloDirs > 19 {
-		return fmt.Errorf("vcluster: DistHaloDirs %d outside [0, 19]", c.DistHaloDirs)
 	}
 	return nil
 }

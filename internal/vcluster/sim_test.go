@@ -244,11 +244,10 @@ func TestTable1SpikeTolerance(t *testing.T) {
 	}
 }
 
-// The slim-halo and coalesced cost knobs: the defaults reproduce the
-// calibrated two-exchanges-per-phase wire cost exactly (so the paper
-// anchors above are untouched), slim halos shrink the per-phase wire
-// cost, coalescing halves the handling work, and both shorten a
-// communication-bound virtual run.
+// The coalesced cost knob: the defaults reproduce the calibrated
+// two-exchanges-per-phase wire cost exactly (so the paper anchors above
+// are untouched), and coalescing halves the handling work, which
+// shortens a communication-bound virtual run.
 func TestHaloCostKnobs(t *testing.T) {
 	c := DefaultCosts()
 	if got, want := c.PhaseExchangeWire(), 2*c.ExchangeWire; math.Abs(got-want) > 1e-15 {
@@ -257,30 +256,21 @@ func TestHaloCostKnobs(t *testing.T) {
 	if got, want := c.PhaseHandlingWork(), 2*c.MsgHandlingWork; got != want {
 		t.Errorf("default phase handling %v, want %v", got, want)
 	}
-	c.DistHaloDirs = 5
-	if got, want := c.PhaseExchangeWire(), c.ExchangeWire*(1+5.0/19); math.Abs(got-want) > 1e-15 {
-		t.Errorf("slim phase wire %v, want %v", got, want)
-	}
 	c.CoalescedHalo = true
 	if got, want := c.PhaseHandlingWork(), c.MsgHandlingWork; got != want {
 		t.Errorf("coalesced phase handling %v, want %v", got, want)
 	}
 	if c.Validate() != nil {
-		t.Errorf("slim+coalesced costs should validate: %v", c.Validate())
-	}
-	c.DistHaloDirs = 20
-	if c.Validate() == nil {
-		t.Error("DistHaloDirs 20 should fail validation")
+		t.Errorf("coalesced costs should validate: %v", c.Validate())
 	}
 
-	full := DefaultConfig(balance.NoRemap{}, Dedicated(20), 600)
-	slim := DefaultConfig(balance.NoRemap{}, Dedicated(20), 600)
-	slim.Costs.DistHaloDirs = 5
-	slim.Costs.CoalescedHalo = true
-	fullRes, slimRes := mustRun(t, full), mustRun(t, slim)
-	if slimRes.TotalTime >= fullRes.TotalTime {
-		t.Errorf("slim+coalesced run %.1f s not faster than full %.1f s",
-			slimRes.TotalTime, fullRes.TotalTime)
+	two := DefaultConfig(balance.NoRemap{}, Dedicated(20), 600)
+	one := DefaultConfig(balance.NoRemap{}, Dedicated(20), 600)
+	one.Costs.CoalescedHalo = true
+	twoRes, oneRes := mustRun(t, two), mustRun(t, one)
+	if oneRes.TotalTime >= twoRes.TotalTime {
+		t.Errorf("coalesced run %.1f s not faster than two-exchange %.1f s",
+			oneRes.TotalTime, twoRes.TotalTime)
 	}
 }
 
