@@ -26,9 +26,10 @@ race:
 	$(GO) test -race -short ./...
 
 # Full-mode (not -short) race pass over the intra-node bands and the
-# distributed pipeline: the bands' in-memory frame exchange and the
-# ranks' wire frames are the synchronization most worth re-proving on
-# every change.
+# distributed pipeline: the bands' in-memory frame exchange, the ranks'
+# wire frames, and the plane pool a distributed group shares (a plane
+# one rank sheds is the plane its neighbor's receive reuses) are the
+# synchronization most worth re-proving on every change.
 race-lbm:
 	$(GO) test -race -count=1 ./internal/lbm/... ./internal/parlbm/...
 

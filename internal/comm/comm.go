@@ -91,14 +91,18 @@ func (m *mailbox) put(tag int, data []float64) error {
 
 // take removes and returns the first queued message with the given tag,
 // blocking until one arrives. Messages with the same tag are delivered
-// in send order (non-overtaking).
+// in send order (non-overtaking). The slot the queue vacates is zeroed,
+// so the mailbox keeps no delivered payload reachable.
 func (m *mailbox) take(tag int) ([]float64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		for i, msg := range m.queue {
 			if msg.tag == tag {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
+				last := len(m.queue) - 1
+				copy(m.queue[i:], m.queue[i+1:])
+				m.queue[last] = message{}
+				m.queue = m.queue[:last]
 				return msg.data, nil
 			}
 		}

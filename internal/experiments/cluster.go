@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"microslip/internal/balance"
-	"microslip/internal/metrics"
 	"microslip/internal/profile"
 	"microslip/internal/vcluster"
 )
@@ -81,7 +80,7 @@ func RunFig3(setup ClusterSetup, phases int, duties []float64) (*Fig3Result, err
 			return nil, err
 		}
 		res.Time = append(res.Time, r.TotalTime)
-		ovh, err := metrics.OverheadPercent(r.TotalTime, res.Dedicated)
+		ovh, err := OverheadPercent(r.TotalTime, res.Dedicated)
 		if err != nil {
 			return nil, err
 		}
@@ -125,11 +124,11 @@ func RunFig8(setup ClusterSetup, phases int, maxSlow int) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		effFilt, err := metrics.NormalizedEfficiency(filt.Speedup(), setup.P, m, setup.BackgroundLoad)
+		effFilt, err := NormalizedEfficiency(filt.Speedup(), setup.P, m, setup.BackgroundLoad)
 		if err != nil {
 			return nil, err
 		}
-		effNo, err := metrics.NormalizedEfficiency(none.Speedup(), setup.P, m, setup.BackgroundLoad)
+		effNo, err := NormalizedEfficiency(none.Speedup(), setup.P, m, setup.BackgroundLoad)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +206,7 @@ func (r *Fig9Result) Table() string {
 	ded := r.Times["dedicated"]
 	for _, s := range r.Schemes {
 		fmt.Fprintf(&sb, "%-14s %8.1f s  (+%5.1f%%)  slow-node planes: %d\n",
-			s, r.Times[s], orNaN(metrics.OverheadPercent(r.Times[s], ded)), r.SlowNodePlanes[s])
+			s, r.Times[s], orNaN(OverheadPercent(r.Times[s], ded)), r.SlowNodePlanes[s])
 	}
 	for _, s := range r.Schemes {
 		fmt.Fprintf(&sb, "\n--- %s ---\n%s", s, r.Profiles[s].String())
@@ -301,7 +300,7 @@ func RunTable1(setup ClusterSetup, phases int, spikeLens []float64) (*Table1Resu
 			if err != nil {
 				return nil, err
 			}
-			ovh, err := metrics.OverheadPercent(r.TotalTime, ded.TotalTime)
+			ovh, err := OverheadPercent(r.TotalTime, ded.TotalTime)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,13 @@
-// Package metrics computes the performance figures the paper reports:
-// speedup, the normalized efficiency of Section 4.2.1, and slowdown
-// ratios relative to a dedicated run.
+package experiments
+
+import (
+	"errors"
+	"fmt"
+)
+
+// The performance figures the paper reports: speedup, the normalized
+// efficiency of Section 4.2.1, and slowdown ratios relative to a
+// dedicated run.
 //
 // Degenerate inputs (a zero parallel time, a negative node count, an
 // effective capacity eaten entirely by background load) are reported as
@@ -8,16 +15,10 @@
 // experiment drivers and report renderers fed by measured — sometimes
 // garbage — data, and a bad sample must fail that sample, not the
 // process.
-package metrics
-
-import (
-	"errors"
-	"fmt"
-)
 
 // ErrBadInput marks a metric evaluated on degenerate inputs; every
 // InputError wraps it.
-var ErrBadInput = errors.New("metrics: degenerate input")
+var ErrBadInput = errors.New("experiments: degenerate metric input")
 
 // InputError describes which metric rejected which input.
 type InputError struct {
@@ -28,7 +29,7 @@ type InputError struct {
 }
 
 func (e *InputError) Error() string {
-	return fmt.Sprintf("metrics: %s: %s", e.Metric, e.Reason)
+	return fmt.Sprintf("experiments: %s: %s", e.Metric, e.Reason)
 }
 
 func (e *InputError) Unwrap() error { return ErrBadInput }

@@ -182,12 +182,14 @@ func TestBitIdentityMatrix(t *testing.T) {
 		// other edge.
 		{"ranks=5", fabricRun(5, Options{}), false},
 		{"ranks=6", fabricRun(6, Options{}), false},
-		{"tcp/ranks=3", func() ([]*field.Dist3D, []*Result, error) {
-			return RunParallelTCP(waveParams(nx, ny, nz), 3, Options{Phases: steps})
-		}, false},
+		{"tcp/ranks=3", tcpRun(3, Options{}), false},
 		{"remap=filtered", fabricRun(3, remapOptions(balance.NewFiltered(ny*nz))), true},
 		{"remap=conservative", fabricRun(3, remapOptions(balance.NewConservative(ny*nz))), true},
 		{"remap=global", fabricRun(3, remapOptions(balance.NewGlobal(ny*nz))), true},
+		// Migration over TCP: every plane is its own message, so many
+		// same-tag messages pass through one connection's read loop.
+		{"tcp/remap=filtered", tcpRun(3, remapOptions(balance.NewFiltered(ny*nz))), true},
+		{"tcp/remap=global", tcpRun(3, remapOptions(balance.NewGlobal(ny*nz))), true},
 		{"resume/3to2", resumeRun(t, 3, 2), false},
 		{"resume/2to3", resumeRun(t, 2, 3), false},
 		{"resume/3to6", resumeRun(t, 3, 6), false},
@@ -250,6 +252,14 @@ func fabricRun(ranks int, opts Options) func() ([]*field.Dist3D, []*Result, erro
 	return func() ([]*field.Dist3D, []*Result, error) {
 		opts.Phases = matrixSteps
 		return RunParallel(waveParams(matrixNX, matrixNY, matrixNZ), ranks, opts)
+	}
+}
+
+// tcpRun returns a RunParallelTCP of the matrix lattice on ranks ranks.
+func tcpRun(ranks int, opts Options) func() ([]*field.Dist3D, []*Result, error) {
+	return func() ([]*field.Dist3D, []*Result, error) {
+		opts.Phases = matrixSteps
+		return RunParallelTCP(waveParams(matrixNX, matrixNY, matrixNZ), ranks, opts)
 	}
 }
 

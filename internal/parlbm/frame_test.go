@@ -107,4 +107,45 @@ func TestMalformedHaloAndFrameErrors(t *testing.T) {
 			t.Fatalf("got %v, want frame size error", err)
 		}
 	})
+
+	// The streamed gather and per-plane migration check every message
+	// they take off the wire.
+	send := func(tag int, msgs ...[]float64) {
+		for _, msg := range msgs {
+			if err := peer.Send(0, tag, msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Run("bad gather header", func(t *testing.T) {
+		for _, c := range []struct {
+			name string
+			hdr  []float64
+		}{
+			{"empty", []float64{}},
+			{"one value", []float64{4}},
+			{"three values", []float64{4, 1, 0}},
+			{"negative start", []float64{-1, 2}},
+			{"negative count", []float64{4, -1}},
+			{"past the end", []float64{6, 4}},
+		} {
+			send(tagGather, c.hdr)
+			if err := w.gather(); err == nil || !strings.Contains(err.Error(), "gather header") {
+				t.Errorf("%s %v: got %v, want gather header error", c.name, c.hdr, err)
+			}
+		}
+	})
+	t.Run("gather plane of the wrong length", func(t *testing.T) {
+		send(tagGather, []float64{4, 2}, make([]float64, 2*w.f[0].PlaneSize()), []float64{1, 2, 3})
+		if err := w.gather(); err == nil || !strings.Contains(err.Error(), "gather plane 5 from 1 has 3 values") {
+			t.Fatalf("got %v, want gather plane length error", err)
+		}
+	})
+	t.Run("migration plane of the wrong length", func(t *testing.T) {
+		// Two planes flow leftward from rank 1; the second is short.
+		send(tagPlanesLeft, make([]float64, 2*w.f[0].PlaneSize()), []float64{1, 2, 3})
+		if err := w.moveBoundary(1, -2); err == nil || !strings.Contains(err.Error(), "plane transfer size 3") {
+			t.Fatalf("got %v, want plane transfer size error", err)
+		}
+	})
 }

@@ -246,8 +246,8 @@ type worker struct {
 	// fWin is the sweep's plane window, rebuilt every phase from the
 	// slabs into grow-only storage: entry 1+i views owned plane i of
 	// every component, entries 0 and count+1 the left and right ghost
-	// planes of this phase's frames. farL/farR view the frames' far
-	// densities.
+	// planes of this phase's frames, and entries past count+1 view
+	// nothing. farL/farR view the frames' far densities.
 	fWin       [][][]float64
 	farL, farR [][]float64
 	// massFn is localMass bound once, so handing it to PostPhase every
@@ -257,19 +257,26 @@ type worker struct {
 	wireSendL, wireSendR []float64 // packed-float32 staging (WireF32)
 	rawRecvL, rawRecvR   []float64 // unpacked receive buffers (WireF32)
 
-	// Migration reusable state: the grow-only pack buffer and header
-	// scratch, and the plane pool received planes are copied into so
-	// slabs never alias a transport receive buffer.
-	migBuf   []float64
-	migHdr   [][]float64
-	poolDist [][]float64
+	// pool is the group's free list of distribution planes, shared by
+	// every rank: a plane that leaves this slab goes into it, and a
+	// plane arriving here is copied out of the transport buffer into
+	// one taken from it, so a slab never aliases memory the transport
+	// may reuse and the group holds one lattice however planes move.
+	pool *planePool
+	// migBuf stages one plane message — a plane's components
+	// concatenated — for migration and the gather; migHdr is the
+	// one-entry header a received plane is pushed through, cleared
+	// right after so it never keeps a departed plane reachable.
+	migBuf []float64
+	migHdr [1][]float64
 }
 
 // runRank executes the phases for one rank; all ranks of the group run
 // it with identical parameters and options and share one supervisor
-// (its stop-phase agreement lives there; nil runs unsupervised). With
-// gather, rank 0 collects the full fields into Result.Final.
-func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, gather bool) (*Result, error) {
+// (its stop-phase agreement lives there; nil runs unsupervised) and one
+// plane pool. With gather, rank 0 collects the full fields into
+// Result.Final.
+func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, pool *planePool, gather bool) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -296,7 +303,7 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, g
 			}
 		}
 	}
-	w := newWorker(p, c, opts, sup)
+	w := newWorker(p, c, opts, sup, pool)
 	nc := p.NComp()
 	part := decomp.Even(p.NX, w.size)
 	start, end := part.Range(w.rank)
@@ -389,10 +396,10 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, g
 }
 
 // newWorker builds rank c's worker state short of its slabs.
-func newWorker(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor) *worker {
+func newWorker(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, pool *planePool) *worker {
 	nc := p.NComp()
 	w := &worker{
-		p: p, k: lbm.NewKernel(p), c: c, opts: opts, sup: sup,
+		p: p, k: lbm.NewKernel(p), c: c, opts: opts, sup: sup, pool: pool,
 		rank: c.Rank(), size: c.Size(),
 		res:  &Result{Rank: c.Rank()},
 		farL: make([][]float64, nc), farR: make([][]float64, nc),
@@ -504,6 +511,11 @@ func views(buf [][][]float64, slabs []*field.Slab) [][][]float64 {
 		grown := make([][][]float64, need, 2*need)
 		copy(grown, buf[:cap(buf)])
 		buf = grown
+	}
+	// Entries past the window drop their views, so a plane that has
+	// left the slab stays reachable from the slab alone, not from here.
+	for _, stale := range buf[need:cap(buf)] {
+		clear(stale)
 	}
 	buf = buf[:need]
 	for i := range buf {

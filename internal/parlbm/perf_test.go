@@ -14,9 +14,11 @@ func benchWorker(b testing.TB, c comm.Comm, opts Options) *worker {
 }
 
 // testWorker assembles rank c's worker owning planes [start,
-// start+count) of an equilibrium lattice, as runRank would.
+// start+count) of an equilibrium lattice, as runRank would, with a plane
+// pool of its own (workers meant to form one group share one: assign
+// the first worker's pool to the others).
 func testWorker(p *lbm.Params, c comm.Comm, opts Options, start, count int) *worker {
-	w := newWorker(p, c, opts, nil)
+	w := newWorker(p, c, opts, nil, &planePool{})
 	nc := p.NComp()
 	w.f = make([]*field.Slab, nc)
 	for comp := 0; comp < nc; comp++ {
@@ -28,15 +30,27 @@ func testWorker(p *lbm.Params, c comm.Comm, opts Options, start, count int) *wor
 	return w
 }
 
-// reuseFabric is a two-endpoint stub transport whose per-(sender,
-// receiver, tag) message slots are reused across sends: Send copies
-// into the slot, Recv returns the slot itself. It makes two properties
+// reuseFabric is a two-endpoint stub transport that delivers each
+// (sender, receiver, tag) stream first in, first out through buffers it
+// reuses: Send copies into a free buffer and queues it, Recv hands out
+// the oldest queued buffer itself, and a buffer is free again once Recv
+// has handed out the next one on its stream. It makes two properties
 // testable in a single goroutine: the solver side of an exchange
 // performs zero steady-state allocations (the transport contributes
 // none to hide behind), and nothing the solver keeps (slab planes in
 // particular) may alias a receive buffer the transport will overwrite.
 type reuseFabric struct {
-	slots map[[3]int][]float64
+	streams map[[3]int]*reuseStream
+	// bufs is every buffer the fabric ever made, for tests that
+	// scribble over all of them.
+	bufs [][]float64
+}
+
+// reuseStream is one (sender, receiver, tag) stream.
+type reuseStream struct {
+	queued [][]float64 // sent, not yet received, oldest first
+	free   [][]float64
+	lent   []float64 // handed out by the last Recv
 }
 
 type reuseEndpoint struct {
@@ -46,7 +60,7 @@ type reuseEndpoint struct {
 }
 
 func newReusePair() (a, b *reuseEndpoint) {
-	f := &reuseFabric{slots: make(map[[3]int][]float64)}
+	f := &reuseFabric{streams: make(map[[3]int]*reuseStream)}
 	return &reuseEndpoint{f: f, rank: 0, size: 2}, &reuseEndpoint{f: f, rank: 1, size: 2}
 }
 
@@ -55,21 +69,38 @@ func (e *reuseEndpoint) Size() int { return e.size }
 
 func (e *reuseEndpoint) Send(to, tag int, data []float64) error {
 	key := [3]int{e.rank, to, tag}
-	buf := e.f.slots[key]
+	st := e.f.streams[key]
+	if st == nil {
+		st = &reuseStream{}
+		e.f.streams[key] = st
+	}
+	var buf []float64
+	if n := len(st.free); n > 0 {
+		buf = st.free[n-1]
+		st.free = st.free[:n-1]
+	}
 	if cap(buf) < len(data) {
 		buf = make([]float64, len(data))
+		e.f.bufs = append(e.f.bufs, buf)
 	}
 	buf = buf[:len(data)]
 	copy(buf, data)
-	e.f.slots[key] = buf
+	st.queued = append(st.queued, buf)
 	return nil
 }
 
 func (e *reuseEndpoint) Recv(from, tag int) ([]float64, error) {
-	buf, ok := e.f.slots[[3]int{from, e.rank, tag}]
-	if !ok {
+	st := e.f.streams[[3]int{from, e.rank, tag}]
+	if st == nil || len(st.queued) == 0 {
 		return nil, fmt.Errorf("reuseEndpoint: no message from %d tag %d", from, tag)
 	}
+	buf := st.queued[0]
+	n := copy(st.queued, st.queued[1:])
+	st.queued = st.queued[:n]
+	if st.lent != nil {
+		st.free = append(st.free, st.lent)
+	}
+	st.lent = buf
 	return buf, nil
 }
 
@@ -131,7 +162,7 @@ func TestSlimExchangeZeroAllocsSteadyState(t *testing.T) {
 				w.sweepSlab()
 			}
 		}
-		phase() // warm buffers and transport slots
+		phase() // warm buffers and transport streams
 		if allocs := testing.AllocsPerRun(10, phase); allocs != 0 {
 			t.Errorf("two-rank phase (wire32=%v): %v allocs/op, want 0", wire32, allocs)
 		}
@@ -158,12 +189,13 @@ func pingPong(t *testing.T, w0, w1 *worker, count int) {
 
 // Plane migration must (a) preserve plane contents exactly, (b) never
 // leave a slab aliasing a transport receive buffer, and (c) allocate
-// nothing in the steady state: pop, pack, send, receive, copy into
-// pooled storage, push.
+// nothing in the steady state: per plane pop, pack, send, receive, copy
+// into a plane from the group pool, push.
 func TestMigrationZeroAllocAndNoAliasing(t *testing.T) {
 	e0, e1 := newReusePair()
 	w0 := benchWorker(t, e0, Options{})
 	w1 := benchWorker(t, e1, Options{})
+	w1.pool = w0.pool // one group, one plane pool
 
 	// Distinctive, position-dependent contents.
 	stamp := func(w *worker) {
@@ -200,10 +232,10 @@ func TestMigrationZeroAllocAndNoAliasing(t *testing.T) {
 		}
 	}
 
-	// Scribble over every transport slot; slab contents must not move.
-	for _, slot := range e0.f.slots {
-		for i := range slot {
-			slot[i] = -1e300
+	// Scribble over every transport buffer; slab contents must not move.
+	for _, buf := range e0.f.bufs {
+		for i := range buf[:cap(buf)] {
+			buf[i] = -1e300
 		}
 	}
 	for c := range w1.f {

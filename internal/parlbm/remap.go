@@ -147,11 +147,13 @@ func (w *worker) remapLocal(cfg core.Config) error {
 // rank and neighbor: net > 0 means planes flow rightward (toward the
 // higher rank), net < 0 leftward.
 //
-// The transfer is allocation-free in the steady state: departing f
-// planes are packed into the grow-only migration buffer and their
-// storage recycled into the worker's plane pool; received planes are
-// copied out of the transport buffer into pooled storage before
-// attachment, so a slab never aliases memory the transport may reuse.
+// Planes cross one message each, nearest the boundary first, so the
+// receiver attaches every plane at its edge as it arrives. A departing
+// plane is packed into migBuf and handed to the group's plane pool; an
+// arriving one is copied out of the transport buffer into a plane taken
+// from that pool. The group therefore holds one lattice during a
+// migration, no slab aliases memory the transport may reuse, and the
+// steady state allocates nothing.
 func (w *worker) moveBoundary(neighbor, net int) error {
 	if net == 0 {
 		return nil
@@ -170,59 +172,88 @@ func (w *worker) moveBoundary(neighbor, net int) error {
 	sz := w.f[0].PlaneSize()
 	mig := &w.res.Breakdown.Bytes.Migration
 	if sending {
-		fromLeft := !rightward
-		need := count * nc * sz
-		if cap(w.migBuf) < need {
-			w.migBuf = make([]float64, need)
-		}
-		w.migBuf = w.migBuf[:need]
-		// Message layout: per plane (ascending global x), the
-		// per-component planes concatenated.
-		for c := 0; c < nc; c++ {
-			pop := w.f[c].PopRight
-			if fromLeft {
-				pop = w.f[c].PopLeft
+		msg := w.planeBuf()
+		for i := 0; i < count; i++ {
+			for c, s := range w.f {
+				pop := s.PopLeft
+				if rightward {
+					pop = s.PopRight
+				}
+				out := pop(1)
+				copy(msg[c*sz:(c+1)*sz], out[0])
+				w.pool.put(out[0])
+				// out aliases the vacated deque slot: clearing it leaves
+				// the slab no reference to the departed plane.
+				out[0] = nil
 			}
-			for i, p := range pop(count) {
-				copy(w.migBuf[(i*nc+c)*sz:(i*nc+c+1)*sz], p)
-				w.poolDist = append(w.poolDist, p)
+			w.res.PlanesSent++
+			if err := w.sendWire(neighbor, tag, msg, &w.wireSendL, mig); err != nil {
+				return err
 			}
 		}
-		w.res.PlanesSent += count
-		return w.sendWire(neighbor, tag, w.migBuf, &w.wireSendL, mig)
+		return nil
 	}
-	msg, err := w.recvWire(neighbor, tag, count*nc*sz, "plane transfer", &w.rawRecvL, mig)
-	if err != nil {
-		return err
-	}
-	if cap(w.migHdr) < count {
-		w.migHdr = make([][]float64, count)
-	}
-	hdr := w.migHdr[:count]
-	for c := 0; c < nc; c++ {
-		push := w.f[c].PushRight
-		if rightward {
-			// Rightward flow arrives at the receiver's left edge.
-			push = w.f[c].PushLeft
+	for i := 0; i < count; i++ {
+		msg, err := w.recvWire(neighbor, tag, nc*sz, "plane transfer", &w.rawRecvL, mig)
+		if err != nil {
+			return err
 		}
-		for i := range hdr {
-			hdr[i] = w.grabDist()
-			copy(hdr[i], msg[(i*nc+c)*sz:(i*nc+c+1)*sz])
+		for c, s := range w.f {
+			push := s.PushRight
+			if rightward {
+				// Rightward flow arrives at the receiver's left edge.
+				push = s.PushLeft
+			}
+			w.migHdr[0] = w.pool.get(sz)
+			copy(w.migHdr[0], msg[c*sz:(c+1)*sz])
+			push(w.migHdr[:])
 		}
-		push(hdr)
+		w.migHdr[0] = nil
 	}
 	return nil
 }
 
-// grabDist returns a distribution plane from the pool, or a fresh one
-// when the pool is dry (first growth past the high-water mark).
-func (w *worker) grabDist() []float64 {
-	if n := len(w.poolDist); n > 0 {
-		p := w.poolDist[n-1]
-		w.poolDist = w.poolDist[:n-1]
+// planeBuf returns migBuf sized to one plane message: every
+// component's plane of one x index, concatenated.
+func (w *worker) planeBuf() []float64 {
+	n := len(w.f) * w.f[0].PlaneSize()
+	if cap(w.migBuf) < n {
+		w.migBuf = make([]float64, n)
+	}
+	return w.migBuf[:n]
+}
+
+// planePool is a group's free list of distribution planes, shared by
+// all its ranks. Migration conserves planes across the group — every
+// plane one rank sends is one its neighbor receives — so the pool
+// carries each departing plane to the receive that reuses it, and
+// never holds more than the planes in flight. Its mutex orders a
+// sender's put before the get that reuses the plane (the put precedes
+// the send, the get follows the receive).
+type planePool struct {
+	mu   sync.Mutex
+	free [][]float64
+}
+
+// get returns a plane of n values from the pool, or a fresh one when
+// the pool is dry.
+func (pp *planePool) get(n int) []float64 {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	if k := len(pp.free); k > 0 {
+		p := pp.free[k-1]
+		pp.free[k-1] = nil
+		pp.free = pp.free[:k-1]
 		return p
 	}
-	return make([]float64, w.f[0].PlaneSize())
+	return make([]float64, n)
+}
+
+// put returns a plane its slab no longer owns to the pool.
+func (pp *planePool) put(p []float64) {
+	pp.mu.Lock()
+	pp.free = append(pp.free, p)
+	pp.mu.Unlock()
 }
 
 // remapGlobal is the distributed global scheme: allgather the load
@@ -312,23 +343,32 @@ func orderTransfers(ts []decomp.Transfer, counts []int) ([]decomp.Transfer, erro
 	return ordered, nil
 }
 
-// gather sends every rank's slab to rank 0, which reconstructs the full
-// per-component distribution fields. Message layout: [start, count,
-// planes...] with each plane's components concatenated.
+// gather streams every rank's slab to rank 0, which copies each plane
+// straight into the full per-component distribution fields. A rank
+// sends a [start, count] header, then count plane messages in
+// ascending x, each holding that plane's components concatenated.
 func (w *worker) gather() error {
 	nc := w.p.NComp()
 	sz := w.f[0].PlaneSize()
 	start, count := w.f[0].Start, w.f[0].Count()
+	cls := &w.res.Breakdown.Bytes.Gather
 	if w.rank != 0 {
-		msg := make([]float64, 0, 2+count*nc*sz)
-		msg = append(msg, float64(start), float64(count))
+		hdr := []float64{float64(start), float64(count)}
+		cls.CountSend(8 * len(hdr))
+		if err := w.c.Send(0, tagGather, hdr); err != nil {
+			return err
+		}
+		msg := w.planeBuf()
 		for gx := start; gx < start+count; gx++ {
-			for c := 0; c < nc; c++ {
-				msg = append(msg, w.f[c].Plane(gx)...)
+			for c, s := range w.f {
+				copy(msg[c*sz:(c+1)*sz], s.Plane(gx))
+			}
+			cls.CountSend(8 * len(msg))
+			if err := w.c.Send(0, tagGather, msg); err != nil {
+				return err
 			}
 		}
-		w.res.Breakdown.Bytes.Gather.CountSend(8 * len(msg))
-		return w.c.Send(0, tagGather, msg)
+		return nil
 	}
 	final := make([]*field.Dist3D, nc)
 	for c := 0; c < nc; c++ {
@@ -338,23 +378,29 @@ func (w *worker) gather() error {
 		}
 	}
 	for r := 1; r < w.size; r++ {
-		msg, err := w.c.Recv(r, tagGather)
+		hdr, err := w.c.Recv(r, tagGather)
 		if err != nil {
 			return err
 		}
-		w.res.Breakdown.Bytes.Gather.CountRecv(8 * len(msg))
-		if len(msg) < 2 {
-			return fmt.Errorf("parlbm: short gather message from %d", r)
+		cls.CountRecv(8 * len(hdr))
+		if len(hdr) != 2 {
+			return fmt.Errorf("parlbm: gather header from %d has %d values, want 2", r, len(hdr))
 		}
-		start, count := int(msg[0]), int(msg[1])
-		if len(msg) != 2+count*nc*sz || start < 0 || start+count > w.p.NX {
-			return fmt.Errorf("parlbm: bad gather from %d: start %d count %d len %d", r, start, count, len(msg))
+		start, count := int(hdr[0]), int(hdr[1])
+		if start < 0 || count < 0 || start+count > w.p.NX {
+			return fmt.Errorf("parlbm: bad gather header from %d: start %v count %v", r, hdr[0], hdr[1])
 		}
-		off := 2
 		for gx := start; gx < start+count; gx++ {
+			msg, err := w.c.Recv(r, tagGather)
+			if err != nil {
+				return err
+			}
+			cls.CountRecv(8 * len(msg))
+			if len(msg) != nc*sz {
+				return fmt.Errorf("parlbm: gather plane %d from %d has %d values, want %d", gx, r, len(msg), nc*sz)
+			}
 			for c := 0; c < nc; c++ {
-				copy(final[c].Plane(gx), msg[off:off+sz])
-				off += sz
+				copy(final[c].Plane(gx), msg[c*sz:(c+1)*sz])
 			}
 		}
 	}
@@ -402,7 +448,8 @@ func RunParallelReduced(p *lbm.Params, ranks int, opts Options) ([]*Result, erro
 
 // runGroup drives one goroutine per rank over the raw endpoints, all
 // sharing sup, which holds the orderly stop-phase agreement and the
-// hard-abort flag. A group aborts the MPI way, by abort — the transport
+// hard-abort flag, and one plane pool, which carries each migrating
+// plane from the rank it leaves to the rank it joins. A group aborts the MPI way, by abort — the transport
 // teardown (close every mailbox / connection) — so a peer blocked on a
 // failed rank's traffic fails fast with comm.ErrClosed instead of
 // waiting for its messages. abort runs at most once: on the first
@@ -413,6 +460,7 @@ func RunParallelReduced(p *lbm.Params, ranks int, opts Options) ([]*Result, erro
 // afterwards (both transports' teardowns are).
 func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, sup *runctl.Supervisor, abort func(), gather bool) ([]*Result, error) {
 	ranks := len(eps)
+	pool := &planePool{}
 	abort = sync.OnceFunc(abort)
 	quit := make(chan struct{})
 	watched := watch(sup, abort, quit)
@@ -433,7 +481,7 @@ func runGroup(p *lbm.Params, eps []comm.Comm, opts Options, sup *runctl.Supervis
 					errs[r] = pe
 				}
 			}()
-			results[r], errs[r] = runRank(p, eps[r], opts, sup, gather)
+			results[r], errs[r] = runRank(p, eps[r], opts, sup, pool, gather)
 		}(r)
 	}
 	// Aggregate every rank failure, in completion order: the first is
