@@ -40,7 +40,7 @@ race-lbm:
 # resume — plus the distributed group's one abort path, the watcher
 # that tears the transport down on a hard trip or an overrun grace.
 chaos-abort:
-	$(GO) test -race -run 'AbortChaos|RunParallelCancel|RunParallelWallLimit|RunParallelRankPanic|RunSupervised|RunGroupWatcher' -v ./internal/experiments/ ./internal/parlbm/ ./internal/lbm/
+	$(GO) test -race -run 'AbortChaos|RunParallelCancel|RunParallelWallLimit|RunParallelRankPanic|RunSupervised|RunGroupWatcher|BandWorkerPanic|BandStall' -v ./internal/experiments/ ./internal/parlbm/ ./internal/lbm/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

@@ -28,6 +28,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -131,7 +132,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		s.AutoWorkers()
+		s.SetWorkers(runtime.GOMAXPROCS(0))
 		done, err := s.RunSupervised(*steps, runctl.NewSupervisor(ctx, *wallLim))
 		if err != nil && !runctl.IsInterrupt(err) {
 			log.Fatal(err)
@@ -228,7 +229,7 @@ func runResumed(ctx context.Context, wallLim time.Duration, path string, steps i
 	}
 	fmt.Printf("resumed %dx%dx%d at step %d (%s); running %d more steps\n",
 		st.Params.NX, st.Params.NY, st.Params.NZ, s.StepCount(), st.Params.Precision, steps)
-	s.AutoWorkers()
+	s.SetWorkers(runtime.GOMAXPROCS(0))
 	done, runErr := s.RunSupervised(steps, runctl.NewSupervisor(ctx, wallLim))
 	if runErr != nil && !runctl.IsInterrupt(runErr) {
 		return runErr

@@ -41,7 +41,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		s.Run(*steps)
+		if _, err := s.RunSupervised(*steps, nil); err != nil {
+			log.Fatal(err)
+		}
 		if err := s.CheckFinite(); err != nil {
 			log.Fatal(err)
 		}

@@ -46,7 +46,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s3.Run(4000)
+	if _, err := s3.RunSupervised(4000, nil); err != nil {
+		log.Fatal(err)
+	}
 	prof := s3.VelocityProfileY(0, p.NZ/2)
 	umax := 0.0
 	for _, u := range prof {

@@ -22,7 +22,7 @@ func TestFloat32CheckpointRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunParallelSteps(6)
+	advance(t, s, 6)
 
 	var buf bytes.Buffer
 	if err := Save(&buf, s.State()); err != nil {
@@ -55,8 +55,8 @@ func TestFloat32CheckpointRoundtrip(t *testing.T) {
 		}
 	}
 	planesBitEqual32("after roundtrip")
-	ss.RunParallelSteps(4)
-	rs.RunParallelSteps(4)
+	advance(t, ss, 4)
+	advance(t, rs, 4)
 	planesBitEqual32("after resumed steps")
 
 	// The f32 payload is about half the f64 one for the same state.
@@ -65,7 +65,7 @@ func TestFloat32CheckpointRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s64.RunParallelSteps(6)
+	advance(t, s64, 6)
 	var buf64 bytes.Buffer
 	if err := Save(&buf64, s64.State()); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestLoadForPrecisionMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.RunParallelSteps(2)
+		advance(t, s, 2)
 		var buf bytes.Buffer
 		if err := Save(&buf, s.State()); err != nil {
 			t.Fatal(err)
@@ -131,5 +131,14 @@ func TestLoadForPrecisionMismatch(t *testing.T) {
 		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrVersion) {
 			t.Errorf("%s: %v matches another typed error", tc.name, err)
 		}
+	}
+}
+
+// advance steps s n steps on the production path (RunSupervised with no
+// supervisor), failing t if a worker panicked.
+func advance(t *testing.T, s lbm.Stepper, n int) {
+	t.Helper()
+	if _, err := s.RunSupervised(n, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -201,7 +201,9 @@ func abortChaosIntra(setup AbortChaosSetup, name string, f32 bool, cancelAt int)
 		return nil, err
 	}
 	ref.SetWorkers(setup.Workers)
-	ref.RunParallelSteps(setup.Steps)
+	if _, err := ref.RunSupervised(setup.Steps, nil); err != nil {
+		return nil, err
+	}
 
 	p2, err := mk()
 	if err != nil {
@@ -249,7 +251,9 @@ func abortChaosIntra(setup AbortChaosSetup, name string, f32 bool, cancelAt int)
 		return nil, err
 	}
 	resumed.SetWorkers(setup.Workers)
-	resumed.RunParallelSteps(setup.Steps - done)
+	if _, err := resumed.RunSupervised(setup.Steps-done, nil); err != nil {
+		return nil, err
+	}
 	run.Resumed = true
 	run.BitIdentical = statesEqual(ref.State(), resumed.State())
 	run.LeakedGoroutines = leakcheck.Count(base, 2*time.Second)

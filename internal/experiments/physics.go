@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"microslip/internal/geometry"
@@ -67,6 +68,28 @@ type PhysicsResult struct {
 	SlipLengthFreeNM float64
 }
 
+// advance runs s for steps steps on every CPU (intra-node parallelism
+// is bit-identical to serial stepping) under the setup's supervisor,
+// stopping early at the steady criterion when SteadyTol is set, then
+// checks the field is finite.
+func (setup PhysicsSetup) advance(s lbm.Stepper, steps int) error {
+	s.SetWorkers(runtime.GOMAXPROCS(0))
+	var err error
+	if setup.SteadyTol > 0 {
+		check := steps / 20
+		if check < 1 {
+			check = 1
+		}
+		_, err = lbm.RunToSteady(s, setup.Sup, steps, check, setup.SteadyTol)
+	} else {
+		_, err = s.RunSupervised(steps, setup.Sup)
+	}
+	if err != nil {
+		return err
+	}
+	return s.CheckFinite()
+}
+
 // RunSlipPhysics reproduces Figures 6 and 7: one run with the
 // hydrophobic wall forces and one without, sampling densities and
 // velocity profiles at mid-channel.
@@ -81,31 +104,7 @@ func RunSlipPhysics(setup PhysicsSetup) (*PhysicsResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Intra-node parallelism; bit-identical to serial stepping.
-		s.AutoWorkers()
-		if setup.SteadyTol > 0 {
-			check := setup.Steps / 20
-			if check < 1 {
-				check = 1
-			}
-			if setup.Sup != nil {
-				if _, err := s.RunToSteadySupervised(setup.Sup, setup.Steps, check, setup.SteadyTol); err != nil {
-					return nil, err
-				}
-			} else {
-				s.RunToSteady(setup.Steps, check, setup.SteadyTol)
-			}
-		} else if setup.Sup != nil {
-			if _, err := s.RunSupervised(setup.Steps, setup.Sup); err != nil {
-				return nil, err
-			}
-		} else {
-			s.RunParallelSteps(setup.Steps)
-		}
-		if err := s.CheckFinite(); err != nil {
-			return nil, err
-		}
-		return s, nil
+		return s, setup.advance(s, setup.Steps)
 	}
 	forced, err := run(true)
 	if err != nil {

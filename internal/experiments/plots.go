@@ -1,19 +1,15 @@
 package experiments
 
-import (
-	"fmt"
-
-	"microslip/internal/asciiplot"
-)
+import "fmt"
 
 // Plot methods render each experiment as the figure the paper shows,
 // as terminal line/bar charts. They complement the Table methods.
 
 // Plot renders Figure 3's left panel (execution time vs disturbance).
 func (r *Fig3Result) Plot() string {
-	return asciiplot.Line(
+	return linePlot(
 		fmt.Sprintf("Figure 3: execution time (s) vs disturbance (%d phases)", r.Phases),
-		[]asciiplot.Series{{Name: "exec time", X: r.Duty, Y: r.Time}},
+		[]plotSeries{{Name: "exec time", X: r.Duty, Y: r.Time}},
 		60, 14)
 }
 
@@ -21,9 +17,9 @@ func (r *Fig3Result) Plot() string {
 // wall forces over the near-wall half of the channel.
 func (r *PhysicsResult) Plot() string {
 	half := len(r.DistanceNM) / 2
-	return asciiplot.Line(
+	return linePlot(
 		"Figure 7: normalized streamwise velocity vs distance from wall (nm)",
-		[]asciiplot.Series{
+		[]plotSeries{
 			{Name: "with wall forces", X: r.DistanceNM[:half], Y: r.VelForced[:half]},
 			{Name: "no wall forces", X: r.DistanceNM[:half], Y: r.VelFree[:half]},
 		}, 60, 16)
@@ -40,9 +36,9 @@ func (r *PhysicsResult) PlotDensity() string {
 			break
 		}
 	}
-	return asciiplot.Line(
+	return linePlot(
 		"Figure 6: densities (relative to bulk) vs distance from wall (nm)",
-		[]asciiplot.Series{
+		[]plotSeries{
 			{Name: "water", X: r.DistanceNM[:cut], Y: r.WaterDensity[:cut]},
 			{Name: "air/vapor", X: r.DistanceNM[:cut], Y: r.AirDensity[:cut]},
 		}, 60, 16)
@@ -54,9 +50,9 @@ func (r *Fig8Result) Plot() string {
 	for i, m := range r.M {
 		x[i] = float64(m)
 	}
-	return asciiplot.Line(
+	return linePlot(
 		fmt.Sprintf("Figure 8: speedup vs slow nodes (%d phases)", r.Phases),
-		[]asciiplot.Series{
+		[]plotSeries{
 			{Name: "remapping", X: x, Y: r.SpeedupFilt},
 			{Name: "no remapping", X: x, Y: r.SpeedupNo},
 		}, 60, 14)
@@ -70,7 +66,7 @@ func (r *Fig9Result) Plot() string {
 		labels[i] = s
 		values[i] = r.Times[s]
 	}
-	return asciiplot.Bars(
+	return barPlot(
 		fmt.Sprintf("Figure 9: execution time (s), node %d slow, %d phases", r.SlowNode, r.Phases),
 		labels, values, 50)
 }
@@ -81,22 +77,22 @@ func (r *Fig10Result) Plot() string {
 	for i, m := range r.M {
 		x[i] = float64(m)
 	}
-	series := make([]asciiplot.Series, 0, len(r.Schemes))
+	series := make([]plotSeries, 0, len(r.Schemes))
 	for _, s := range r.Schemes {
-		series = append(series, asciiplot.Series{Name: s, X: x, Y: r.Times[s]})
+		series = append(series, plotSeries{Name: s, X: x, Y: r.Times[s]})
 	}
-	return asciiplot.Line(
+	return linePlot(
 		fmt.Sprintf("Figure 10: execution time (s) vs slow nodes (%d phases)", r.Phases),
 		series, 60, 16)
 }
 
 // Plot renders Table 1 as per-scheme slowdown curves.
 func (r *Table1Result) Plot() string {
-	series := make([]asciiplot.Series, 0, len(r.Schemes))
+	series := make([]plotSeries, 0, len(r.Schemes))
 	for _, s := range r.Schemes {
-		series = append(series, asciiplot.Series{Name: s, X: r.SpikeLens, Y: r.Slowdown[s]})
+		series = append(series, plotSeries{Name: s, X: r.SpikeLens, Y: r.Slowdown[s]})
 	}
-	return asciiplot.Line(
+	return linePlot(
 		fmt.Sprintf("Table 1: slowdown (%%) vs spike length (s), %d phases", r.Phases),
 		series, 60, 14)
 }

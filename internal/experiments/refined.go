@@ -54,31 +54,7 @@ func RunRefinedSlip(setup PhysicsSetup, spec lbm.RefineSpec) (*PhysicsResult, lb
 		if err != nil {
 			return nil, err
 		}
-		s.AutoWorkers()
-		steps := (setup.Steps + 1) / 2
-		if setup.SteadyTol > 0 {
-			check := steps / 20
-			if check < 1 {
-				check = 1
-			}
-			if setup.Sup != nil {
-				if _, err := s.RunToSteadySupervised(setup.Sup, steps, check, setup.SteadyTol); err != nil {
-					return nil, err
-				}
-			} else {
-				s.RunToSteady(steps, check, setup.SteadyTol)
-			}
-		} else if setup.Sup != nil {
-			if _, err := s.RunSupervised(steps, setup.Sup); err != nil {
-				return nil, err
-			}
-		} else {
-			s.RunParallelSteps(steps)
-		}
-		if err := s.CheckFinite(); err != nil {
-			return nil, err
-		}
-		return s, nil
+		return s, setup.advance(s, (setup.Steps+1)/2)
 	}
 	forced, err := run(true)
 	if err != nil {

@@ -209,7 +209,7 @@ func (s *SimOf[T]) fusedChunkCount() int {
 	if s.fusedChunks > 0 {
 		return bandCountFor(s.P.NX, s.fusedChunks)
 	}
-	return usableBands(s.Workers(), s.P.NX, runtime.GOMAXPROCS(0))
+	return usableBands(s.workers, s.P.NX, runtime.GOMAXPROCS(0))
 }
 
 // ensureBands (re)builds the slabs, token mesh and pool for w bands; it
@@ -298,12 +298,14 @@ func (s *SimOf[T]) sweepSlab(i, par int) {
 	s.K.SweepFused(sl.sweep, sl.win, sl.win, 1, last, l.far[par][1], r.far[par][0])
 }
 
-// runParallelErr is RunParallelSteps with the worker-panic cause as an
-// error value (a *runctl.PanicError) instead of a re-panic. A lone band
-// sweeps inline; a multi-band plan wakes the persistent workers once
-// for the whole run. A worker panic surfaces after every worker has
-// unwound, and the banding is poisoned for rebuild (the half-swept
-// lattice behind it is not trustworthy).
+// runParallelErr advances n steps with the configured intra-node
+// parallelism and returns a worker panic as a *runctl.PanicError. A
+// lone band sweeps inline; a multi-band plan wakes the persistent
+// workers once for the whole run (RunSupervised asks for one step per
+// wake, the refined fine blocks for their two sub-steps). A worker
+// panic surfaces after every worker has unwound, and the banding is
+// poisoned for rebuild (the half-swept lattice behind it is not
+// trustworthy).
 func (s *SimOf[T]) runParallelErr(n int) error {
 	if n < 1 {
 		return nil
@@ -357,37 +359,4 @@ func usableBands(requested, nx, procs int) int {
 		w = 1
 	}
 	return w
-}
-
-// splitWorkersByCost apportions total workers across the groups in
-// costs so the predicted makespan max(costs[i]/out[i]) is minimized:
-// every group gets one worker, then each remaining worker goes to the
-// group that is currently the bottleneck. The greedy rule is exactly
-// optimal for this min-max objective (giving a worker anywhere else
-// leaves the bottleneck unchanged), and — unlike proportional
-// largest-remainder apportionment — it does not shave workers off a
-// dominant group to flatter the small ones. A total below len(costs)
-// is raised to it: each group needs a worker to make progress.
-// Alloc-free; the linear bottleneck scan runs over three groups in
-// practice.
-func splitWorkersByCost(total int, costs []float64, out []int) {
-	n := len(costs)
-	if total < n {
-		total = n
-	}
-	for i := range out {
-		out[i] = 1
-	}
-	for spare := total - n; spare > 0; spare-- {
-		best, bestLoad := 0, -1.0
-		for i, c := range costs {
-			if c < 0 {
-				c = 0
-			}
-			if load := c / float64(out[i]); load > bestLoad {
-				best, bestLoad = i, load
-			}
-		}
-		out[best]++
-	}
 }

@@ -89,7 +89,7 @@ func TestBandFloorSequentialFastPath(t *testing.T) {
 	if got := s.fusedChunkCount(); got != 1 {
 		t.Errorf("12 planes, 8 workers: band count %d, want 1", got)
 	}
-	s.StepParallel()
+	advance(t, s, 1)
 	if s.bands.pool != nil {
 		t.Error("tiny grid built a band worker pool; want inline sweep")
 	}

@@ -183,8 +183,8 @@ func (k *KernelOf[T]) ParseFrame(msg []T, ghost, far [][]T) error {
 	return nil
 }
 
-// stepPool is the persistent goroutine pool of the band and level
-// schedulers: spawning goroutines every run would allocate, parked
+// stepPool is the persistent goroutine pool of the band scheduler:
+// spawning goroutines every run would allocate, parked
 // workers woken over channels do not. Workers reference only their
 // channels — never the Sim or the pool — so when the owning Sim
 // becomes unreachable the pool's finalizer closes quit and the workers

@@ -48,7 +48,7 @@ func TestFusedMatchesStep(t *testing.T) {
 			fused.SetFusedChunks(chunks)
 			for step := 0; step < 5; step++ {
 				ref.Step()
-				fused.StepParallel()
+				advance(t, fused, 1)
 			}
 			planesBitEqual(t, fmt.Sprintf("grid %v chunks %d", g, chunks), ref, fused)
 		}
@@ -69,7 +69,7 @@ func TestFusedWorkerResize(t *testing.T) {
 	for _, chunks := range []int{1, 4, 2, 8, 1, 3} {
 		fused.SetFusedChunks(chunks)
 		ref.Step()
-		fused.StepParallel()
+		advance(t, fused, 1)
 	}
 	planesBitEqual(t, "resize", ref, fused)
 }
@@ -78,9 +78,9 @@ func TestFusedWorkerResize(t *testing.T) {
 // sweep rings, band plans, and the frame-token mesh are all built on
 // the first step after a banding change, never per step. Pinned for
 // every banding (one band, and 2, 3 and 8 requested, which the 8-plane
-// grid clamps to two-plane bands) at both precisions, for single steps and for multi-step runs, whose frame exchange must
-// reuse its two parity slots and token channels rather than grow
-// buffers.
+// grid clamps to two-plane bands) at both precisions, for supervised
+// steps and for multi-step wakes, whose frame exchange must reuse its
+// two parity slots and token channels rather than grow buffers.
 func TestStepParallelZeroAllocs(t *testing.T) {
 	for _, prec := range []Precision{F64, F32} {
 		for _, bands := range []int{1, 2, 3, 8} {
@@ -92,13 +92,14 @@ func TestStepParallelZeroAllocs(t *testing.T) {
 			}
 			s.SetWorkers(bands)
 			s.SetFusedChunks(bands)
-			s.StepParallel() // build the bands, mesh and pool
+			advance(t, s, 1) // build the bands, mesh and pool
 			label := fmt.Sprintf("prec=%v/bands=%d", prec, bands)
-			if allocs := testing.AllocsPerRun(5, s.StepParallel); allocs != 0 {
-				t.Errorf("%s: StepParallel %v allocs/op, want 0", label, allocs)
+			if allocs := testing.AllocsPerRun(5, func() { s.RunSupervised(1, nil) }); allocs != 0 {
+				t.Errorf("%s: RunSupervised(1) %v allocs/op, want 0", label, allocs)
 			}
-			if allocs := testing.AllocsPerRun(5, func() { s.RunParallelSteps(3) }); allocs != 0 {
-				t.Errorf("%s: RunParallelSteps(3) %v allocs/op, want 0 (frame exchange grew)", label, allocs)
+			wake := s.(interface{ runParallelErr(int) error })
+			if allocs := testing.AllocsPerRun(5, func() { wake.runParallelErr(3) }); allocs != 0 {
+				t.Errorf("%s: 3-step wake %v allocs/op, want 0 (frame exchange grew)", label, allocs)
 			}
 		}
 	}
@@ -194,7 +195,7 @@ func runHeld[T num.Float](t *testing.T, p *Params, bands int) {
 		t.Fatal(err)
 	}
 	s.SetFusedChunks(bands)
-	s.RunParallelSteps(3)
+	advance(t, s, 3)
 	checkHeld(t, heapAfterGC()-before, heldBytes(s))
 	runtime.KeepAlive(s)
 }
@@ -224,7 +225,7 @@ func TestSolverHoldsOneLattice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs.RunParallelSteps(3)
+		advance(t, rs, 3)
 		grew := heapAfterGC() - before
 		r := rs.(*refinedOf[float64])
 		checkHeld(t, grew, heldBytes(r.bot)+heldBytes(r.top)+heldBytes(r.coarse))
@@ -234,9 +235,9 @@ func TestSolverHoldsOneLattice(t *testing.T) {
 
 // Bands trade frames through memory one goroutine writes and another
 // reads; this run gives the race detector every banding from two to
-// eight bands (two-plane bands at eight) over 60 steps, in runs of odd
-// and even length so both parity slots are reused across run
-// boundaries, and holds each to the serial reference.
+// eight bands (two-plane bands at eight) over 60 steps, in multi-step
+// wakes of odd and even length so both parity slots are reused across
+// wake boundaries, and holds each to the serial reference.
 func TestBandFrameExchangeLongRun(t *testing.T) {
 	const nx, steps = 16, 60
 	ref, err := NewSim(WaterAir(nx, 6, 5))
@@ -252,7 +253,7 @@ func TestBandFrameExchangeLongRun(t *testing.T) {
 		s.SetWorkers(bands)
 		s.SetFusedChunks(bands)
 		for _, n := range []int{7, 13, 40} {
-			s.RunParallelSteps(n)
+			advanceWake(t, s, n)
 		}
 		planesBitEqual(t, fmt.Sprintf("bands=%d", bands), ref, s)
 	}

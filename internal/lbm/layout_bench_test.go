@@ -17,11 +17,11 @@ func benchFused[T interface{ float32 | float64 }](b *testing.B) {
 		b.Fatal(err)
 	}
 	s.SetWorkers(1)
-	s.RunParallelSteps(4)
+	advance(b, s, 4)
 	mlups := float64(p.NX*p.NY*p.NZ) / 1e6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RunParallelSteps(1)
+		advance(b, s, 1)
 	}
 	b.StopTimer()
 	b.ReportMetric(mlups/(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e9), "MLUPS")
@@ -43,7 +43,7 @@ func benchCollide[T interface{ float32 | float64 }](b *testing.B) {
 		b.Fatal(err)
 	}
 	s.SetWorkers(1)
-	s.RunParallelSteps(2) // develops flow
+	advance(b, s, 2) // develops flow
 	k, nc := s.K, p.NComp()
 	n := newPlanes[T](p.NX, nc, k.PlaneCells())
 	post := newPlanes[T](1, nc, k.PlaneLen())[0]

@@ -25,7 +25,7 @@ func TestStepParallelMatchesStep(t *testing.T) {
 		par.SetFusedChunks(bands)
 		for step := 0; step < 6; step++ {
 			serial.Step()
-			par.StepParallel()
+			advance(t, par, 1)
 		}
 		for c := 0; c < 2; c++ {
 			for x := 0; x < p.NX; x++ {
@@ -41,9 +41,10 @@ func TestStepParallelMatchesStep(t *testing.T) {
 	}
 }
 
-// A multi-step run (the one-rendezvous path where bands pace each other
-// through their frame tokens alone) must be bit-identical to the same
-// number of single steps, for odd and even lengths and across a mid-run
+// A multi-step wake (the one-rendezvous path where bands pace each other
+// through their frame tokens alone, which the refined fine blocks run
+// their two sub-steps on) must be bit-identical to the same number of
+// serial steps, for odd and even lengths and across a mid-run
 // band-count change. Params.Fused is ignored: both settings run the one
 // in-place sweep.
 func TestRunParallelStepsMatchesStepwise(t *testing.T) {
@@ -61,10 +62,10 @@ func TestRunParallelStepsMatchesStepwise(t *testing.T) {
 		batch.SetFusedChunks(4)
 		// 3 (odd) + 4 (even) steps batched, then a resharding to
 		// two-plane bands, then 5 more.
-		batch.RunParallelSteps(3)
-		batch.RunParallelSteps(4)
+		advanceWake(t, batch, 3)
+		advanceWake(t, batch, 4)
 		batch.SetFusedChunks(12)
-		batch.RunParallelSteps(5)
+		advanceWake(t, batch, 5)
 		serial.Run(12)
 		if batch.StepCount() != 12 {
 			t.Fatalf("fused=%v: step count %d, want 12", fused, batch.StepCount())
@@ -83,26 +84,27 @@ func TestRunParallelStepsMatchesStepwise(t *testing.T) {
 	}
 }
 
+// SetWorkers floors the worker count at one, and a machine-sized request
+// (what the CLIs and experiments ask for) is capped to a usable banding.
 func TestWorkersConfiguration(t *testing.T) {
 	p := WaterAir(8, 8, 6)
 	s, err := NewSim(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Workers() != 1 {
-		t.Errorf("default workers %d, want 1", s.Workers())
+	if got := s.fusedChunkCount(); got != 1 {
+		t.Errorf("default band count %d, want 1", got)
 	}
 	s.SetWorkers(0)
-	if s.Workers() != 1 {
-		t.Errorf("SetWorkers(0) gave %d", s.Workers())
+	if s.workers != 1 {
+		t.Errorf("SetWorkers(0) gave %d", s.workers)
 	}
-	s.AutoWorkers()
-	w := s.Workers()
-	if w < 1 || w > runtime.GOMAXPROCS(0) || w > p.NX {
-		t.Errorf("AutoWorkers gave %d (GOMAXPROCS %d, NX %d)", w, runtime.GOMAXPROCS(0), p.NX)
+	s.SetWorkers(runtime.GOMAXPROCS(0))
+	if w := s.fusedChunkCount(); w < 1 || w > runtime.GOMAXPROCS(0) || w > p.NX {
+		t.Errorf("GOMAXPROCS workers gave %d bands (GOMAXPROCS %d, NX %d)", w, runtime.GOMAXPROCS(0), p.NX)
 	}
-	s.RunParallelSteps(3)
+	advance(t, s, 3)
 	if s.StepCount() != 3 {
-		t.Errorf("step count %d after RunParallelSteps(3)", s.StepCount())
+		t.Errorf("step count %d after RunSupervised(3)", s.StepCount())
 	}
 }

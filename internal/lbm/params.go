@@ -8,6 +8,15 @@
 // The kernels operate on single x-planes so that the sequential solver
 // (Sim) and the domain-decomposed parallel solver (package parlbm) run
 // exactly the same arithmetic; their results agree bit-for-bit.
+//
+// A solver, uniform (Solver) or two-level refined (RefinedSolver),
+// advances time three ways, all declared by their common Stepper core:
+// Step and Run, the strictly serial three-pass reference every other
+// path is tested against, and RunSupervised, the production path — the
+// fused collide+stream sweep in place over bands of x-planes, checked
+// against a runctl.Supervisor (nil for none) at every step boundary.
+// RunToSteady layers the paper's steady-state stopping rule on
+// RunSupervised for any Stepper.
 package lbm
 
 import (
@@ -128,7 +137,7 @@ type Params struct {
 	// NewSolver; NewSim remains the double-precision constructor and
 	// rejects F32 parameter sets.
 	Precision Precision
-	// Fused is accepted and ignored: StepParallel always runs the fused
+	// Fused is accepted and ignored: RunSupervised always runs the fused
 	// collide+stream sweep, in place, and the serial reference Step never
 	// did. Kept so parameter sets and configs that still set it compile
 	// and decode.

@@ -70,8 +70,8 @@ func TestFloat32CoreRunsSlipSetup(t *testing.T) {
 	}
 	mass0 := s32.TotalMass(0)
 	const steps = 50
-	s64.RunParallelSteps(steps)
-	s32.RunParallelSteps(steps)
+	advance(t, s64, steps)
+	advance(t, s32, steps)
 	if err := s32.CheckFinite(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFloat32StateRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunParallelSteps(10)
+	advance(t, s, 10)
 	st := s.State()
 
 	r, err := SolverFromState(st)
@@ -139,8 +139,8 @@ func TestFloat32StateRoundtrip(t *testing.T) {
 		}
 	}
 	// And the trajectories stay identical.
-	s.RunParallelSteps(5)
-	rs.RunParallelSteps(5)
+	advance(t, s, 5)
+	advance(t, rs, 5)
 	for c := 0; c < p.NComp(); c++ {
 		a, b := s.Plane(c, 3), rs.Plane(c, 3)
 		for i := range a {

@@ -81,7 +81,7 @@ func TestStepParallelWorkerSweepLongRun(t *testing.T) {
 	for step := 0; step < steps; step++ {
 		serial.Step()
 		for _, s := range sims {
-			s.StepParallel()
+			advance(t, s, 1)
 		}
 	}
 	for workers, s := range sims {

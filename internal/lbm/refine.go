@@ -2,16 +2,11 @@ package lbm
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"runtime/debug"
-	"time"
 
 	"microslip/internal/field"
 	"microslip/internal/geometry"
 	"microslip/internal/lattice"
 	"microslip/internal/num"
-	"microslip/internal/predict"
 	"microslip/internal/runctl"
 )
 
@@ -165,40 +160,20 @@ func (rs RefineSpec) SiteUpdatesPerStep(p *Params) (refined, fineEquivalent floa
 }
 
 // RefinedSolver is the precision-agnostic surface of the two-level
-// refined solver: the Solver diagnostics addressed in global fine
-// coordinates, composite stepping (one Step = two fine time units),
-// and the refinement-specific state and mass bookkeeping.
+// refined solver: the Stepper surface addressed in global fine
+// coordinates, with composite steps (one Step = two fine time units),
+// plus the refinement-specific state and mass bookkeeping.
+//
+// Step advances one serial composite step: two sub-steps on each fine
+// slab, one coarse step, renormalization, ghost exchange. StepCount
+// counts composite steps, and RunToSteady's maxSteps and checkEvery are
+// composite steps too. Velocity and friends interpolate bulk rows from
+// the coarse block (3-point Lagrange, exact for the parabolic channel
+// profile); TotalMass is the owned fine-equivalent mass (coarse cells
+// weigh eight fine cells), accumulated in double precision.
 type RefinedSolver interface {
-	Params() *Params
+	Stepper
 	Spec() RefineSpec
-	// Step advances one serial composite step: two sub-steps on each
-	// fine slab, one coarse step, renormalization, ghost exchange.
-	Step()
-	Run(n int)
-	// StepParallel is Step with the configured intra-node parallelism;
-	// with >= 3 workers the three blocks advance concurrently, each on
-	// its own share of the worker allotment.
-	StepParallel()
-	RunParallelSteps(n int)
-	// StepCount returns completed composite steps (2 fine dt each).
-	StepCount() int
-	SetWorkers(n int)
-	AutoWorkers()
-	Workers() int
-	RunSupervised(n int, sup *runctl.Supervisor) (int, error)
-	RunToSteady(maxSteps, checkEvery int, tol float64) SteadyResult
-	RunToSteadySupervised(sup *runctl.Supervisor, maxSteps, checkEvery int, tol float64) (SteadyResult, error)
-	// Velocity and friends take global fine coordinates; bulk rows are
-	// interpolated from the coarse block (3-point Lagrange, exact for
-	// the parabolic channel profile).
-	Velocity(x, y, z int) (ux, uy, uz float64)
-	Density(c, x, y, z int) float64
-	DensityProfileY(c, x, z int) []float64
-	VelocityProfileY(x, z int) []float64
-	// TotalMass is the owned fine-equivalent mass (coarse cells weigh
-	// eight fine cells), accumulated in double precision.
-	TotalMass(c int) float64
-	CheckFinite() error
 	// MassDrift returns the worst per-component relative deviation of
 	// the owned mass from its initial value, including everything the
 	// renormalization has absorbed (the raw, uncorrected drift).
@@ -208,11 +183,6 @@ type RefinedSolver interface {
 	SiteUpdatesPerStep() (refined, fineEquivalent float64)
 	State() *RefinedState
 }
-
-// rebalanceEvery is the composite-step cadence of the concurrent-level
-// worker re-split; between re-splits the measured level times keep
-// feeding the predictors.
-const rebalanceEvery = 32
 
 // refinedOf is the two-level refined solver at scalar precision T.
 type refinedOf[T num.Float] struct {
@@ -240,8 +210,7 @@ type refinedOf[T num.Float] struct {
 	// the composite step stays allocation-free.
 	exScratch [3][][lattice.Q19]T
 
-	step    int
-	workers int
+	step int
 
 	// m0[c] is the owned fine-equivalent mass of component c at
 	// construction; renormalization returns the mass to it whenever
@@ -249,19 +218,6 @@ type refinedOf[T num.Float] struct {
 	// the renormalizations absorbed. mNow is scratch.
 	m0, rawDrift, mNow []float64
 	renormTol          float64
-
-	// Concurrent-level scheduling: with >= 3 workers the blocks step
-	// concurrently on a persistent pool, the worker allotment split by
-	// per-level cost. The predictors observe measured level times
-	// (weighted by static site cost, so they learn a per-site rate)
-	// and drive the lazy re-split.
-	costs    [3]float64
-	pred     [3]*predict.Weighted
-	pool     *stepPool
-	work     func(int)
-	levelErr [3]error
-	applied  [3]int
-	sinceBal int
 }
 
 var (
@@ -327,10 +283,8 @@ func assembleRefined[T num.Float](p *Params, spec RefineSpec, bot, top, coarse *
 		p: p, spec: spec, ml: ml,
 		bot: bot, top: top, coarse: coarse,
 		alpha: make([]T, nc), invAlpha: make([]T, nc),
-		rhoMin:  T(p.RhoMin),
-		workers: 1,
-		m0:      make([]float64, nc), rawDrift: make([]float64, nc), mNow: make([]float64, nc),
-		applied: [3]int{1, 1, 1},
+		rhoMin: T(p.RhoMin),
+		m0:     make([]float64, nc), rawDrift: make([]float64, nc), mNow: make([]float64, nc),
 	}
 	for c, comp := range p.Components {
 		tc := coarseTau(comp.Tau)
@@ -346,12 +300,6 @@ func assembleRefined[T num.Float](p *Params, spec RefineSpec, bot, top, coarse *
 	}
 	for i := range r.exScratch {
 		r.exScratch[i] = make([][lattice.Q19]T, coarse.P.NX*coarse.P.NZ)
-	}
-	fine := 2 * float64(p.NX*ml.FineNY()*p.NZ)
-	cnx, cny, cnz := ml.CoarseDims()
-	r.costs = [3]float64{fine, fine, float64(cnx * cny * cnz)}
-	for i := range r.pred {
-		r.pred[i] = predict.NewWeighted(predict.NewHarmonicMean(8), r.costs[i])
 	}
 	return r, nil
 }
@@ -386,8 +334,8 @@ func (r *refinedOf[T]) level(i int) (*SimOf[T], int) {
 
 // Step advances one serial composite step: the blocks on their
 // reference paths, then renormalization and the ghost exchange. It is
-// bit-identical to StepParallel for any worker count, like the
-// uniform solver's Step/StepParallel pair.
+// bit-identical to a RunSupervised step for any worker count, like the
+// uniform solver's Step.
 func (r *refinedOf[T]) Step() {
 	r.bot.Run(2)
 	r.top.Run(2)
@@ -411,20 +359,8 @@ func (r *refinedOf[T]) finishStep() {
 	r.step++
 }
 
-// StepParallel advances one composite step with the configured
-// intra-node parallelism.
-func (r *refinedOf[T]) StepParallel() { r.RunParallelSteps(1) }
-
-// RunParallelSteps advances n composite steps with the configured
-// intra-node parallelism. Like the uniform solver, a worker panic
-// re-panics with the typed cause; supervised loops use RunSupervised
-// and get it as an error.
-func (r *refinedOf[T]) RunParallelSteps(n int) {
-	if err := r.runParallelErr(n); err != nil {
-		panic(err)
-	}
-}
-
+// runParallelErr advances n composite steps with the configured
+// intra-node parallelism, returning a worker panic as an error.
 func (r *refinedOf[T]) runParallelErr(n int) error {
 	for i := 0; i < n; i++ {
 		if err := r.advanceLevels(); err != nil {
@@ -435,14 +371,10 @@ func (r *refinedOf[T]) runParallelErr(n int) error {
 	return nil
 }
 
-// advanceLevels runs each block's sub-steps for one composite step.
-// Below three workers the blocks run sequentially, each with the whole
-// worker allotment; with three or more they run concurrently on the
-// level pool, the allotment split across them by cost.
+// advanceLevels runs each block's sub-steps for one composite step. The
+// blocks step in turn, each on the whole worker allotment; a fine slab
+// runs its two sub-steps as one wake of its band workers.
 func (r *refinedOf[T]) advanceLevels() error {
-	if r.workers >= 3 {
-		return r.advanceLevelsPool()
-	}
 	for i := 0; i < 3; i++ {
 		lv, steps := r.level(i)
 		if err := lv.runParallelErr(steps); err != nil {
@@ -452,112 +384,12 @@ func (r *refinedOf[T]) advanceLevels() error {
 	return nil
 }
 
-func (r *refinedOf[T]) advanceLevelsPool() error {
-	r.ensurePool()
-	r.rebalance()
-	r.levelErr = [3]error{}
-	r.pool.run(r.work)
-	for _, err := range r.levelErr {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ensurePool builds the persistent three-worker level pool and its
-// cached closure; a panic on a level's inline path is contained here
-// the same way band workers contain theirs, so the pool rendezvous
-// always completes.
-func (r *refinedOf[T]) ensurePool() {
-	if r.pool != nil {
-		return
-	}
-	r.pool = newStepPool(3)
-	r.work = func(i int) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				r.levelErr[i] = &runctl.PanicError{Rank: -1, Band: i, Value: rec, Stack: debug.Stack()}
-			}
-		}()
-		lv, steps := r.level(i)
-		t0 := time.Now()
-		r.levelErr[i] = lv.runParallelErr(steps)
-		if r.levelErr[i] == nil {
-			r.pred[i].Observe(float64(time.Since(t0)))
-		}
-	}
-}
-
-// rebalance re-splits the worker allotment across the blocks. Until
-// every predictor has observations the split follows the static site
-// counts; after that the predicted level times drive it. A new split
-// is applied only when it improves the predicted makespan by more than
-// 10% — the paper's lazy remap rule reused at level granularity, so
-// jittery measurements cannot oscillate the band schedulers through
-// rebuilds.
-func (r *refinedOf[T]) rebalance() {
-	force := r.applied == [3]int{}
-	r.sinceBal++
-	if !force && r.sinceBal < rebalanceEvery {
-		return
-	}
-	r.sinceBal = 0
-	w := r.costs
-	if p0, p1, p2 := r.pred[0].Predict(), r.pred[1].Predict(), r.pred[2].Predict(); p0 > 0 && p1 > 0 && p2 > 0 {
-		w = [3]float64{p0, p1, p2}
-	}
-	var counts [3]int
-	splitWorkersByCost(r.workers, w[:], counts[:])
-	if counts == r.applied {
-		return
-	}
-	if !force && levelMakespan(w, r.applied) <= 1.1*levelMakespan(w, counts) {
-		return
-	}
-	r.applied = counts
-	r.bot.SetWorkers(counts[0])
-	r.top.SetWorkers(counts[1])
-	r.coarse.SetWorkers(counts[2])
-}
-
-// levelMakespan is the predicted wall time of a split: the slowest
-// level at its worker share.
-func levelMakespan(w [3]float64, counts [3]int) float64 {
-	var worst float64
-	for i, c := range counts {
-		if c < 1 {
-			c = 1
-		}
-		if t := w[i] / float64(c); t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
-// SetWorkers sets the total intra-node worker count. Below three the
-// blocks step sequentially, each using the whole allotment; at three
-// or more they step concurrently, the allotment split by cost.
+// SetWorkers sets the intra-node worker count every block steps with.
 func (r *refinedOf[T]) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.workers = n
-	r.applied = [3]int{} // force a fresh split (or full-allotment reset)
-	if n < 3 {
-		r.applied = [3]int{n, n, n}
-		r.bot.SetWorkers(n)
-		r.top.SetWorkers(n)
-		r.coarse.SetWorkers(n)
-	}
+	r.bot.SetWorkers(n)
+	r.top.SetWorkers(n)
+	r.coarse.SetWorkers(n)
 }
-
-// AutoWorkers sets the worker count from the CPU count.
-func (r *refinedOf[T]) AutoWorkers() { r.SetWorkers(runtime.GOMAXPROCS(0)) }
-
-// Workers returns the configured total worker count.
-func (r *refinedOf[T]) Workers() int { return r.workers }
 
 // RunSupervised advances up to n composite steps under a supervisor,
 // checking at every composite boundary, so a soft stop always leaves
@@ -574,60 +406,6 @@ func (r *refinedOf[T]) RunSupervised(n int, sup *runctl.Supervisor) (int, error)
 		}
 	}
 	return n, nil
-}
-
-// RunToSteady advances until the owned velocity field stops changing;
-// maxSteps and checkEvery are composite steps (two fine dt each).
-func (r *refinedOf[T]) RunToSteady(maxSteps, checkEvery int, tol float64) SteadyResult {
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
-	prev := r.velocitySnapshot()
-	res := SteadyResult{Residual: math.Inf(1)}
-	for res.Steps < maxSteps {
-		n := checkEvery
-		if res.Steps+n > maxSteps {
-			n = maxSteps - res.Steps
-		}
-		r.RunParallelSteps(n)
-		res.Steps += n
-		cur := r.velocitySnapshot()
-		res.Residual = relativeChange(cur, prev)
-		if res.Residual < tol {
-			res.Converged = true
-			return res
-		}
-		prev = cur
-	}
-	return res
-}
-
-// RunToSteadySupervised is RunToSteady under a supervisor.
-func (r *refinedOf[T]) RunToSteadySupervised(sup *runctl.Supervisor, maxSteps, checkEvery int, tol float64) (SteadyResult, error) {
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
-	prev := r.velocitySnapshot()
-	res := SteadyResult{Residual: math.Inf(1)}
-	for res.Steps < maxSteps {
-		n := checkEvery
-		if res.Steps+n > maxSteps {
-			n = maxSteps - res.Steps
-		}
-		done, err := r.RunSupervised(n, sup)
-		res.Steps += done
-		if err != nil {
-			return res, err
-		}
-		cur := r.velocitySnapshot()
-		res.Residual = relativeChange(cur, prev)
-		if res.Residual < tol {
-			res.Converged = true
-			return res, nil
-		}
-		prev = cur
-	}
-	return res, nil
 }
 
 // velocitySnapshot samples the barycentric velocity at every owned

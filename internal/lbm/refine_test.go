@@ -310,10 +310,8 @@ func TestRefinedMassConservationLong(t *testing.T) {
 }
 
 // Refined parallel stepping must match serial refined stepping bit for
-// bit: below three workers the blocks run sequentially with the full
-// allotment, at three and above they run concurrently on the level
-// pool with a cost split. Either way each block's own Step/StepParallel
-// identity carries the result.
+// bit: the blocks step in turn, each on the whole worker allotment, so
+// each block's own Step/RunSupervised identity carries the result.
 func TestRefinedParallelMatchesStep(t *testing.T) {
 	for _, workers := range []int{2, 3, 5} {
 		p, spec := refineTestParams()
@@ -328,10 +326,13 @@ func TestRefinedParallelMatchesStep(t *testing.T) {
 		par.SetWorkers(workers)
 		for i := 0; i < 4; i++ {
 			serial.Step()
-			par.StepParallel()
+			advance(t, par, 1)
 		}
-		if got := par.Workers(); got != workers {
-			t.Errorf("workers=%d: Workers() = %d", workers, got)
+		r := par.(*refinedOf[float64])
+		for i, lv := range []*Sim{r.bot, r.top, r.coarse} {
+			if lv.workers != workers {
+				t.Errorf("workers=%d: block %d steps on %d workers", workers, i, lv.workers)
+			}
 		}
 		refinedBitEqual(t, "workers", refinedSnapshot(serial), refinedSnapshot(par))
 	}
@@ -459,45 +460,6 @@ func TestRefinedDiagnosticsFreshState(t *testing.T) {
 	}
 }
 
-func TestSplitWorkersByCost(t *testing.T) {
-	cases := []struct {
-		total int
-		costs []float64
-		want  []int
-	}{
-		{6, []float64{1, 1, 1}, []int{2, 2, 2}},
-		{3, []float64{5, 1, 1}, []int{1, 1, 1}},
-		{1, []float64{5, 1, 1}, []int{1, 1, 1}}, // raised to one per group
-		{8, []float64{3, 3, 2}, []int{3, 3, 2}},
-		{4, []float64{0, 0, 0}, []int{2, 1, 1}}, // degenerate costs round-robin
-		{10, []float64{8, 1, 1}, []int{8, 1, 1}},
-	}
-	for _, tc := range cases {
-		out := make([]int, len(tc.costs))
-		splitWorkersByCost(tc.total, tc.costs, out)
-		sum := 0
-		for i, w := range out {
-			if w < 1 {
-				t.Errorf("split(%d, %v): group %d got %d workers", tc.total, tc.costs, i, w)
-			}
-			sum += w
-		}
-		wantTotal := tc.total
-		if wantTotal < len(tc.costs) {
-			wantTotal = len(tc.costs)
-		}
-		if sum != wantTotal {
-			t.Errorf("split(%d, %v) = %v: sums to %d, want %d", tc.total, tc.costs, out, sum, wantTotal)
-		}
-		for i, w := range tc.want {
-			if out[i] != w {
-				t.Errorf("split(%d, %v) = %v, want %v", tc.total, tc.costs, out, tc.want)
-				break
-			}
-		}
-	}
-}
-
 func TestMultiLevelGeometry(t *testing.T) {
 	ml, err := field.NewMultiLevel(8, 20, 8, 4)
 	if err != nil {
@@ -537,10 +499,9 @@ func TestMultiLevelGeometry(t *testing.T) {
 	}
 }
 
-// The refined steady path must not allocate either: warmed up, both
-// the sequential (workers<3) and pooled (workers>=3) composite step
-// run renorm, ghost exchange, and rebalance checks on preallocated
-// state.
+// The refined steady path must not allocate either: warmed up, the
+// composite step runs the blocks' band wakes, renorm and the ghost
+// exchange on preallocated state, at one worker and at three.
 func TestRefinedStepParallelZeroAllocs(t *testing.T) {
 	p, spec := refineTestParams()
 	solver, err := NewRefined(p, spec)
@@ -548,17 +509,17 @@ func TestRefinedStepParallelZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	solver.SetWorkers(1)
-	solver.RunParallelSteps(3)
-	if allocs := testing.AllocsPerRun(5, solver.StepParallel); allocs != 0 {
-		t.Errorf("refined StepParallel(workers=1): %v allocs/op, want 0", allocs)
+	advance(t, solver, 3)
+	if allocs := testing.AllocsPerRun(5, func() { solver.RunSupervised(1, nil) }); allocs != 0 {
+		t.Errorf("refined RunSupervised(1, workers=1): %v allocs/op, want 0", allocs)
 	}
 	solver.SetWorkers(3)
-	solver.RunParallelSteps(3)
-	if allocs := testing.AllocsPerRun(5, solver.StepParallel); allocs != 0 {
-		t.Errorf("refined StepParallel(workers=3): %v allocs/op, want 0", allocs)
+	advance(t, solver, 3)
+	if allocs := testing.AllocsPerRun(5, func() { solver.RunSupervised(1, nil) }); allocs != 0 {
+		t.Errorf("refined RunSupervised(1, workers=3): %v allocs/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(5, func() { solver.RunParallelSteps(2) }); allocs != 0 {
-		t.Errorf("refined RunParallelSteps(2, workers=3): %v allocs/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(5, func() { solver.RunSupervised(2, nil) }); allocs != 0 {
+		t.Errorf("refined RunSupervised(2, workers=3): %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -23,7 +23,7 @@ type SimOf[T num.Float] struct {
 	// take.
 	f, fView [][][]T
 	step     int
-	workers  int // intra-node parallelism for StepParallel
+	workers  int // intra-node parallelism for RunSupervised
 	// post[x][c] and n[x][c] are the serial Step's post-collision and
 	// density lattices, built on its first call: only callers of the
 	// reference path pay for a second lattice.

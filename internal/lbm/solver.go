@@ -2,46 +2,32 @@ package lbm
 
 import "microslip/internal/runctl"
 
-// Solver is the precision-agnostic surface of the sequential solver:
-// everything a driver (benchmarks, the slip experiments, the CLI) needs
-// to step a simulation and read diagnostics, independent of whether the
-// core runs at float32 or float64. Both SimOf instantiations implement
-// it; NewSolver dispatches on Params.Precision so callers never name a
-// scalar type.
-type Solver interface {
-	// Params returns the simulation parameters.
+// Stepper is what every sequential solver shares: stepping, the worker
+// allotment, and the diagnostics a caller reads between steps, in
+// global fine coordinates. Solver and RefinedSolver both embed it, so
+// a job loop holds one Stepper whichever solver it runs; the two differ
+// only in their snapshot types and refinement extras. There are three
+// ways to advance time: Step and Run, the strictly serial reference the
+// tests compare against, and RunSupervised, the production path (the
+// steady-state criterion, RunToSteady, is built on it).
+type Stepper interface {
+	// Params returns the (global fine) simulation parameters.
 	Params() *Params
 	// Step advances one strictly serial reference step.
 	Step()
 	// Run advances n serial steps.
 	Run(n int)
-	// StepParallel advances one step with the configured intra-node
-	// parallelism: the fused sweep, in place, over every band.
-	StepParallel()
-	// RunParallelSteps advances n steps with StepParallel.
-	RunParallelSteps(n int)
 	// StepCount returns the number of completed steps.
 	StepCount() int
-	// SetWorkers sets the intra-node worker count.
+	// SetWorkers sets the intra-node worker count; n <= 1 means one.
 	SetWorkers(n int)
-	// AutoWorkers sets the worker count from the CPU count.
-	AutoWorkers()
-	// Workers returns the configured worker count.
-	Workers() int
-	// SetFusedChunks pins the band count (tests only).
-	SetFusedChunks(n int)
-	// RunSupervised advances up to n steps under a supervisor, checking
-	// for cancellation, wall-clock expiry, or a worker abort at every
-	// step boundary; it returns the steps completed and the stop cause.
+	// RunSupervised advances up to n steps with the configured
+	// intra-node parallelism under a supervisor, checking for
+	// cancellation, wall-clock expiry, or a worker abort at every step
+	// boundary; it returns the steps completed and the stop cause. A nil
+	// supervisor never stops the run; a worker panic comes back as a
+	// *runctl.PanicError.
 	RunSupervised(n int, sup *runctl.Supervisor) (int, error)
-	// SetBandHook installs the per-band-step observation hook used by
-	// fault injection and supervision tests.
-	SetBandHook(hook func(band, step int))
-	// RunToSteady advances until the velocity field stops changing.
-	RunToSteady(maxSteps, checkEvery int, tol float64) SteadyResult
-	// RunToSteadySupervised is RunToSteady under a supervisor,
-	// returning the partial result alongside any stop cause.
-	RunToSteadySupervised(sup *runctl.Supervisor, maxSteps, checkEvery int, tol float64) (SteadyResult, error)
 	// Velocity returns the barycentric velocity at (x, y, z).
 	Velocity(x, y, z int) (ux, uy, uz float64)
 	// Density returns the mass density of component c at (x, y, z).
@@ -54,6 +40,26 @@ type Solver interface {
 	TotalMass(c int) float64
 	// CheckFinite errors on the first NaN population.
 	CheckFinite() error
+
+	// velocitySnapshot samples the velocity at every (owned) fluid cell
+	// in a fixed order: the field RunToSteady compares between samples.
+	velocitySnapshot() []float64
+}
+
+// Solver is the precision-agnostic surface of the sequential solver:
+// everything a caller (benchmarks, the slip experiments, the CLI) needs
+// to step a simulation and read diagnostics, independent of whether the
+// core runs at float32 or float64. Both SimOf instantiations implement
+// it; NewSolver dispatches on Params.Precision so callers never name a
+// scalar type.
+type Solver interface {
+	Stepper
+	// SetFusedChunks pins the band count (tests only).
+	SetFusedChunks(n int)
+	// SetBandHook installs the per-band-step observation hook the
+	// supervision and abort tests inject panics, stalls and
+	// cancellations through.
+	SetBandHook(hook func(band, step int))
 	// State captures a double-precision snapshot (exact for f32 cores).
 	State() *State
 }

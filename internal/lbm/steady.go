@@ -16,46 +16,24 @@ type SteadyResult struct {
 	Residual float64
 }
 
-// RunToSteady advances the simulation until the flow field stops
-// changing: every checkEvery steps it compares the barycentric velocity
-// field with the previous sample and stops when the relative L2 change
+// RunToSteady advances s until the flow field stops changing: every
+// checkEvery steps it compares the barycentric velocity field with the
+// previous sample and stops when the relative L2 change
 //
 //	||u_now - u_prev||_2 / ||u_now||_2  <  tol
 //
 // or after maxSteps. The paper's production runs integrate "about
 // 500,000 LBM phases to reach the steady state"; this criterion makes
-// that an explicit, measurable stopping rule.
-func (s *SimOf[T]) RunToSteady(maxSteps, checkEvery int, tol float64) SteadyResult {
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
-	prev := s.velocitySnapshot()
-	res := SteadyResult{Residual: math.Inf(1)}
-	for res.Steps < maxSteps {
-		n := checkEvery
-		if res.Steps+n > maxSteps {
-			n = maxSteps - res.Steps
-		}
-		s.RunParallelSteps(n)
-		res.Steps += n
-		cur := s.velocitySnapshot()
-		res.Residual = relativeChange(cur, prev)
-		if res.Residual < tol {
-			res.Converged = true
-			return res
-		}
-		prev = cur
-	}
-	return res
-}
-
-// RunToSteadySupervised is RunToSteady under a supervisor: the run
-// stops at the next step boundary after a cancellation, wall-clock
-// expiry, or worker abort, returning the partial SteadyResult (steps
-// completed so far, last residual) alongside the stop cause. A nil
-// error means the criterion ran to its own conclusion (converged or
-// maxSteps), exactly like RunToSteady.
-func (s *SimOf[T]) RunToSteadySupervised(sup *runctl.Supervisor, maxSteps, checkEvery int, tol float64) (SteadyResult, error) {
+// that an explicit, measurable stopping rule. Steps are s's own (one
+// composite step, two fine dt, on a refined solver).
+//
+// The run advances through s.RunSupervised: it stops at the next step
+// boundary after a cancellation, wall-clock expiry, or worker abort,
+// returning the partial result (steps completed so far, last residual —
+// +Inf before the first sample) alongside the stop cause. A nil sup
+// means unsupervised; a nil error means the criterion ran to its own
+// conclusion (converged or maxSteps).
+func RunToSteady(s Stepper, sup *runctl.Supervisor, maxSteps, checkEvery int, tol float64) (SteadyResult, error) {
 	if checkEvery < 1 {
 		checkEvery = 1
 	}

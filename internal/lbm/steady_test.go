@@ -11,7 +11,10 @@ func TestRunToSteadyConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.RunToSteady(20000, 200, 1e-4)
+	res, err := RunToSteady(s, nil, 20000, 200, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Converged {
 		t.Fatalf("did not converge: %+v", res)
 	}
@@ -34,7 +37,10 @@ func TestRunToSteadyBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.RunToSteady(100, 50, 1e-12)
+	res, err := RunToSteady(s, nil, 100, 50, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Converged {
 		t.Errorf("claimed convergence at an impossible tolerance: %+v", res)
 	}
@@ -49,7 +55,10 @@ func TestRunToSteadyAtRestIsImmediate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.RunToSteady(1000, 10, 1e-9)
+	res, err := RunToSteady(s, nil, 1000, 10, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Converged || res.Steps != 10 {
 		t.Errorf("rest state not detected steady at first check: %+v", res)
 	}

@@ -3,6 +3,7 @@ package lbm
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -36,18 +37,16 @@ func TestBandWorkerPanicAborts(t *testing.T) {
 					panic("injected band fault")
 				}
 			})
-			done := make(chan any, 1)
+			done := make(chan error, 1)
 			go func() {
-				defer func() { done <- recover() }()
-				s.RunParallelSteps(8)
-				done <- nil
+				_, err := s.RunSupervised(8, nil)
+				done <- err
 			}()
 			select {
-			case r := <-done:
+			case err := <-done:
 				var pe *runctl.PanicError
-				err, ok := r.(error)
-				if !ok || !errors.As(err, &pe) {
-					t.Fatalf("RunParallelSteps panicked with %v, want *runctl.PanicError", r)
+				if !errors.As(err, &pe) {
+					t.Fatalf("RunSupervised returned %v, want *runctl.PanicError", err)
 				}
 				if pe.Band != 2 || pe.Rank != -1 {
 					t.Fatalf("PanicError identity = rank %d band %d, want rank -1 band 2", pe.Rank, pe.Band)
@@ -60,7 +59,7 @@ func TestBandWorkerPanicAborts(t *testing.T) {
 			}
 			// The poisoned scheduler rebuilds and the sim steps again.
 			s.SetBandHook(nil)
-			s.RunParallelSteps(2)
+			advance(t, s, 2)
 			if err := s.CheckFinite(); err != nil {
 				t.Fatalf("after rebuild: %v", err)
 			}
@@ -129,7 +128,7 @@ func TestRunSupervisedCancelResumeBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref.SetWorkers(4)
-			ref.RunParallelSteps(total)
+			advance(t, ref, total)
 
 			run, err := NewSolver(mk())
 			if err != nil {
@@ -161,7 +160,7 @@ func TestRunSupervisedCancelResumeBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			resumed.SetWorkers(4)
-			resumed.RunParallelSteps(total - done)
+			advance(t, resumed, total-done)
 			if resumed.StepCount() != total {
 				t.Fatalf("resume ended at step %d, want %d", resumed.StepCount(), total)
 			}
@@ -199,48 +198,107 @@ func TestRunSupervisedWallLimit(t *testing.T) {
 	}
 }
 
-// RunToSteadySupervised reports the partial step count on interruption
-// and completes like RunToSteady when unsupervised pressure is absent.
+// RunToSteady under a supervisor reports the partial step count when a
+// cancel lands mid-window, and a supervisor that never fires changes
+// nothing: the same SteadyResult and a bit-identical lattice as the
+// unsupervised (nil) run. One row per solver; the refined row counts
+// composite steps and cancels from a fine slab's band hook.
 func TestRunToSteadySupervised(t *testing.T) {
-	p := WaterAir(8, 10, 6)
-	s, err := NewSim(p)
-	if err != nil {
-		t.Fatal(err)
+	const maxSteps, checkEvery = 50, 4
+	cases := []struct {
+		name string
+		mk   func() (Stepper, *Sim, error) // the solver and the block to hook
+		// stop is the step count a cancel at hook step 5 stops at.
+		stop int
+	}{
+		{"uniform", func() (Stepper, *Sim, error) {
+			s, err := NewSim(WaterAir(8, 10, 6))
+			return s, s, err
+		}, 6},
+		{"refined", func() (Stepper, *Sim, error) {
+			p, spec := refineTestParams()
+			r, err := newRefinedOf[float64](p, spec)
+			if err != nil {
+				return nil, nil, err
+			}
+			return r, r.bot, nil
+		}, 3},
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.SetBandHook(func(band, step int) {
-		if step == 4 {
-			cancel()
-		}
-	})
-	sup := runctl.NewSupervisor(ctx, 0)
-	res, err := s.RunToSteadySupervised(sup, 50, 2, 0)
-	if !errors.Is(err, runctl.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if res.Steps != s.StepCount() {
-		t.Fatalf("partial result says %d steps, sim at %d", res.Steps, s.StepCount())
-	}
-	if res.Steps >= 50 {
-		t.Fatal("cancelled steady run ran to maxSteps")
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, hooked, err := tc.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			hooked.SetBandHook(func(band, step int) {
+				if step == 5 {
+					cancel()
+				}
+			})
+			res, err := RunToSteady(s, runctl.NewSupervisor(ctx, 0), maxSteps, checkEvery, 0)
+			if !errors.Is(err, runctl.ErrCanceled) {
+				t.Fatalf("err = %v, want ErrCanceled", err)
+			}
+			if res.Steps != s.StepCount() || res.Steps != tc.stop {
+				t.Fatalf("partial result says %d steps, solver at %d, want %d", res.Steps, s.StepCount(), tc.stop)
+			}
+			if res.Converged {
+				t.Fatal("cancelled steady run reported convergence")
+			}
 
-	s2, err := NewSim(WaterAir(8, 10, 6))
-	if err != nil {
-		t.Fatal(err)
+			unsup, _, err := tc.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunToSteady(unsup, nil, 6, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			quiet, _, err := tc.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunToSteady(quiet, runctl.NewSupervisor(context.Background(), 0), 6, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || got.Steps != 6 {
+				t.Fatalf("supervised steady result %+v != unsupervised %+v", got, want)
+			}
+			a, b := latticeBits(unsup), latticeBits(quiet)
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("supervised lattice diverges at word %d", i)
+				}
+			}
+		})
 	}
-	want := s2.RunToSteady(6, 2, 0)
-	s3, err := NewSim(WaterAir(8, 10, 6))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// latticeBits flattens every population a solver holds into its bits,
+// block by block for a refined solver.
+func latticeBits(s Stepper) []uint64 {
+	var states []*State
+	switch v := s.(type) {
+	case Solver:
+		states = []*State{v.State()}
+	case RefinedSolver:
+		st := v.State()
+		states = st.Levels[:]
 	}
-	got, err := s3.RunToSteadySupervised(nil, 6, 2, 0)
-	if err != nil {
-		t.Fatal(err)
+	var out []uint64
+	for _, st := range states {
+		for c := range st.F {
+			for x := range st.F[c] {
+				for _, f := range st.F[c][x] {
+					out = append(out, math.Float64bits(f))
+				}
+			}
+		}
 	}
-	if got != want {
-		t.Fatalf("supervised steady result %+v != unsupervised %+v", got, want)
-	}
+	return out
 }
 
 // The stall fault mode: a band worker sleeping in its hook must not
@@ -265,7 +323,7 @@ func TestBandStallIsHarmless(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	})
-	s.RunParallelSteps(6)
+	advance(t, s, 6)
 	a, b := ref.State(), s.State()
 	for c := range a.F {
 		for x := range a.F[c] {

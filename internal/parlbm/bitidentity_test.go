@@ -98,7 +98,7 @@ func TestBitIdentityMatrix(t *testing.T) {
 					}
 					s.SetWorkers(bands)
 					s.SetFusedChunks(bands)
-					s.RunParallelSteps(steps)
+					advance(t, s, steps)
 					checkIntra(t, refState[prec], s)
 				})
 			}
@@ -121,7 +121,7 @@ func TestBitIdentityMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.RunParallelSteps(steps)
+				advance(t, s, steps)
 				checkIntra(t, want.State(), s)
 			})
 		}
@@ -139,13 +139,13 @@ func TestBitIdentityMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				first.SetFusedChunks(bands)
-				first.RunParallelSteps(steps / 2)
+				advance(t, first, steps/2)
 				s, err := lbm.SolverFromState(first.State())
 				if err != nil {
 					t.Fatal(err)
 				}
 				s.SetFusedChunks(bands)
-				s.RunParallelSteps(steps - steps/2)
+				advance(t, s, steps-steps/2)
 				checkIntra(t, refState[prec], s)
 			})
 		}
@@ -230,8 +230,8 @@ func checkIntra(t *testing.T, want *lbm.State, s lbm.Solver) {
 			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(3, s.StepParallel); allocs != 0 {
-		t.Errorf("StepParallel: %v allocs/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(3, func() { s.RunSupervised(1, nil) }); allocs != 0 {
+		t.Errorf("RunSupervised(1): %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -367,5 +367,14 @@ func TestBitIdentityTinySlabs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// advance steps s n steps on the production path (RunSupervised with no
+// supervisor), failing t if a worker panicked.
+func advance(t *testing.T, s lbm.Stepper, n int) {
+	t.Helper()
+	if _, err := s.RunSupervised(n, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -135,22 +135,6 @@ func (s *Server) classify(j *job, runErr error) (State, error) {
 // ms converts a duration to float milliseconds.
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
-// seqSolver is the method set the sequential job loop drives — the
-// intersection of lbm.Solver and lbm.RefinedSolver (their State
-// snapshots differ in type, so neither interface embeds in the other;
-// the interrupt path type-switches to snapshot).
-type seqSolver interface {
-	Params() *lbm.Params
-	SetWorkers(n int)
-	StepCount() int
-	RunSupervised(n int, sup *runctl.Supervisor) (int, error)
-	RunToSteadySupervised(sup *runctl.Supervisor, maxSteps, checkEvery int, tol float64) (lbm.SteadyResult, error)
-	TotalMass(c int) float64
-	CheckFinite() error
-	Velocity(x, y, z int) (ux, uy, uz float64)
-	VelocityProfileY(x, z int) []float64
-}
-
 // runSequential executes a wallforce or steady job on the sequential
 // solver — uniform, or two-level refined when the spec carries a
 // refinement descriptor — in StreamEvery-step chunks, publishing a
@@ -160,7 +144,7 @@ type seqSolver interface {
 func (s *Server) runSequential(j *job, spec JobSpec, ckptDir string, resume *lbm.State, resumeRef *lbm.RefinedState) (*Result, time.Duration, error) {
 	scheduleStart := time.Now()
 	var (
-		solver seqSolver
+		solver lbm.Stepper
 		err    error
 	)
 	switch {
@@ -219,8 +203,13 @@ func (s *Server) runSequential(j *job, spec JobSpec, ckptDir string, resume *lbm
 				ce = chunk
 			}
 			var sr lbm.SteadyResult
-			sr, runErr = solver.RunToSteadySupervised(sup, chunk, ce, spec.SteadyTol)
-			res.Residual = sr.Residual
+			sr, runErr = lbm.RunToSteady(solver, sup, chunk, ce, spec.SteadyTol)
+			// JSON carries only finite numbers, and a chunk stopped
+			// before its first sample reports +Inf: keep the last
+			// sampled residual (none yet leaves the field omitted).
+			if r := sr.Residual; !math.IsInf(r, 0) && !math.IsNaN(r) {
+				res.Residual = r
+			}
 			res.Converged = sr.Converged
 		} else {
 			_, runErr = solver.RunSupervised(chunk, sup)

@@ -332,6 +332,49 @@ func TestWallLimitInterruptsJob(t *testing.T) {
 	}
 }
 
+// A steady job interrupted before its first residual sample has no
+// residual to report: its status must still persist (JSON cannot carry
+// the criterion's +Inf starting value), so the job ends interrupted and
+// resumable, with a decodable status and status.json beside its
+// checkpoint.
+func TestSteadyInterruptBeforeFirstSample(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Pool: 1, StreamEvery: 20, Storage: store})
+
+	spec := JobSpec{Kind: KindSteady, NX: 8, NY: 32, NZ: 8, Steps: 400000,
+		SteadyTol: 1e-9, CheckEvery: 100000, WallLimitMS: 150}
+	st := postJob(t, ts, spec, http.StatusAccepted)
+	fin := waitTerminal(t, ts, st.ID)
+	if fin.State != StateInterrupted || !fin.Resumable {
+		t.Fatalf("state = %s resumable=%v (%s), want interrupted and resumable", fin.State, fin.Resumable, fin.Error)
+	}
+	if fin.Result == nil || fin.Result.Steps <= 0 || fin.Result.Steps >= spec.CheckEvery {
+		t.Fatalf("result %+v, want a partial first window", fin.Result)
+	}
+	if fin.Result.Residual != 0 {
+		t.Errorf("residual %v reported before the first sample", fin.Result.Residual)
+	}
+	if got := getStatus(t, ts, "/jobs/"+st.ID); got.State != StateInterrupted {
+		t.Errorf("GET /jobs/{id} state = %s, want interrupted", got.State)
+	}
+	job := filepath.Join(dir, "jobs", st.ID)
+	buf, err := os.ReadFile(filepath.Join(job, "status.json"))
+	if err != nil {
+		t.Fatalf("status.json not persisted: %v", err)
+	}
+	var disk JobStatus
+	if err := json.Unmarshal(buf, &disk); err != nil || disk.State != StateInterrupted {
+		t.Fatalf("status.json = %s (%v), want an interrupted status", buf, err)
+	}
+	if _, err := os.Stat(filepath.Join(job, "ckpt", stateFileName)); err != nil {
+		t.Errorf("interrupt checkpoint missing: %v", err)
+	}
+}
+
 func TestDrainInterruptsAndCheckpointsInFlight(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewDirStorage(dir)
