@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet gofmt test race race-lbm chaos-abort bench bench-module serve-smoke fuzz
+.PHONY: check build vet gofmt test race race-lbm chaos-abort examples-smoke bench bench-module serve-smoke fuzz
 
 # The CI gate: compile everything, vet, check formatting, run the full
 # suite, the race detector in short mode (the -short guard trims the
 # long abort-chaos sweep and physics soaks so the race pass stays
-# around a minute), then the benchmark module's vet, tests and
-# smoke-size traced run.
-check: build vet gofmt test race bench-module
+# around a minute), the examples that drive the remapping policies at
+# tiny sizes, then the benchmark module's vet, tests and smoke-size
+# traced run.
+check: build vet gofmt test race examples-smoke bench-module
 
 build:
 	$(GO) build ./...
@@ -41,6 +42,13 @@ race-lbm:
 # that tears the transport down on a hard trip or an overrun grace.
 chaos-abort:
 	$(GO) test -race -run 'AbortChaos|RunParallelCancel|RunParallelWallLimit|RunParallelRankPanic|RunSupervised|RunGroupWatcher|BandWorkerPanic|BandStall' -v ./internal/experiments/ ./internal/parlbm/ ./internal/lbm/
+
+# The example mains compile under `build` but nothing else runs them:
+# run the two that drive the remapping policies (the virtual cluster
+# and the live throttled solver) at tiny sizes, about a second each.
+examples-smoke:
+	$(GO) run ./examples/nondedicated -phases 50
+	$(GO) run ./examples/liveremap -phases 8 -delay 0s
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

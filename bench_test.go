@@ -14,7 +14,6 @@ import (
 
 	"microslip/internal/balance"
 	"microslip/internal/comm"
-	"microslip/internal/core"
 	"microslip/internal/experiments"
 	"microslip/internal/lattice"
 	"microslip/internal/lbm"
@@ -317,7 +316,7 @@ func benchCommExchange(b *testing.B, mk func() ([]comm.Comm, func(), error)) {
 // BenchmarkFilteredDecide measures the remapping decision math for a
 // 20-node array.
 func BenchmarkFilteredDecide(b *testing.B) {
-	cfg := core.DefaultConfig(4000)
+	cfg := balance.DefaultConfig(4000)
 	planes := make([]int, 20)
 	times := make([]float64, 20)
 	for i := range planes {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"microslip"
-	"microslip/internal/balance"
 	"microslip/internal/parlbm"
 )
 
@@ -37,8 +36,7 @@ func main() {
 		}
 	}
 
-	run := func(policy microslip.Policy) (time.Duration, []*parlbm.Result) {
-		pol := policy
+	run := func(pol microslip.Policy) (time.Duration, []*parlbm.Result) {
 		start := time.Now()
 		_, results, err := microslip.RunParallel(p, ranks, parlbm.Options{
 			Phases:   *phases,
@@ -53,10 +51,10 @@ func main() {
 
 	fmt.Printf("4 real workers, rank %d throttled by %v per plane, %d phases\n\n", *slowRank, *perPlane, *phases)
 
-	elapsedNone, resNone := run(nil)
+	elapsedNone, resNone := run(microslip.NoRemapPolicy())
 	fmt.Printf("no remapping:       %8.2fs  planes %v\n", elapsedNone.Seconds(), finalPlanes(resNone))
 
-	fpol := balance.NewFiltered(p.NY * p.NZ)
+	fpol := microslip.NewFilteredPolicy(p.NY * p.NZ)
 	fpol.Cfg.Interval = 5 // react quickly in a short demo
 	fpol.Cfg.HistoryK = 3
 	elapsedFilt, resFilt := run(fpol)

@@ -27,8 +27,11 @@ func main() {
 
 	fmt.Printf("20-node virtual cluster, node %d hosts a 70%% background job, %d phases\n\n", *slow, *phases)
 
-	run := func(name string, pol microslip.Policy, traces []microslip.SpeedTrace) *microslip.ClusterResult {
-		cfg := defaultCfg(setup, pol, traces, *phases)
+	run := func(pol microslip.Policy, traces []microslip.SpeedTrace) *microslip.ClusterResult {
+		cfg := microslip.DefaultClusterConfig(pol, traces, *phases)
+		cfg.TotalPlanes = setup.TotalPlanes
+		cfg.PlanePoints = setup.PlanePoints
+		cfg.Seed = setup.Seed
 		res, err := microslip.RunCluster(cfg)
 		if err != nil {
 			log.Fatal(err)
@@ -36,7 +39,7 @@ func main() {
 		return res
 	}
 
-	ded := run("dedicated", microslip.NoRemapPolicy(), microslip.Dedicated(setup.P))
+	ded := run(microslip.NoRemapPolicy(), microslip.Dedicated(setup.P))
 	fmt.Printf("%-14s %9.1f s   speedup %5.2f\n", "dedicated", ded.TotalTime, ded.Speedup())
 	var filtered *microslip.ClusterResult
 	for _, name := range []string{"none", "conservative", "global", "filtered"} {
@@ -44,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res := run(name, pol, slowTraces)
+		res := run(pol, slowTraces)
 		fmt.Printf("%-14s %9.1f s   speedup %5.2f   +%5.1f%% vs dedicated   slow node keeps %d planes\n",
 			name, res.TotalTime, res.Speedup(),
 			100*(res.TotalTime-ded.TotalTime)/ded.TotalTime,
@@ -57,17 +60,4 @@ func main() {
 	fmt.Println("\nfiltered scheme per-node breakdown (the paper's Figure 9):")
 	fmt.Print(filtered.Profile.String())
 	fmt.Printf("\nfinal plane assignment: %v\n", filtered.FinalPartition.Counts())
-}
-
-func defaultCfg(setup microslip.ClusterSetup, pol microslip.Policy, traces []microslip.SpeedTrace, phases int) microslip.ClusterConfig {
-	cfg := clusterDefault(pol, traces, phases)
-	cfg.TotalPlanes = setup.TotalPlanes
-	cfg.PlanePoints = setup.PlanePoints
-	cfg.Seed = setup.Seed
-	return cfg
-}
-
-// clusterDefault mirrors vcluster.DefaultConfig through the facade.
-func clusterDefault(pol microslip.Policy, traces []microslip.SpeedTrace, phases int) microslip.ClusterConfig {
-	return microslip.DefaultClusterConfig(pol, traces, phases)
 }

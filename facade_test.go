@@ -53,7 +53,7 @@ func TestFacadePolicyConstructors(t *testing.T) {
 		microslip.NewGlobalPolicy(4000),
 		microslip.NoRemapPolicy(),
 	} {
-		if pol.Name() == "" {
+		if pol.Name == "" {
 			t.Error("unnamed policy")
 		}
 	}

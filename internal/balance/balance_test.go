@@ -2,13 +2,12 @@ package balance
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
-
-	"microslip/internal/decomp"
 )
 
-const plane = 4000
+const plane = 4000 // paper's 200x20 plane
 
 func TestByName(t *testing.T) {
 	for _, name := range []string{"none", "noremap", "filtered", "conservative", "global"} {
@@ -17,8 +16,11 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q): %v", name, err)
 			continue
 		}
-		if p == nil {
-			t.Errorf("ByName(%q) returned nil", name)
+		if want := strings.Replace(name, "noremap", "none", 1); p.Name != want {
+			t.Errorf("ByName(%q) built %q", name, p.Name)
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("ByName(%q) built an invalid policy: %v", name, err)
 		}
 	}
 	if _, err := ByName("bogus", plane); err == nil {
@@ -33,7 +35,7 @@ func TestAllSchemes(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, p := range ps {
-		names[p.Name()] = true
+		names[p.Name] = true
 	}
 	for _, want := range []string{"none", "filtered", "conservative", "global"} {
 		if !names[want] {
@@ -43,12 +45,19 @@ func TestAllSchemes(t *testing.T) {
 }
 
 func TestNoRemapIsInert(t *testing.T) {
-	p := NoRemap{}
+	p := NoRemap()
 	if ts := p.Round([]int{10, 30}, []float64{1, 9}); ts != nil {
 		t.Errorf("NoRemap produced transfers %v", ts)
 	}
 	if p.Interval() != 0 {
 		t.Errorf("NoRemap interval %d", p.Interval())
+	}
+	// The zero Policy is the same scheme, and a no-remap policy carrying
+	// a remapping configuration still never remaps.
+	for _, q := range []Policy{{}, {Name: "none", Cfg: DefaultConfig(plane)}} {
+		if q.Interval() != 0 || q.HistoryK() != 1 || q.Round([]int{10, 30}, []float64{1, 9}) != nil {
+			t.Errorf("%+v remaps", q)
+		}
 	}
 }
 
@@ -84,12 +93,12 @@ func TestPoliciesQuietWithoutMeasurements(t *testing.T) {
 	for _, p := range All(plane) {
 		ts := p.Round([]int{20, 20, 20}, []float64{0, 0.4, 0.4})
 		if len(ts) != 0 {
-			t.Errorf("%s produced transfers with missing measurements: %v", p.Name(), ts)
+			t.Errorf("%s produced transfers with missing measurements: %v", p.Name, ts)
 		}
 	}
 }
 
-func apply(t *testing.T, planes []int, ts []decomp.Transfer) []int {
+func apply(t *testing.T, planes []int, ts []Transfer) []int {
 	t.Helper()
 	out := append([]int(nil), planes...)
 	for _, tr := range ts {
@@ -124,12 +133,12 @@ func TestPoliciesConservePlanes(t *testing.T) {
 			for i, n := range next {
 				sum += n
 				if n < 0 {
-					t.Logf("%s: node %d negative (%d) planes=%v pred=%v ts=%v", pol.Name(), i, n, planes, predicted, ts)
+					t.Logf("%s: node %d negative (%d) planes=%v pred=%v ts=%v", pol.Name, i, n, planes, predicted, ts)
 					return false
 				}
 			}
 			if sum != total {
-				t.Logf("%s: planes not conserved", pol.Name())
+				t.Logf("%s: planes not conserved", pol.Name)
 				return false
 			}
 		}
@@ -178,7 +187,7 @@ func TestFilteredBeatsConservativeOnMakespan(t *testing.T) {
 
 	mf := run(NewFiltered(plane), 24)
 	mc := run(NewConservative(plane), 24)
-	mn := run(NoRemap{}, 24)
+	mn := run(NoRemap(), 24)
 	if !(mf < mc && mc < mn) {
 		t.Errorf("makespan ordering broken: filtered %.2f, conservative %.2f, none %.2f", mf, mc, mn)
 	}
@@ -191,20 +200,68 @@ func TestPolicyMetadata(t *testing.T) {
 		history  int
 		global   bool
 	}{
-		{NoRemap{}, 0, 1, false},
+		{Policy{}, 0, 1, false},
+		{NoRemap(), 0, 1, false},
 		{NewFiltered(plane), 25, 10, false},
 		{NewConservative(plane), 25, 10, false},
 		{NewGlobal(plane), 25, 10, true},
 	}
 	for _, c := range cases {
 		if c.p.Interval() != c.interval {
-			t.Errorf("%s: Interval %d, want %d", c.p.Name(), c.p.Interval(), c.interval)
+			t.Errorf("%s: Interval %d, want %d", c.p.Name, c.p.Interval(), c.interval)
 		}
 		if c.p.HistoryK() != c.history {
-			t.Errorf("%s: HistoryK %d, want %d", c.p.Name(), c.p.HistoryK(), c.history)
+			t.Errorf("%s: HistoryK %d, want %d", c.p.Name, c.p.HistoryK(), c.history)
 		}
 		if c.p.Global() != c.global {
-			t.Errorf("%s: Global %v, want %v", c.p.Name(), c.p.Global(), c.global)
+			t.Errorf("%s: Global %v, want %v", c.p.Name, c.p.Global(), c.global)
+		}
+	}
+}
+
+// Filtered and conservative differ only in their configuration; global
+// reads its interval, window, plane size, kept minimum and threshold
+// from the same Config.
+func TestPolicyConfigs(t *testing.T) {
+	f, c, g := NewFiltered(plane), NewConservative(plane), NewGlobal(plane)
+	if f.Cfg != DefaultConfig(plane) || c.Cfg != ConservativeConfig(plane) || g.Cfg != DefaultConfig(plane) {
+		t.Errorf("configs: filtered %+v, conservative %+v, global %+v", f.Cfg, c.Cfg, g.Cfg)
+	}
+	if g.Cfg.ThresholdPoints/g.Cfg.PlanePoints != 1 {
+		t.Errorf("global threshold %d planes, want 1", g.Cfg.ThresholdPoints/g.Cfg.PlanePoints)
+	}
+	f.Name = "conservative"
+	f.Cfg = ConservativeConfig(plane)
+	if f != c {
+		t.Errorf("filtered with the conservative config %+v != conservative %+v", f, c)
+	}
+}
+
+func TestPolicyValidate(t *testing.T) {
+	for _, p := range append(All(plane), Policy{}) {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%q: %v", p.Name, err)
+		}
+	}
+	// No-remap ignores its configuration.
+	if err := (Policy{Name: "none", Cfg: Config{HistoryK: -1}}).Validate(); err != nil {
+		t.Errorf("none with a bad config: %v", err)
+	}
+	if err := (Policy{Name: "bogus", Cfg: DefaultConfig(plane)}).Validate(); err == nil {
+		t.Error("unknown scheme accepted")
+	}
+	bad := map[string]func(*Config){
+		"HistoryK=0":    func(c *Config) { c.HistoryK = 0 },
+		"PlanePoints=0": func(c *Config) { c.PlanePoints = 0 },
+		"Alpha=0":       func(c *Config) { c.Alpha = 0 },
+	}
+	for _, p := range All(plane)[1:] {
+		for name, mutate := range bad {
+			q := p
+			mutate(&q.Cfg)
+			if err := q.Validate(); err == nil {
+				t.Errorf("%s with %s accepted", p.Name, name)
+			}
 		}
 	}
 }

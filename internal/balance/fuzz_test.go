@@ -1,10 +1,6 @@
 package balance
 
-import (
-	"testing"
-
-	"microslip/internal/decomp"
-)
+import "testing"
 
 // FuzzPolicyRound drives every policy's remap-plan pipeline (decide →
 // conflict resolution) with arbitrary load windows and enforces the
@@ -46,23 +42,23 @@ func FuzzPolicyRound(f *testing.F) {
 		for i := 0; i < p; i++ {
 			starts[i+1] = starts[i] + planes[i]
 		}
-		part := decomp.Partition{NX: total, Starts: starts}
+		part := Partition{NX: total, Starts: starts}
 
 		for _, pol := range All(4000) {
 			ts := pol.Round(planes, predicted)
 			for _, tr := range ts {
 				if err := tr.Validate(p); err != nil {
 					t.Fatalf("%s: invalid transfer %+v: %v\nplanes %v predicted %v",
-						pol.Name(), tr, err, planes, predicted)
+						pol.Name, tr, err, planes, predicted)
 				}
 			}
 			next, err := part.Apply(ts, 0)
 			if err != nil {
 				t.Fatalf("%s: plan not applicable in one round: %v\ntransfers %+v planes %v predicted %v",
-					pol.Name(), err, ts, planes, predicted)
+					pol.Name, err, ts, planes, predicted)
 			}
 			if next.NX != total {
-				t.Fatalf("%s: plane total changed %d -> %d", pol.Name(), total, next.NX)
+				t.Fatalf("%s: plane total changed %d -> %d", pol.Name, total, next.NX)
 			}
 			// A round with any unmeasured node must stay quiet for the
 			// global policy (it needs all loads), and no policy may move
@@ -74,7 +70,7 @@ func FuzzPolicyRound(f *testing.F) {
 				}
 			}
 			if allZero && len(ts) != 0 {
-				t.Fatalf("%s: transfers %+v from all-unmeasured round", pol.Name(), ts)
+				t.Fatalf("%s: transfers %+v from all-unmeasured round", pol.Name, ts)
 			}
 		}
 	})

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"microslip/internal/balance"
-	"microslip/internal/core"
-	"microslip/internal/predict"
 	"microslip/internal/vcluster"
 )
 
@@ -73,13 +71,13 @@ func RunAblationPredictors(setup ClusterSetup, phases int) (*AblationResult, err
 	traces := vcluster.TransientSpikes(setup.P, 2, 1e5, setup.Seed+7)
 	preds := []struct {
 		name string
-		mk   func(k int) predict.Predictor
+		mk   func(k int) balance.Predictor
 	}{
-		{"harmonic (paper)", func(k int) predict.Predictor { return predict.NewHarmonicMean(k) }},
-		{"last-value", func(int) predict.Predictor { return predict.NewLastValue() }},
-		{"arithmetic mean", func(k int) predict.Predictor { return predict.NewArithmeticMean(k) }},
-		{"exp smoothing 0.5", func(int) predict.Predictor { return predict.NewExpSmoothing(0.5) }},
-		{"tendency", func(k int) predict.Predictor { return predict.NewTendency(max(k, 2)) }},
+		{"harmonic (paper)", func(k int) balance.Predictor { return balance.NewHarmonicMean(k) }},
+		{"last-value", func(int) balance.Predictor { return balance.NewLastValue() }},
+		{"arithmetic mean", func(k int) balance.Predictor { return balance.NewArithmeticMean(k) }},
+		{"exp smoothing 0.5", func(int) balance.Predictor { return balance.NewExpSmoothing(0.5) }},
+		{"tendency", func(k int) balance.Predictor { return balance.NewTendency(max(k, 2)) }},
 	}
 	for _, p := range preds {
 		mk := p.mk
@@ -101,10 +99,10 @@ func RunAblationPredictors(setup ClusterSetup, phases int) (*AblationResult, err
 func RunAblationOverRedistribution(setup ClusterSetup, phases int) (*AblationResult, error) {
 	res := &AblationResult{Title: "Ablation: over-redistribution", Phases: phases}
 	traces := vcluster.FixedSlowNodes(setup.P, []int{setup.P / 2})
-	mk := func(name string, mod func(*core.Config)) (AblationRow, error) {
-		cfg := core.DefaultConfig(setup.PlanePoints)
-		mod(&cfg)
-		r, err := setup.run(balance.Filtered{Cfg: cfg}, traces, phases)
+	mk := func(name string, mod func(*balance.Config)) (AblationRow, error) {
+		pol := balance.NewFiltered(setup.PlanePoints)
+		mod(&pol.Cfg)
+		r, err := setup.run(pol, traces, phases)
 		if err != nil {
 			return AblationRow{}, err
 		}
@@ -112,12 +110,12 @@ func RunAblationOverRedistribution(setup ClusterSetup, phases int) (*AblationRes
 	}
 	rows := []struct {
 		name string
-		mod  func(*core.Config)
+		mod  func(*balance.Config)
 	}{
-		{"kappa = S_recv/S_send", func(c *core.Config) {}},
-		{"kappa off (delta)", func(c *core.Config) { c.OverRedistribute = false }},
-		{"conservative a=2", func(c *core.Config) { c.OverRedistribute = false; c.Alpha = 2 }},
-		{"conservative a=4", func(c *core.Config) { c.OverRedistribute = false; c.Alpha = 4 }},
+		{"kappa = S_recv/S_send", func(c *balance.Config) {}},
+		{"kappa off (delta)", func(c *balance.Config) { c.OverRedistribute = false }},
+		{"conservative a=2", func(c *balance.Config) { c.OverRedistribute = false; c.Alpha = 2 }},
+		{"conservative a=4", func(c *balance.Config) { c.OverRedistribute = false; c.Alpha = 4 }},
 	}
 	for _, rw := range rows {
 		row, err := mk(rw.name, rw.mod)
@@ -135,9 +133,9 @@ func RunAblationLaziness(setup ClusterSetup, phases int) (*AblationResult, error
 	res := &AblationResult{Title: "Ablation: lazy remapping (interval / history K)", Phases: phases}
 	traces := oneSlowTraces(setup, 1e5)
 	for _, interval := range []int{5, 10, 25, 50, 100} {
-		cfg := core.DefaultConfig(setup.PlanePoints)
-		cfg.Interval = interval
-		r, err := setup.run(balance.Filtered{Cfg: cfg}, traces, phases)
+		pol := balance.NewFiltered(setup.PlanePoints)
+		pol.Cfg.Interval = interval
+		r, err := setup.run(pol, traces, phases)
 		if err != nil {
 			return nil, err
 		}
@@ -147,9 +145,9 @@ func RunAblationLaziness(setup ClusterSetup, phases int) (*AblationResult, error
 		})
 	}
 	for _, k := range []int{1, 3, 10, 20} {
-		cfg := core.DefaultConfig(setup.PlanePoints)
-		cfg.HistoryK = k
-		r, err := setup.run(balance.Filtered{Cfg: cfg}, traces, phases)
+		pol := balance.NewFiltered(setup.PlanePoints)
+		pol.Cfg.HistoryK = k
+		r, err := setup.run(pol, traces, phases)
 		if err != nil {
 			return nil, err
 		}
@@ -167,9 +165,9 @@ func RunAblationThreshold(setup ClusterSetup, phases int) (*AblationResult, erro
 	res := &AblationResult{Title: "Ablation: migration threshold", Phases: phases}
 	traces := oneSlowTraces(setup, 1e5)
 	for _, mult := range []float64{0, 0.5, 1, 2, 4} {
-		cfg := core.DefaultConfig(setup.PlanePoints)
-		cfg.ThresholdPoints = int(mult * float64(setup.PlanePoints))
-		r, err := setup.run(balance.Filtered{Cfg: cfg}, traces, phases)
+		pol := balance.NewFiltered(setup.PlanePoints)
+		pol.Cfg.ThresholdPoints = int(mult * float64(setup.PlanePoints))
+		r, err := setup.run(pol, traces, phases)
 		if err != nil {
 			return nil, err
 		}

@@ -68,14 +68,14 @@ type Fig3Result struct {
 // paper uses 600) and duty-cycle grid.
 func RunFig3(setup ClusterSetup, phases int, duties []float64) (*Fig3Result, error) {
 	res := &Fig3Result{Phases: phases, Duty: duties}
-	ded, err := setup.run(balance.NoRemap{}, vcluster.Dedicated(setup.P), phases)
+	ded, err := setup.run(balance.NoRemap(), vcluster.Dedicated(setup.P), phases)
 	if err != nil {
 		return nil, err
 	}
 	res.Dedicated = ded.TotalTime
 	node := setup.P / 2
 	for _, d := range duties {
-		r, err := setup.run(balance.NoRemap{}, vcluster.DutyCycleNode(setup.P, node, d), phases)
+		r, err := setup.run(balance.NoRemap(), vcluster.DutyCycleNode(setup.P, node, d), phases)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +120,7 @@ func RunFig8(setup ClusterSetup, phases int, maxSlow int) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		none, err := setup.run(balance.NoRemap{}, traces, phases)
+		none, err := setup.run(balance.NoRemap(), traces, phases)
 		if err != nil {
 			return nil, err
 		}
@@ -182,8 +182,8 @@ func RunFig9(setup ClusterSetup, phases int) (*Fig9Result, error) {
 		pol    balance.Policy
 		traces []vcluster.SpeedTrace
 	}{
-		{"dedicated", balance.NoRemap{}, vcluster.Dedicated(setup.P)},
-		{"no-remap", balance.NoRemap{}, slow},
+		{"dedicated", balance.NoRemap(), vcluster.Dedicated(setup.P)},
+		{"no-remap", balance.NoRemap(), slow},
 		{"conservative", balance.NewConservative(setup.PlanePoints), slow},
 		{"filtered", balance.NewFiltered(setup.PlanePoints), slow},
 	}
@@ -228,7 +228,7 @@ func RunFig10(setup ClusterSetup, phases int, maxSlow int) (*Fig10Result, error)
 	res := &Fig10Result{Phases: phases, Times: map[string][]float64{}}
 	pols := balance.All(setup.PlanePoints)
 	for _, p := range pols {
-		res.Schemes = append(res.Schemes, p.Name())
+		res.Schemes = append(res.Schemes, p.Name)
 	}
 	for m := 0; m <= maxSlow; m++ {
 		res.M = append(res.M, m)
@@ -238,7 +238,7 @@ func RunFig10(setup ClusterSetup, phases int, maxSlow int) (*Fig10Result, error)
 			if err != nil {
 				return nil, err
 			}
-			res.Times[pol.Name()] = append(res.Times[pol.Name()], r.TotalTime)
+			res.Times[pol.Name] = append(res.Times[pol.Name], r.TotalTime)
 		}
 	}
 	return res, nil
@@ -277,7 +277,7 @@ type Table1Result struct {
 // RunTable1 reproduces Table 1: random 70% background jobs of 1-4 s on
 // a random node every 10 s, 100 phases.
 func RunTable1(setup ClusterSetup, phases int, spikeLens []float64) (*Table1Result, error) {
-	ded, err := setup.run(balance.NoRemap{}, vcluster.Dedicated(setup.P), phases)
+	ded, err := setup.run(balance.NoRemap(), vcluster.Dedicated(setup.P), phases)
 	if err != nil {
 		return nil, err
 	}
@@ -286,11 +286,11 @@ func RunTable1(setup ClusterSetup, phases int, spikeLens []float64) (*Table1Resu
 		Slowdown: map[string][]float64{}, Dedicated: ded.TotalTime,
 	}
 	pols := []balance.Policy{
-		balance.NoRemap{}, balance.NewGlobal(setup.PlanePoints),
+		balance.NoRemap(), balance.NewGlobal(setup.PlanePoints),
 		balance.NewFiltered(setup.PlanePoints), balance.NewConservative(setup.PlanePoints),
 	}
 	for _, p := range pols {
-		res.Schemes = append(res.Schemes, p.Name())
+		res.Schemes = append(res.Schemes, p.Name)
 	}
 	horizon := ded.TotalTime * 12 // generously covers the slowed run
 	for _, l := range spikeLens {
@@ -304,7 +304,7 @@ func RunTable1(setup ClusterSetup, phases int, spikeLens []float64) (*Table1Resu
 			if err != nil {
 				return nil, err
 			}
-			res.Slowdown[pol.Name()] = append(res.Slowdown[pol.Name()], ovh)
+			res.Slowdown[pol.Name] = append(res.Slowdown[pol.Name], ovh)
 		}
 	}
 	return res, nil
@@ -343,7 +343,7 @@ func RunSpeedupCurve(setup ClusterSetup, phases int, nodeCounts []int) (*Speedup
 	for _, p := range nodeCounts {
 		s := setup
 		s.P = p
-		r, err := s.run(balance.NoRemap{}, vcluster.Dedicated(p), phases)
+		r, err := s.run(balance.NoRemap(), vcluster.Dedicated(p), phases)
 		if err != nil {
 			return nil, err
 		}

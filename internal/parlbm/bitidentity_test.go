@@ -265,17 +265,7 @@ func tcpRun(ranks int, opts Options) func() ([]*field.Dist3D, []*Result, error) 
 
 // remapOptions remaps every other phase with rank 1 reported 3x slow.
 func remapOptions(pol balance.Policy) Options {
-	switch p := pol.(type) {
-	case balance.Filtered:
-		p.Cfg.Interval, p.Cfg.HistoryK = 2, 2
-		pol = p
-	case balance.Conservative:
-		p.Cfg.Interval, p.Cfg.HistoryK = 2, 2
-		pol = p
-	case balance.Global:
-		p.Interval_, p.HistoryK_ = 2, 2
-		pol = p
-	}
+	pol.Cfg.Interval, pol.Cfg.HistoryK = 2, 2
 	return Options{Policy: pol, PhaseTime: slowRankTime(1)}
 }
 

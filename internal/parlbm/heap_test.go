@@ -30,7 +30,7 @@ func heapAfterGC() int64 {
 func TestRemapHoldsOneLattice(t *testing.T) {
 	const nx, ny, nz, ranks, phases = 64, 48, 16, 2, 6
 	for _, pol := range []balance.Policy{balance.NewFiltered(ny * nz), balance.NewGlobal(ny * nz)} {
-		t.Run(pol.Name(), func(t *testing.T) {
+		t.Run(pol.Name, func(t *testing.T) {
 			p := lbm.WaterAir(nx, ny, nz)
 			opts := remapOptions(pol)
 			opts.Phases = phases

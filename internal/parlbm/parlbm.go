@@ -4,7 +4,7 @@
 // each ring neighbor every phase, runs the sequential solver's fused
 // collide+stream sweep over its slab, and every REMAPPING_INTERVAL
 // phases runs the distributed remapping protocol: load-index exchange
-// with chain neighbors, local decisions (package core), pairwise
+// with chain neighbors, local decisions (package balance), pairwise
 // conflict resolution, and lattice-plane migration.
 //
 // The kernels are shared with the sequential solver (package lbm), so a
@@ -43,11 +43,9 @@ import (
 	"microslip/internal/balance"
 	"microslip/internal/checkpoint"
 	"microslip/internal/comm"
-	"microslip/internal/decomp"
 	"microslip/internal/field"
 	"microslip/internal/lbm"
 	"microslip/internal/num"
-	"microslip/internal/predict"
 	"microslip/internal/profile"
 	"microslip/internal/runctl"
 )
@@ -89,7 +87,7 @@ type Options struct {
 	// from launch; exceeding it stops the run exactly like a
 	// cancellation, with the error wrapping runctl.ErrWallLimit.
 	WallLimit time.Duration
-	// Policy is the remapping scheme; nil means no remapping.
+	// Policy is the remapping scheme; the zero Policy never remaps.
 	Policy balance.Policy
 	// PhaseTime, when non-nil, replaces wall-clock measurement of the
 	// compute section with a synthetic value (seconds); it makes
@@ -237,7 +235,7 @@ type worker struct {
 	rank int
 	size int
 	f    []*field.Slab // per component, Q = 19
-	pred predict.Predictor
+	pred balance.Predictor
 	res  *Result
 
 	// sweep is the rank's fused-sweep state (one suffices: a rank's
@@ -283,6 +281,9 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, p
 	if opts.Phases < 1 {
 		return nil, fmt.Errorf("parlbm: phases %d < 1", opts.Phases)
 	}
+	if err := opts.Policy.Validate(); err != nil {
+		return nil, fmt.Errorf("parlbm: %w", err)
+	}
 	if p.NX < MinSlabPlanes*c.Size() {
 		return nil, fmt.Errorf("parlbm: %d planes cannot give %d ranks %d planes each", p.NX, c.Size(), MinSlabPlanes)
 	}
@@ -305,7 +306,7 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, p
 	}
 	w := newWorker(p, c, opts, sup, pool)
 	nc := p.NComp()
-	part := decomp.Even(p.NX, w.size)
+	part := balance.Even(p.NX, w.size)
 	start, end := part.Range(w.rank)
 	w.f = make([]*field.Slab, nc)
 	startPhase := 0
@@ -326,10 +327,7 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, p
 	}
 	w.res.StartPhase = startPhase
 
-	interval := 0
-	if opts.Policy != nil {
-		interval = opts.Policy.Interval()
-	}
+	interval := opts.Policy.Interval()
 	ckInterval := 0
 	if opts.Checkpoint != nil {
 		ckInterval = opts.Checkpoint.Interval
@@ -406,11 +404,7 @@ func newWorker(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor,
 	}
 	w.sweep = w.k.NewFusedScratch()
 	w.massFn = w.localMass
-	hk := 1
-	if opts.Policy != nil {
-		hk = opts.Policy.HistoryK()
-	}
-	w.pred = predict.NewHarmonicMean(hk)
+	w.pred = balance.NewHarmonicMean(opts.Policy.HistoryK())
 	return w
 }
 

@@ -5,15 +5,15 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"microslip/internal/balance"
-	"microslip/internal/core"
-	"microslip/internal/decomp"
 	"microslip/internal/field"
 	"microslip/internal/lbm"
+	"microslip/internal/runctl"
 )
 
 // sequentialReference runs the sequential solver and returns the full
@@ -155,8 +155,8 @@ func TestGlobalRemappingPreservesPhysics(t *testing.T) {
 	const phases = 10
 	want := sequentialReference(t, p, phases)
 	pol := balance.NewGlobal(p.NY * p.NZ)
-	pol.Interval_ = 4
-	pol.HistoryK_ = 2
+	pol.Cfg.Interval = 4
+	pol.Cfg.HistoryK = 2
 	got, results, err := RunParallel(p, 4, Options{
 		Phases:    phases,
 		Policy:    pol,
@@ -195,7 +195,7 @@ func TestRemappingWithSlowEdgeRank(t *testing.T) {
 
 func TestOrderTransfers(t *testing.T) {
 	// A relay: rank 1 must receive before it can forward.
-	ts := []decomp.Transfer{
+	ts := []balance.Transfer{
 		{From: 1, To: 2, Planes: 3},
 		{From: 0, To: 1, Planes: 3},
 	}
@@ -207,7 +207,7 @@ func TestOrderTransfers(t *testing.T) {
 		t.Errorf("relay not reordered: %+v", ordered)
 	}
 	// An infeasible plan errors out.
-	if _, err := orderTransfers([]decomp.Transfer{{From: 0, To: 1, Planes: 9}}, []int{5, 5}); err == nil {
+	if _, err := orderTransfers([]balance.Transfer{{From: 0, To: 1, Planes: 9}}, []int{5, 5}); err == nil {
 		t.Error("infeasible plan accepted")
 	}
 }
@@ -240,7 +240,7 @@ func TestRemapBelowSlabFloorFails(t *testing.T) {
 	filtered := balance.NewFiltered(p.NY * p.NZ)
 	filtered.Cfg.Interval, filtered.Cfg.HistoryK, filtered.Cfg.MinKeepPlanes = 2, 2, 1
 	global := balance.NewGlobal(p.NY * p.NZ)
-	global.Interval_, global.HistoryK_, global.MinKeep = 2, 2, 1
+	global.Cfg.Interval, global.Cfg.HistoryK, global.Cfg.MinKeepPlanes = 2, 2, 1
 	for _, pol := range []balance.Policy{filtered, global} {
 		_, _, err := RunParallel(p, 2, Options{
 			Phases:    12,
@@ -249,11 +249,46 @@ func TestRemapBelowSlabFloorFails(t *testing.T) {
 		})
 		var fe *SlabFloorError
 		if !errors.As(err, &fe) {
-			t.Fatalf("%s: got %v, want a SlabFloorError", pol.Name(), err)
+			t.Fatalf("%s: got %v, want a SlabFloorError", pol.Name, err)
 		}
 		if fe.Rank != 1 || fe.Planes >= MinSlabPlanes {
-			t.Errorf("%s: floor error names rank %d with %d planes, want rank 1 below %d", pol.Name(), fe.Rank, fe.Planes, MinSlabPlanes)
+			t.Errorf("%s: floor error names rank %d with %d planes, want rank 1 below %d", pol.Name, fe.Rank, fe.Planes, MinSlabPlanes)
 		}
+	}
+}
+
+// A remapping policy whose configuration is invalid is refused before
+// any rank runs a phase, rather than panicking in every rank (HistoryK
+// 0), never remapping (PlanePoints 0) or sizing transfers from delta/0
+// (Alpha 0).
+func TestInvalidPolicyRefused(t *testing.T) {
+	p := lbm.WaterAir(16, 8, 6)
+	for _, b := range []struct {
+		name   string
+		mutate func(*balance.Config)
+	}{
+		{"HistoryK=0", func(c *balance.Config) { c.HistoryK = 0 }},
+		{"PlanePoints=0", func(c *balance.Config) { c.PlanePoints = 0 }},
+		{"Alpha=0", func(c *balance.Config) { c.Alpha = 0 }},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			pol := balance.NewFiltered(p.NY * p.NZ)
+			pol.Cfg.Interval, pol.Cfg.HistoryK = 2, 2
+			b.mutate(&pol.Cfg)
+			var started atomic.Int64
+			_, _, err := RunParallel(p, 4, Options{
+				Phases:    12,
+				Policy:    pol,
+				PhaseTime: slowRankTime(1),
+				PhaseHook: func(rank, phase int) { started.Add(1) },
+			})
+			if err == nil || errors.Is(err, runctl.ErrPanic) {
+				t.Fatalf("got %v, want a validation error", err)
+			}
+			if n := started.Load(); n != 0 {
+				t.Errorf("%d rank phases started before the policy was refused", n)
+			}
+		})
 	}
 }
 
@@ -283,23 +318,23 @@ func TestParallelMassConservation(t *testing.T) {
 }
 
 // DecideNode desires are already budget-capped, so the pairwise netting
-// the distributed protocol performs matches core.Resolve exactly.
+// the distributed protocol performs matches balance.Resolve exactly.
 func TestPairwiseNettingMatchesResolve(t *testing.T) {
-	cfg := core.DefaultConfig(100)
+	cfg := balance.DefaultConfig(100)
 	planes := []int{10, 30, 5, 25}
 	times := []float64{1.0, 0.5, 2.0, 0.5}
 	desires := cfg.DecideAll(planes, times)
 	want := cfg.Resolve(desires, planes)
 
 	// Pairwise netting as each rank computes it.
-	var got []decomp.Transfer
+	var got []balance.Transfer
 	for b := 0; b < len(planes)-1; b++ {
 		net := desires[b].ToRight - desires[b+1].ToLeft
 		switch {
 		case net > 0:
-			got = append(got, decomp.Transfer{From: b, To: b + 1, Planes: net})
+			got = append(got, balance.Transfer{From: b, To: b + 1, Planes: net})
 		case net < 0:
-			got = append(got, decomp.Transfer{From: b + 1, To: b, Planes: -net})
+			got = append(got, balance.Transfer{From: b + 1, To: b, Planes: -net})
 		}
 	}
 	if len(got) != len(want) {
@@ -318,9 +353,9 @@ func TestPairwiseNettingMatchesResolve(t *testing.T) {
 func TestPairwiseNettingMatchesResolveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := core.DefaultConfig(100)
+		cfg := balance.DefaultConfig(100)
 		if rng.Intn(2) == 0 {
-			cfg = core.ConservativeConfig(100)
+			cfg = balance.ConservativeConfig(100)
 		}
 		p := 2 + rng.Intn(10)
 		planes := make([]int, p)
@@ -331,14 +366,14 @@ func TestPairwiseNettingMatchesResolveProperty(t *testing.T) {
 		}
 		desires := cfg.DecideAll(planes, times)
 		want := cfg.Resolve(desires, planes)
-		var got []decomp.Transfer
+		var got []balance.Transfer
 		for b := 0; b < p-1; b++ {
 			net := desires[b].ToRight - desires[b+1].ToLeft
 			switch {
 			case net > 0:
-				got = append(got, decomp.Transfer{From: b, To: b + 1, Planes: net})
+				got = append(got, balance.Transfer{From: b, To: b + 1, Planes: net})
 			case net < 0:
-				got = append(got, decomp.Transfer{From: b + 1, To: b, Planes: -net})
+				got = append(got, balance.Transfer{From: b + 1, To: b, Planes: -net})
 			}
 		}
 		if len(got) != len(want) {
@@ -451,7 +486,7 @@ func TestThrottleRecoveredByRemapping(t *testing.T) {
 	fpol := balance.NewFiltered(p.NY * p.NZ)
 	fpol.Cfg.Interval = 4
 	fpol.Cfg.HistoryK = 2
-	none := run(nil)
+	none := run(balance.Policy{})
 	filt := run(fpol)
 	// The throttled rank starts with 4 planes (8 ms/phase). Draining it
 	// should cut total time roughly in half; assert a loose 25% gain to

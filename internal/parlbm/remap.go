@@ -9,8 +9,6 @@ import (
 
 	"microslip/internal/balance"
 	"microslip/internal/comm"
-	"microslip/internal/core"
-	"microslip/internal/decomp"
 	"microslip/internal/field"
 	"microslip/internal/lbm"
 	"microslip/internal/runctl"
@@ -25,26 +23,17 @@ func (w *worker) remap() error {
 		w.res.Breakdown.Remapping += time.Since(t0).Seconds()
 	}()
 
-	switch pol := w.opts.Policy.(type) {
-	case nil, balance.NoRemap:
-		return nil
-	case balance.Filtered:
-		return w.remapLocal(pol.Cfg)
-	case balance.Conservative:
-		return w.remapLocal(pol.Cfg)
-	default:
-		if pol.Global() {
-			return w.remapGlobal(pol)
-		}
-		return fmt.Errorf("policy %q has no distributed implementation", pol.Name())
+	if pol := w.opts.Policy; pol.Global() {
+		return w.remapGlobal(pol)
 	}
+	return w.remapLocal(w.opts.Policy.Cfg)
 }
 
 // remapLocal is the distributed filtered/conservative protocol. Note
 // the remapping topology is the *chain* (no wraparound): planes only
 // move across subdomain boundaries, and ranks 0 and P-1 have one chain
 // neighbor even though the frame exchange is a ring.
-func (w *worker) remapLocal(cfg core.Config) error {
+func (w *worker) remapLocal(cfg balance.Config) error {
 	planes := w.f[0].Count()
 	predicted := w.pred.Predict() * float64(planes)
 	hasLeft := w.rank > 0
@@ -66,7 +55,7 @@ func (w *worker) remapLocal(cfg core.Config) error {
 			return err
 		}
 	}
-	win := core.Window{
+	win := balance.Window{
 		HasLeft: hasLeft, HasRight: hasRight,
 		Points: planes * cfg.PlanePoints, Time: predicted,
 	}
@@ -94,7 +83,7 @@ func (w *worker) remapLocal(cfg core.Config) error {
 	// per-boundary net is final.
 	myL, myR := cfg.DecideNode(win)
 	desire := []float64{float64(myL), float64(myR)}
-	var leftDesire, rightDesire core.Desire
+	var leftDesire, rightDesire balance.Desire
 	if hasLeft {
 		ctl.CountSend(8 * len(desire))
 		if err := w.c.Send(w.rank-1, tagDesire, desire); err != nil {
@@ -113,7 +102,7 @@ func (w *worker) remapLocal(cfg core.Config) error {
 			return err
 		}
 		ctl.CountRecv(8 * len(d))
-		leftDesire = core.Desire{ToLeft: int(d[0]), ToRight: int(d[1])}
+		leftDesire = balance.Desire{ToLeft: int(d[0]), ToRight: int(d[1])}
 	}
 	if hasRight {
 		d, err := w.c.Recv(w.rank+1, tagDesire)
@@ -121,7 +110,7 @@ func (w *worker) remapLocal(cfg core.Config) error {
 			return err
 		}
 		ctl.CountRecv(8 * len(d))
-		rightDesire = core.Desire{ToLeft: int(d[0]), ToRight: int(d[1])}
+		rightDesire = balance.Desire{ToLeft: int(d[0]), ToRight: int(d[1])}
 	}
 
 	// Net flow on each of my boundaries (positive = rightward), agreed
@@ -318,10 +307,10 @@ func (w *worker) remapGlobal(pol balance.Policy) error {
 // ships at execution time (a plane relayed across several ranks must
 // arrive before it departs). The greedy fixpoint is deterministic, so
 // all ranks derive the same order.
-func orderTransfers(ts []decomp.Transfer, counts []int) ([]decomp.Transfer, error) {
-	remaining := append([]decomp.Transfer(nil), ts...)
+func orderTransfers(ts []balance.Transfer, counts []int) ([]balance.Transfer, error) {
+	remaining := append([]balance.Transfer(nil), ts...)
 	have := append([]int(nil), counts...)
-	var ordered []decomp.Transfer
+	var ordered []balance.Transfer
 	for len(remaining) > 0 {
 		progressed := false
 		rest := remaining[:0]

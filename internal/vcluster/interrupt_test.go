@@ -12,7 +12,7 @@ import (
 // A cancelled virtual-cluster run returns the typed cause and the
 // partial trajectory simulated so far instead of dying mid-run.
 func TestRunInterruptedReturnsPartialResult(t *testing.T) {
-	cfg := DefaultConfig(balance.NoRemap{}, Dedicated(4), 100)
+	cfg := DefaultConfig(balance.NoRemap(), Dedicated(4), 100)
 	cfg.RecordTimeline = true
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -35,7 +35,7 @@ func TestRunInterruptedReturnsPartialResult(t *testing.T) {
 // An uninterrupted run reports CompletedPhases == Phases and a nil Ctx
 // behaves exactly as before.
 func TestRunCompletedPhasesFull(t *testing.T) {
-	cfg := DefaultConfig(balance.NoRemap{}, Dedicated(4), 50)
+	cfg := DefaultConfig(balance.NoRemap(), Dedicated(4), 50)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -18,9 +18,9 @@ func TestProbeFig9Numbers(t *testing.T) {
 		}
 		return res
 	}
-	ded := run(balance.NoRemap{}, Dedicated(20))
+	ded := run(balance.NoRemap(), Dedicated(20))
 	slow := FixedSlowNodes(20, []int{9})
-	none := run(balance.NoRemap{}, slow)
+	none := run(balance.NoRemap(), slow)
 	filt := run(balance.NewFiltered(4000), slow)
 	cons := run(balance.NewConservative(4000), slow)
 	glob := run(balance.NewGlobal(4000), slow)

@@ -6,8 +6,6 @@ import (
 	"math"
 
 	"microslip/internal/balance"
-	"microslip/internal/decomp"
-	"microslip/internal/predict"
 	"microslip/internal/profile"
 	"microslip/internal/runctl"
 )
@@ -50,7 +48,7 @@ type Config struct {
 	// NewPredictor constructs each node's phase-time predictor; nil
 	// means the paper's harmonic mean over the policy's HistoryK
 	// window. Used by the predictor-ablation experiments.
-	NewPredictor func(k int) predict.Predictor
+	NewPredictor func(k int) balance.Predictor
 	// RecordTimeline enables per-phase makespan recording in
 	// Result.Timeline.
 	RecordTimeline bool
@@ -99,8 +97,11 @@ func (c *Config) Validate() error {
 	if c.Phases < 1 {
 		return fmt.Errorf("vcluster: Phases %d < 1", c.Phases)
 	}
-	if c.Policy == nil {
-		return fmt.Errorf("vcluster: nil policy")
+	if c.Policy.Name == "" {
+		return fmt.Errorf("vcluster: no policy")
+	}
+	if err := c.Policy.Validate(); err != nil {
+		return fmt.Errorf("vcluster: %w", err)
 	}
 	if c.WakeDelay < 0 || c.JitterBase < 0 || c.JitterContended < 0 {
 		return fmt.Errorf("vcluster: negative noise parameters")
@@ -121,7 +122,7 @@ type Result struct {
 	// breakdown (Figure 9).
 	Profile *profile.Profile
 	// FinalPartition is the plane assignment at the end of the run.
-	FinalPartition decomp.Partition
+	FinalPartition balance.Partition
 	// PlanesMoved counts plane-boundary crossings due to remapping.
 	PlanesMoved int
 	// RemapRounds counts rounds in which at least one transfer fired.
@@ -169,16 +170,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 	p := cfg.P
 	costs := cfg.Costs
-	part := decomp.Even(cfg.TotalPlanes, p)
+	part := balance.Even(cfg.TotalPlanes, p)
 	prof := profile.New(p)
 
 	clock := make([]float64, p)     // end of each node's last phase
 	sendReady := make([]float64, p) // when the node's halo data is pushed
 	compDur := make([]float64, p)
-	preds := make([]predict.Predictor, p)
+	preds := make([]balance.Predictor, p)
 	newPred := cfg.NewPredictor
 	if newPred == nil {
-		newPred = func(k int) predict.Predictor { return predict.NewHarmonicMean(k) }
+		newPred = func(k int) balance.Predictor { return balance.NewHarmonicMean(k) }
 	}
 	for i := range preds {
 		preds[i] = newPred(cfg.Policy.HistoryK())
@@ -287,8 +288,8 @@ func Run(cfg Config) (*Result, error) {
 
 // remapRound charges information-exchange costs, applies the policy's
 // transfers, and charges data-migration costs.
-func remapRound(cfg *Config, part decomp.Partition, clock []float64,
-	preds []predict.Predictor, prof *profile.Profile, res *Result) decomp.Partition {
+func remapRound(cfg *Config, part balance.Partition, clock []float64,
+	preds []balance.Predictor, prof *profile.Profile, res *Result) balance.Partition {
 
 	p := cfg.P
 	costs := cfg.Costs
@@ -369,7 +370,7 @@ func remapRound(cfg *Config, part decomp.Partition, clock []float64,
 	next, err := part.Apply(ts, 1)
 	if err != nil {
 		// Policies guarantee applicable transfers; a failure is a bug.
-		panic(fmt.Sprintf("vcluster: policy %s produced inapplicable transfers: %v", cfg.Policy.Name(), err))
+		panic(fmt.Sprintf("vcluster: policy %s produced inapplicable transfers: %v", cfg.Policy.Name, err))
 	}
 	return next
 }

@@ -17,7 +17,7 @@ func mustRun(t *testing.T, cfg Config) *Result {
 }
 
 func TestConfigValidation(t *testing.T) {
-	good := DefaultConfig(balance.NoRemap{}, Dedicated(4), 10)
+	good := DefaultConfig(balance.NoRemap(), Dedicated(4), 10)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
@@ -27,13 +27,13 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.TotalPlanes = 2 },
 		func(c *Config) { c.PlanePoints = 0 },
 		func(c *Config) { c.Phases = 0 },
-		func(c *Config) { c.Policy = nil },
+		func(c *Config) { c.Policy = balance.Policy{} },
 		func(c *Config) { c.WakeDelay = -1 },
 		func(c *Config) { c.Costs.CompPerPoint = 0 },
 		func(c *Config) { c.CheckpointInterval = -1 },
 	}
 	for i, mutate := range bad {
-		c := DefaultConfig(balance.NoRemap{}, Dedicated(4), 10)
+		c := DefaultConfig(balance.NoRemap(), Dedicated(4), 10)
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
@@ -41,18 +41,48 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// A remapping policy whose configuration is invalid is refused before
+// the run starts, rather than panicking out of Run (HistoryK 0), never
+// remapping (PlanePoints 0) or sizing transfers from delta/0 (Alpha 0).
+func TestInvalidPolicyRefused(t *testing.T) {
+	for _, b := range []struct {
+		name   string
+		mutate func(*balance.Config)
+	}{
+		{"HistoryK=0", func(c *balance.Config) { c.HistoryK = 0 }},
+		{"PlanePoints=0", func(c *balance.Config) { c.PlanePoints = 0 }},
+		{"Alpha=0", func(c *balance.Config) { c.Alpha = 0 }},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Run panicked: %v", r)
+				}
+			}()
+			pol := balance.NewFiltered(4000)
+			b.mutate(&pol.Cfg)
+			cfg := DefaultConfig(pol, FixedSlowNodes(4, []int{1}), 100)
+			cfg.TotalPlanes = 40
+			res, err := Run(cfg)
+			if err == nil || res != nil {
+				t.Fatalf("got result %v, error %v; want a validation error and no run", res != nil, err)
+			}
+		})
+	}
+}
+
 // Calibration anchors from the paper (Section 4.2): dedicated 20-node
 // 600-phase run ~251 s with speedup ~19; one fixed slow node without
 // remapping ~717 s (+185.6%).
 func TestCalibrationAnchors(t *testing.T) {
-	ded := mustRun(t, DefaultConfig(balance.NoRemap{}, Dedicated(20), 600))
+	ded := mustRun(t, DefaultConfig(balance.NoRemap(), Dedicated(20), 600))
 	if ded.TotalTime < 240 || ded.TotalTime > 270 {
 		t.Errorf("dedicated run %.1f s, want ~251 s", ded.TotalTime)
 	}
 	if s := ded.Speedup(); s < 18 || s > 19.5 {
 		t.Errorf("dedicated speedup %.2f, want ~18.97", s)
 	}
-	slow := mustRun(t, DefaultConfig(balance.NoRemap{}, FixedSlowNodes(20, []int{9}), 600))
+	slow := mustRun(t, DefaultConfig(balance.NoRemap(), FixedSlowNodes(20, []int{9}), 600))
 	if slow.TotalTime < 650 || slow.TotalTime > 800 {
 		t.Errorf("one-slow-node no-remap run %.1f s, want ~717 s", slow.TotalTime)
 	}
@@ -66,8 +96,8 @@ func TestCalibrationAnchors(t *testing.T) {
 // with filtered cutting the slow-node penalty by more than half.
 func TestFig9Ordering(t *testing.T) {
 	slow := FixedSlowNodes(20, []int{9})
-	ded := mustRun(t, DefaultConfig(balance.NoRemap{}, Dedicated(20), 600))
-	none := mustRun(t, DefaultConfig(balance.NoRemap{}, slow, 600))
+	ded := mustRun(t, DefaultConfig(balance.NoRemap(), Dedicated(20), 600))
+	none := mustRun(t, DefaultConfig(balance.NoRemap(), slow, 600))
 	filt := mustRun(t, DefaultConfig(balance.NewFiltered(4000), slow, 600))
 	cons := mustRun(t, DefaultConfig(balance.NewConservative(4000), slow, 600))
 
@@ -118,12 +148,12 @@ func TestPlanesConservedThroughRun(t *testing.T) {
 		for r := 0; r < 20; r++ {
 			c := res.FinalPartition.Count(r)
 			if c < 1 {
-				t.Errorf("%s: node %d ended with %d planes", pol.Name(), r, c)
+				t.Errorf("%s: node %d ended with %d planes", pol.Name, r, c)
 			}
 			sum += c
 		}
 		if sum != 400 {
-			t.Errorf("%s: %d planes at end, want 400", pol.Name(), sum)
+			t.Errorf("%s: %d planes at end, want 400", pol.Name, sum)
 		}
 	}
 }
@@ -147,7 +177,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestNoRemapNeverMoves(t *testing.T) {
-	res := mustRun(t, DefaultConfig(balance.NoRemap{}, FixedSlowNodes(20, []int{9}), 300))
+	res := mustRun(t, DefaultConfig(balance.NoRemap(), FixedSlowNodes(20, []int{9}), 300))
 	if res.PlanesMoved != 0 || res.RemapRounds != 0 {
 		t.Errorf("no-remap moved %d planes in %d rounds", res.PlanesMoved, res.RemapRounds)
 	}
@@ -162,7 +192,7 @@ func TestNoRemapNeverMoves(t *testing.T) {
 // and sharply after.
 func TestFig3Knee(t *testing.T) {
 	at := func(duty float64) float64 {
-		res := mustRun(t, DefaultConfig(balance.NoRemap{}, DutyCycleNode(20, 9, duty), 600))
+		res := mustRun(t, DefaultConfig(balance.NoRemap(), DutyCycleNode(20, 9, duty), 600))
 		return res.TotalTime
 	}
 	t0 := at(0)
@@ -195,7 +225,7 @@ func TestFig8SpeedupShape(t *testing.T) {
 	}
 	slow := SpreadSlowNodes(20, 5)
 	filt := mustRun(t, DefaultConfig(balance.NewFiltered(4000), FixedSlowNodes(20, slow), 20000))
-	none := mustRun(t, DefaultConfig(balance.NoRemap{}, FixedSlowNodes(20, slow), 20000))
+	none := mustRun(t, DefaultConfig(balance.NoRemap(), FixedSlowNodes(20, slow), 20000))
 	if s := filt.Speedup(); s < 11 || s > 16 {
 		t.Errorf("filtered speedup with 5 slow nodes %.2f, paper reports ~13", s)
 	}
@@ -222,7 +252,7 @@ func TestGlobalDegradesWithManySlowNodes(t *testing.T) {
 // Transient spikes (Table 1): the lazy schemes tolerate them nearly as
 // well as no-remapping; slowdown grows with spike length.
 func TestTable1SpikeTolerance(t *testing.T) {
-	ded := mustRun(t, DefaultConfig(balance.NoRemap{}, Dedicated(20), 100))
+	ded := mustRun(t, DefaultConfig(balance.NoRemap(), Dedicated(20), 100))
 	slowdown := func(pol balance.Policy, spikeLen float64) float64 {
 		res := mustRun(t, DefaultConfig(pol, TransientSpikes(20, spikeLen, 600, 42), 100))
 		return (res.TotalTime - ded.TotalTime) / ded.TotalTime
@@ -237,7 +267,7 @@ func TestTable1SpikeTolerance(t *testing.T) {
 	}
 	// Filtered's lazy remapping keeps it close to no-remapping: within
 	// 12 percentage points at 4 s spikes (paper: 38.1% vs 35.6%).
-	sn := slowdown(balance.NoRemap{}, 4)
+	sn := slowdown(balance.NoRemap(), 4)
 	sf := slowdown(balance.NewFiltered(4000), 4)
 	if sf-sn > 0.12 {
 		t.Errorf("filtered %.1f%% vs none %.1f%% under spikes; lazy remapping failed", 100*sf, 100*sn)
@@ -264,8 +294,8 @@ func TestHaloCostKnobs(t *testing.T) {
 		t.Errorf("coalesced costs should validate: %v", c.Validate())
 	}
 
-	two := DefaultConfig(balance.NoRemap{}, Dedicated(20), 600)
-	one := DefaultConfig(balance.NoRemap{}, Dedicated(20), 600)
+	two := DefaultConfig(balance.NoRemap(), Dedicated(20), 600)
+	one := DefaultConfig(balance.NoRemap(), Dedicated(20), 600)
 	one.Costs.CoalescedHalo = true
 	twoRes, oneRes := mustRun(t, two), mustRun(t, one)
 	if oneRes.TotalTime >= twoRes.TotalTime {
@@ -278,8 +308,8 @@ func TestHaloCostKnobs(t *testing.T) {
 // checkpoints must cost wall time and show up in the profile's
 // checkpoint column — and nowhere else.
 func TestCheckpointIntervalChargesCheckpointTime(t *testing.T) {
-	clean := mustRun(t, DefaultConfig(balance.NoRemap{}, Dedicated(6), 60))
-	cfg := DefaultConfig(balance.NoRemap{}, Dedicated(6), 60)
+	clean := mustRun(t, DefaultConfig(balance.NoRemap(), Dedicated(6), 60))
+	cfg := DefaultConfig(balance.NoRemap(), Dedicated(6), 60)
 	cfg.CheckpointInterval = 10
 	ck := mustRun(t, cfg)
 

@@ -65,7 +65,7 @@ func TestTimelineCSVAndPercentiles(t *testing.T) {
 }
 
 func TestTimelineDisabledByDefault(t *testing.T) {
-	res, err := Run(DefaultConfig(balance.NoRemap{}, Dedicated(4), 10))
+	res, err := Run(DefaultConfig(balance.NoRemap(), Dedicated(4), 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTracesFromCSV(t *testing.T) {
 		t.Errorf("unlisted node not at full speed: %v", got)
 	}
 	// The loaded traces drive a simulation.
-	cfg := DefaultConfig(balance.NoRemap{}, traces, 20)
+	cfg := DefaultConfig(balance.NoRemap(), traces, 20)
 	if _, err := Run(cfg); err != nil {
 		t.Errorf("playback run failed: %v", err)
 	}

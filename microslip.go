@@ -11,8 +11,8 @@
 //   - internal/lbm       — D3Q19 Shan-Chen multicomponent LBM kernels
 //   - internal/parlbm    — the distributed solver with live plane migration
 //   - internal/comm      — the MPI-like message-passing substrate
-//   - internal/core      — filtered dynamic remapping (the contribution)
-//   - internal/balance   — the remapping schemes compared in the paper
+//   - internal/balance   — filtered dynamic remapping (the contribution)
+//     and the schemes it is compared against
 //   - internal/vcluster  — the calibrated virtual 20-node cluster
 //   - internal/experiments — one runner per table/figure of Section 4
 //
@@ -26,7 +26,6 @@ package microslip
 
 import (
 	"microslip/internal/balance"
-	"microslip/internal/core"
 	"microslip/internal/experiments"
 	"microslip/internal/lbm"
 	"microslip/internal/parlbm"
@@ -85,7 +84,7 @@ type (
 	// Policy is a dynamic remapping scheme.
 	Policy = balance.Policy
 	// FilteredConfig holds the filtered scheme's tunables.
-	FilteredConfig = core.Config
+	FilteredConfig = balance.Config
 )
 
 // RunParallel executes the domain-decomposed solver over an in-process
@@ -106,7 +105,7 @@ func NewConservativePolicy(planePoints int) Policy { return balance.NewConservat
 func NewGlobalPolicy(planePoints int) Policy { return balance.NewGlobal(planePoints) }
 
 // NoRemapPolicy returns the static-decomposition baseline.
-func NoRemapPolicy() Policy { return balance.NoRemap{} }
+func NoRemapPolicy() Policy { return balance.NoRemap() }
 
 // PolicyByName resolves none|filtered|conservative|global.
 var PolicyByName = balance.ByName
