@@ -27,9 +27,10 @@ race:
 	$(GO) test -race -short ./...
 
 # Full-mode (not -short) race pass over the intra-node bands and the
-# distributed pipeline: the bands' in-memory frame exchange, the ranks'
-# wire frames, and the plane pool a distributed group shares (a plane
-# one rank sheds is the plane its neighbor's receive reuses) are the
+# distributed pipeline: the bands' in-memory frames (packed in one pool
+# wake, read by the neighbours' sweeps in the next), the ranks' wire
+# frames, and the plane pool a distributed group shares (a plane one
+# rank sheds is the plane its neighbor's receive reuses) are the
 # synchronization most worth re-proving on every change.
 race-lbm:
 	$(GO) test -race -count=1 ./internal/lbm/... ./internal/parlbm/...
@@ -44,11 +45,17 @@ chaos-abort:
 	$(GO) test -race -run 'AbortChaos|RunParallelCancel|RunParallelWallLimit|RunParallelRankPanic|RunSupervised|RunGroupWatcher|BandWorkerPanic|BandStall' -v ./internal/experiments/ ./internal/parlbm/ ./internal/lbm/
 
 # The example mains compile under `build` but nothing else runs them:
-# run the two that drive the remapping policies (the virtual cluster
-# and the live throttled solver) at tiny sizes, about a second each.
+# run every one end to end at tiny sizes, under a second each — the two
+# that drive the remapping policies (the virtual cluster and the live
+# throttled solver) and the four physics mains (slipchannel runs two
+# bands of the sequential solver on a machine with two or more CPUs).
 examples-smoke:
 	$(GO) run ./examples/nondedicated -phases 50
 	$(GO) run ./examples/liveremap -phases 8 -delay 0s
+	$(GO) run ./examples/quickstart -steps 40
+	$(GO) run ./examples/slipchannel -nx 32 -ny 24 -nz 8 -steps 40
+	$(GO) run ./examples/poiseuille -steps 200
+	$(GO) run ./examples/groovedwall -steps 40
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

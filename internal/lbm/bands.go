@@ -3,26 +3,12 @@ package lbm
 // Intra-node parallelism: bands are in-process slabs.
 //
 // Each band owns a fixed contiguous run of x-planes for the lifetime of
-// the banding, together with its sweep rings and its frames, and
-// advances its planes in place with the same fused sweep a distributed
-// rank runs over its slab (SweepFused). Before each sweep a band packs
-// its two frames — edge plane plus the densities of the plane behind
-// it, the format of package parlbm's wire frames — into the slot of
-// the step's parity, signals "frame ready" to its two neighbour bands,
-// and waits for theirs; it then sweeps its planes with the neighbours'
-// frames as ghost planes. A band never reads another band's planes, so
-// sweeping in place is safe, and one lattice is all the solver holds.
-//
-// Reusing slot t%2 at step t+2 is safe: before a band packs frame t+2
-// it waits for its neighbour's frame t+1, which the neighbour packs only
-// after finishing sweep t — the last reader of slot t%2. A single band
-// is its own neighbour on both sides: its frames wrap the periodic x
-// boundary exactly as a one-rank parlbm slab's do.
-//
-// A multi-step run hands the whole loop to the bands: the caller
-// rendezvouses with the pool once per run, and between steps the bands
-// pace each other purely through their frame tokens, so a fast band can
-// sweep ahead of a slow distant band instead of idling at a barrier.
+// the banding and steps them with a SlabSweep, the same slab step a
+// distributed rank of package parlbm runs: pack a frame for each
+// neighbour, take the neighbours' frames as ghost planes, sweep the
+// owned planes in place. A band never reads another band's planes, only
+// its frames, so sweeping in place is safe and one lattice is all the
+// solver holds.
 
 import (
 	"runtime"
@@ -31,14 +17,6 @@ import (
 	"microslip/internal/num"
 	"microslip/internal/runctl"
 )
-
-// bandPlan is the persistent partition of the x-planes into contiguous
-// bands, plus each band's dependency set: its distinct neighbour bands
-// (none for a lone band, one for two bands).
-type bandPlan struct {
-	bands [][2]int // bands[w] = [lo, hi) planes owned by band w
-	deps  [][]int  // deps[w]: the bands left and right of w, excluding w
-}
 
 // bandCountFor returns the number of bands planBands produces for a
 // request of nBands over nx planes: at least one, and few enough that
@@ -54,143 +32,25 @@ func bandCountFor(nx, nBands int) int {
 }
 
 // planBands partitions nx planes into bandCountFor(nx, nBands)
-// contiguous bands whose sizes differ by at most one plane, and derives
-// the neighbour dependency sets.
-func planBands(nx, nBands int) bandPlan {
+// contiguous bands [lo, hi) whose sizes differ by at most one plane.
+func planBands(nx, nBands int) [][2]int {
 	n := bandCountFor(nx, nBands)
-	var p bandPlan
-	for w := 0; w < n; w++ {
-		p.bands = append(p.bands, [2]int{w * nx / n, (w + 1) * nx / n})
-		var deps []int
-		for _, j := range []int{(w - 1 + n) % n, (w + 1) % n} {
-			if j != w && (len(deps) == 0 || deps[0] != j) {
-				deps = append(deps, j)
-			}
-		}
-		p.deps = append(p.deps, deps)
+	bands := make([][2]int, n)
+	for w := range bands {
+		bands[w] = [2]int{w * nx / n, (w + 1) * nx / n}
 	}
-	return p
+	return bands
 }
 
-// tokenCap bounds the tokens in flight on one dependency edge. A band
-// sends its token for step t+1 only after consuming its neighbour's
-// token for step t, which the neighbour sends only after consuming
-// this band's token for step t-1; so an edge never holds more than two
-// tokens and a signal never blocks. struct{} buffers are zero bytes.
-const tokenCap = 2
-
-// tokenMesh is the frame-ready fabric: one FIFO token channel per
-// directed dependency edge. Every band sends exactly one token per
-// neighbour per step and consumes exactly one per neighbour per step,
-// so the indistinguishable tokens align by position: the k-th receive
-// on an edge observes the sender's k-th frame.
-type tokenMesh struct {
-	in  [][]chan struct{} // in[w][k] carries tokens from deps[w][k] to w
-	out [][]chan struct{} // out[w][k] is the peer's inbox w signals
-}
-
-// newTokenMesh builds the mesh for a plan. Neighbour sets are symmetric,
-// which is what guarantees every outbound edge has a matching inbox on
-// the peer.
-func newTokenMesh(p bandPlan) *tokenMesh {
-	m := &tokenMesh{
-		in:  make([][]chan struct{}, len(p.bands)),
-		out: make([][]chan struct{}, len(p.bands)),
-	}
-	for w, deps := range p.deps {
-		m.in[w] = make([]chan struct{}, len(deps))
-		for k := range deps {
-			m.in[w][k] = make(chan struct{}, tokenCap)
-		}
-	}
-	for w, deps := range p.deps {
-		m.out[w] = make([]chan struct{}, len(deps))
-		for k, j := range deps {
-			for k2, d := range p.deps[j] {
-				if d == w {
-					m.out[w][k] = m.in[j][k2]
-				}
-			}
-			if m.out[w][k] == nil {
-				panic("lbm: asymmetric band dependency graph")
-			}
-		}
-	}
-	return m
-}
-
-// wait consumes one token from every neighbour of band w: their frames
-// for this step are packed. It returns false when abort fires first — a
-// panicked neighbour will never send its token, so waiting bands must
-// unwind through the abort channel instead of hanging. The fast path
-// (token already queued) costs one non-blocking receive.
-func (m *tokenMesh) wait(w int, abort <-chan struct{}) bool {
-	for _, ch := range m.in[w] {
-		select {
-		case <-ch:
-		default:
-			select {
-			case <-ch:
-			case <-abort:
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// signal hands one token to every neighbour of band w: its frames for
-// this step are packed. It returns false when abort fires while a token
-// channel is full — an aborted neighbour has stopped consuming, so a
-// blocked send must unwind too.
-func (m *tokenMesh) signal(w int, abort <-chan struct{}) bool {
-	for _, ch := range m.out[w] {
-		select {
-		case ch <- struct{}{}:
-		default:
-			select {
-			case ch <- struct{}{}:
-			case <-abort:
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// slabOf is one band: its planes, its sweep state, and the frames it
-// publishes to its neighbours.
-type slabOf[T num.Float] struct {
-	lo, hi      int
-	left, right int // neighbour band indices (the band itself when alone)
-	sweep       *FusedScratchOf[T]
-	// win is the sweep window: win[1+i] views owned plane lo+i, and
-	// win[0], win[len-1] take the neighbours' frame edge planes as ghost
-	// planes each step.
-	win [][][]T
-	// frame[par][side] is the frame packed at steps of parity par (a lone
-	// band uses parity 0 only): side 0 carries plane lo to the left
-	// neighbour, side 1 plane hi-1 to the right. edge and far view into
-	// the frames.
-	frame     [2][2][]T
-	edge, far [2][2][][]T
-}
-
-// bandSet is the built state of one banding: its slabs and —
-// for more than one band — the frame-token mesh, the persistent worker
-// pool and the cached per-band closure. steps is the length of the
-// current run; the coordinator writes it before waking the pool (the
-// channel send publishes it to the workers). abort lives with the build
-// (a trip poisons the whole banding): the first band to recover a panic
-// trips it so every peer blocked on the mesh unwinds instead of waiting
-// for a token that will never come.
+// bandSet is the built state of one banding: a slab step per band and,
+// for more than one band, the persistent worker pool with its two
+// cached wakes. abort lives with the build: the first band to recover
+// a panic trips it, and a trip poisons the whole banding.
 type bandSet[T num.Float] struct {
-	slabs []slabOf[T]
-	mesh  *tokenMesh
-	pool  *stepPool
-	abort *runctl.Abort
-	steps int
-	work  func(int)
+	slabs      []*SlabSweepOf[T]
+	pool       *stepPool
+	abort      *runctl.Abort
+	pack, take func(int)
 }
 
 // stop terminates the pool workers, if any.
@@ -212,8 +72,8 @@ func (s *SimOf[T]) fusedChunkCount() int {
 	return usableBands(s.workers, s.P.NX, runtime.GOMAXPROCS(0))
 }
 
-// ensureBands (re)builds the slabs, token mesh and pool for w bands; it
-// is a no-op once built until SetWorkers or SetFusedChunks changes the
+// ensureBands (re)builds the slab steps and pool for w bands; it is a
+// no-op once built until SetWorkers or SetFusedChunks changes the
 // banding.
 func (s *SimOf[T]) ensureBands(w int) {
 	if s.bands != nil && len(s.bands.slabs) == bandCountFor(s.P.NX, w) {
@@ -221,117 +81,85 @@ func (s *SimOf[T]) ensureBands(w int) {
 	}
 	s.bands.stop()
 	plan := planBands(s.P.NX, w)
-	nb := len(plan.bands)
-	parities := 1
-	if nb > 1 {
-		parities = 2
+	bs := &bandSet[T]{slabs: make([]*SlabSweepOf[T], len(plan))}
+	for i, b := range plan {
+		lo := b[0]
+		bs.slabs[i] = s.K.NewSlabSweep()
+		bs.slabs[i].Bind(b[1]-lo, func(x, c int) []T { return s.f[c][lo+x] })
 	}
-	bs := &bandSet[T]{slabs: make([]slabOf[T], nb)}
-	for i, b := range plan.bands {
-		sl := &bs.slabs[i]
-		sl.lo, sl.hi = b[0], b[1]
-		sl.left, sl.right = (i-1+nb)%nb, (i+1)%nb
-		sl.sweep = s.K.NewFusedScratch()
-		sl.win = make([][][]T, b[1]-b[0]+2)
-		copy(sl.win[1:], s.fView[b[0]:b[1]])
-		for par := 0; par < parities; par++ {
-			for side := 0; side < 2; side++ {
-				sl.frame[par][side] = make([]T, s.K.FrameLen())
-				sl.edge[par][side] = make([][]T, s.K.NComp)
-				sl.far[par][side] = make([][]T, s.K.NComp)
-				s.K.frameViews(sl.frame[par][side], sl.edge[par][side], sl.far[par][side])
-			}
-		}
-	}
-	if nb > 1 {
-		bs.mesh = newTokenMesh(plan)
-		bs.pool = newStepPool(nb)
-		// Build-time abort: a trip poisons the build, so the per-run hot
-		// path allocates nothing.
+	if len(plan) > 1 {
+		bs.pool = newStepPool(len(plan))
 		bs.abort = runctl.NewAbort()
-		// One band's whole run: pack, signal, wait for the neighbours'
-		// frames, sweep. A recovered panic trips the run's abort so peers
-		// blocked on the mesh unwind and the pool rendezvous completes.
-		bs.work = func(i int) {
-			abort := bs.abort
-			defer func() {
-				if r := recover(); r != nil {
-					abort.Trip(&runctl.PanicError{Rank: -1, Band: i, Value: r, Stack: debug.Stack()})
-				}
-			}()
-			hook := s.bandHook
-			base := s.step
-			for t := 0; t < bs.steps; t++ {
-				if hook != nil {
-					hook(i, base+t)
-				}
-				par := t & 1
-				s.packFrames(i, par)
-				if !bs.mesh.signal(i, abort.Done()) || !bs.mesh.wait(i, abort.Done()) {
-					return
-				}
-				s.sweepSlab(i, par)
+		bs.pack = func(i int) {
+			defer bs.recoverBand(i)
+			if hook := s.bandHook; hook != nil {
+				hook(i, s.step)
 			}
+			bs.slabs[i].Pack()
+		}
+		bs.take = func(i int) {
+			defer bs.recoverBand(i)
+			bs.sweep(i)
 		}
 	}
 	s.bands = bs
 }
 
-// packFrames packs band i's two frames into the slots of parity par.
-// The plane behind an edge wraps only for a lone band narrower than two
-// planes, whose frames then carry its single plane twice.
-func (s *SimOf[T]) packFrames(i, par int) {
-	sl := &s.bands.slabs[i]
-	nx := s.P.NX
-	s.K.PackFrame(sl.sweep, sl.frame[par][0], s.fView[sl.lo], s.fView[wrapX(sl.lo+1, nx)])
-	s.K.PackFrame(sl.sweep, sl.frame[par][1], s.fView[sl.hi-1], s.fView[wrapX(sl.hi-2, nx)])
+// recoverBand turns a panic in band i's wake into the banding's abort
+// cause (the first wins); the wake then returns normally, so the pool
+// rendezvous completes.
+func (b *bandSet[T]) recoverBand(i int) {
+	if r := recover(); r != nil {
+		b.abort.Trip(&runctl.PanicError{Rank: -1, Band: i, Value: r, Stack: debug.Stack()})
+	}
 }
 
-// sweepSlab advances band i one step in place, with its left
-// neighbour's rightward frame and its right neighbour's leftward frame
-// of parity par as ghost planes and far densities.
-func (s *SimOf[T]) sweepSlab(i, par int) {
-	sl := &s.bands.slabs[i]
-	l, r := &s.bands.slabs[sl.left], &s.bands.slabs[sl.right]
-	last := len(sl.win) - 1
-	sl.win[0], sl.win[last] = l.edge[par][1], r.edge[par][0]
-	s.K.SweepFused(sl.sweep, sl.win, sl.win, 1, last, l.far[par][1], r.far[par][0])
+// sweep advances band i one step in place, its left neighbour's
+// rightward frame and its right neighbour's leftward frame as ghosts (a
+// lone band is its own neighbour on both sides, so its frames wrap the
+// periodic x boundary exactly as a one-rank parlbm slab's do). The
+// frames are in memory and well formed, so Ghost cannot fail.
+func (b *bandSet[T]) sweep(i int) {
+	n := len(b.slabs)
+	sl := b.slabs[i]
+	_ = sl.Ghost(0, b.slabs[(i-1+n)%n].frame[1])
+	_ = sl.Ghost(1, b.slabs[(i+1)%n].frame[0])
+	sl.Sweep()
 }
 
 // runParallelErr advances n steps with the configured intra-node
 // parallelism and returns a worker panic as a *runctl.PanicError. A
-// lone band sweeps inline; a multi-band plan wakes the persistent
-// workers once for the whole run (RunSupervised asks for one step per
-// wake, the refined fine blocks for their two sub-steps). A worker
-// panic surfaces after every worker has unwound, and the banding is
-// poisoned for rebuild (the half-swept lattice behind it is not
-// trustworthy).
+// lone band steps inline. A multi-band step is two wakes of the pool:
+// every band packs its frames, then every band takes its neighbours'
+// frames and sweeps. The rendezvous between the wakes is the only
+// synchronization: no band repacks a frame while a peer still reads
+// it, so one frame per side suffices and no band ever waits on a peer.
+// A worker panic surfaces after every worker has unwound, and the
+// banding is poisoned for rebuild (the half-swept lattice behind it is
+// not trustworthy).
 func (s *SimOf[T]) runParallelErr(n int) error {
-	if n < 1 {
-		return nil
-	}
 	s.ensureBands(s.fusedChunkCount())
 	bs := s.bands
-	if bs.pool == nil {
-		hook := s.bandHook
-		for i := 0; i < n; i++ {
-			if hook != nil {
+	for ; n > 0; n-- {
+		if bs.pool == nil {
+			if hook := s.bandHook; hook != nil {
 				hook(0, s.step)
 			}
-			s.packFrames(0, 0)
-			s.sweepSlab(0, 0)
-			s.step++
+			bs.slabs[0].Pack()
+			bs.sweep(0)
+		} else {
+			bs.pool.run(bs.pack)
+			if bs.abort.Err() == nil {
+				bs.pool.run(bs.take)
+			}
+			if err := bs.abort.Err(); err != nil {
+				bs.stop()
+				s.bands = nil
+				return err
+			}
 		}
-		return nil
+		s.step++
 	}
-	bs.steps = n
-	bs.pool.run(bs.work)
-	if err := bs.abort.Err(); err != nil {
-		bs.stop()
-		s.bands = nil
-		return err
-	}
-	s.step += n
 	return nil
 }
 

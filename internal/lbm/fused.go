@@ -22,7 +22,7 @@ import (
 //
 // Every stepping path outside the serial reference Step is this sweep
 // run in place over a slab of planes behind one frame per neighbour
-// (see PackFrame): a band of the sequential solver and a distributed
+// (see SlabSweepOf): a band of the sequential solver and a distributed
 // rank differ only in where the neighbour's frame comes from.
 
 // FusedScratchOf is the state one fused sweep carries: its rolling
@@ -181,6 +181,88 @@ func (k *KernelOf[T]) ParseFrame(msg []T, ghost, far [][]T) error {
 	}
 	k.frameViews(msg, ghost, far)
 	return nil
+}
+
+// SlabSweepOf is one slab's step — the paper's Figure 2 phase — shared
+// by a band of the sequential solver and a distributed rank: Pack the
+// two frames of the owned planes, hand each neighbour's frame to Ghost,
+// then Sweep the owned planes in place. The two differ only in where a
+// neighbour's frame comes from: a peer band's memory or the wire.
+type SlabSweepOf[T num.Float] struct {
+	k  *KernelOf[T]
+	fs *FusedScratchOf[T]
+	// win is the sweep window: win[1+i] views owned plane i of every
+	// component, win[0] and win[count+1] the ghost planes Ghost points
+	// into the neighbours' frames.
+	win [][][]T
+	// frame[0] carries the first owned plane leftward, frame[1] the last
+	// rightward; far[0] and far[1] view the ghosts' far densities.
+	frame [2][]T
+	far   [2][][]T
+}
+
+// SlabSweep is the double-precision slab step.
+type SlabSweep = SlabSweepOf[float64]
+
+// NewSlabSweep allocates an unbound slab step; Bind it before use.
+func (k *KernelOf[T]) NewSlabSweep() *SlabSweepOf[T] {
+	return &SlabSweepOf[T]{k: k, fs: k.NewFusedScratch(), far: [2][][]T{make([][]T, k.NComp), make([][]T, k.NComp)}}
+}
+
+// Bind points the window at count owned planes, plane(i, c) being
+// owned plane i of component c. Storage only grows, so rebinding to a
+// slab that migration resized allocates nothing once the window has
+// been that large; entries past the window drop their views, so a
+// plane that has left the slab is not kept reachable from here.
+func (s *SlabSweepOf[T]) Bind(count int, plane func(i, c int) []T) {
+	need := count + 2
+	if cap(s.win) < need {
+		grown := make([][][]T, need, 2*need)
+		copy(grown, s.win[:cap(s.win)])
+		s.win = grown
+	}
+	for _, stale := range s.win[need:cap(s.win)] {
+		clear(stale)
+	}
+	s.win = s.win[:need]
+	for i, v := range s.win {
+		if v == nil {
+			s.win[i] = make([][]T, s.k.NComp)
+		}
+	}
+	for i := 0; i < count; i++ {
+		for c := range s.win[1+i] {
+			s.win[1+i][c] = plane(i, c)
+		}
+	}
+}
+
+// Pack builds the slab's two frames: toLeft carries its first plane and
+// the densities of the second, toRight its last plane and the densities
+// of the one before. A one-plane slab's frames carry its plane twice.
+func (s *SlabSweepOf[T]) Pack() (toLeft, toRight []T) {
+	n := len(s.win) - 2
+	s.frame[0] = s.k.PackFrame(s.fs, s.frame[0], s.win[1], s.win[1+1%n])
+	s.frame[1] = s.k.PackFrame(s.fs, s.frame[1], s.win[n], s.win[1+(2*n-2)%n])
+	return s.frame[0], s.frame[1]
+}
+
+// Ghost takes a neighbour's frame as the ghost plane and far densities
+// of side 0 (the left neighbour's rightward frame) or side 1 (the right
+// neighbour's leftward frame). The slab reads the frame until Sweep
+// returns, so its sender must not repack it before then.
+func (s *SlabSweepOf[T]) Ghost(side int, frame []T) error {
+	ghost := s.win[0]
+	if side == 1 {
+		ghost = s.win[len(s.win)-1]
+	}
+	return s.k.ParseFrame(frame, ghost, s.far[side])
+}
+
+// Sweep advances the owned planes one step in place behind the ghosts.
+func (s *SlabSweepOf[T]) Sweep() {
+	last := len(s.win) - 1
+	s.k.SweepFused(s.fs, s.win, s.win, 1, last, s.far[0], s.far[1])
 }
 
 // stepPool is the persistent goroutine pool of the band scheduler:

@@ -75,12 +75,12 @@ func TestFusedWorkerResize(t *testing.T) {
 }
 
 // The steady-state step must not allocate: the plane windows, frames,
-// sweep rings, band plans, and the frame-token mesh are all built on
-// the first step after a banding change, never per step. Pinned for
-// every banding (one band, and 2, 3 and 8 requested, which the 8-plane
-// grid clamps to two-plane bands) at both precisions, for supervised
-// steps and for multi-step wakes, whose frame exchange must reuse its
-// two parity slots and token channels rather than grow buffers.
+// sweep rings, band plans and the worker pool are all built on the
+// first step after a banding change, never per step. Pinned for every
+// banding (one band, and 2, 3 and 8 requested, which the 8-plane grid
+// clamps to two-plane bands) at both precisions, for supervised steps
+// and for multi-step runs, whose frame exchange must reuse each band's
+// one frame per side rather than grow buffers.
 func TestStepParallelZeroAllocs(t *testing.T) {
 	for _, prec := range []Precision{F64, F32} {
 		for _, bands := range []int{1, 2, 3, 8} {
@@ -91,8 +91,8 @@ func TestStepParallelZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetWorkers(bands)
-			s.SetFusedChunks(bands)
-			advance(t, s, 1) // build the bands, mesh and pool
+			s.(interface{ SetFusedChunks(int) }).SetFusedChunks(bands)
+			advance(t, s, 1) // build the bands and pool
 			label := fmt.Sprintf("prec=%v/bands=%d", prec, bands)
 			if allocs := testing.AllocsPerRun(5, func() { s.RunSupervised(1, nil) }); allocs != 0 {
 				t.Errorf("%s: RunSupervised(1) %v allocs/op, want 0", label, allocs)
@@ -152,17 +152,14 @@ func TestFusedChunkHeuristic(t *testing.T) {
 // plus each band's sweep rings and frames.
 func heldBytes[T num.Float](s *SimOf[T]) int {
 	n := s.P.NComp() * s.P.NX * s.K.PlaneLen()
-	for i := range s.bands.slabs {
-		sl := &s.bands.slabs[i]
+	for _, sl := range s.bands.slabs {
 		for slot := 0; slot < 3; slot++ {
-			for c := range sl.sweep.n[slot] {
-				n += len(sl.sweep.n[slot][c]) + len(sl.sweep.post[slot][c])
+			for c := range sl.fs.n[slot] {
+				n += len(sl.fs.n[slot][c]) + len(sl.fs.post[slot][c])
 			}
 		}
-		for par := range sl.frame {
-			for side := range sl.frame[par] {
-				n += len(sl.frame[par][side])
-			}
+		for _, fr := range sl.frame {
+			n += len(fr)
 		}
 	}
 	var zero T
@@ -236,8 +233,9 @@ func TestSolverHoldsOneLattice(t *testing.T) {
 // Bands trade frames through memory one goroutine writes and another
 // reads; this run gives the race detector every banding from two to
 // eight bands (two-plane bands at eight) over 60 steps, in multi-step
-// wakes of odd and even length so both parity slots are reused across
-// wake boundaries, and holds each to the serial reference.
+// runs of odd and even length so each band's one frame per side is
+// repacked across run boundaries, and holds each to the serial
+// reference.
 func TestBandFrameExchangeLongRun(t *testing.T) {
 	const nx, steps = 16, 60
 	ref, err := NewSim(WaterAir(nx, 6, 5))

@@ -20,7 +20,7 @@ func advance(t testing.TB, s Stepper, n int) {
 	}
 }
 
-// advanceWake steps s n steps in one wake of its band workers: the
+// advanceWake steps s n steps in one runParallelErr call: the
 // multi-step path the refined fine blocks run their two sub-steps on.
 func advanceWake[T num.Float](t testing.TB, s *SimOf[T], n int) {
 	t.Helper()

@@ -30,11 +30,11 @@ func (s *SimOf[T]) SetFusedChunks(n int) {
 }
 
 // SetBandHook installs a per-step observation hook: the bands call
-// hook(band, step) once per band at the top of every step (band 0 on
-// the single-band path), concurrently from the band workers. Chaos
-// tests use it to inject panics and stalls into compute workers and to
-// trigger cancellation at exact steps; a nil hook (the default) costs
-// one predictable branch per band-step.
+// hook(band, step) once per band at the top of every step, before
+// packing (band 0 on the single-band path), concurrently from the band
+// workers. Chaos tests use it to inject panics and stalls into compute
+// workers and to trigger cancellation at exact steps; a nil hook (the
+// default) costs one predictable branch per band-step.
 func (s *SimOf[T]) SetBandHook(hook func(band, step int)) {
 	s.bandHook = hook
 }
@@ -47,10 +47,9 @@ func (s *SimOf[T]) SetBandHook(hook func(band, step int)) {
 // boundary — checkpoint-and-resume reproduces the uninterrupted run bit
 // for bit — while a *runctl.PanicError means a worker panicked and the
 // in-memory state is not trustworthy. A nil supervisor never stops the
-// run, but a worker panic comes back as the error all the same. Every
-// step is one wake of the band workers (runParallelErr(1)), so the
-// supervisor is checked between steps; the multi-step wake serves the
-// refined solver's two fine sub-steps.
+// run, but a worker panic comes back as the error all the same. Each
+// step is runParallelErr(1), so the supervisor is checked between
+// steps.
 func (s *SimOf[T]) RunSupervised(n int, sup *runctl.Supervisor) (int, error) {
 	for done := 0; done < n; done++ {
 		if err := sup.Err(); err != nil {

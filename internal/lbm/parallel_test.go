@@ -41,10 +41,9 @@ func TestStepParallelMatchesStep(t *testing.T) {
 	}
 }
 
-// A multi-step wake (the one-rendezvous path where bands pace each other
-// through their frame tokens alone, which the refined fine blocks run
-// their two sub-steps on) must be bit-identical to the same number of
-// serial steps, for odd and even lengths and across a mid-run
+// A multi-step run of runParallelErr (the path the refined fine blocks
+// run their two sub-steps on) must be bit-identical to the same number
+// of serial steps, for odd and even lengths and across a mid-run
 // band-count change. Params.Fused is ignored: both settings run the one
 // in-place sweep.
 func TestRunParallelStepsMatchesStepwise(t *testing.T) {

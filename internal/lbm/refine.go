@@ -373,7 +373,7 @@ func (r *refinedOf[T]) runParallelErr(n int) error {
 
 // advanceLevels runs each block's sub-steps for one composite step. The
 // blocks step in turn, each on the whole worker allotment; a fine slab
-// runs its two sub-steps as one wake of its band workers.
+// runs its two sub-steps.
 func (r *refinedOf[T]) advanceLevels() error {
 	for i := 0; i < 3; i++ {
 		lv, steps := r.level(i)

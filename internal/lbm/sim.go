@@ -59,20 +59,13 @@ func NewSimOf[T num.Float](p *Params) (*SimOf[T], error) {
 	}
 	k := NewKernelOf[T](p)
 	s := &SimOf[T]{P: p, K: k}
-	nc := p.NComp()
-	s.f = make([][][]T, nc)
-	sz := k.PlaneLen()
-	for c := 0; c < nc; c++ {
-		// One allocation per component: plane-sized allocations would each
-		// round up to whole pages.
-		lattice := make([]T, p.NX*sz)
-		s.f[c] = make([][]T, p.NX)
-		for x := 0; x < p.NX; x++ {
-			s.f[c][x] = lattice[x*sz : (x+1)*sz : (x+1)*sz]
-			k.InitEquilibrium(s.f[c][x], p.InitDensityAt(c, x))
+	s.fView = newPlanes[T](p.NX, p.NComp(), k.PlaneLen())
+	s.f = transposeViews(s.fView, p.NComp(), p.NX)
+	for x, planes := range s.fView {
+		for c, f := range planes {
+			k.InitEquilibrium(f, p.InitDensityAt(c, x))
 		}
 	}
-	s.fView = transposeViews(s.f, p.NX, nc)
 	return s, nil
 }
 
@@ -90,26 +83,40 @@ func isSingle[T num.Float]() bool {
 // the requested precision is honoured.
 func NewSim(p *Params) (*Sim, error) { return NewSimOf[float64](p) }
 
-// transposeViews builds the [x][c] plane views of [c][x] storage.
-func transposeViews[T num.Float](store [][][]T, nx, nc int) [][][]T {
-	out := make([][][]T, nx)
-	for x := 0; x < nx; x++ {
-		out[x] = make([][]T, nc)
-		for c := 0; c < nc; c++ {
-			out[x][c] = store[c][x]
+// transposeViews returns the [b][a] views of [a][b] planes.
+func transposeViews[T num.Float](store [][][]T, nb, na int) [][][]T {
+	out := make([][][]T, nb)
+	for b := range out {
+		out[b] = make([][]T, na)
+		for a := range out[b] {
+			out[b][a] = store[a][b]
 		}
 	}
 	return out
 }
 
+// latticeChunkValues bounds one allocation of planes (1 MiB at double
+// precision). A plane per allocation rounds each up to whole pages (~5 %
+// at 64x48x16). A component per allocation needs one free run that size;
+// small allocations landing in a freed lattice split it, so the next job
+// grew the heap by a component (200x100x20 peak RSS 142 or 185 MiB).
+const latticeChunkValues = 1 << 17
+
 // newPlanes allocates nx x nc planes of size values each, indexed
-// [x][c].
+// [x][c], a few planes of one component per allocation.
 func newPlanes[T num.Float](nx, nc, size int) [][][]T {
+	per := max(1, latticeChunkValues/size)
 	out := make([][][]T, nx)
 	for x := range out {
 		out[x] = make([][]T, nc)
-		for c := range out[x] {
-			out[x][c] = make([]T, size)
+	}
+	for c := 0; c < nc; c++ {
+		var chunk []T
+		for x := range out {
+			if len(chunk) == 0 {
+				chunk = make([]T, min(per, nx-x)*size)
+			}
+			out[x][c], chunk = chunk[:size:size], chunk[size:]
 		}
 	}
 	return out

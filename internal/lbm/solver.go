@@ -54,8 +54,6 @@ type Stepper interface {
 // scalar type.
 type Solver interface {
 	Stepper
-	// SetFusedChunks pins the band count (tests only).
-	SetFusedChunks(n int)
 	// SetBandHook installs the per-band-step observation hook the
 	// supervision and abort tests inject panics, stalls and
 	// cancellations through.

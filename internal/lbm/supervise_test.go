@@ -12,7 +12,7 @@ import (
 
 // A panic in one band worker must abort the whole run with a typed
 // PanicError naming the band, unwind every other worker (the pool
-// rendezvous completes instead of deadlocking on the token mesh), and
+// rendezvous completes instead of deadlocking), and
 // leave the banding rebuildable: the next run works again. The
 // "phases" and "fused" rows keep the names of the two stepping paths
 // the solver used to have; Params.Fused is ignored, so both run the
@@ -55,7 +55,7 @@ func TestBandWorkerPanicAborts(t *testing.T) {
 					t.Fatal("PanicError carries no stack")
 				}
 			case <-time.After(10 * time.Second):
-				t.Fatal("band panic deadlocked the token mesh")
+				t.Fatal("band panic deadlocked the band workers")
 			}
 			// The poisoned scheduler rebuilds and the sim steps again.
 			s.SetBandHook(nil)
@@ -302,8 +302,8 @@ func latticeBits(s Stepper) []uint64 {
 }
 
 // The stall fault mode: a band worker sleeping in its hook must not
-// corrupt the run — the token mesh simply paces its neighbors — and the
-// result stays bit-identical to the unstalled run.
+// corrupt the run — the pack wake's rendezvous simply waits for it —
+// and the result stays bit-identical to the unstalled run.
 func TestBandStallIsHarmless(t *testing.T) {
 	p := WaterAir(12, 10, 6)
 	ref, err := NewSim(p)

@@ -238,20 +238,14 @@ type worker struct {
 	pred balance.Predictor
 	res  *Result
 
-	// sweep is the rank's fused-sweep state (one suffices: a rank's
-	// planes are swept sequentially).
-	sweep *lbm.FusedScratch
-	// fWin is the sweep's plane window, rebuilt every phase from the
-	// slabs into grow-only storage: entry 1+i views owned plane i of
-	// every component, entries 0 and count+1 the left and right ghost
-	// planes of this phase's frames, and entries past count+1 view
-	// nothing. farL/farR view the frames' far densities.
-	fWin       [][][]float64
-	farL, farR [][]float64
+	// slab is the rank's slab step, the one a band of the sequential
+	// solver runs; it is rebound every phase through plane (owned plane
+	// i of component c), so migration only changes the slabs.
+	slab  *lbm.SlabSweep
+	plane func(i, c int) []float64
 	// massFn is localMass bound once, so handing it to PostPhase every
 	// phase allocates nothing.
 	massFn               func() []float64
-	packL, packR         []float64 // frame send buffers
 	wireSendL, wireSendR []float64 // packed-float32 staging (WireF32)
 	rawRecvL, rawRecvR   []float64 // unpacked receive buffers (WireF32)
 
@@ -395,14 +389,13 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, p
 
 // newWorker builds rank c's worker state short of its slabs.
 func newWorker(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, pool *planePool) *worker {
-	nc := p.NComp()
 	w := &worker{
 		p: p, k: lbm.NewKernel(p), c: c, opts: opts, sup: sup, pool: pool,
 		rank: c.Rank(), size: c.Size(),
-		res:  &Result{Rank: c.Rank()},
-		farL: make([][]float64, nc), farR: make([][]float64, nc),
+		res: &Result{Rank: c.Rank()},
 	}
-	w.sweep = w.k.NewFusedScratch()
+	w.slab = w.k.NewSlabSweep()
+	w.plane = func(i, comp int) []float64 { return w.f[comp].Planes[i] }
 	w.massFn = w.localMass
 	w.pred = balance.NewHarmonicMean(opts.Policy.HistoryK())
 	return w
@@ -496,35 +489,6 @@ func (w *worker) recvWire(from, tag, n int, what string, staging *[]float64, cla
 	return *staging, nil
 }
 
-// views returns count+2 per-plane component views of slabs, reusing
-// buf's storage: entry 1+i holds plane i of every slab, entries 0 and
-// count+1 are left for the caller's ghost planes.
-func views(buf [][][]float64, slabs []*field.Slab) [][][]float64 {
-	need := slabs[0].Count() + 2
-	if cap(buf) < need {
-		grown := make([][][]float64, need, 2*need)
-		copy(grown, buf[:cap(buf)])
-		buf = grown
-	}
-	// Entries past the window drop their views, so a plane that has
-	// left the slab stays reachable from the slab alone, not from here.
-	for _, stale := range buf[need:cap(buf)] {
-		clear(stale)
-	}
-	buf = buf[:need]
-	for i := range buf {
-		if buf[i] == nil {
-			buf[i] = make([][]float64, len(slabs))
-		}
-	}
-	for c, s := range slabs {
-		for i, plane := range s.Planes {
-			buf[1+i][c] = plane
-		}
-	}
-	return buf
-}
-
 // phase runs one LBM phase: post a frame to each neighbor, take theirs
 // as the ghost planes, then one fused sweep over the slab that collides
 // the ghosts redundantly and streams the owned planes.
@@ -542,7 +506,7 @@ func (w *worker) phase(phase int) error {
 	commDur := time.Since(tComm).Seconds()
 
 	tComp := time.Now()
-	w.sweepSlab()
+	w.slab.Sweep()
 	compDur := time.Since(tComp).Seconds()
 
 	return w.finishPhase(phase, compDur, commDur)

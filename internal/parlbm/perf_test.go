@@ -159,7 +159,7 @@ func TestSlimExchangeZeroAllocsSteadyState(t *testing.T) {
 				if err := w.recvFrames(); err != nil {
 					t.Fatal(err)
 				}
-				w.sweepSlab()
+				w.slab.Sweep()
 			}
 		}
 		phase() // warm buffers and transport streams

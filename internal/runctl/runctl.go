@@ -15,11 +15,11 @@
 //     resumable bit-identically.
 //
 //   - hard causes (a worker panic, an unrecoverable rank failure) trip
-//     the abort immediately. Bands blocked on the token mesh unwind
-//     through the abort channel; a distributed group's watcher tears
-//     its transport down, so ranks blocked in receives fail instead of
-//     hanging. No coordination is attempted and the in-memory state is
-//     not trusted afterwards.
+//     the abort immediately. A banding skips its remaining wake and is
+//     rebuilt; a distributed group's watcher tears its transport down,
+//     so ranks blocked in receives fail instead of hanging. No
+//     coordination is attempted and the in-memory state is not trusted
+//     afterwards.
 package runctl
 
 import (
