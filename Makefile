@@ -6,9 +6,9 @@ GO ?= go
 # suite, the race detector in short mode (the -short guard trims the
 # long abort-chaos sweep and physics soaks so the race pass stays
 # around a minute), the examples that drive the remapping policies at
-# tiny sizes, then the benchmark module's vet, tests and smoke-size
-# traced run.
-check: build vet gofmt test race examples-smoke bench-module
+# tiny sizes, every Go benchmark once, then the benchmark module's vet,
+# tests and smoke-size traced run.
+check: build vet gofmt test race examples-smoke bench bench-module
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,9 @@ examples-smoke:
 	$(GO) run ./examples/poiseuille -steps 200
 	$(GO) run ./examples/groovedwall -steps 40
 
+# Every Benchmark* once (about 10-20 s): the kernel benchmarks
+# (BenchmarkFusedStepAoS, BenchmarkCollideAoS) are the instruments kernel
+# speed claims rest on, so they must keep compiling and running.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 

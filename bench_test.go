@@ -212,10 +212,11 @@ func BenchmarkKernelCollide(b *testing.B) {
 	out := mk()
 	n := [][]float64{make([]float64, k.PlaneCells()), make([]float64, k.PlaneCells())}
 	k.Densities(f, n)
+	sc := k.NewScratch()
 	b.SetBytes(int64(2 * k.PlaneLen() * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Collide(n, n, n, f, out)
+		k.CollideScratch(sc, n, n, n, f, out)
 	}
 }
 

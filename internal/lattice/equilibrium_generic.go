@@ -5,36 +5,37 @@ import "microslip/internal/num"
 // EquilibriumOf is the precision-generic D3Q19 BGK equilibrium: the
 // unrolled expression tree Equilibrium delegates to, evaluated in T.
 // For T = float32 the constants are the correctly rounded
-// single-precision values.
+// single-precision values. The expressions live in EqBasis and EqPair,
+// which the collision kernel calls directly so it can relax toward each
+// population without storing the equilibrium first.
 func EquilibriumOf[T num.Float](rho, ux, uy, uz T, feq *[Q19]T) {
-	usq := 1.5 * (ux*ux + uy*uy + uz*uz)
-	ra := rho * (1.0 / 18.0)
-	rd := rho * (1.0 / 36.0)
-	feq[0] = rho * (1.0 / 3.0) * (1 - usq)
-	feq[1] = ra * (1 + 3*ux + 4.5*ux*ux - usq)
-	feq[2] = ra * (1 - 3*ux + 4.5*ux*ux - usq)
-	feq[3] = ra * (1 + 3*uy + 4.5*uy*uy - usq)
-	feq[4] = ra * (1 - 3*uy + 4.5*uy*uy - usq)
-	feq[5] = ra * (1 + 3*uz + 4.5*uz*uz - usq)
-	feq[6] = ra * (1 - 3*uz + 4.5*uz*uz - usq)
-	e := ux + uy
-	feq[7] = rd * (1 + 3*e + 4.5*e*e - usq)
-	feq[8] = rd * (1 - 3*e + 4.5*e*e - usq)
-	e = ux - uy
-	feq[9] = rd * (1 + 3*e + 4.5*e*e - usq)
-	feq[10] = rd * (1 - 3*e + 4.5*e*e - usq)
-	e = ux + uz
-	feq[11] = rd * (1 + 3*e + 4.5*e*e - usq)
-	feq[12] = rd * (1 - 3*e + 4.5*e*e - usq)
-	e = ux - uz
-	feq[13] = rd * (1 + 3*e + 4.5*e*e - usq)
-	feq[14] = rd * (1 - 3*e + 4.5*e*e - usq)
-	e = uy + uz
-	feq[15] = rd * (1 + 3*e + 4.5*e*e - usq)
-	feq[16] = rd * (1 - 3*e + 4.5*e*e - usq)
-	e = uy - uz
-	feq[17] = rd * (1 + 3*e + 4.5*e*e - usq)
-	feq[18] = rd * (1 - 3*e + 4.5*e*e - usq)
+	rest, usq, ra, rd := EqBasis(rho, ux, uy, uz)
+	feq[0] = rest
+	feq[1], feq[2] = EqPair(ra, ux, usq)
+	feq[3], feq[4] = EqPair(ra, uy, usq)
+	feq[5], feq[6] = EqPair(ra, uz, usq)
+	feq[7], feq[8] = EqPair(rd, ux+uy, usq)
+	feq[9], feq[10] = EqPair(rd, ux-uy, usq)
+	feq[11], feq[12] = EqPair(rd, ux+uz, usq)
+	feq[13], feq[14] = EqPair(rd, ux-uz, usq)
+	feq[15], feq[16] = EqPair(rd, uy+uz, usq)
+	feq[17], feq[18] = EqPair(rd, uy-uz, usq)
+}
+
+// EqBasis returns the terms every D3Q19 equilibrium population shares:
+// the rest population, usq = 3/2 u.u, and the density times the face
+// (1/18) and edge (1/36) weights.
+func EqBasis[T num.Float](rho, ux, uy, uz T) (rest, usq, ra, rd T) {
+	usq = 1.5 * (ux*ux + uy*uy + uz*uz)
+	return rho * (1.0 / 3.0) * (1 - usq), usq, rho * (1.0 / 18.0), rho * (1.0 / 36.0)
+}
+
+// EqPair returns the equilibrium populations of the direction pair +e
+// and -e from wr = w*rho and the projection eu = e.u:
+//
+//	f_+-^eq = w rho [1 +- 3 e.u + 9/2 (e.u)^2 - 3/2 u.u]
+func EqPair[T num.Float](wr, eu, usq T) (plus, minus T) {
+	return wr * (1 + 3*eu + 4.5*eu*eu - usq), wr * (1 - 3*eu + 4.5*eu*eu - usq)
 }
 
 // WeightsOf returns the D3Q19 quadrature weights rounded to T.

@@ -11,40 +11,92 @@ import (
 // scalar values at y*NZ+z. Every solver is a thin driver around three
 // methods, so they all produce identical results:
 //
-//	Densities -> Collide -> Stream
+//	Densities -> CollideScratch -> Stream
 //
 // either as three passes over the lattice (the serial reference Step) or
 // fused into one rolling sweep run in place (SweepFused: every band of
 // the sequential solver and every distributed rank).
 // The float64 instantiation is the Kernel alias; the float32
 // instantiation is the reduced-precision core behind Params.Precision.
+//
+// The kernel never writes a solid cell: a lattice's solid populations
+// are zero from InitEquilibrium (or from a load path's ClearSolid) on,
+// and nothing reads them — a bulk cell has no solid neighbour, and the
+// near-wall link tables skip solid ones.
 type KernelOf[T num.Float] struct {
 	NY, NZ, NComp int
 
 	tau, invTau, mass []T
-	g                 [][]T
-	body              [3]T
-	wallComp          int
-	wallFy, wallFz    []T    // per y*NZ+z; nil when disabled
-	solid             []bool // per y*NZ+z
-	adhesion          []T    // per component; nil when disabled
-	adhY, adhZ        []T    // sum_i w_i s(x+e_i) e_i per y*NZ+z
-	rhoMin            T
-	w                 [lattice.Q19]T // quadrature weights at T
+	// massInvTau[c] is mass[c]*invTau[c], component c's weight in the
+	// common velocity; gm[c] lists its nonzero S-C couplings.
+	massInvTau     []T
+	gm             [][]coupling[T]
+	body           [3]T
+	wallComp       int
+	wallFy, wallFz []T    // per y*NZ+z; nil when disabled
+	solid          []bool // per y*NZ+z
+	adhesion       []T    // per component; nil when disabled
+	adhY, adhZ     []T    // sum_i w_i s(x+e_i) e_i per y*NZ+z
+	rhoMin         T
 
-	// nearSolid marks interior fluid cells with at least one solid
-	// (y, z)-neighbour in the Moore-8 sense; because the mask is
-	// x-independent this is exactly the set of cells whose streaming
-	// sources or psi-gradient neighbours can be solid. Cells outside
-	// the set take branch-free unrolled fast paths in Stream and
-	// CollideScratch; cells inside keep the per-direction checks. The
-	// split is a pure (deterministic) dispatch, so every solver path
-	// makes the same choice per cell and bit-identity holds.
-	nearSolid []bool
+	// kind classifies every y*NZ+z cell for the hot loops: solidCell,
+	// bulkCell (fluid with no solid (y, z)-neighbour in the Moore-8
+	// sense, so none of its stream sources or psi-gradient neighbours
+	// is solid), or, for a near-wall fluid cell, the index of its link
+	// table in near. Bulk cells take branch-free unrolled paths; near
+	// cells walk their tables. The split is a pure function of the mask,
+	// so every solver path makes the same choice per cell.
+	kind []int32
+	near []nearLinks
+	// grad holds every near-wall cell's psi-gradient links; dirs the
+	// weight and velocity of each direction at T.
+	grad []gradLink
+	dirs [lattice.Q19]dirConst[T]
 	// pull[i] is the in-plane offset, in values, from a cell's base to
 	// the value streamed along direction i: i - (Ey[i]*NZ+Ez[i])*Q19.
 	pull [lattice.Q19]int
 }
+
+// Cell kinds below zero; a near-wall cell's kind is its table index.
+const (
+	solidCell = -2
+	bulkCell  = -1
+)
+
+// coupling is one nonzero S-C interaction term of a component: the
+// partner component and g[c][partner]*mass[partner].
+type coupling[T num.Float] struct {
+	comp int
+	gm   T
+}
+
+// nearLinks is one near-wall fluid cell's neighbourhood, resolved from
+// the solid mask once. Plane 0 is x-1, 1 is x, 2 is x+1.
+type nearLinks struct {
+	// grad[lo:hi] are the cell's fluid psi-gradient neighbours, in
+	// direction order.
+	lo, hi int32
+	// src[i] is where population i streams from: the value index in a
+	// post-collision plane, or the cell's own opposite population in
+	// plane 1 when the source is solid (bounce-back).
+	src [lattice.Q19]streamLink
+}
+
+// gradLink is one psi-gradient neighbour: its density plane and cell,
+// and the direction it lies along.
+type gradLink struct {
+	cell       int32
+	plane, dir uint8
+}
+
+// dirConst is one direction's weight w_i and velocity e_i at T.
+type dirConst[T num.Float] struct {
+	w T
+	e [3]T
+}
+
+// streamLink is one population's stream source.
+type streamLink struct{ plane, idx int32 }
 
 // Kernel is the double-precision plane kernel used by the parallel layer
 // and all historical call sites.
@@ -63,18 +115,15 @@ func NewKernelOf[T num.Float](p *Params) *KernelOf[T] {
 	mask := p.Mask()
 	k := &KernelOf[T]{
 		NY: p.NY, NZ: p.NZ, NComp: p.NComp(),
-		tau:      make([]T, p.NComp()),
-		invTau:   make([]T, p.NComp()),
-		mass:     make([]T, p.NComp()),
-		wallComp: p.WallForceComp,
-		rhoMin:   T(p.RhoMin),
-		w:        lattice.WeightsOf[T](),
+		tau:        make([]T, p.NComp()),
+		invTau:     make([]T, p.NComp()),
+		mass:       make([]T, p.NComp()),
+		massInvTau: make([]T, p.NComp()),
+		gm:         make([][]coupling[T], p.NComp()),
+		wallComp:   p.WallForceComp,
+		rhoMin:     T(p.RhoMin),
 	}
 	k.body = [3]T{T(p.BodyForce[0]), T(p.BodyForce[1]), T(p.BodyForce[2])}
-	k.g = make([][]T, len(p.G))
-	for i, row := range p.G {
-		k.g[i] = toScalars[T](row)
-	}
 	if k.rhoMin == 0 {
 		k.rhoMin = 1e-12
 	}
@@ -82,6 +131,14 @@ func NewKernelOf[T num.Float](p *Params) *KernelOf[T] {
 		k.tau[c] = T(comp.Tau)
 		k.invTau[c] = T(1 / comp.Tau)
 		k.mass[c] = T(comp.Mass)
+		k.massInvTau[c] = k.mass[c] * k.invTau[c]
+	}
+	for c, row := range p.G {
+		for c2, g := range row {
+			if gm := T(g) * k.mass[c2]; gm != 0 {
+				k.gm[c] = append(k.gm[c], coupling[T]{comp: c2, gm: gm})
+			}
+		}
 	}
 	k.solid = make([]bool, p.NY*p.NZ)
 	for y := 0; y < p.NY; y++ {
@@ -89,19 +146,28 @@ func NewKernelOf[T num.Float](p *Params) *KernelOf[T] {
 			k.solid[y*p.NZ+z] = mask.IsSolid(y, z)
 		}
 	}
-	k.nearSolid = make([]bool, p.NY*p.NZ)
-	for y := 1; y < p.NY-1; y++ {
-		for z := 1; z < p.NZ-1; z++ {
-			ns := false
-			for dy := -1; dy <= 1 && !ns; dy++ {
-				for dz := -1; dz <= 1; dz++ {
-					if (dy != 0 || dz != 0) && k.solid[(y+dy)*p.NZ+z+dz] {
-						ns = true
-						break
-					}
-				}
-			}
-			k.nearSolid[y*p.NZ+z] = ns
+	w := lattice.WeightsOf[T]()
+	for i := range k.dirs {
+		k.dirs[i] = dirConst[T]{w[i], [3]T{T(lattice.Ex[i]), T(lattice.Ey[i]), T(lattice.Ez[i])}}
+	}
+	k.kind = make([]int32, p.NY*p.NZ)
+	nNear := 0
+	for cell := range k.kind {
+		switch y, z := cell/p.NZ, cell%p.NZ; {
+		case k.solid[cell]:
+			k.kind[cell] = solidCell
+		case !k.touchesSolid(y, z):
+			k.kind[cell] = bulkCell
+		default:
+			k.kind[cell] = int32(nNear)
+			nNear++
+		}
+	}
+	k.near = make([]nearLinks, nNear)
+	k.grad = make([]gradLink, 0, nNear*(lattice.Q19-1))
+	for cell, kind := range k.kind {
+		if kind >= 0 {
+			k.linkCell(cell, &k.near[kind])
 		}
 	}
 	for i := 0; i < lattice.Q19; i++ {
@@ -153,6 +219,40 @@ func NewKernelOf[T num.Float](p *Params) *KernelOf[T] {
 // NewKernel builds the double-precision plane kernel for p.
 func NewKernel(p *Params) *Kernel { return NewKernelOf[float64](p) }
 
+// touchesSolid reports whether fluid cell (y, z) has a solid neighbour
+// in the Moore-8 sense. The channel's boundary rows are solid, so only
+// interior cells are asked.
+func (k *KernelOf[T]) touchesSolid(y, z int) bool {
+	for dy := -1; dy <= 1; dy++ {
+		for dz := -1; dz <= 1; dz++ {
+			if k.solid[(y+dy)*k.NZ+z+dz] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// linkCell resolves the link table of near-wall fluid cell cell,
+// appending its gradient links to k.grad.
+func (k *KernelOf[T]) linkCell(cell int, nl *nearLinks) {
+	y, z := cell/k.NZ, cell%k.NZ
+	nl.lo = int32(len(k.grad))
+	nl.src[0] = streamLink{1, int32(cell * lattice.Q19)}
+	for i := 1; i < lattice.Q19; i++ {
+		ex, ey, ez := lattice.Ex[i], lattice.Ey[i], lattice.Ez[i]
+		if g := (y+ey)*k.NZ + z + ez; !k.solid[g] {
+			k.grad = append(k.grad, gradLink{cell: int32(g), plane: uint8(1 + ex), dir: uint8(i)})
+		}
+		if src := (y-ey)*k.NZ + z - ez; k.solid[src] {
+			nl.src[i] = streamLink{1, int32(cell*lattice.Q19 + lattice.Opposite[i])}
+		} else {
+			nl.src[i] = streamLink{int32(1 - ex), int32(src*lattice.Q19 + i)}
+		}
+	}
+	nl.hi = int32(len(k.grad))
+}
+
 // toScalars rounds a float64 slice to T (a copy even when T is float64,
 // so kernels never alias caller storage).
 func toScalars[T num.Float](src []float64) []T {
@@ -176,15 +276,12 @@ func hasAdhesion(a []float64) bool {
 }
 
 // ScratchOf holds the per-cell work buffers of the collision kernel.
-// Collide allocates one per call; the stepping paths allocate one per
-// sweep (or per serial Step) up front via NewScratch and pass it to
-// CollideScratch. A scratch must not be shared between concurrent
-// CollideScratch calls.
+// The stepping paths allocate one per sweep (or per serial Step) up
+// front via NewScratch and pass it to CollideScratch. A scratch must not
+// be shared between concurrent CollideScratch calls.
 type ScratchOf[T num.Float] struct {
-	mom   [][3]T
 	nHere []T
 	grads [][3]T
-	feq   [lattice.Q19]T
 }
 
 // Scratch is the double-precision collision scratch.
@@ -193,7 +290,6 @@ type Scratch = ScratchOf[float64]
 // NewScratch allocates collision work buffers sized for this kernel.
 func (k *KernelOf[T]) NewScratch() *ScratchOf[T] {
 	return &ScratchOf[T]{
-		mom:   make([][3]T, k.NComp),
 		nHere: make([]T, k.NComp),
 		grads: make([][3]T, k.NComp),
 	}
@@ -210,14 +306,13 @@ func (k *KernelOf[T]) Solid(y, z int) bool { return k.solid[y*k.NZ+z] }
 
 // Densities computes per-component number densities for one plane:
 // n[c][cell] = sum_i f[c][cell*Q+i]. Solid cells yield zero because
-// their populations are kept at zero.
+// their populations are zero.
 func (k *KernelOf[T]) Densities(f [][]T, n [][]T) {
 	cells := k.PlaneCells()
 	for c := 0; c < k.NComp; c++ {
-		fc, nc := f[c], n[c]
-		for cell := 0; cell < cells; cell++ {
-			base := cell * lattice.Q19
-			fv := fc[base : base+lattice.Q19 : base+lattice.Q19]
+		fc, nc := f[c], n[c][:cells]
+		for cell := range nc {
+			fv := (*[lattice.Q19]T)(fc[cell*lattice.Q19:])
 			// Pairwise tree sum: independent partials instead of one
 			// serial accumulation chain over the 19 populations.
 			s := ((fv[0] + fv[1]) + (fv[2] + fv[3])) + ((fv[4] + fv[5]) + (fv[6] + fv[7]))
@@ -228,10 +323,11 @@ func (k *KernelOf[T]) Densities(f [][]T, n [][]T) {
 	}
 }
 
-// Collide performs force evaluation and BGK collision for the plane at
-// x, writing post-collision populations into out. nL, nC, nR are the
-// number-density planes at x-1, x, x+1 (periodic in x); fC the current
-// distribution plane. out must not alias fC.
+// CollideScratch performs force evaluation and BGK collision for the
+// plane at x, writing post-collision populations of its fluid cells
+// into out. nL, nC, nR are the number-density planes at x-1, x, x+1
+// (periodic in x); fC the current distribution plane; sc the caller's
+// work buffers. out must not alias fC.
 //
 // The force on component sigma is the S-C interaction force
 //
@@ -241,43 +337,25 @@ func (k *KernelOf[T]) Densities(f [][]T, n [][]T) {
 // times the local density, applied to the water component only) and the
 // driving body force. Forces shift the equilibrium velocity by
 // tau_sigma F_sigma / rho_sigma about the common velocity u'.
-func (k *KernelOf[T]) Collide(nL, nC, nR, fC, out [][]T) {
-	k.CollideScratch(k.NewScratch(), nL, nC, nR, fC, out)
-}
-
-// CollideScratch is Collide with caller-provided work buffers; it is
-// the allocation-free form every stepping path uses.
-// The arithmetic is identical to Collide, so both produce bit-equal
-// output.
 func (k *KernelOf[T]) CollideScratch(sc *ScratchOf[T], nL, nC, nR, fC, out [][]T) {
 	nz, ncomp := k.NZ, k.NComp
-	var psiGrad [3]T // sum_i w_i psi(x+e_i) e_i per component
-	mom := sc.mom
-	nHere := sc.nHere
-	grads := sc.grads
-	feq := &sc.feq
+	nHere := sc.nHere[:ncomp]
+	grads := sc.grads[:ncomp]
 
 	for y := 1; y < k.NY-1; y++ {
-		for z := 1; z < nz-1; z++ {
-			cell := y*nz + z
-			if k.solid[cell] {
-				for c := 0; c < ncomp; c++ {
-					base := cell * lattice.Q19
-					oc := out[c]
-					for i := 0; i < lattice.Q19; i++ {
-						oc[base+i] = 0
-					}
-				}
+		// Row y's interior cells, z = 1 + z0.
+		for z0, kind := range k.kind[y*nz+1 : y*nz+nz-1] {
+			if kind == solidCell {
 				continue
 			}
+			cell := y*nz + z0 + 1
+			base := cell * lattice.Q19
 
 			// Per-component density, momentum, and psi-gradient sums.
 			var momSum [3]T
 			var den T
-			bulk := !k.nearSolid[cell]
-			for c := 0; c < ncomp; c++ {
-				base := cell * lattice.Q19
-				fv := fC[c][base : base+lattice.Q19 : base+lattice.Q19]
+			for c := range nHere {
+				fv := (*[lattice.Q19]T)(fC[c][base:])
 				// Momentum: signed sums over the direction groups with
 				// e_x, e_y, e_z = +-1 (the e = 0 terms vanish).
 				px := (fv[1] + fv[7] + fv[9] + fv[11] + fv[13]) -
@@ -286,9 +364,8 @@ func (k *KernelOf[T]) CollideScratch(sc *ScratchOf[T], nL, nC, nR, fC, out [][]T
 					(fv[4] + fv[8] + fv[9] + fv[16] + fv[18])
 				pz := (fv[5] + fv[11] + fv[14] + fv[15] + fv[18]) -
 					(fv[6] + fv[12] + fv[13] + fv[16] + fv[17])
-				mom[c] = [3]T{px, py, pz}
 				nHere[c] = nC[c][cell]
-				mt := k.mass[c] * k.invTau[c]
+				mt := k.massInvTau[c]
 				momSum[0] += mt * px
 				momSum[1] += mt * py
 				momSum[2] += mt * pz
@@ -296,7 +373,7 @@ func (k *KernelOf[T]) CollideScratch(sc *ScratchOf[T], nL, nC, nR, fC, out [][]T
 
 				// psi gradient: neighbours within the plane and in the
 				// adjacent planes; solid neighbours contribute psi = 0.
-				if bulk {
+				if kind == bulkCell {
 					// No solid neighbour: unrolled stencil reads, the
 					// axis and edge weight factored out per group.
 					l, cn, r := nL[c], nC[c], nR[c]
@@ -314,29 +391,17 @@ func (k *KernelOf[T]) CollideScratch(sc *ScratchOf[T], nL, nC, nR, fC, out [][]T
 					}
 					continue
 				}
-				psiGrad = [3]T{}
-				for i := 1; i < lattice.Q19; i++ {
-					sy := y + lattice.Ey[i]
-					sz := z + lattice.Ez[i]
-					scell := sy*nz + sz
-					if k.solid[scell] {
-						continue
-					}
-					var nv T
-					switch lattice.Ex[i] {
-					case -1:
-						nv = nL[c][scell]
-					case 0:
-						nv = nC[c][scell]
-					default:
-						nv = nR[c][scell]
-					}
-					w := k.w[i] * nv
-					psiGrad[0] += w * T(lattice.Ex[i])
-					psiGrad[1] += w * T(lattice.Ey[i])
-					psiGrad[2] += w * T(lattice.Ez[i])
+				planes := [3][]T{nL[c], nC[c], nR[c]}
+				var g [3]T
+				nl := &k.near[kind]
+				for _, ln := range k.grad[nl.lo:nl.hi] {
+					d := &k.dirs[ln.dir]
+					w := d.w * planes[ln.plane][ln.cell]
+					g[0] += w * d.e[0]
+					g[1] += w * d.e[1]
+					g[2] += w * d.e[2]
 				}
-				grads[c] = psiGrad
+				grads[c] = g
 			}
 
 			var ux, uy, uz T
@@ -344,18 +409,15 @@ func (k *KernelOf[T]) CollideScratch(sc *ScratchOf[T], nL, nC, nR, fC, out [][]T
 				ux, uy, uz = momSum[0]/den, momSum[1]/den, momSum[2]/den
 			}
 
-			for c := 0; c < ncomp; c++ {
-				rho := k.mass[c] * nHere[c]
+			for c, n := range nHere {
+				rho := k.mass[c] * n
 				// S-C interaction force (force density).
 				var fx, fy, fz T
-				for c2 := 0; c2 < ncomp; c2++ {
-					gcc := k.g[c][c2] * k.mass[c2]
-					if gcc == 0 {
-						continue
-					}
-					fx -= rho * gcc * grads[c2][0]
-					fy -= rho * gcc * grads[c2][1]
-					fz -= rho * gcc * grads[c2][2]
+				for _, cp := range k.gm[c] {
+					gr := &grads[cp.comp]
+					fx -= rho * cp.gm * gr[0]
+					fy -= rho * cp.gm * gr[1]
+					fz -= rho * cp.gm * gr[2]
 				}
 				// Hydrophobic wall force: acceleration profile times the
 				// local density, on the water component only.
@@ -381,70 +443,63 @@ func (k *KernelOf[T]) CollideScratch(sc *ScratchOf[T], nL, nC, nR, fC, out [][]T
 					ueqy += s * fy
 					ueqz += s * fz
 				}
-				lattice.EquilibriumOf(nHere[c], ueqx, ueqy, ueqz, feq)
-				base := cell * lattice.Q19
-				fv := fC[c][base : base+lattice.Q19 : base+lattice.Q19]
-				ov := out[c][base : base+lattice.Q19 : base+lattice.Q19]
-				it := k.invTau[c]
-				for i := 0; i < lattice.Q19; i++ {
-					v := fv[i]
-					ov[i] = v - (v-feq[i])*it
-				}
+				relax((*[lattice.Q19]T)(fC[c][base:]), (*[lattice.Q19]T)(out[c][base:]),
+					n, ueqx, ueqy, ueqz, k.invTau[c])
 			}
 		}
 	}
-	// Boundary rows (y = 0, NY-1 and z = 0, NZ-1) are solid; keep zero.
-	k.zeroSolidBoundary(out)
 }
 
-func (k *KernelOf[T]) zeroSolidBoundary(out [][]T) {
-	nz := k.NZ
-	for c := 0; c < k.NComp; c++ {
-		oc := out[c]
-		for z := 0; z < nz; z++ {
-			zeroCell(oc, (0*nz+z)*lattice.Q19)
-			zeroCell(oc, ((k.NY-1)*nz+z)*lattice.Q19)
-		}
-		for y := 0; y < k.NY; y++ {
-			zeroCell(oc, (y*nz+0)*lattice.Q19)
-			zeroCell(oc, (y*nz+nz-1)*lattice.Q19)
-		}
-	}
+// relax writes into ov the BGK relaxation of fv toward the equilibrium
+// of number density n and velocity u, ov_i = f_i - (f_i - feq_i)/tau,
+// with each feq_i evaluated in registers by the expressions of
+// lattice.EquilibriumOf.
+func relax[T num.Float](fv, ov *[lattice.Q19]T, n, ux, uy, uz, invTau T) {
+	rest, usq, ra, rd := lattice.EqBasis(n, ux, uy, uz)
+	ov[0] = fv[0] - (fv[0]-rest)*invTau
+	ov[1], ov[2] = relaxPair(fv[1], fv[2], ra, ux, usq, invTau)
+	ov[3], ov[4] = relaxPair(fv[3], fv[4], ra, uy, usq, invTau)
+	ov[5], ov[6] = relaxPair(fv[5], fv[6], ra, uz, usq, invTau)
+	ov[7], ov[8] = relaxPair(fv[7], fv[8], rd, ux+uy, usq, invTau)
+	ov[9], ov[10] = relaxPair(fv[9], fv[10], rd, ux-uy, usq, invTau)
+	ov[11], ov[12] = relaxPair(fv[11], fv[12], rd, ux+uz, usq, invTau)
+	ov[13], ov[14] = relaxPair(fv[13], fv[14], rd, ux-uz, usq, invTau)
+	ov[15], ov[16] = relaxPair(fv[15], fv[16], rd, uy+uz, usq, invTau)
+	ov[17], ov[18] = relaxPair(fv[17], fv[18], rd, uy-uz, usq, invTau)
 }
 
-func zeroCell[T num.Float](p []T, base int) {
-	for i := 0; i < lattice.Q19; i++ {
-		p[base+i] = 0
-	}
+// relaxPair relaxes the populations fp, fm of the direction pair +e,
+// -e, given wr = w*n and eu = e.u.
+func relaxPair[T num.Float](fp, fm, wr, eu, usq, invTau T) (T, T) {
+	p, m := lattice.EqPair(wr, eu, usq)
+	return fp - (fp-p)*invTau, fm - (fm-m)*invTau
 }
 
 // Stream performs pull streaming with full-way bounce-back for the plane
-// at x: out[c] receives populations arriving at x from the post-collision
-// planes fL (x-1), fC (x), fR (x+1). A population whose source cell is
-// solid is replaced by the reflected population at the destination cell
-// (bounce-back), which places the no-slip plane halfway into the wall
-// layer. out must not alias fL, fC or fR.
+// at x: out[c] receives populations arriving at the fluid cells of x
+// from the post-collision planes fL (x-1), fC (x), fR (x+1). A
+// population whose source cell is solid is replaced by the reflected
+// population at the destination cell (bounce-back), which places the
+// no-slip plane halfway into the wall layer. out must not alias fL, fC
+// or fR.
 func (k *KernelOf[T]) Stream(fL, fC, fR, out [][]T) {
 	nz := k.NZ
 	o := &k.pull
 	for c := 0; c < k.NComp; c++ {
 		fl, fc, fr, oc := fL[c], fC[c], fR[c], out[c]
+		planes := [3][]T{fl, fc, fr}
 		for y := 1; y < k.NY-1; y++ {
-			for z := 1; z < nz-1; z++ {
-				cell := y*nz + z
-				base := cell * lattice.Q19
-				if k.solid[cell] {
-					for i := 0; i < lattice.Q19; i++ {
-						oc[base+i] = 0
-					}
+			for z0, kind := range k.kind[y*nz+1 : y*nz+nz-1] {
+				if kind == solidCell {
 					continue
 				}
-				if !k.nearSolid[cell] {
+				base := (y*nz + z0 + 1) * lattice.Q19
+				ob := (*[lattice.Q19]T)(oc[base:])
+				if kind == bulkCell {
 					// No solid source: every population is a plain copy
 					// from the precomputed pull offset — directions with
 					// e_x = +1 pull from the left plane, e_x = -1 from
 					// the right, e_x = 0 in-plane.
-					ob := oc[base : base+lattice.Q19 : base+lattice.Q19]
 					ob[0] = fc[base]
 					ob[1] = fl[base+o[1]]
 					ob[2] = fr[base+o[2]]
@@ -466,33 +521,21 @@ func (k *KernelOf[T]) Stream(fL, fC, fR, out [][]T) {
 					ob[18] = fc[base+o[18]]
 					continue
 				}
-				oc[base] = fc[base] // rest population
-				for i := 1; i < lattice.Q19; i++ {
-					sy := y - lattice.Ey[i]
-					sz := z - lattice.Ez[i]
-					scell := sy*nz + sz
-					if k.solid[scell] {
-						oc[base+i] = fc[base+lattice.Opposite[i]]
-						continue
-					}
-					switch lattice.Ex[i] {
-					case 1:
-						oc[base+i] = fl[scell*lattice.Q19+i]
-					case 0:
-						oc[base+i] = fc[scell*lattice.Q19+i]
-					default:
-						oc[base+i] = fr[scell*lattice.Q19+i]
-					}
+				for i, src := range &k.near[kind].src {
+					ob[i] = planes[src.plane][src.idx]
 				}
 			}
 		}
-		for z := 0; z < nz; z++ {
-			zeroCell(oc, (0*nz+z)*lattice.Q19)
-			zeroCell(oc, ((k.NY-1)*nz+z)*lattice.Q19)
-		}
-		for y := 0; y < k.NY; y++ {
-			zeroCell(oc, (y*nz+0)*lattice.Q19)
-			zeroCell(oc, (y*nz+nz-1)*lattice.Q19)
+	}
+}
+
+// ClearSolid zeroes the solid cells of one distribution plane. Load
+// paths call it on every plane they copy in, so a snapshot cannot bring
+// in a solid population the kernel would never overwrite.
+func (k *KernelOf[T]) ClearSolid(plane []T) {
+	for cell, s := range k.solid {
+		if s {
+			clear(plane[cell*lattice.Q19 : (cell+1)*lattice.Q19])
 		}
 	}
 }
@@ -503,18 +546,10 @@ func (k *KernelOf[T]) Stream(fL, fC, fR, out [][]T) {
 func (k *KernelOf[T]) InitEquilibrium(plane []T, n0 float64) {
 	var feq [lattice.Q19]T
 	lattice.EquilibriumOf(T(n0), 0, 0, 0, &feq)
-	nz := k.NZ
-	for y := 0; y < k.NY; y++ {
-		for z := 0; z < nz; z++ {
-			cell := y*nz + z
-			base := cell * lattice.Q19
-			if k.solid[cell] {
-				zeroCell(plane, base)
-				continue
-			}
-			copy(plane[base:base+lattice.Q19], feq[:])
-		}
+	for cell := range k.solid {
+		copy(plane[cell*lattice.Q19:], feq[:])
 	}
+	k.ClearSolid(plane)
 }
 
 // CellVelocity returns the barycentric velocity at cell (y, z) of plane

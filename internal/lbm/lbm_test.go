@@ -1,10 +1,13 @@
 package lbm
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"microslip/internal/lattice"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -109,21 +112,106 @@ func TestSerialStepAllocatesOnlyScratch(t *testing.T) {
 	}
 }
 
-func TestSolidCellsStayEmpty(t *testing.T) {
-	p := WaterAir(6, 8, 6)
-	s, err := NewSim(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(8)
-	for c := 0; c < 2; c++ {
-		for x := 0; x < p.NX; x++ {
-			for z := 0; z < p.NZ; z++ {
-				if d := s.Density(c, x, 0, z); d != 0 {
-					t.Fatalf("wall cell (x=%d,y=0,z=%d) comp %d has density %v", x, z, c, d)
+// solidZeroParams is a small channel with an obstacle, adhesion and an
+// x-dependent start, so every kind of solid neighbour is exercised.
+func solidZeroParams() *Params {
+	p := WaterAir(6, 12, 9)
+	p.Obstacles = []Obstacle{{Y0: 5, Y1: 6, Z0: 3, Z1: 5}}
+	p.WallAdhesion = []float64{0.2, -0.1}
+	p.InitXWave = 0.1
+	return p
+}
+
+// nonzeroSolid describes the first population of a solid cell in st
+// that is not exactly zero, or returns "" when there is none.
+func nonzeroSolid(st *State) string {
+	mask := st.Params.Mask()
+	nz := st.Params.NZ
+	for c := range st.F {
+		for x, plane := range st.F[c] {
+			for cell := 0; cell < st.Params.NY*nz; cell++ {
+				if !mask.IsSolid(cell/nz, cell%nz) {
+					continue
+				}
+				for i, v := range plane[cell*lattice.Q19 : (cell+1)*lattice.Q19] {
+					if v != 0 {
+						return fmt.Sprintf("comp %d plane %d cell (%d,%d) population %d = %v", c, x, cell/nz, cell%nz, i, v)
+					}
 				}
 			}
 		}
+	}
+	return ""
+}
+
+// The kernel never writes a solid cell, so the lattice's solid
+// populations must stay exactly zero from initialization on: after
+// every step of every stepping path, and after a load from a snapshot
+// that carried nonzero solid values.
+func TestSolidCellsStayEmpty(t *testing.T) {
+	// Each path returns its step and the snapshots to inspect.
+	sim := func(t *testing.T, s *Sim, err error, chunks int) (func(), func() []*State) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := s.Step
+		if chunks > 0 {
+			s.SetFusedChunks(chunks)
+			step = func() { advance(t, s, 1) }
+		}
+		return step, func() []*State { return []*State{s.State()} }
+	}
+	paths := map[string]func(t *testing.T) (func(), func() []*State){
+		"serial": func(t *testing.T) (func(), func() []*State) {
+			s, err := NewSim(solidZeroParams())
+			return sim(t, s, err, 0)
+		},
+		"one band": func(t *testing.T) (func(), func() []*State) {
+			s, err := NewSim(solidZeroParams())
+			return sim(t, s, err, 1)
+		},
+		"three bands": func(t *testing.T) (func(), func() []*State) {
+			s, err := NewSim(solidZeroParams())
+			return sim(t, s, err, 3)
+		},
+		"refined": func(t *testing.T) (func(), func() []*State) {
+			r, err := NewRefined(refineTestParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() { advance(t, r, 1) }, func() []*State {
+				st := r.State()
+				return st.Levels[:]
+			}
+		},
+		"loaded": func(t *testing.T) (func(), func() []*State) {
+			s, err := NewSim(solidZeroParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A hand-built snapshot with nonzero wall and obstacle
+			// cells: the load must not bring them in.
+			st := s.State()
+			st.F[0][1][3] = 0.5
+			st.F[1][2][(5*9+4)*lattice.Q19+7] = -0.25
+			s, err = FromState(st)
+			return sim(t, s, err, 1)
+		},
+	}
+	for name, build := range paths {
+		t.Run(name, func(t *testing.T) {
+			step, states := build(t)
+			for n := 0; n <= 6; n++ {
+				if n > 0 {
+					step()
+				}
+				for _, st := range states() {
+					if bad := nonzeroSolid(st); bad != "" {
+						t.Fatalf("after %d steps: %s", n, bad)
+					}
+				}
+			}
+		})
 	}
 }
 

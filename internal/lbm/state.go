@@ -74,7 +74,8 @@ func FromState(st *State) (*Sim, error) {
 
 // SimFromState reconstructs a simulation at precision T from a
 // snapshot. T must agree with st.Params.Precision (see NewSimOf); the
-// populations are rounded from the snapshot's double-precision planes.
+// populations are rounded from the snapshot's double-precision planes,
+// and solid cells are zeroed whatever the snapshot holds there.
 func SimFromState[T num.Float](st *State) (*SimOf[T], error) {
 	if st == nil || st.Params == nil {
 		return nil, fmt.Errorf("lbm: nil state")
@@ -98,6 +99,7 @@ func SimFromState[T num.Float](st *State) (*SimOf[T], error) {
 			for i, v := range st.F[c][x] {
 				s.f[c][x][i] = T(v)
 			}
+			s.K.ClearSolid(s.f[c][x])
 		}
 	}
 	s.step = st.Step

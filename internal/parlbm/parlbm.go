@@ -314,6 +314,7 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, p
 		for gx := start; gx < end; gx++ {
 			if snap != nil {
 				copy(w.f[comp].Plane(gx), snap.Plane(comp, gx))
+				w.k.ClearSolid(w.f[comp].Plane(gx))
 			} else {
 				w.k.InitEquilibrium(w.f[comp].Plane(gx), p.InitDensityAt(comp, gx))
 			}
