@@ -80,9 +80,11 @@ bench-module:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Coverage-guided fuzzing beyond the committed seed corpora.
+# Coverage-guided fuzzing beyond the committed seed corpora (a CI job
+# of its own, not part of `check`).
 fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/config/
 	$(GO) test -fuzz FuzzPolicyRound -fuzztime 30s ./internal/balance/
 	$(GO) test -fuzz FuzzReadContainer -fuzztime 20s ./internal/checkpoint/
 	$(GO) test -fuzz FuzzJobSpec -fuzztime 20s ./internal/serve/
+	$(GO) test -fuzz FuzzTCPReadLoop -fuzztime 20s ./internal/comm/

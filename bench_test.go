@@ -181,10 +181,11 @@ func BenchmarkAblationThreshold(b *testing.B) {
 }
 
 // BenchmarkAblationWallForce sweeps the hydrophobic force amplitude on
-// the 2-D solver (the paper calls its magnitude "not well understood").
+// a small 3-D channel (the paper calls its magnitude "not well
+// understood").
 func BenchmarkAblationWallForce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunWallForceSensitivity(8, 40, 800,
+		res, err := experiments.RunWallForceSensitivity(2, 40, 8, 800,
 			[]float64{0.1, 0.2, 0.4}, nil)
 		if err != nil {
 			b.Fatal(err)

@@ -109,7 +109,7 @@ func main() {
 			if *quick {
 				steps = 1500
 			}
-			return experiments.RunWallForceSensitivity(8, 48, steps,
+			return experiments.RunWallForceSensitivity(2, 48, 10, steps,
 				[]float64{0.025, 0.05, 0.1, 0.2, 0.4, 0.8}, []float64{1, 2, 4, 8})
 		})},
 	}

@@ -251,9 +251,10 @@ func TestPolicyValidate(t *testing.T) {
 		t.Error("unknown scheme accepted")
 	}
 	bad := map[string]func(*Config){
-		"HistoryK=0":    func(c *Config) { c.HistoryK = 0 },
-		"PlanePoints=0": func(c *Config) { c.PlanePoints = 0 },
-		"Alpha=0":       func(c *Config) { c.Alpha = 0 },
+		"HistoryK=0":      func(c *Config) { c.HistoryK = 0 },
+		"PlanePoints=0":   func(c *Config) { c.PlanePoints = 0 },
+		"Alpha=0":         func(c *Config) { c.Alpha = 0 },
+		"MinKeepPlanes=1": func(c *Config) { c.MinKeepPlanes = 1 },
 	}
 	for _, p := range All(plane)[1:] {
 		for name, mutate := range bad {

@@ -19,10 +19,10 @@ type Config struct {
 	// migration granularity.
 	PlanePoints int
 	// MinKeepPlanes is the minimum number of planes a node retains so
-	// the linear exchange chain stays intact. The defaults keep 2: a
-	// distributed rank (package parlbm) ships the plane behind each edge
-	// in its frames, so it cannot run on fewer, and the cluster model
-	// (package vcluster) keeps the same rule.
+	// the linear exchange chain stays intact; Validate requires at
+	// least 2. A distributed rank (package parlbm) ships the plane
+	// behind each edge in its frames, so it cannot run on fewer, and
+	// the cluster model (package vcluster) keeps the same rule.
 	MinKeepPlanes int
 	// OverRedistribute enables the kappa = S_recv/S_send scaling
 	// (filtered scheme). Disabled for the conservative baseline.
@@ -85,8 +85,8 @@ func (c Config) Validate() error {
 	if c.ThresholdPoints < 0 {
 		return fmt.Errorf("balance: negative ThresholdPoints")
 	}
-	if c.MinKeepPlanes < 1 {
-		return fmt.Errorf("balance: MinKeepPlanes %d < 1", c.MinKeepPlanes)
+	if c.MinKeepPlanes < 2 {
+		return fmt.Errorf("balance: MinKeepPlanes %d < 2", c.MinKeepPlanes)
 	}
 	if c.Alpha < 1 {
 		return fmt.Errorf("balance: Alpha %v < 1", c.Alpha)

@@ -44,7 +44,7 @@ var ErrCorrupt = errors.New("checkpoint: corrupt or truncated")
 var ErrVersion = errors.New("checkpoint: unsupported version")
 
 // ErrPrecision marks a snapshot whose recorded precision differs from
-// the one the loader required.
+// that of the run resuming it.
 var ErrPrecision = errors.New("checkpoint: precision mismatch")
 
 // ErrRefineMismatch marks a refinement disagreement between a snapshot
@@ -102,21 +102,6 @@ func Load(r io.Reader) (*lbm.State, error) {
 		return nil, err
 	}
 	return &lbm.State{Params: c.State.Params, Step: c.State.Step, F: c.bulk}, nil
-}
-
-// LoadFor is Load restricted to snapshots recorded at precision want:
-// a fixed-precision resume path fails with ErrPrecision instead of
-// silently re-rounding (f64 -> f32) or fabricating precision (f32 ->
-// f64).
-func LoadFor(r io.Reader, want lbm.Precision) (*lbm.State, error) {
-	st, err := Load(r)
-	if err != nil {
-		return nil, err
-	}
-	if got := statePrecision(st); got != want {
-		return nil, fmt.Errorf("checkpoint: snapshot precision %v, loader requires %v: %w", got, want, ErrPrecision)
-	}
-	return st, nil
 }
 
 // tempPrefix returns the temp-file prefix used for atomic saves of the

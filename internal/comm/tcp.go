@@ -131,41 +131,52 @@ func (c *tcpComm) startReadLoop(from int, r io.Reader) {
 	}()
 }
 
-// readLoop demultiplexes frames from peer `from` into the inbox.
+// frameChunk is the number of values readLoop reads per io.ReadFull.
+// A frame's slice grows chunk by chunk as its bytes arrive, so the
+// count a header declares never sizes an allocation on its own.
+const frameChunk = 4096
+
+// readLoop demultiplexes frames from peer `from` into the inbox. A
+// short read or a negative count closes the inbox: the peer is gone or
+// its stream is not a frame stream, and the rank's receives fail.
 func (c *tcpComm) readLoop(from int, r io.Reader) {
 	br := bufio.NewReaderSize(r, 1<<16)
+	box := c.inbox[from]
 	var hdr [16]byte
+	buf := make([]byte, 8*frameChunk)
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			c.inbox[from].close()
+			box.close()
 			return
 		}
 		tag := int(int64(binary.LittleEndian.Uint64(hdr[0:])))
-		count := int(int64(binary.LittleEndian.Uint64(hdr[8:])))
-		data := make([]float64, count)
-		var buf [8]byte
-		ok := true
-		for i := 0; i < count; i++ {
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				ok = false
-				break
-			}
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-		}
-		if !ok {
-			c.inbox[from].close()
+		count := int64(binary.LittleEndian.Uint64(hdr[8:]))
+		if count < 0 {
+			box.close()
 			return
+		}
+		data := make([]float64, 0, min(count, frameChunk))
+		for left := count; left > 0; {
+			b := buf[:8*min(left, frameChunk)]
+			if _, err := io.ReadFull(br, b); err != nil {
+				box.close()
+				return
+			}
+			for k := 0; k < len(b); k += 8 {
+				data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(b[k:])))
+			}
+			left -= int64(len(b) / 8)
 		}
 		// put bypasses the copy in mailbox.put by design; the slice is
 		// freshly allocated here, so hand it over directly.
-		c.inbox[from].mu.Lock()
-		if c.inbox[from].closed {
-			c.inbox[from].mu.Unlock()
+		box.mu.Lock()
+		if box.closed {
+			box.mu.Unlock()
 			return
 		}
-		c.inbox[from].queue = append(c.inbox[from].queue, message{tag: tag, data: data})
-		c.inbox[from].cond.Broadcast()
-		c.inbox[from].mu.Unlock()
+		box.queue = append(box.queue, message{tag: tag, data: data})
+		box.cond.Broadcast()
+		box.mu.Unlock()
 	}
 }
 

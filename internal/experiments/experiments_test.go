@@ -239,7 +239,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestWallForceSensitivity(t *testing.T) {
-	res, err := RunWallForceSensitivity(8, 40, 1500,
+	res, err := RunWallForceSensitivity(2, 40, 8, 1500,
 		[]float64{0.05, 0.2, 0.4}, []float64{1, 4})
 	if err != nil {
 		t.Fatal(err)

@@ -38,9 +38,6 @@ func NewScalar3DOf[T num.Float](nx, ny, nz int) *Scalar3DOf[T] {
 	return &Scalar3DOf[T]{NX: nx, NY: ny, NZ: nz, Data: make([]T, nx*ny*nz)}
 }
 
-// NewScalar3D allocates a zeroed float64 scalar field.
-func NewScalar3D(nx, ny, nz int) *Scalar3D { return NewScalar3DOf[float64](nx, ny, nz) }
-
 // Idx returns the flat index of (x, y, z).
 func (s *Scalar3DOf[T]) Idx(x, y, z int) int { return (x*s.NY+y)*s.NZ + z }
 
@@ -57,13 +54,6 @@ func (s *Scalar3DOf[T]) PlaneSize() int { return s.NY * s.NZ }
 func (s *Scalar3DOf[T]) Plane(x int) []T {
 	p := s.PlaneSize()
 	return s.Data[x*p : (x+1)*p]
-}
-
-// Fill sets every value to v.
-func (s *Scalar3DOf[T]) Fill(v T) {
-	for i := range s.Data {
-		s.Data[i] = v
-	}
 }
 
 // Clone returns a deep copy.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestScalar3DIndexing(t *testing.T) {
-	s := NewScalar3D(4, 3, 2)
+	s := NewScalar3DOf[float64](4, 3, 2)
 	if len(s.Data) != 24 {
 		t.Fatalf("len(Data) = %d, want 24", len(s.Data))
 	}
@@ -32,7 +32,7 @@ func TestScalar3DIndexing(t *testing.T) {
 }
 
 func TestScalar3DPlaneIsContiguous(t *testing.T) {
-	s := NewScalar3D(5, 4, 3)
+	s := NewScalar3DOf[float64](5, 4, 3)
 	for i := range s.Data {
 		s.Data[i] = float64(i)
 	}
@@ -77,7 +77,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if f.At(0, 0, 0, 0) != 1 {
 		t.Error("Clone shares storage with original")
 	}
-	s := NewScalar3D(2, 2, 2)
+	s := NewScalar3DOf[float64](2, 2, 2)
 	s.Set(1, 1, 1, 5)
 	sc := s.Clone()
 	sc.Set(1, 1, 1, 6)

@@ -52,16 +52,6 @@ func (c Channel) WallDistanceY(y int) (d float64, inward int) {
 	return dHigh, -1
 }
 
-// WallDistanceZ is WallDistanceY for the top/bottom walls.
-func (c Channel) WallDistanceZ(z int) (d float64, inward int) {
-	dLow := float64(z) - 0.5
-	dHigh := float64(c.NZ-1) - 0.5 - float64(z)
-	if dLow <= dHigh {
-		return dLow, +1
-	}
-	return dHigh, -1
-}
-
 // WallForceProfile precomputes, for every (y, z), the hydrophobic wall
 // force vector (Fy, Fz) with magnitude profile amp*exp(-d/decay) summed
 // over both opposing walls, directed along the inward normals. This is
@@ -174,9 +164,6 @@ func NewMask(c Channel) *Mask {
 	}
 	return m
 }
-
-// SetSolid marks (y, z) solid.
-func (m *Mask) SetSolid(y, z int) { m.solid[y*m.NZ+z] = true }
 
 // IsSolid reports whether (y, z) is solid.
 func (m *Mask) IsSolid(y, z int) bool { return m.solid[y*m.NZ+z] }

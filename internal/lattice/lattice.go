@@ -1,9 +1,8 @@
-// Package lattice defines the discrete velocity sets used by the lattice
-// Boltzmann kernels: the three-dimensional D3Q19 stencil used for the
-// microchannel simulation (Figure 1 of the paper) and a two-dimensional
-// D2Q9 stencil used for fast validation runs and tests.
+// Package lattice defines the discrete velocity set used by the lattice
+// Boltzmann kernels: the three-dimensional D3Q19 stencil of the
+// microchannel simulation (Figure 1 of the paper).
 //
-// Conventions shared by both stencils:
+// Conventions:
 //
 //   - direction 0 is the rest velocity;
 //   - Opposite[i] gives the direction with e_opp = -e_i (bounce-back);
@@ -14,10 +13,7 @@ package lattice
 // Q19 is the number of discrete velocities in the D3Q19 stencil.
 const Q19 = 19
 
-// Q9 is the number of discrete velocities in the D2Q9 stencil.
-const Q9 = 9
-
-// CS2 is the squared lattice sound speed c_s^2 shared by D3Q19 and D2Q9.
+// CS2 is the squared lattice sound speed c_s^2.
 const CS2 = 1.0 / 3.0
 
 // D3Q19 velocity components. Direction groups:
@@ -51,22 +47,6 @@ var Opposite = [Q19]int{0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15
 // direction (those with Ex = +1, or those with Ex = -1).
 const CrossQ = 5
 
-// D2Q9 velocity components (directions 0 rest, 1..4 axis, 5..8 diagonal).
-var (
-	Ex9 = [Q9]int{0, 1, -1, 0, 0, 1, -1, 1, -1}
-	Ey9 = [Q9]int{0, 0, 0, 1, -1, 1, -1, -1, 1}
-)
-
-// W9 holds the D2Q9 quadrature weights.
-var W9 = [Q9]float64{
-	4.0 / 9.0,
-	1.0 / 9.0, 1.0 / 9.0, 1.0 / 9.0, 1.0 / 9.0,
-	1.0 / 36.0, 1.0 / 36.0, 1.0 / 36.0, 1.0 / 36.0,
-}
-
-// Opposite9 maps each D2Q9 direction to its reverse.
-var Opposite9 = [Q9]int{0, 2, 1, 4, 3, 6, 5, 8, 7}
-
 // Equilibrium computes the D3Q19 BGK equilibrium distribution for density
 // rho and velocity (ux, uy, uz), writing the Q19 populations into feq.
 //
@@ -80,19 +60,6 @@ func Equilibrium(rho, ux, uy, uz float64, feq *[Q19]float64) {
 	EquilibriumOf(rho, ux, uy, uz, feq)
 }
 
-// Equilibrium9 computes the D2Q9 BGK equilibrium distribution.
-func Equilibrium9(rho, ux, uy float64, feq *[Q9]float64) {
-	usq := 1.5 * (ux*ux + uy*uy)
-	for i := 0; i < Q9; i++ {
-		eu := float64(Ex9[i])*ux + float64(Ey9[i])*uy
-		feq[i] = W9[i] * rho * (1 + 3*eu + 4.5*eu*eu - usq)
-	}
-}
-
 // Viscosity returns the dimensionless kinematic viscosity implied by the
 // BGK relaxation time tau: nu = c_s^2 (tau - 1/2).
 func Viscosity(tau float64) float64 { return CS2 * (tau - 0.5) }
-
-// TauForViscosity returns the relaxation time that yields kinematic
-// viscosity nu: tau = nu/c_s^2 + 1/2.
-func TauForViscosity(nu float64) float64 { return nu/CS2 + 0.5 }

@@ -17,14 +17,6 @@ func TestOppositeIsInvolution(t *testing.T) {
 			t.Errorf("direction %d: Opposite velocity is not the negation", i)
 		}
 	}
-	for i := 0; i < Q9; i++ {
-		if Opposite9[Opposite9[i]] != i {
-			t.Errorf("Opposite9[Opposite9[%d]] = %d, want %d", i, Opposite9[Opposite9[i]], i)
-		}
-		if Ex9[Opposite9[i]] != -Ex9[i] || Ey9[Opposite9[i]] != -Ey9[i] {
-			t.Errorf("D2Q9 direction %d: opposite velocity is not the negation", i)
-		}
-	}
 }
 
 func TestWeightsSumToOne(t *testing.T) {
@@ -34,13 +26,6 @@ func TestWeightsSumToOne(t *testing.T) {
 	}
 	if math.Abs(s-1) > eps {
 		t.Errorf("sum of D3Q19 weights = %v, want 1", s)
-	}
-	s = 0
-	for _, w := range W9 {
-		s += w
-	}
-	if math.Abs(s-1) > eps {
-		t.Errorf("sum of D2Q9 weights = %v, want 1", s)
 	}
 }
 
@@ -164,27 +149,6 @@ func TestEquilibriumMoments(t *testing.T) {
 	}
 }
 
-func TestEquilibrium9Moments(t *testing.T) {
-	f := func(rhoRaw, uxRaw, uyRaw float64) bool {
-		rho := 0.1 + math.Abs(math.Mod(rhoRaw, 10))
-		ux := math.Mod(uxRaw, 0.1)
-		uy := math.Mod(uyRaw, 0.1)
-		var feq [Q9]float64
-		Equilibrium9(rho, ux, uy, &feq)
-		var m, px, py float64
-		for i := 0; i < Q9; i++ {
-			m += feq[i]
-			px += feq[i] * float64(Ex9[i])
-			py += feq[i] * float64(Ey9[i])
-		}
-		tol := 1e-9 * (1 + rho)
-		return math.Abs(m-rho) < tol && math.Abs(px-rho*ux) < tol && math.Abs(py-rho*uy) < tol
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEquilibriumAtRestIsWeights(t *testing.T) {
 	var feq [Q19]float64
 	Equilibrium(1, 0, 0, 0, &feq)
@@ -198,7 +162,7 @@ func TestEquilibriumAtRestIsWeights(t *testing.T) {
 func TestViscosityRoundTrip(t *testing.T) {
 	f := func(nuRaw float64) bool {
 		nu := 0.001 + math.Abs(math.Mod(nuRaw, 1))
-		tau := TauForViscosity(nu)
+		tau := nu/CS2 + 0.5
 		return math.Abs(Viscosity(tau)-nu) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {

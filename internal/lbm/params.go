@@ -287,3 +287,25 @@ func SingleFluid(nx, ny, nz int, tau, gx float64) *Params {
 		RhoMin:        1e-12,
 	}
 }
+
+// DuctExact evaluates the analytic steady velocity for pressure-driven
+// flow in a rectangular duct (White, Viscous Fluid Flow) at (yy, zz)
+// from the duct centre: half-widths a (y) and b (z), body acceleration
+// g, kinematic viscosity nu. It is the series solution a SingleFluid
+// channel converges to.
+func DuctExact(yy, zz, a, b, g, nu float64) float64 {
+	u := (yy + a) * (a - yy) // parallel-plate base profile * g/2nu
+	var corr float64
+	for k := 1; k < 400; k += 2 {
+		kf := float64(k)
+		sign := 1.0
+		if (k/2)%2 == 1 {
+			sign = -1
+		}
+		term := sign / (kf * kf * kf) *
+			math.Cos(kf*math.Pi*yy/(2*a)) *
+			math.Cosh(kf*math.Pi*zz/(2*a)) / math.Cosh(kf*math.Pi*b/(2*a))
+		corr += term
+	}
+	return g / (2 * nu) * (u - 32*a*a/(math.Pi*math.Pi*math.Pi)*corr)
+}

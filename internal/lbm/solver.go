@@ -54,10 +54,6 @@ type Stepper interface {
 // scalar type.
 type Solver interface {
 	Stepper
-	// SetBandHook installs the per-band-step observation hook the
-	// supervision and abort tests inject panics, stalls and
-	// cancellations through.
-	SetBandHook(hook func(band, step int))
 	// State captures a double-precision snapshot (exact for f32 cores).
 	State() *State
 }

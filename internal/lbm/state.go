@@ -37,34 +37,6 @@ func (s *SimOf[T]) State() *State {
 	return st
 }
 
-// StateFromPlanes builds a snapshot from externally gathered
-// distribution planes (planes[c][x], one slice per x-plane of each
-// component) — the format package parlbm's gather produces — so a
-// parallel run can be checkpointed and resumed by either solver.
-func StateFromPlanes(p *Params, planes [][][]float64, step int) (*State, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(planes) != p.NComp() {
-		return nil, fmt.Errorf("lbm: %d components of planes, want %d", len(planes), p.NComp())
-	}
-	want := p.NY * p.NZ * 19
-	st := &State{Params: p, Step: step, F: make([][][]float64, len(planes))}
-	for c := range planes {
-		if len(planes[c]) != p.NX {
-			return nil, fmt.Errorf("lbm: component %d has %d planes, want %d", c, len(planes[c]), p.NX)
-		}
-		st.F[c] = make([][]float64, p.NX)
-		for x := range planes[c] {
-			if len(planes[c][x]) != want {
-				return nil, fmt.Errorf("lbm: component %d plane %d has %d values, want %d", c, x, len(planes[c][x]), want)
-			}
-			st.F[c][x] = append([]float64(nil), planes[c][x]...)
-		}
-	}
-	return st, nil
-}
-
 // FromState reconstructs a double-precision simulation from a snapshot;
 // snapshots taken at Precision F32 must go through SimFromState (the
 // generic form) or SolverFromState.

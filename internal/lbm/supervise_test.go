@@ -10,6 +10,11 @@ import (
 	"microslip/internal/runctl"
 )
 
+// bandHooker reaches SimOf's band hook from a Solver.
+type bandHooker interface {
+	SetBandHook(hook func(band, step int))
+}
+
 // A panic in one band worker must abort the whole run with a typed
 // PanicError naming the band, unwind every other worker (the pool
 // rendezvous completes instead of deadlocking), and
@@ -137,7 +142,7 @@ func TestRunSupervisedCancelResumeBitIdentical(t *testing.T) {
 			run.SetWorkers(4)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			run.SetBandHook(func(band, step int) {
+			run.(bandHooker).SetBandHook(func(band, step int) {
 				if step == cancelAt {
 					cancel()
 				}

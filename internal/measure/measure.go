@@ -1,16 +1,12 @@
 // Package measure computes the physical diagnostics of a channel-flow
-// simulation: volumetric flow rate, wall shear rate, and the Navier
-// slip length — the quantity the microfluidics literature (Tretheway &
+// simulation: the wall shear rate and the Navier slip length — the quantity the microfluidics literature (Tretheway &
 // Meinhart; Vinogradova) uses to report apparent slip. The slip length
 // b is defined by the Navier condition u_wall = b * du/dn|_wall:
 // extrapolate the near-wall velocity profile to the wall plane and
 // divide by the wall-normal velocity gradient.
 package measure
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Profile is a wall-normal velocity profile: U[i] is the streamwise
 // velocity at distance Dist[i] from the wall plane (lattice units,
@@ -89,55 +85,4 @@ func (p *Profile) SlipLength(n int) (float64, error) {
 		return 0, fmt.Errorf("measure: zero wall shear; profile is flat")
 	}
 	return fit.UWall / fit.Shear, nil
-}
-
-// SlipVelocityPercent returns the extrapolated wall velocity as a
-// percentage of the given free-stream (centerline) velocity — the
-// paper's "approximately 10% fluid slip with respect to the main
-// stream flow velocity".
-func (p *Profile) SlipVelocityPercent(n int, uCenter float64) (float64, error) {
-	if uCenter == 0 {
-		return 0, fmt.Errorf("measure: zero centerline velocity")
-	}
-	fit, err := p.FitWall(n)
-	if err != nil {
-		return 0, err
-	}
-	return 100 * fit.UWall / uCenter, nil
-}
-
-// FlowRate integrates the profile by the trapezoid rule, treating it
-// as u(d) over a channel half-width (per unit depth). The wall-plane
-// value comes from the near-wall fit.
-func (p *Profile) FlowRate(fitN int) (float64, error) {
-	fit, err := p.FitWall(fitN)
-	if err != nil {
-		return 0, err
-	}
-	q := (fit.UWall + p.U[0]) / 2 * p.Dist[0] // wall plane to first sample
-	for i := 1; i < len(p.Dist); i++ {
-		q += (p.U[i-1] + p.U[i]) / 2 * (p.Dist[i] - p.Dist[i-1])
-	}
-	return q, nil
-}
-
-// EnhancementPercent compares two flow rates (e.g. with and without
-// hydrophobic wall forces) as a percent increase.
-func EnhancementPercent(q, qRef float64) (float64, error) {
-	if qRef == 0 {
-		return 0, fmt.Errorf("measure: zero reference flow rate")
-	}
-	return 100 * (q - qRef) / qRef, nil
-}
-
-// MaxVelocity returns the profile's maximum velocity and its distance.
-func (p *Profile) MaxVelocity() (u, dist float64) {
-	u = math.Inf(-1)
-	for i := range p.U {
-		if p.U[i] > u {
-			u = p.U[i]
-			dist = p.Dist[i]
-		}
-	}
-	return u, dist
 }

@@ -93,52 +93,6 @@ func TestFitWallExact(t *testing.T) {
 	}
 }
 
-func TestSlipVelocityPercent(t *testing.T) {
-	p, _ := NewProfile([]float64{1, 2, 3}, []float64{0.11, 0.12, 0.13}) // UWall = 0.10
-	pct, err := p.SlipVelocityPercent(3, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pct-10) > 1e-9 {
-		t.Errorf("slip velocity %v%%, want 10%%", pct)
-	}
-	if _, err := p.SlipVelocityPercent(3, 0); err == nil {
-		t.Error("zero centerline accepted")
-	}
-}
-
-func TestFlowRateAndEnhancement(t *testing.T) {
-	// Slip profiles carry more flow at equal driving.
-	noSlip := poiseuilleProfile(40, 1e-6, 0.1, 0, 40)
-	slip := poiseuilleProfile(40, 1e-6, 0.1, 5, 40)
-	q0, err := noSlip.FlowRate(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q1, err := slip.FlowRate(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q1 <= q0 {
-		t.Errorf("slip flow rate %v <= no-slip %v", q1, q0)
-	}
-	enh, err := EnhancementPercent(q1, q0)
-	if err != nil || enh <= 0 {
-		t.Errorf("enhancement %v%% (%v)", enh, err)
-	}
-	if _, err := EnhancementPercent(1, 0); err == nil {
-		t.Error("zero reference accepted")
-	}
-}
-
-func TestMaxVelocity(t *testing.T) {
-	p, _ := NewProfile([]float64{1, 2, 3}, []float64{0.1, 0.5, 0.2})
-	u, d := p.MaxVelocity()
-	if u != 0.5 || d != 2 {
-		t.Errorf("max %v at %v", u, d)
-	}
-}
-
 func TestFlatProfileSlipErrors(t *testing.T) {
 	p, _ := NewProfile([]float64{1, 2, 3}, []float64{1, 1, 1})
 	if _, err := p.SlipLength(3); err == nil {

@@ -69,28 +69,3 @@ func UnpackF32Words(dst, src []float64, n int) []float64 {
 	}
 	return dst
 }
-
-// ToF32 converts src into dst (allocating when dst is nil or short).
-func ToF32(dst []float32, src []float64) []float32 {
-	if cap(dst) < len(src) {
-		dst = make([]float32, len(src))
-	}
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = float32(v)
-	}
-	return dst
-}
-
-// ToF64 converts src into dst (allocating when dst is nil or short).
-// float32 -> float64 widening is exact.
-func ToF64(dst []float64, src []float32) []float64 {
-	if cap(dst) < len(src) {
-		dst = make([]float64, len(src))
-	}
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = float64(v)
-	}
-	return dst
-}

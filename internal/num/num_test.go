@@ -69,14 +69,3 @@ func TestPackReusesBuffer(t *testing.T) {
 		}
 	}
 }
-
-func TestToF32ToF64(t *testing.T) {
-	src := []float64{0, 1, -2.5, 1e-9, 3.14159265358979}
-	f32 := ToF32(nil, src)
-	back := ToF64(nil, f32)
-	for i := range src {
-		if back[i] != float64(float32(src[i])) {
-			t.Fatalf("i=%d: got %v, want %v", i, back[i], float64(float32(src[i])))
-		}
-	}
-}

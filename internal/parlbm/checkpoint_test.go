@@ -1,6 +1,7 @@
 package parlbm
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -126,6 +127,17 @@ func TestResumeFromSnapshotBitIdentical(t *testing.T) {
 				t.Errorf("%d ranks: rank %d started at phase %d, want 6", ranks, r.Rank, r.StartPhase)
 			}
 		}
+	}
+	// An f64 snapshot does not resume an f32 run: the refusal is the
+	// typed precision error, distinct from corruption.
+	p32 := *p
+	p32.Precision = lbm.F32
+	_, _, err = RunParallel(&p32, 2, Options{
+		Phases:     phases,
+		Checkpoint: &CheckpointSpec{Dir: t.TempDir(), Interval: 100, Snapshot: snap},
+	})
+	if !errors.Is(err, checkpoint.ErrPrecision) || errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Errorf("f32 resume from an f64 snapshot: err = %v, want ErrPrecision alone", err)
 	}
 }
 

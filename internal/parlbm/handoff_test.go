@@ -1,6 +1,7 @@
 package parlbm
 
 import (
+	"fmt"
 	"testing"
 
 	"microslip/internal/lbm"
@@ -23,7 +24,7 @@ func TestParallelToSequentialHandoff(t *testing.T) {
 			planes[c][x] = f.Plane(x)
 		}
 	}
-	st, err := lbm.StateFromPlanes(p, planes, k)
+	st, err := stateFromPlanes(p, planes, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +61,47 @@ func TestStateFromPlanesValidation(t *testing.T) {
 			good[c][x] = make([]float64, p.NY*p.NZ*19)
 		}
 	}
-	if _, err := lbm.StateFromPlanes(p, good, 0); err != nil {
+	if _, err := stateFromPlanes(p, good, 0); err != nil {
 		t.Fatalf("valid planes rejected: %v", err)
 	}
-	if _, err := lbm.StateFromPlanes(p, good[:1], 0); err == nil {
+	if _, err := stateFromPlanes(p, good[:1], 0); err == nil {
 		t.Error("component mismatch accepted")
 	}
 	short := [][][]float64{good[0][:2], good[1]}
-	if _, err := lbm.StateFromPlanes(p, short, 0); err == nil {
+	if _, err := stateFromPlanes(p, short, 0); err == nil {
 		t.Error("plane-count mismatch accepted")
 	}
 	bad := [][][]float64{{make([]float64, 3)}, good[1]}
 	bad[0] = append(bad[0], good[0][1:]...)
-	if _, err := lbm.StateFromPlanes(p, bad, 0); err == nil {
+	if _, err := stateFromPlanes(p, bad, 0); err == nil {
 		t.Error("plane-size mismatch accepted")
 	}
+}
+
+// stateFromPlanes builds a snapshot from gathered distribution planes
+// (planes[c][x], one slice per x-plane of each component), the format
+// RunParallel's gather produces, so a sequential solver can resume a
+// parallel run.
+func stateFromPlanes(p *lbm.Params, planes [][][]float64, step int) (*lbm.State, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if len(planes) != p.NComp() {
+		return nil, fmt.Errorf("%d components of planes, want %d", len(planes), p.NComp())
+	}
+	want := p.NY * p.NZ * 19
+	st := &lbm.State{Params: p, Step: step, F: make([][][]float64, len(planes))}
+	for c := range planes {
+		if len(planes[c]) != p.NX {
+			return nil, fmt.Errorf("component %d has %d planes, want %d", c, len(planes[c]), p.NX)
+		}
+		st.F[c] = make([][]float64, p.NX)
+		for x := range planes[c] {
+			if len(planes[c][x]) != want {
+				return nil, fmt.Errorf("component %d plane %d has %d values, want %d", c, x, len(planes[c][x]), want)
+			}
+			st.F[c][x] = append([]float64(nil), planes[c][x]...)
+		}
+	}
+	return st, nil
 }

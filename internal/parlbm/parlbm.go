@@ -211,9 +211,10 @@ func (e *RankError) Error() string {
 func (e *RankError) Unwrap() error { return e.Err }
 
 // SlabFloorError reports a remapping round that would leave a rank
-// with fewer than MinSlabPlanes planes (a policy configured to keep
-// fewer); the run fails with it instead of running a slab that cannot
-// build its frames.
+// with fewer than MinSlabPlanes planes; the run fails with it instead
+// of running a slab that cannot build its frames. Policy.Validate
+// already refuses a policy that keeps fewer, so this guards the plan
+// arithmetic, not a configuration.
 type SlabFloorError struct {
 	// Rank is the rank whose slab would shrink below the floor, and
 	// Planes its plane count after the round.

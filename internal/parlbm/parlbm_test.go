@@ -231,29 +231,22 @@ func TestRunRankValidation(t *testing.T) {
 	}
 }
 
-// A policy configured to keep fewer than MinSlabPlanes planes fails the
-// run with a typed error at the round that would break the floor —
-// under the local protocol (each rank checks its own slab) and the
-// global one (every rank checks every slab).
+// A plan that would leave a rank below MinSlabPlanes planes fails with
+// a typed error naming the rank. Valid policies keep MinKeepPlanes >=
+// MinSlabPlanes (a policy keeping one plane is refused up front, see
+// TestInvalidPolicyRefused), so the plans here are built by hand.
 func TestRemapBelowSlabFloorFails(t *testing.T) {
-	p := lbm.WaterAir(8, 8, 6)
-	filtered := balance.NewFiltered(p.NY * p.NZ)
-	filtered.Cfg.Interval, filtered.Cfg.HistoryK, filtered.Cfg.MinKeepPlanes = 2, 2, 1
-	global := balance.NewGlobal(p.NY * p.NZ)
-	global.Cfg.Interval, global.Cfg.HistoryK, global.Cfg.MinKeepPlanes = 2, 2, 1
-	for _, pol := range []balance.Policy{filtered, global} {
-		_, _, err := RunParallel(p, 2, Options{
-			Phases:    12,
-			Policy:    pol,
-			PhaseTime: func(rank, planes, phase int) float64 { return float64(planes) * float64(1+99*rank) },
-		})
-		var fe *SlabFloorError
-		if !errors.As(err, &fe) {
-			t.Fatalf("%s: got %v, want a SlabFloorError", pol.Name, err)
-		}
-		if fe.Rank != 1 || fe.Planes >= MinSlabPlanes {
-			t.Errorf("%s: floor error names rank %d with %d planes, want rank 1 below %d", pol.Name, fe.Rank, fe.Planes, MinSlabPlanes)
-		}
+	counts := []int{4, 4, 4}
+	if err := slabFloor(counts, []balance.Transfer{{From: 1, To: 0, Planes: 2}, {From: 2, To: 1, Planes: 2}}); err != nil {
+		t.Errorf("plan keeping every rank at the floor refused: %v", err)
+	}
+	err := slabFloor(counts, []balance.Transfer{{From: 1, To: 0, Planes: 2}, {From: 1, To: 2, Planes: 1}})
+	var fe *SlabFloorError
+	if !errors.As(err, &fe) {
+		t.Fatalf("got %v, want a SlabFloorError", err)
+	}
+	if fe.Rank != 1 || fe.Planes != 1 {
+		t.Errorf("floor error names rank %d with %d planes, want rank 1 with 1", fe.Rank, fe.Planes)
 	}
 }
 
@@ -270,6 +263,7 @@ func TestInvalidPolicyRefused(t *testing.T) {
 		{"HistoryK=0", func(c *balance.Config) { c.HistoryK = 0 }},
 		{"PlanePoints=0", func(c *balance.Config) { c.PlanePoints = 0 }},
 		{"Alpha=0", func(c *balance.Config) { c.Alpha = 0 }},
+		{"MinKeepPlanes=1", func(c *balance.Config) { c.MinKeepPlanes = 1 }},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			pol := balance.NewFiltered(p.NY * p.NZ)

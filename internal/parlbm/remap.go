@@ -274,15 +274,8 @@ func (w *worker) remapGlobal(pol balance.Policy) error {
 		return err
 	}
 	// Every rank derives the same counts, so all fail together.
-	after := append([]int(nil), planesAll...)
-	for _, tr := range ts {
-		after[tr.From] -= tr.Planes
-		after[tr.To] += tr.Planes
-	}
-	for r, n := range after {
-		if n < MinSlabPlanes {
-			return &SlabFloorError{Rank: r, Planes: n}
-		}
+	if err := slabFloor(planesAll, ts); err != nil {
+		return err
 	}
 	for _, tr := range ordered {
 		if tr.From != w.rank && tr.To != w.rank {
@@ -298,6 +291,22 @@ func (w *worker) remapGlobal(pol balance.Policy) error {
 		}
 		if err := w.moveBoundary(neighbor, net); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// slabFloor returns a *SlabFloorError naming the first rank that the
+// transfers ts leave with fewer than MinSlabPlanes of its counts planes.
+func slabFloor(counts []int, ts []balance.Transfer) error {
+	after := append([]int(nil), counts...)
+	for _, tr := range ts {
+		after[tr.From] -= tr.Planes
+		after[tr.To] += tr.Planes
+	}
+	for r, n := range after {
+		if n < MinSlabPlanes {
+			return &SlabFloorError{Rank: r, Planes: n}
 		}
 	}
 	return nil

@@ -128,18 +128,6 @@ func (p *Profile) AddRemapping(i int, t float64) { p.Nodes[i].Remapping += t }
 // AddCheckpoint charges t seconds of checkpoint/recovery work to node i.
 func (p *Profile) AddCheckpoint(i int, t float64) { p.Nodes[i].Checkpoint += t }
 
-// MaxTotal returns the largest per-node total (the run's makespan when
-// nodes are phase-synchronized).
-func (p *Profile) MaxTotal() float64 {
-	var m float64
-	for _, b := range p.Nodes {
-		if t := b.Total(); t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // Sum returns the cluster-wide aggregate breakdown.
 func (p *Profile) Sum() Breakdown {
 	var s Breakdown

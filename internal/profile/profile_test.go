@@ -14,9 +14,6 @@ func TestAccumulation(t *testing.T) {
 	if got := p.Nodes[0].Total(); got != 2.0 {
 		t.Errorf("node 0 total = %v, want 2", got)
 	}
-	if got := p.MaxTotal(); got != 2.25 {
-		t.Errorf("MaxTotal = %v, want 2.25", got)
-	}
 	s := p.Sum()
 	if s.Computation != 3.5 || s.Communication != 0.5 || s.Remapping != 0.25 {
 		t.Errorf("Sum = %+v", s)

@@ -1,10 +1,9 @@
-// Package units converts between lattice units and the physical units of
-// the paper's microchannel experiment (Section 4): a 2.0 x 1.0 x 0.1
+// Package units holds the physical constants of the paper's microchannel
+// experiment (Section 4), by which lattice results are reported in
+// physical units: a 2.0 x 1.0 x 0.1
 // micrometer channel discretized at 5 nm grid spacing into 400 x 200 x 20
 // lattice points, simulating a water/air-vapor mixture.
 package units
-
-import "fmt"
 
 // Physical constants for the paper's setup.
 const (
@@ -19,76 +18,3 @@ const (
 	// WaterKinematicViscosity in m^2/s at 20 C.
 	WaterKinematicViscosity = 1.0e-6
 )
-
-// Converter maps lattice quantities to physical quantities given the
-// spatial step dx (m), time step dt (s) and density scale rho0 (kg/m^3,
-// physical density represented by lattice density 1).
-type Converter struct {
-	DX   float64
-	DT   float64
-	Rho0 float64
-}
-
-// NewConverter builds a converter. It panics on non-positive scales
-// because a zero scale silently corrupts every downstream quantity.
-func NewConverter(dx, dt, rho0 float64) Converter {
-	if dx <= 0 || dt <= 0 || rho0 <= 0 {
-		panic(fmt.Sprintf("units: invalid scales dx=%v dt=%v rho0=%v", dx, dt, rho0))
-	}
-	return Converter{DX: dx, DT: dt, Rho0: rho0}
-}
-
-// Length converts a lattice length to meters.
-func (c Converter) Length(l float64) float64 { return l * c.DX }
-
-// LatticeLength converts meters to lattice units.
-func (c Converter) LatticeLength(m float64) float64 { return m / c.DX }
-
-// Velocity converts a lattice velocity to m/s.
-func (c Converter) Velocity(u float64) float64 { return u * c.DX / c.DT }
-
-// Density converts a lattice density to kg/m^3.
-func (c Converter) Density(rho float64) float64 { return rho * c.Rho0 }
-
-// Viscosity converts a lattice kinematic viscosity to m^2/s.
-func (c Converter) Viscosity(nu float64) float64 { return nu * c.DX * c.DX / c.DT }
-
-// Time converts a lattice time (steps) to seconds.
-func (c Converter) Time(t float64) float64 { return t * c.DT }
-
-// Force converts a lattice body-force density (acceleration) to m/s^2.
-func (c Converter) Force(f float64) float64 { return f * c.DX / (c.DT * c.DT) }
-
-// PaperChannel describes the paper's microchannel in lattice points:
-// length (x) 400, width (y) 200, depth (z) 20 at 5 nm spacing.
-type PaperChannel struct {
-	NX, NY, NZ int
-}
-
-// DefaultChannel returns the paper's full-resolution channel.
-func DefaultChannel() PaperChannel { return PaperChannel{NX: 400, NY: 200, NZ: 20} }
-
-// Points returns the total lattice point count.
-func (p PaperChannel) Points() int { return p.NX * p.NY * p.NZ }
-
-// PhysicalDims returns the channel dimensions in meters.
-func (p PaperChannel) PhysicalDims() (lx, ly, lz float64) {
-	return float64(p.NX) * GridSpacing, float64(p.NY) * GridSpacing, float64(p.NZ) * GridSpacing
-}
-
-// Scaled returns the channel scaled by 1/s in x and y (z kept, since the
-// depletion physics needs full depth resolution); used for reduced-cost
-// physics runs.
-func (p PaperChannel) Scaled(s int) PaperChannel {
-	if s <= 0 {
-		panic("units: non-positive channel scale")
-	}
-	nx, ny := p.NX/s, p.NY/s
-	if nx < 4 {
-		nx = 4
-	}
-	if ny < 4 {
-		ny = 4
-	}
-	return PaperChannel{NX: nx, NY: ny, NZ: p.NZ}
-}

@@ -52,6 +52,7 @@ func TestInvalidPolicyRefused(t *testing.T) {
 		{"HistoryK=0", func(c *balance.Config) { c.HistoryK = 0 }},
 		{"PlanePoints=0", func(c *balance.Config) { c.PlanePoints = 0 }},
 		{"Alpha=0", func(c *balance.Config) { c.Alpha = 0 }},
+		{"MinKeepPlanes=1", func(c *balance.Config) { c.MinKeepPlanes = 1 }},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			defer func() {

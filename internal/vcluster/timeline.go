@@ -55,16 +55,3 @@ func (tl *Timeline) Percentile(p float64) float64 {
 	idx := int(p * float64(len(d)-1))
 	return d[idx]
 }
-
-// RecoveryPhase returns the first phase index at or after `from` whose
-// duration falls below threshold, or -1 if none does — when a remapping
-// scheme has absorbed a disturbance.
-func (tl *Timeline) RecoveryPhase(from int, threshold float64) int {
-	d := tl.PhaseDurations()
-	for i := from; i < len(d); i++ {
-		if d[i] <= threshold {
-			return i
-		}
-	}
-	return -1
-}

@@ -34,15 +34,18 @@ func TestTimelineRecording(t *testing.T) {
 	if d[5] < 1.0 {
 		t.Errorf("phase 5 duration %.3f s; expected slow-node pace >= 1.0", d[5])
 	}
-	rec := tl.RecoveryPhase(0, 0.6)
+	rec := -1
+	for i, di := range d {
+		if di <= 0.6 {
+			rec = i
+			break
+		}
+	}
 	if rec < 0 {
 		t.Fatal("remapping never recovered the phase time")
 	}
 	if rec > 80 {
 		t.Errorf("recovery only at phase %d; expected within ~3 remap rounds", rec)
-	}
-	if tl.RecoveryPhase(0, 0.0001) != -1 {
-		t.Error("impossible threshold reported a recovery phase")
 	}
 }
 
@@ -71,55 +74,5 @@ func TestTimelineDisabledByDefault(t *testing.T) {
 	}
 	if res.Timeline != nil {
 		t.Error("timeline recorded without RecordTimeline")
-	}
-}
-
-func TestTracesFromCSV(t *testing.T) {
-	csv := `node,start_s,end_s,speed
-# a comment
-3,0,5,0.5
-3,10,12,0.25
-0,1,2,0.9
-`
-	traces, err := TracesFromCSV(strings.NewReader(csv), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := traces[3].SpeedAt(2); got != 0.5 {
-		t.Errorf("node 3 at t=2: %v", got)
-	}
-	if got := traces[3].SpeedAt(11); got != 0.25 {
-		t.Errorf("node 3 at t=11: %v", got)
-	}
-	if got := traces[3].SpeedAt(7); got != 1 {
-		t.Errorf("node 3 at t=7: %v", got)
-	}
-	if got := traces[0].SpeedAt(1.5); got != 0.9 {
-		t.Errorf("node 0 at t=1.5: %v", got)
-	}
-	if got := traces[1].SpeedAt(0); got != 1 {
-		t.Errorf("unlisted node not at full speed: %v", got)
-	}
-	// The loaded traces drive a simulation.
-	cfg := DefaultConfig(balance.NoRemap(), traces, 20)
-	if _, err := Run(cfg); err != nil {
-		t.Errorf("playback run failed: %v", err)
-	}
-}
-
-func TestTracesFromCSVErrors(t *testing.T) {
-	cases := []string{
-		"1,2,3",                // wrong field count
-		"9,0,1,0.5",            // node out of range
-		"x,0,1,0.5\n1,0,1,0.5", // bad node on a non-header line (line 1 numeric check)
-		"1,zero,1,0.5",         // bad float
-		"1,5,5,0.5",            // empty interval
-		"1,0,1,1.5",            // bad speed
-		"1,0,5,0.5\n1,3,6,0.5", // overlap
-	}
-	for _, c := range cases {
-		if _, err := TracesFromCSV(strings.NewReader(c), 4); err == nil {
-			t.Errorf("accepted %q", c)
-		}
 	}
 }
