@@ -26,14 +26,15 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Full-mode (not -short) race pass over the intra-node bands and the
-# distributed pipeline: the bands' in-memory frames (packed in one pool
-# wake, read by the neighbours' sweeps in the next), the ranks' wire
-# frames, and the plane pool a distributed group shares (a plane one
+# Full-mode (not -short) race pass over the intra-node bands, the
+# transports and the distributed pipeline: the bands' in-memory frames
+# (packed in one pool wake, read by the neighbours' sweeps in the next),
+# the ranks' wire frames in payload buffers the mailboxes lease and
+# recycle, and the plane pool a distributed group shares (a plane one
 # rank sheds is the plane its neighbor's receive reuses) are the
 # synchronization most worth re-proving on every change.
 race-lbm:
-	$(GO) test -race -count=1 ./internal/lbm/... ./internal/parlbm/...
+	$(GO) test -race -count=1 ./internal/comm/... ./internal/lbm/... ./internal/parlbm/...
 
 # The abort-safety sweep under the race detector: seeded cancels, wall
 # limits, worker panics, and worker stalls against both the intra-node
@@ -87,4 +88,5 @@ fuzz:
 	$(GO) test -fuzz FuzzPolicyRound -fuzztime 30s ./internal/balance/
 	$(GO) test -fuzz FuzzReadContainer -fuzztime 20s ./internal/checkpoint/
 	$(GO) test -fuzz FuzzJobSpec -fuzztime 20s ./internal/serve/
+	$(GO) test -fuzz FuzzLoadStatus -fuzztime 20s ./internal/serve/
 	$(GO) test -fuzz FuzzTCPReadLoop -fuzztime 20s ./internal/comm/

@@ -10,10 +10,21 @@
 //
 // Semantics follow MPI: messages between a (sender, receiver) pair are
 // non-overtaking per tag, sends are buffered (never deadlock), and
-// receives block until a matching message arrives. There is no
-// per-operation deadline: a group aborts the MPI way, by tearing its
-// transport down (Fabric.Close, the TCP group's shutdown), which fails
-// every pending and later receive with ErrClosed.
+// receives block until a matching message arrives.
+//
+// Payload buffers are leased, not given away, so the steady-state
+// exchange allocates nothing, as MPI receives into buffers the caller
+// owns. Send copies its slice into a buffer the receiving mailbox
+// recycles. A payload Recv returns under a user tag stays valid until
+// the next Recv from the same peer under the same tag; after that the
+// transport may reuse the buffer for a later message on any stream
+// into this rank from that peer. Barrier and AllGather results are the
+// caller's to keep. Each mailbox holds at most maxFree recycled buffers
+// beside its leases, and drops them all on close.
+//
+// There is no per-operation deadline: a group aborts the MPI way, by
+// tearing its transport down (Fabric.Close, the TCP group's shutdown),
+// which fails every pending and later receive with ErrClosed.
 package comm
 
 import (
@@ -35,15 +46,19 @@ type Comm interface {
 	// the caller may reuse the slice immediately. Tags must be >= 0.
 	Send(to, tag int, data []float64) error
 	// Recv blocks until a message with the given tag arrives from rank
-	// `from` and returns its payload.
+	// `from` and returns its payload. The payload is leased: it stays
+	// valid until the next Recv from `from` under the same tag, after
+	// which the transport may overwrite it. Copy what must outlive that.
 	Recv(from, tag int) ([]float64, error)
 	// SendRecv sends to `to` and receives from `from` under one tag,
-	// the per-phase neighbor exchange pattern of the LBM code.
+	// the per-phase neighbor exchange pattern of the LBM code. Its
+	// payload is leased as Recv's is.
 	SendRecv(to int, send []float64, from, tag int) ([]float64, error)
 	// Barrier blocks until every rank has entered the barrier.
 	Barrier() error
 	// AllGather collects each rank's contribution and returns the
-	// per-rank slice, indexed by rank, identical on every rank.
+	// per-rank slice, indexed by rank, identical on every rank. The
+	// slices are the caller's: no later receive reuses them.
 	AllGather(local []float64) ([][]float64, error)
 	// Close releases the endpoint; pending receivers get ErrClosed.
 	Close() error
@@ -62,11 +77,23 @@ type message struct {
 	data []float64
 }
 
-// mailbox holds messages from one sender to one receiver.
+// maxFree bounds the recycled buffers a mailbox keeps beside its
+// leases: two for each of a neighbor pair's two frame streams, which
+// keeps the exchange allocation-free with the sender up to a phase
+// ahead. A migration or gather burst queues more; what the list cannot
+// hold goes to the collector.
+const maxFree = 4
+
+// mailbox holds messages from one sender to one receiver, with the
+// payload buffers it recycles between them: lent holds the buffer the
+// last receive under each user tag handed out, free the buffers ready
+// for the next put.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []message
+	lent   []message
+	free   [][]float64
 	closed bool
 }
 
@@ -76,23 +103,89 @@ func newMailbox() *mailbox {
 	return m
 }
 
+// put queues a copy of data, made outside the lock into a recycled
+// buffer when one fits.
 func (m *mailbox) put(tag int, data []float64) error {
-	cp := make([]float64, len(data))
-	copy(cp, data)
+	m.mu.Lock()
+	buf := m.reuse(len(data))
+	m.mu.Unlock()
+	if buf == nil {
+		buf = make([]float64, 0, len(data))
+	}
+	buf = append(buf, data...)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrClosed
 	}
-	m.queue = append(m.queue, message{tag: tag, data: cp})
+	m.queue = append(m.queue, message{tag: tag, data: buf})
 	m.cond.Broadcast()
 	return nil
 }
 
+// reuse removes and returns, emptied, the smallest free buffer that
+// holds n values with at most half of it to spare, or nil. The caller
+// holds m.mu.
+func (m *mailbox) reuse(n int) []float64 {
+	best := -1
+	for i, b := range m.free {
+		if c := cap(b); c >= n && c-n <= n && (best < 0 || c < cap(m.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	buf := m.free[best]
+	last := len(m.free) - 1
+	m.free[best] = m.free[last]
+	m.free[last] = nil
+	m.free = m.free[:last]
+	return buf[:0]
+}
+
+// recycle makes buf free for a later put. A full list keeps its
+// largest buffers; a closed mailbox keeps none. The caller holds m.mu.
+func (m *mailbox) recycle(buf []float64) {
+	if m.closed || cap(buf) == 0 {
+		return
+	}
+	if len(m.free) < maxFree {
+		m.free = append(m.free, buf)
+		return
+	}
+	small := 0
+	for i, b := range m.free {
+		if cap(b) < cap(m.free[small]) {
+			small = i
+		}
+	}
+	if cap(buf) > cap(m.free[small]) {
+		m.free[small] = buf
+	}
+}
+
+// lend records data as the payload handed out under user tag and
+// recycles the one it replaces. The caller holds m.mu.
+func (m *mailbox) lend(tag int, data []float64) {
+	if m.closed {
+		return
+	}
+	for i := range m.lent {
+		if m.lent[i].tag == tag {
+			m.recycle(m.lent[i].data)
+			m.lent[i].data = data
+			return
+		}
+	}
+	m.lent = append(m.lent, message{tag: tag, data: data})
+}
+
 // take removes and returns the first queued message with the given tag,
 // blocking until one arrives. Messages with the same tag are delivered
-// in send order (non-overtaking). The slot the queue vacates is zeroed,
-// so the mailbox keeps no delivered payload reachable.
+// in send order (non-overtaking). A user tag's payload is lent (see the
+// package doc); an internal tag's is given away, since collectives keep
+// their results past the next receive.
 func (m *mailbox) take(tag int) ([]float64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -103,6 +196,9 @@ func (m *mailbox) take(tag int) ([]float64, error) {
 				copy(m.queue[i:], m.queue[i+1:])
 				m.queue[last] = message{}
 				m.queue = m.queue[:last]
+				if tag >= 0 {
+					m.lend(tag, msg.data)
+				}
 				return msg.data, nil
 			}
 		}
@@ -113,9 +209,13 @@ func (m *mailbox) take(tag int) ([]float64, error) {
 	}
 }
 
+// close fails later puts and drops the recycled buffers; a receiver
+// still holding a lease keeps its slice.
 func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
+	m.lent = nil
+	m.free = nil
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }

@@ -28,6 +28,7 @@ type tcpPeer struct {
 	conn net.Conn
 	wmu  sync.Mutex
 	w    *bufio.Writer
+	enc  []byte // one encoded chunk of frameChunk values, guarded by wmu
 }
 
 func (c *tcpComm) Rank() int { return c.rank }
@@ -50,18 +51,23 @@ func (c *tcpComm) send(to, tag int, data []float64) error {
 	p := c.peers[to]
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(int64(tag)))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(int64(len(data))))
-	if _, err := p.w.Write(hdr[:]); err != nil {
+	if p.enc == nil {
+		p.enc = make([]byte, 8*frameChunk)
+	}
+	binary.LittleEndian.PutUint64(p.enc[0:], uint64(int64(tag)))
+	binary.LittleEndian.PutUint64(p.enc[8:], uint64(int64(len(data))))
+	if _, err := p.w.Write(p.enc[:16]); err != nil {
 		return fmt.Errorf("comm: send to %d: %w", to, err)
 	}
-	var buf [8]byte
-	for _, v := range data {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		if _, err := p.w.Write(buf[:]); err != nil {
+	for len(data) > 0 {
+		n := min(len(data), frameChunk)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint64(p.enc[8*i:], math.Float64bits(v))
+		}
+		if _, err := p.w.Write(p.enc[:8*n]); err != nil {
 			return fmt.Errorf("comm: send to %d: %w", to, err)
 		}
+		data = data[n:]
 	}
 	if err := p.w.Flush(); err != nil {
 		return fmt.Errorf("comm: send to %d: %w", to, err)
@@ -131,14 +137,17 @@ func (c *tcpComm) startReadLoop(from int, r io.Reader) {
 	}()
 }
 
-// frameChunk is the number of values readLoop reads per io.ReadFull.
-// A frame's slice grows chunk by chunk as its bytes arrive, so the
-// count a header declares never sizes an allocation on its own.
+// frameChunk is the number of values send encodes per write and
+// readLoop decodes per io.ReadFull. A frame's slice is a buffer the
+// inbox recycles when one fits, else it grows chunk by chunk as its
+// bytes arrive, so the count a header declares never sizes an
+// allocation on its own.
 const frameChunk = 4096
 
-// readLoop demultiplexes frames from peer `from` into the inbox. A
-// short read or a negative count closes the inbox: the peer is gone or
-// its stream is not a frame stream, and the rank's receives fail.
+// readLoop demultiplexes frames from peer `from` into the inbox,
+// decoding each into a buffer the inbox recycles (see mailbox.reuse).
+// A short read or a negative count closes the inbox: the peer is gone
+// or its stream is not a frame stream, and the rank's receives fail.
 func (c *tcpComm) readLoop(from int, r io.Reader) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	box := c.inbox[from]
@@ -155,7 +164,12 @@ func (c *tcpComm) readLoop(from int, r io.Reader) {
 			box.close()
 			return
 		}
-		data := make([]float64, 0, min(count, frameChunk))
+		box.mu.Lock()
+		data := box.reuse(int(count))
+		box.mu.Unlock()
+		if data == nil {
+			data = make([]float64, 0, min(count, frameChunk))
+		}
 		for left := count; left > 0; {
 			b := buf[:8*min(left, frameChunk)]
 			if _, err := io.ReadFull(br, b); err != nil {
@@ -167,8 +181,8 @@ func (c *tcpComm) readLoop(from int, r io.Reader) {
 			}
 			left -= int64(len(b) / 8)
 		}
-		// put bypasses the copy in mailbox.put by design; the slice is
-		// freshly allocated here, so hand it over directly.
+		// The decoded buffer is the inbox's already: queue it as put
+		// would its copy.
 		box.mu.Lock()
 		if box.closed {
 			box.mu.Unlock()

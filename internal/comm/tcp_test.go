@@ -32,12 +32,17 @@ func header(tag, count int64) []byte {
 }
 
 // readFrames runs one rank's readLoop over stream until it ends and
-// returns the frames the inbox received. The inbox must be closed.
+// returns the frames the inbox received. The inbox must be closed. It
+// starts with recycled buffers of stale contents, of the sizes the test
+// frames use, so frames decode into reused buffers as well as fresh.
 func readFrames(t testing.TB, stream []byte) []message {
 	t.Helper()
-	c := &tcpComm{rank: 0, size: 2, inbox: []*mailbox{nil, newMailbox()}}
+	box := newMailbox()
+	for _, n := range []int{2, 3, frameChunk + 5} {
+		box.recycle(filled(n, -7))
+	}
+	c := &tcpComm{rank: 0, size: 2, inbox: []*mailbox{nil, box}}
 	c.readLoop(1, bytes.NewReader(stream))
-	box := c.inbox[1]
 	if !box.closed {
 		t.Fatal("readLoop returned with the inbox open")
 	}
@@ -107,14 +112,24 @@ func TestTCPReadLoopBadHeaders(t *testing.T) {
 // FuzzTCPReadLoop feeds readLoop arbitrary streams. It must return
 // without panicking, leave the inbox closed, and deliver only frames
 // that re-encode to a prefix of the stream: nothing is invented,
-// reordered or cut short.
+// reordered, cut short or left over from a recycled buffer. What it
+// allocates is bounded by the bytes that arrived, never by a header's
+// count: its two read buffers, one chunk for a frame whose body never
+// came, and at most four times the stream for the decoded frames and
+// the queue.
 func FuzzTCPReadLoop(f *testing.F) {
 	good := []message{{tag: 7, data: []float64{1.5, math.Inf(-1)}}, {tag: 1 << 40, data: []float64{-0.5}}}
 	for _, s := range readLoopStreams(f, good) {
 		f.Add(s.stream)
 	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		got := readFrames(t, stream)
+		runtime.ReadMemStats(&after)
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(256<<10+4*len(stream)); alloc > limit {
+			t.Fatalf("readLoop allocated %d bytes for a %d-byte stream, limit %d", alloc, len(stream), limit)
+		}
 		enc := encodeFrames(t, got...)
 		if !bytes.HasPrefix(stream, enc) {
 			t.Fatalf("%d delivered frames do not re-encode to a prefix of the stream", len(got))

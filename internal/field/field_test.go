@@ -6,54 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestScalar3DIndexing(t *testing.T) {
-	s := NewScalar3DOf[float64](4, 3, 2)
-	if len(s.Data) != 24 {
-		t.Fatalf("len(Data) = %d, want 24", len(s.Data))
-	}
-	n := 0.0
-	for x := 0; x < 4; x++ {
-		for y := 0; y < 3; y++ {
-			for z := 0; z < 2; z++ {
-				s.Set(x, y, z, n)
-				n++
-			}
-		}
-	}
-	// With this layout the flat data is exactly the fill order.
-	for i, v := range s.Data {
-		if v != float64(i) {
-			t.Fatalf("Data[%d] = %v, want %v", i, v, i)
-		}
-	}
-	if s.At(2, 1, 1) != float64(s.Idx(2, 1, 1)) {
-		t.Errorf("At/Idx mismatch")
-	}
-}
-
-func TestScalar3DPlaneIsContiguous(t *testing.T) {
-	s := NewScalar3DOf[float64](5, 4, 3)
-	for i := range s.Data {
-		s.Data[i] = float64(i)
-	}
-	p := s.Plane(2)
-	if len(p) != 12 {
-		t.Fatalf("plane size = %d, want 12", len(p))
-	}
-	for y := 0; y < 4; y++ {
-		for z := 0; z < 3; z++ {
-			if p[y*3+z] != s.At(2, y, z) {
-				t.Fatalf("plane[%d] != At(2,%d,%d)", y*3+z, y, z)
-			}
-		}
-	}
-	// Mutating the plane mutates the field (it is a view).
-	p[0] = -1
-	if s.At(2, 0, 0) != -1 {
-		t.Error("plane is not a view into the field")
-	}
-}
-
 func TestDist3DIndexing(t *testing.T) {
 	f := NewDist3D(3, 2, 2, 19)
 	f.Set(1, 1, 0, 7, 3.25)
@@ -69,6 +21,65 @@ func TestDist3DIndexing(t *testing.T) {
 	}
 }
 
+// TestScalar3DIndexing and TestScalar3DPlaneIsContiguous keep the names
+// they had when the package also held a scalar field; that type is gone
+// and the same layout checks now run on Dist3D. The flat data is x-major,
+// then y, then z, then the population, so filling in that order writes
+// Data in sequence.
+func TestScalar3DIndexing(t *testing.T) {
+	const nx, ny, nz, q = 4, 3, 2, 5
+	f := NewDist3D(nx, ny, nz, q)
+	if len(f.Data) != nx*ny*nz*q {
+		t.Fatalf("len(Data) = %d, want %d", len(f.Data), nx*ny*nz*q)
+	}
+	n := 0.0
+	for x := 0; x < nx; x++ {
+		for y := 0; y < ny; y++ {
+			for z := 0; z < nz; z++ {
+				for i := 0; i < q; i++ {
+					f.Set(x, y, z, i, n)
+					n++
+				}
+			}
+		}
+	}
+	for k, v := range f.Data {
+		if v != float64(k) {
+			t.Fatalf("Data[%d] = %v, want %v", k, v, k)
+		}
+	}
+	if f.At(2, 1, 1, 3) != float64(f.Idx(2, 1, 1, 3)) {
+		t.Errorf("At/Idx mismatch")
+	}
+}
+
+// A fixed-x plane is one contiguous view of the field's data.
+func TestScalar3DPlaneIsContiguous(t *testing.T) {
+	const nx, ny, nz, q = 5, 4, 3, 2
+	f := NewDist3D(nx, ny, nz, q)
+	for k := range f.Data {
+		f.Data[k] = float64(k)
+	}
+	p := f.Plane(2)
+	if len(p) != ny*nz*q {
+		t.Fatalf("plane size = %d, want %d", len(p), ny*nz*q)
+	}
+	for y := 0; y < ny; y++ {
+		for z := 0; z < nz; z++ {
+			for i := 0; i < q; i++ {
+				if p[(y*nz+z)*q+i] != f.At(2, y, z, i) {
+					t.Fatalf("plane[%d] != At(2,%d,%d,%d)", (y*nz+z)*q+i, y, z, i)
+				}
+			}
+		}
+	}
+	// Mutating the plane mutates the field (it is a view).
+	p[0] = -1
+	if f.At(2, 0, 0, 0) != -1 {
+		t.Error("plane is not a view into the field")
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	f := NewDist3D(2, 2, 2, 9)
 	f.Set(0, 0, 0, 0, 1)
@@ -76,13 +87,6 @@ func TestCloneIsDeep(t *testing.T) {
 	c.Set(0, 0, 0, 0, 2)
 	if f.At(0, 0, 0, 0) != 1 {
 		t.Error("Clone shares storage with original")
-	}
-	s := NewScalar3DOf[float64](2, 2, 2)
-	s.Set(1, 1, 1, 5)
-	sc := s.Clone()
-	sc.Set(1, 1, 1, 6)
-	if s.At(1, 1, 1) != 5 {
-		t.Error("Scalar3D Clone shares storage with original")
 	}
 }
 

@@ -470,8 +470,11 @@ func (w *worker) sendWire(to, tag int, payload []float64, staging *[]float64, cl
 
 // recvWire blocks for a payload of logical length n from rank `from`,
 // unpacking compressed words into the staging buffer; `what` names the
-// payload in size-mismatch errors. The returned slice is valid until
-// the same staging buffer (or, uncompressed, the same tag) is reused.
+// payload in size-mismatch errors. Compressed, the returned slice is
+// the staging buffer, valid until its next use; uncompressed, it is the
+// transport's lease, valid until the next receive from `from` under
+// tag (see comm.Comm.Recv). Callers copy out, or finish with it, before
+// either.
 func (w *worker) recvWire(from, tag, n int, what string, staging *[]float64, class *profile.TagBytes) ([]float64, error) {
 	msg, err := w.c.Recv(from, tag)
 	if err != nil {

@@ -1,7 +1,6 @@
 package parlbm
 
 import (
-	"fmt"
 	"testing"
 
 	"microslip/internal/comm"
@@ -30,94 +29,16 @@ func testWorker(p *lbm.Params, c comm.Comm, opts Options, start, count int) *wor
 	return w
 }
 
-// reuseFabric is a two-endpoint stub transport that delivers each
-// (sender, receiver, tag) stream first in, first out through buffers it
-// reuses: Send copies into a free buffer and queues it, Recv hands out
-// the oldest queued buffer itself, and a buffer is free again once Recv
-// has handed out the next one on its stream. It makes two properties
-// testable in a single goroutine: the solver side of an exchange
-// performs zero steady-state allocations (the transport contributes
-// none to hide behind), and nothing the solver keeps (slab planes in
-// particular) may alias a receive buffer the transport will overwrite.
-type reuseFabric struct {
-	streams map[[3]int]*reuseStream
-	// bufs is every buffer the fabric ever made, for tests that
-	// scribble over all of them.
-	bufs [][]float64
+// fabricPair returns the two endpoints of an in-process group, closed
+// when the test ends. The fabric leases its payload buffers and recycles
+// them (see package comm), so a steady-state exchange over it allocates
+// nothing on either side, and a slab that aliased a receive buffer would
+// see it overwritten by later traffic on its stream.
+func fabricPair(t testing.TB) (comm.Comm, comm.Comm) {
+	f := comm.NewFabric(2)
+	t.Cleanup(f.Close)
+	return f.Endpoint(0), f.Endpoint(1)
 }
-
-// reuseStream is one (sender, receiver, tag) stream.
-type reuseStream struct {
-	queued [][]float64 // sent, not yet received, oldest first
-	free   [][]float64
-	lent   []float64 // handed out by the last Recv
-}
-
-type reuseEndpoint struct {
-	f    *reuseFabric
-	rank int
-	size int
-}
-
-func newReusePair() (a, b *reuseEndpoint) {
-	f := &reuseFabric{streams: make(map[[3]int]*reuseStream)}
-	return &reuseEndpoint{f: f, rank: 0, size: 2}, &reuseEndpoint{f: f, rank: 1, size: 2}
-}
-
-func (e *reuseEndpoint) Rank() int { return e.rank }
-func (e *reuseEndpoint) Size() int { return e.size }
-
-func (e *reuseEndpoint) Send(to, tag int, data []float64) error {
-	key := [3]int{e.rank, to, tag}
-	st := e.f.streams[key]
-	if st == nil {
-		st = &reuseStream{}
-		e.f.streams[key] = st
-	}
-	var buf []float64
-	if n := len(st.free); n > 0 {
-		buf = st.free[n-1]
-		st.free = st.free[:n-1]
-	}
-	if cap(buf) < len(data) {
-		buf = make([]float64, len(data))
-		e.f.bufs = append(e.f.bufs, buf)
-	}
-	buf = buf[:len(data)]
-	copy(buf, data)
-	st.queued = append(st.queued, buf)
-	return nil
-}
-
-func (e *reuseEndpoint) Recv(from, tag int) ([]float64, error) {
-	st := e.f.streams[[3]int{from, e.rank, tag}]
-	if st == nil || len(st.queued) == 0 {
-		return nil, fmt.Errorf("reuseEndpoint: no message from %d tag %d", from, tag)
-	}
-	buf := st.queued[0]
-	n := copy(st.queued, st.queued[1:])
-	st.queued = st.queued[:n]
-	if st.lent != nil {
-		st.free = append(st.free, st.lent)
-	}
-	st.lent = buf
-	return buf, nil
-}
-
-func (e *reuseEndpoint) SendRecv(to int, send []float64, from, tag int) ([]float64, error) {
-	if err := e.Send(to, tag, send); err != nil {
-		return nil, err
-	}
-	return e.Recv(from, tag)
-}
-
-func (e *reuseEndpoint) Barrier() error { return nil }
-
-func (e *reuseEndpoint) AllGather(data []float64) ([][]float64, error) {
-	return nil, fmt.Errorf("reuseEndpoint: AllGather unsupported")
-}
-
-func (e *reuseEndpoint) Close() error { return nil }
 
 // A single rank's phase is entirely rank-side — frames packed to
 // itself, parsed as its ghosts, the in-place sweep, the checkpoint
@@ -140,11 +61,11 @@ func TestHaloPackPathZeroAllocs(t *testing.T) {
 
 // A full two-rank phase — frames packed, sent, received and parsed in
 // place, then the sweep — must be allocation-free in the steady state on
-// a transport that reuses its buffers, at full precision and under wire
+// the in-process transport, at full precision and under wire
 // compression.
 func TestSlimExchangeZeroAllocsSteadyState(t *testing.T) {
 	for _, wire32 := range []bool{false, true} {
-		e0, e1 := newReusePair()
+		e0, e1 := fabricPair(t)
 		ws := []*worker{
 			benchWorker(t, e0, Options{WireF32: wire32}),
 			benchWorker(t, e1, Options{WireF32: wire32}),
@@ -192,7 +113,7 @@ func pingPong(t *testing.T, w0, w1 *worker, count int) {
 // nothing in the steady state: per plane pop, pack, send, receive, copy
 // into a plane from the group pool, push.
 func TestMigrationZeroAllocAndNoAliasing(t *testing.T) {
-	e0, e1 := newReusePair()
+	e0, e1 := fabricPair(t)
 	w0 := benchWorker(t, e0, Options{})
 	w1 := benchWorker(t, e1, Options{})
 	w1.pool = w0.pool // one group, one plane pool
@@ -232,17 +153,29 @@ func TestMigrationZeroAllocAndNoAliasing(t *testing.T) {
 		}
 	}
 
-	// Scribble over every transport buffer; slab contents must not move.
-	for _, buf := range e0.f.bufs {
-		for i := range buf[:cap(buf)] {
-			buf[i] = -1e300
+	// Keep the plane stream busy with junk of the same size: the
+	// transport recycles the buffers the planes arrived in, so a slab
+	// aliasing one would change. Each junk message is received, which
+	// ends the last plane's lease too.
+	junk := make([]float64, len(w0.planeBuf()))
+	for i := range junk {
+		junk[i] = -1e300
+	}
+	for k := 0; k < 4; k++ {
+		if err := e0.Send(1, tagPlanesRight, junk); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e1.Recv(0, tagPlanesRight); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for c := range w1.f {
-		plane := w1.f[c].Plane(2)
-		for i, v := range plane {
-			if want := float64(c*1000000 + 2*10000 + i%97); v != want {
-				t.Fatalf("slab aliases transport buffer: comp %d idx %d became %v", c, i, v)
+		for gx := 2; gx < 4; gx++ {
+			plane := w1.f[c].Plane(gx)
+			for i, v := range plane {
+				if want := float64(c*1000000 + gx*10000 + i%97); v != want {
+					t.Fatalf("slab aliases transport buffer: comp %d plane %d idx %d became %v", c, gx, i, v)
+				}
 			}
 		}
 	}
@@ -278,9 +211,9 @@ func TestMigrationZeroAllocAndNoAliasing(t *testing.T) {
 }
 
 // BenchmarkFrameExchange measures the two-rank frame exchange end to
-// end (pack, send, receive, parse) on the in-process transport.
-// allocs/op isolates the transport's per-message copy; the rank side
-// contributes zero (see TestSlimExchangeZeroAllocsSteadyState).
+// end (pack, send, receive, parse) on the in-process transport, which
+// recycles its payload buffers: allocs/op is zero in the steady state
+// (see TestSlimExchangeZeroAllocsSteadyState).
 func BenchmarkFrameExchange(b *testing.B) {
 	f := comm.NewFabric(2)
 	defer f.Close()

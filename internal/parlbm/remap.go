@@ -3,6 +3,7 @@ package parlbm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -139,10 +140,11 @@ func (w *worker) remapLocal(cfg balance.Config) error {
 // Planes cross one message each, nearest the boundary first, so the
 // receiver attaches every plane at its edge as it arrives. A departing
 // plane is packed into migBuf and handed to the group's plane pool; an
-// arriving one is copied out of the transport buffer into a plane taken
+// arriving one is copied out of the transport's leased buffer, before
+// the next receive on the stream ends the lease, into a plane taken
 // from that pool. The group therefore holds one lattice during a
-// migration, no slab aliases memory the transport may reuse, and the
-// steady state allocates nothing.
+// migration, no slab aliases memory the transport reuses, and the
+// steady state allocates nothing on either side.
 func (w *worker) moveBoundary(neighbor, net int) error {
 	if net == 0 {
 		return nil
@@ -179,6 +181,7 @@ func (w *worker) moveBoundary(neighbor, net int) error {
 			if err := w.sendWire(neighbor, tag, msg, &w.wireSendL, mig); err != nil {
 				return err
 			}
+			yieldToReceiver()
 		}
 		return nil
 	}
@@ -201,6 +204,15 @@ func (w *worker) moveBoundary(neighbor, net int) error {
 	}
 	return nil
 }
+
+// yieldToReceiver follows each plane message of a burst. A receiver
+// sharing the sender's core takes the message and, by taking it, ends
+// its lease on the one before, so the next send reuses that buffer
+// instead of allocating: without the yield the sender queues the whole
+// burst first, one fresh plane-sized buffer per message. A receiver on
+// a core of its own is already running, and the yield finds nothing to
+// do.
+func yieldToReceiver() { runtime.Gosched() }
 
 // planeBuf returns migBuf sized to one plane message: every
 // component's plane of one x index, concatenated.
@@ -342,15 +354,24 @@ func orderTransfers(ts []balance.Transfer, counts []int) ([]balance.Transfer, er
 }
 
 // gather streams every rank's slab to rank 0, which copies each plane
-// straight into the full per-component distribution fields. A rank
-// sends a [start, count] header, then count plane messages in
-// ascending x, each holding that plane's components concatenated.
+// straight into the full per-component distribution fields before its
+// next receive ends the message's lease. Rank 0 pulls one rank at a
+// time: once its fields are allocated it sends rank r an empty request,
+// and r answers with a [start, count] header, then count plane messages
+// in ascending x, each holding that plane's components concatenated.
+// The slabs of the ranks not yet asked stay where they are instead of
+// queueing, plane by fresh plane, in rank 0's inbox.
 func (w *worker) gather() error {
 	nc := w.p.NComp()
 	sz := w.f[0].PlaneSize()
 	start, count := w.f[0].Start, w.f[0].Count()
 	cls := &w.res.Breakdown.Bytes.Gather
 	if w.rank != 0 {
+		req, err := w.c.Recv(0, tagGather)
+		if err != nil {
+			return err
+		}
+		cls.CountRecv(8 * len(req))
 		hdr := []float64{float64(start), float64(count)}
 		cls.CountSend(8 * len(hdr))
 		if err := w.c.Send(0, tagGather, hdr); err != nil {
@@ -365,6 +386,7 @@ func (w *worker) gather() error {
 			if err := w.c.Send(0, tagGather, msg); err != nil {
 				return err
 			}
+			yieldToReceiver()
 		}
 		return nil
 	}
@@ -376,6 +398,10 @@ func (w *worker) gather() error {
 		}
 	}
 	for r := 1; r < w.size; r++ {
+		cls.CountSend(0)
+		if err := w.c.Send(r, tagGather, nil); err != nil {
+			return err
+		}
 		hdr, err := w.c.Recv(r, tagGather)
 		if err != nil {
 			return err

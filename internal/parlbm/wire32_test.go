@@ -53,7 +53,7 @@ func TestWireF32HalvesBulkBytes(t *testing.T) {
 // deliver the float32 rounding of every value — not garbage, not raw
 // truncation.
 func TestWireF32MigrationHalvesBytesAndRounds(t *testing.T) {
-	e0, e1 := newReusePair()
+	e0, e1 := fabricPair(t)
 	w0 := benchWorker(t, e0, Options{WireF32: true})
 	w1 := benchWorker(t, e1, Options{WireF32: true})
 	for c := range w0.f {

@@ -184,6 +184,11 @@ func (s *Server) runSequential(j *job, spec JobSpec, ckptDir string, resume *lbm
 	}
 	res := &Result{StartStep: start, CheckpointPhase: -1}
 	var runErr error
+	// mass is the last frame's water mass: the final state's, since
+	// nothing steps after the last frame, so the result reuses it
+	// rather than making one more pass over the lattice.
+	var mass float64
+	sampled := false
 	// Chunks are StreamEvery steps, but never shorter than the steady
 	// sampling interval: capping checkEvery to the chunk would silently
 	// sample the residual faster than asked, and short windows alias
@@ -215,7 +220,8 @@ func (s *Server) runSequential(j *job, spec JobSpec, ckptDir string, resume *lbm
 			_, runErr = solver.RunSupervised(chunk, sup)
 		}
 		res.Steps = solver.StepCount()
-		j.publish(Frame{Step: res.Steps, Residual: res.Residual, MassWater: solver.TotalMass(0)})
+		mass, sampled = solver.TotalMass(0), true
+		j.publish(Frame{Step: res.Steps, Residual: res.Residual, MassWater: mass})
 		if runErr != nil || res.Converged {
 			break
 		}
@@ -226,7 +232,10 @@ func (s *Server) runSequential(j *job, spec JobSpec, ckptDir string, resume *lbm
 		}
 	}
 	res.Steps = solver.StepCount()
-	res.MassWater = solver.TotalMass(0)
+	if !sampled {
+		mass = solver.TotalMass(0)
+	}
+	res.MassWater = mass
 	ux, _, _ := solver.Velocity(p.NX/2, p.NY/2, p.NZ/2)
 	res.CenterVelocity = ux
 	if spec.Kind == KindWallForce {
