@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet gofmt test race race-lbm chaos-abort examples-smoke bench bench-module serve-smoke fuzz
+.PHONY: check build vet gofmt test race race-lbm chaos-abort examples-smoke bench bench-module kernel-pairs serve-smoke fuzz
 
 # The CI gate: compile everything, vet, check formatting, run the full
 # suite, the race detector in short mode (the -short guard trims the
@@ -63,6 +63,14 @@ examples-smoke:
 # speed claims rest on, so they must keep compiling and running.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# Alternating-order BenchmarkFusedStepAoS pairs of a base revision
+# against the working tree, with the median ratio: the protocol a kernel
+# speed claim is measured with (make kernel-pairs BASE=<rev> PAIRS=<n>).
+BASE ?= HEAD
+PAIRS ?= 5
+kernel-pairs:
+	bash scripts/kernel_pairs.sh $(BASE) $(PAIRS)
 
 # bench/ is a module of its own, so the root `go test ./...` never
 # compiles it: an API slip in a package it imports (internal/checkpoint,

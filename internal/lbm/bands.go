@@ -85,6 +85,7 @@ func (s *SimOf[T]) ensureBands(w int) {
 	for i, b := range plan {
 		lo := b[0]
 		bs.slabs[i] = s.K.NewSlabSweep()
+		bs.slabs[i].store = !s.ringOnly
 		bs.slabs[i].Bind(b[1]-lo, func(x, c int) []T { return s.f[c][lo+x] })
 	}
 	if len(plan) > 1 {

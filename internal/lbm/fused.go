@@ -20,6 +20,16 @@ import (
 // the lattice only as its source and, in place, as its destination,
 // and allocates nothing in the steady state.
 //
+// A slab also keeps a density store, its owned planes' densities (1/19
+// of the lattice): the stream writing a plane sums the 19 values it
+// stores in Densities' own tree, so the next sweep copies densities
+// instead of re-reading the plane, and only ghosts run Densities. Bind
+// marks the store stale and the next Pack, which starts every step,
+// refills it; whatever writes owned planes outside the sweep (the
+// serial Step, a load, a migration) rebinds or marks it stale. Plane
+// addresses prove nothing: a recycled plane can return at the same
+// address.
+//
 // Every stepping path outside the serial reference Step is this sweep
 // run in place over a slab of planes behind one frame per neighbour
 // (see SlabSweepOf): a band of the sequential solver and a distributed
@@ -81,7 +91,11 @@ func wrapX(x, nx int) int {
 // src itself when the window does not wrap onto the swept planes
 // (lo-2 .. hi+1 are distinct entries): every plane is read for the
 // last time before it is overwritten.
-func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi int, farL, farR [][]T) {
+//
+// dens, when non-nil, is the swept planes' density store: dens[x-lo]
+// holds plane x's densities on entry, copied instead of computed, and
+// the streamed plane's on return. A nil dens computes every density.
+func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi int, farL, farR [][]T, dens [][][]T) {
 	nx := len(src)
 	density := func(x int) {
 		n := fs.n[slot3(x)]
@@ -90,6 +104,8 @@ func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi
 			copyPlanes(n, farL)
 		case x == hi+1 && farR != nil:
 			copyPlanes(n, farR)
+		case dens != nil && x >= lo && x < hi:
+			copyPlanes(n, dens[x-lo])
 		default:
 			k.Densities(src[wrapX(x, nx)], n)
 		}
@@ -106,10 +122,15 @@ func (k *KernelOf[T]) SweepFused(fs *FusedScratchOf[T], src, dst [][][]T, lo, hi
 		// Stream two planes behind the front, where post(x-2), post(x-1)
 		// and post(x) are all available. x-1 stays inside [lo, hi):
 		// the boundary collisions at lo-1 and hi are the redundant ones.
+		// The store entry of x-1 was last read by the collision of x.
 		if x < lo+1 {
 			continue
 		}
-		k.Stream(fs.post[slot3(x-2)], fs.post[slot3(x-1)], fs.post[slot3(x)], dst[wrapX(x-1, nx)])
+		var nOut [][]T
+		if dens != nil {
+			nOut = dens[x-1-lo]
+		}
+		k.stream(fs.post[slot3(x-2)], fs.post[slot3(x-1)], fs.post[slot3(x)], dst[wrapX(x-1, nx)], nOut)
 	}
 }
 
@@ -155,8 +176,8 @@ func (k *KernelOf[T]) frameViews(buf []T, edge, far [][]T) {
 
 // PackFrame fills buf, reusing its capacity, with the frame of the edge
 // planes edge and returns it: the kind header, a copy of edge, then the
-// densities of the planes far, computed straight into the frame.
-func (k *KernelOf[T]) PackFrame(fs *FusedScratchOf[T], buf []T, edge, far [][]T) []T {
+// densities of the planes far: farN when non-nil, else computed.
+func (k *KernelOf[T]) PackFrame(fs *FusedScratchOf[T], buf []T, edge, far, farN [][]T) []T {
 	need := k.FrameLen()
 	if cap(buf) < need {
 		buf = make([]T, need)
@@ -165,7 +186,11 @@ func (k *KernelOf[T]) PackFrame(fs *FusedScratchOf[T], buf []T, edge, far [][]T)
 	buf[0] = FrameKind
 	k.frameViews(buf, fs.edge, fs.far)
 	copyPlanes(fs.edge, edge)
-	k.Densities(far, fs.far)
+	if farN != nil {
+		copyPlanes(fs.far, farN)
+	} else {
+		k.Densities(far, fs.far)
+	}
 	return buf
 }
 
@@ -188,6 +213,7 @@ func (k *KernelOf[T]) ParseFrame(msg []T, ghost, far [][]T) error {
 // two frames of the owned planes, hand each neighbour's frame to Ghost,
 // then Sweep the owned planes in place. The two differ only in where a
 // neighbour's frame comes from: a peer band's memory or the wire.
+// Its density store follows the stale rule at the top of this file.
 type SlabSweepOf[T num.Float] struct {
 	k  *KernelOf[T]
 	fs *FusedScratchOf[T]
@@ -199,21 +225,26 @@ type SlabSweepOf[T num.Float] struct {
 	// rightward; far[0] and far[1] view the ghosts' far densities.
 	frame [2][]T
 	far   [2][][]T
+	// dens[i][c] is owned plane i's density store; it only grows, and
+	// stays nil unless store. stale: it no longer matches the planes.
+	dens         [][][]T
+	store, stale bool
 }
 
 // SlabSweep is the double-precision slab step.
 type SlabSweep = SlabSweepOf[float64]
 
-// NewSlabSweep allocates an unbound slab step; Bind it before use.
+// NewSlabSweep allocates an unbound slab step with a density store;
+// Bind it before use.
 func (k *KernelOf[T]) NewSlabSweep() *SlabSweepOf[T] {
-	return &SlabSweepOf[T]{k: k, fs: k.NewFusedScratch(), far: [2][][]T{make([][]T, k.NComp), make([][]T, k.NComp)}}
+	return &SlabSweepOf[T]{k: k, fs: k.NewFusedScratch(), far: [2][][]T{make([][]T, k.NComp), make([][]T, k.NComp)}, store: true}
 }
 
 // Bind points the window at count owned planes, plane(i, c) being
-// owned plane i of component c. Storage only grows, so rebinding to a
-// slab that migration resized allocates nothing once the window has
-// been that large; entries past the window drop their views, so a
-// plane that has left the slab is not kept reachable from here.
+// owned plane i of component c, and marks the density store stale.
+// Storage only grows, so rebinding to a slab that migration resized
+// allocates nothing once it has been that large; entries past the
+// window drop their views, so a departed plane is not kept reachable.
 func (s *SlabSweepOf[T]) Bind(count int, plane func(i, c int) []T) {
 	need := count + 2
 	if cap(s.win) < need {
@@ -235,15 +266,28 @@ func (s *SlabSweepOf[T]) Bind(count int, plane func(i, c int) []T) {
 			s.win[1+i][c] = plane(i, c)
 		}
 	}
+	if have := len(s.dens); s.store && have < count {
+		s.dens = append(s.dens, newPlanes[T](count-have, s.k.NComp, s.k.PlaneCells())...)
+	}
+	s.stale = true
 }
 
 // Pack builds the slab's two frames: toLeft carries its first plane and
 // the densities of the second, toRight its last plane and the densities
 // of the one before. A one-plane slab's frames carry its plane twice.
+// Every step starts here, so Pack refills a stale density store.
 func (s *SlabSweepOf[T]) Pack() (toLeft, toRight []T) {
 	n := len(s.win) - 2
-	s.frame[0] = s.k.PackFrame(s.fs, s.frame[0], s.win[1], s.win[1+1%n])
-	s.frame[1] = s.k.PackFrame(s.fs, s.frame[1], s.win[n], s.win[1+(2*n-2)%n])
+	var farL, farR [][]T
+	if s.dens != nil {
+		for i := 0; s.stale && i < n; i++ {
+			s.k.Densities(s.win[1+i], s.dens[i])
+		}
+		farL, farR = s.dens[1%n], s.dens[(2*n-2)%n]
+	}
+	s.stale = false
+	s.frame[0] = s.k.PackFrame(s.fs, s.frame[0], s.win[1], s.win[1+1%n], farL)
+	s.frame[1] = s.k.PackFrame(s.fs, s.frame[1], s.win[n], s.win[1+(2*n-2)%n], farR)
 	return s.frame[0], s.frame[1]
 }
 
@@ -259,10 +303,10 @@ func (s *SlabSweepOf[T]) Ghost(side int, frame []T) error {
 	return s.k.ParseFrame(frame, ghost, s.far[side])
 }
 
-// Sweep advances the owned planes one step in place behind the ghosts.
+// Sweep advances the owned planes and their density store one step.
 func (s *SlabSweepOf[T]) Sweep() {
 	last := len(s.win) - 1
-	s.k.SweepFused(s.fs, s.win, s.win, 1, last, s.far[0], s.far[1])
+	s.k.SweepFused(s.fs, s.win, s.win, 1, last, s.far[0], s.far[1], s.dens)
 }
 
 // stepPool is the persistent goroutine pool of the band scheduler:

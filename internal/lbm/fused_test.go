@@ -149,9 +149,14 @@ func TestFusedChunkHeuristic(t *testing.T) {
 }
 
 // heldBytes is what s is allowed to hold: one distribution lattice,
-// plus each band's sweep rings and frames.
-func heldBytes[T num.Float](s *SimOf[T]) int {
+// plus each band's sweep rings and frames and, when store, the bands'
+// density stores — one density plane per plane and component, 1/19 of
+// the lattice.
+func heldBytes[T num.Float](s *SimOf[T], store bool) int {
 	n := s.P.NComp() * s.P.NX * s.K.PlaneLen()
+	if store {
+		n += s.P.NComp() * s.P.NX * s.K.PlaneCells()
+	}
 	for _, sl := range s.bands.slabs {
 		for slot := 0; slot < 3; slot++ {
 			for c := range sl.fs.n[slot] {
@@ -178,7 +183,7 @@ func heapAfterGC() int64 {
 func checkHeld(t *testing.T, grew int64, held int) {
 	t.Helper()
 	if limit := 1.05 * float64(held); float64(grew) > limit {
-		t.Errorf("live heap grew %d bytes, limit %.0f (1.05 x %d for one lattice plus rings and frames)",
+		t.Errorf("live heap grew %d bytes, limit %.0f (1.05 x %d for one lattice plus rings, frames and stores)",
 			grew, limit, held)
 	}
 }
@@ -193,17 +198,18 @@ func runHeld[T num.Float](t *testing.T, p *Params, bands int) {
 	}
 	s.SetFusedChunks(bands)
 	advance(t, s, 3)
-	checkHeld(t, heapAfterGC()-before, heldBytes(s))
+	checkHeld(t, heapAfterGC()-before, heldBytes(s, true))
 	runtime.KeepAlive(s)
 }
 
 // A solver holds one distribution lattice: everything it keeps live
-// once stepping has begun — the lattice, the bands' rings and frames,
-// kernel tables, scratch — fits in 1.05x the lattice plus the rings and
-// frames. A second lattice (the post-collision copy the solver used to
-// alternate with) would double the bill. Checked for both precisions,
-// one and two bands, and a refined solver, whose three blocks are each
-// one lattice.
+// once stepping has begun — the lattice, the bands' rings, frames and
+// density stores, kernel tables, scratch — fits in 1.05x the lattice
+// plus the rings, frames and stores. A second lattice (the
+// post-collision copy the solver used to alternate with) would double
+// the bill. Checked for both precisions, one and two bands, and a
+// refined solver, whose three blocks are each one lattice and keep no
+// store.
 func TestSolverHoldsOneLattice(t *testing.T) {
 	const nx, ny, nz = 64, 48, 16
 	for _, bands := range []int{1, 2} {
@@ -225,7 +231,7 @@ func TestSolverHoldsOneLattice(t *testing.T) {
 		advance(t, rs, 3)
 		grew := heapAfterGC() - before
 		r := rs.(*refinedOf[float64])
-		checkHeld(t, grew, heldBytes(r.bot)+heldBytes(r.top)+heldBytes(r.coarse))
+		checkHeld(t, grew, heldBytes(r.bot, false)+heldBytes(r.top, false)+heldBytes(r.coarse, false))
 		runtime.KeepAlive(rs)
 	})
 }

@@ -482,18 +482,29 @@ func relaxPair[T num.Float](fp, fm, wr, eu, usq, invTau T) (T, T) {
 // population at the destination cell (bounce-back), which places the
 // no-slip plane halfway into the wall layer. out must not alias fL, fC
 // or fR.
-func (k *KernelOf[T]) Stream(fL, fC, fR, out [][]T) {
+func (k *KernelOf[T]) Stream(fL, fC, fR, out [][]T) { k.stream(fL, fC, fR, out, nil) }
+
+// stream is Stream that, given n, also writes each streamed fluid
+// cell's density into n, summed in Densities' tree term for term (a
+// shared function would not inline), so the bits match. Solid cells
+// keep what n holds: zero, once Densities has filled it.
+func (k *KernelOf[T]) stream(fL, fC, fR, out, n [][]T) {
 	nz := k.NZ
 	o := &k.pull
 	for c := 0; c < k.NComp; c++ {
 		fl, fc, fr, oc := fL[c], fC[c], fR[c], out[c]
 		planes := [3][]T{fl, fc, fr}
+		var nc []T
+		if n != nil {
+			nc = n[c]
+		}
 		for y := 1; y < k.NY-1; y++ {
 			for z0, kind := range k.kind[y*nz+1 : y*nz+nz-1] {
 				if kind == solidCell {
 					continue
 				}
-				base := (y*nz + z0 + 1) * lattice.Q19
+				cell := y*nz + z0 + 1
+				base := cell * lattice.Q19
 				ob := (*[lattice.Q19]T)(oc[base:])
 				if kind == bulkCell {
 					// No solid source: every population is a plain copy
@@ -519,10 +530,16 @@ func (k *KernelOf[T]) Stream(fL, fC, fR, out [][]T) {
 					ob[16] = fc[base+o[16]]
 					ob[17] = fc[base+o[17]]
 					ob[18] = fc[base+o[18]]
-					continue
+				} else {
+					for i, src := range &k.near[kind].src {
+						ob[i] = planes[src.plane][src.idx]
+					}
 				}
-				for i, src := range &k.near[kind].src {
-					ob[i] = planes[src.plane][src.idx]
+				if nc != nil {
+					s := ((ob[0] + ob[1]) + (ob[2] + ob[3])) + ((ob[4] + ob[5]) + (ob[6] + ob[7]))
+					s += ((ob[8] + ob[9]) + (ob[10] + ob[11])) + ((ob[12] + ob[13]) + (ob[14] + ob[15]))
+					s += (ob[16] + ob[17]) + ob[18]
+					nc[cell] = s
 				}
 			}
 		}

@@ -278,6 +278,7 @@ func assembleRefined[T num.Float](p *Params, spec RefineSpec, bot, top, coarse *
 	if err != nil {
 		return nil, err
 	}
+	bot.ringOnly, top.ringOnly, coarse.ringOnly = true, true, true
 	nc := p.NComp()
 	r := &refinedOf[T]{
 		p: p, spec: spec, ml: ml,

@@ -30,6 +30,10 @@ type SimOf[T num.Float] struct {
 	post, n [][][]T
 	// bands is the lazily built banding of the stepping path.
 	bands *bandSet[T]
+	// ringOnly builds the bands without density stores: a refined
+	// level's planes are rewritten by the coupling every composite
+	// step, so a store would be refilled as often as it is read.
+	ringOnly bool
 	// fusedChunks, when positive, pins the band count, bypassing the
 	// minimum-planes-per-band heuristic; tests use it to exercise
 	// multi-band sweeps on any machine.
@@ -151,6 +155,11 @@ func (s *SimOf[T]) Step() {
 		l := (x - 1 + p.NX) % p.NX
 		r := (x + 1) % p.NX
 		s.K.Stream(post[l], post[x], post[r], f[x])
+	}
+	if s.bands != nil { // the bands' density stores no longer match
+		for _, sl := range s.bands.slabs {
+			sl.stale = true
+		}
 	}
 	s.step++
 }

@@ -8,11 +8,14 @@ import "fmt"
 // the densities of plane end-2 — built by the same lbm.SlabSweep a band
 // of the sequential solver packs in memory.
 
-// postFrames binds the slab step to this phase's planes, packs its
-// frames and sends one to each neighbor (a single rank is its own
-// neighbor and takes both as its ghosts at once).
+// bind points the slab step at the rank's planes, marking its density
+// store stale: at setup (fresh or resumed) and after a migration.
+func (w *worker) bind() { w.slab.Bind(w.f[0].Count(), w.plane) }
+
+// postFrames packs the slab's frames and sends one to each neighbor (a
+// single rank is its own neighbor and takes both as its ghosts at
+// once).
 func (w *worker) postFrames() error {
-	w.slab.Bind(w.f[0].Count(), w.plane)
 	toL, toR := w.slab.Pack()
 	if w.size == 1 {
 		// The frame sent rightward is the left ghost, and vice versa.

@@ -29,9 +29,12 @@ func heapAfterGC() int64 {
 // burst, would hold up to twice the migrated volume on top. Checked
 // under the local (filtered) and the global protocol, with rank 1
 // reported twice as slow, at the last phase, while both ranks are
-// parked in PostPhase with no message in flight. On this lattice the
-// allocator's page rounding of the plane objects takes about 4 of the
-// 5 per cent.
+// parked in PostPhase with no message in flight. Each rank's density
+// store (one density plane per owned plane and component) only grows,
+// to at most its first plane count plus the planes it received, so the
+// group's stores hold at most nx + moved density planes per component.
+// On this lattice the allocator's page rounding of the plane objects
+// takes about 4 of the 5 per cent.
 func TestRemapHoldsOneLattice(t *testing.T) {
 	const nx, ny, nz, ranks, phases = 64, 48, 16, 2, 6
 	for _, pol := range []balance.Policy{balance.NewFiltered(ny * nz), balance.NewGlobal(ny * nz)} {
@@ -83,11 +86,12 @@ func TestRemapHoldsOneLattice(t *testing.T) {
 				nc*k.PlaneLen() // one plane message
 			const maxFree = 4 // comm's bound on a mailbox's recycled buffers
 			pooled := nc*k.PlaneLen() + maxFree*k.FrameLen()
-			held := 8 * (nc*nx*k.PlaneLen() + ranks*perRank + ranks*pooled)
+			stores := nc * (nx + moved) * k.PlaneCells()
+			held := 8 * (nc*nx*k.PlaneLen() + ranks*perRank + ranks*pooled + stores)
 			t.Logf("live heap grew %d bytes after %d plane moves; held %d", grew, moved, held)
 			if limit := 1.05 * float64(held); float64(grew) > limit {
 				t.Errorf("live heap grew %d bytes after %d plane moves (%d bytes each), limit %.0f "+
-					"(1.05 x %d for one lattice plus frames, scratch and pooled payloads)",
+					"(1.05 x %d for one lattice plus frames, scratch, density stores and pooled payloads)",
 					grew, moved, 8*nc*k.PlaneLen(), limit, held)
 			}
 		})

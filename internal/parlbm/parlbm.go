@@ -240,8 +240,8 @@ type worker struct {
 	res  *Result
 
 	// slab is the rank's slab step, the one a band of the sequential
-	// solver runs; it is rebound every phase through plane (owned plane
-	// i of component c), so migration only changes the slabs.
+	// solver runs; bind points it at the slabs through plane (owned
+	// plane i of component c) whenever migration changes them.
 	slab  *lbm.SlabSweep
 	plane func(i, c int) []float64
 	// massFn is localMass bound once, so handing it to PostPhase every
@@ -321,6 +321,7 @@ func runRank(p *lbm.Params, c comm.Comm, opts Options, sup *runctl.Supervisor, p
 			}
 		}
 	}
+	w.bind()
 	w.res.StartPhase = startPhase
 
 	interval := opts.Policy.Interval()

@@ -26,6 +26,7 @@ func testWorker(p *lbm.Params, c comm.Comm, opts Options, start, count int) *wor
 			w.k.InitEquilibrium(w.f[comp].Plane(gx), p.Components[comp].InitDensity)
 		}
 	}
+	w.bind()
 	return w
 }
 

@@ -149,6 +149,7 @@ func (w *worker) moveBoundary(neighbor, net int) error {
 	if net == 0 {
 		return nil
 	}
+	defer w.bind()
 	rightward := net > 0
 	count := net
 	if count < 0 {
